@@ -2,60 +2,84 @@
 
 The Cayley graph of a quandle Q has vertex set Q and an edge x -> x |> y
 for every y (duplicates collapse, and idempotency puts a loop at every
-vertex).  Graphs are immutable: vertex count, sorted adjacency lists, and
-display names.
+vertex).  A graph is its read-only n x n boolean adjacency matrix plus
+display names; adjacency lists and edge lists are derived from the matrix.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .groups import breadth_first
 from .quandles import Quandle
 
 ISOMORPHISM_CAP = 64
 
 
+def _rows(m: np.ndarray) -> tuple:
+    """Out-neighbours of every vertex of m, as sorted tuples of ints."""
+    cols = np.nonzero(m)[1].tolist()
+    ends = np.cumsum(m.sum(axis=1)).tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+
+
 class DirectedGraph:
-    """Immutable digraph on 0..n-1 with sorted out-neighbor lists."""
+    """Immutable digraph on 0..n-1, stored as its boolean adjacency matrix.
+
+    The constructor takes an edge list (duplicates collapse) and rejects
+    edges that leave 0..n-1.
+    """
 
     def __init__(self, n: int, edges, names=None):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        self.n = int(n)
-        adj: list[set] = [set() for _ in range(self.n)]
+        n = int(n)
+        m = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            adj[u].add(v)
-        self.adj = tuple(tuple(sorted(s)) for s in adj)
+            m[u, v] = True
+        self._init(m, names)
+
+    @classmethod
+    def _of_matrix(cls, m: np.ndarray, names=None) -> "DirectedGraph":
+        """Wrap a square bool matrix built in this module (entries unchecked)."""
+        g = cls.__new__(cls)
+        g._init(m, names)
+        return g
+
+    def _init(self, m: np.ndarray, names) -> None:
+        self.n = m.shape[0]
         if names is None:
             names = [str(i) for i in range(self.n)]
         if len(names) != self.n:
             raise ValueError("names length must equal vertex count")
         self.names = tuple(str(s) for s in names)
-        self._matrix: np.ndarray | None = None
+        m.flags.writeable = False
+        self._m = m
 
     def matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix (cached)."""
-        if self._matrix is None:
-            m = np.zeros((self.n, self.n), dtype=bool)
-            for u, outs in enumerate(self.adj):
-                m[u, list(outs)] = True
-            self._matrix = m
-        return self._matrix
+        """Boolean adjacency matrix (read-only)."""
+        return self._m
+
+    @cached_property
+    def adj(self) -> tuple:
+        """Sorted out-neighbour tuple per vertex."""
+        return _rows(self._m)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.matrix()[u, v])
+        return bool(self._m[u, v])
 
     def edges(self) -> list[tuple]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u]]
+        return [tuple(e) for e in np.argwhere(self._m).tolist()]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(outs) for outs in self.adj)
+        return int(np.count_nonzero(self._m))
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, edges={self.edge_count})"
@@ -85,15 +109,16 @@ class ComponentDecomposition:
 
 def build_cayley_graph(q: Quandle) -> DirectedGraph:
     """Edge x -> x |> y for every y; one loop per vertex, no multi-edges."""
-    edges = ((x, int(v)) for x in range(q.order) for v in set(q.rhd[x]))
-    return DirectedGraph(q.order, edges, names=q.element_names)
+    m = np.zeros((q.order, q.order), dtype=bool)
+    m[np.arange(q.order)[:, None], q.rhd] = True
+    return DirectedGraph._of_matrix(m, names=q.element_names)
 
 
 def complete_graph(n: int, names=None) -> DirectedGraph:
     """All ordered pairs, loops included."""
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return DirectedGraph(n, ((u, v) for u in range(n) for v in range(n)), names=names)
+    return DirectedGraph._of_matrix(np.ones((n, n), dtype=bool), names=names)
 
 
 def degrees(g: DirectedGraph) -> list[tuple]:
@@ -179,27 +204,15 @@ def strongly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
 
 def weakly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
     """Components of the symmetrized graph."""
-    sym = g.matrix() | g.matrix().T
+    nbrs = _rows(g.matrix() | g.matrix().T)
     seen = np.zeros(g.n, dtype=bool)
     comps = []
     for s in range(g.n):
         if seen[s]:
             continue
-        frontier = [s]
-        seen[s] = True
-        comp = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(sym[u])[0]:
-                    v = int(v)
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        nxt.append(v)
-            frontier = nxt
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
+        comp = sorted(v for layer in breadth_first([s], nbrs.__getitem__) for v in layer)
+        seen[comp] = True
+        comps.append(tuple(comp))
     return ComponentDecomposition(kind="weak", components=tuple(comps))
 
 
@@ -209,33 +222,21 @@ def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u in verts for v in g.adj[u] if v in pos]
-    return DirectedGraph(len(verts), edges, names=[g.names[v] for v in verts])
+    c = np.array(verts, dtype=np.intp)
+    return DirectedGraph._of_matrix(g.matrix()[np.ix_(c, c)],
+                                    names=[g.names[v] for v in verts])
 
 
 def component_diameter(g: DirectedGraph, component) -> int:
     """Max over ordered pairs of shortest directed path length inside one
     strongly connected component."""
-    comp = sorted({int(v) for v in component})
-    sub = induced_subgraph(g, comp)
-    n = sub.n
+    sub = induced_subgraph(g, component)
     best = 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in sub.adj[u]:
-                    if dist[v] == -1:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if min(dist) == -1:
+    for s in range(sub.n):
+        layers = breadth_first([s], sub.adj.__getitem__)
+        if sum(len(layer) for layer in layers) < sub.n:
             raise ValueError("component is not strongly connected")
-        best = max(best, max(dist))
+        best = max(best, len(layers) - 1)
     return best
 
 
@@ -269,24 +270,18 @@ def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph,
     for v, s in enumerate(sig2):
         by_sig.setdefault(s, []).append(v)
 
-    # order: start at the rarest signature, then grow along edges
+    # order: start at the rarest signature, then grow along edges; the
+    # symmetrized search from a seed covers its whole weak component
     order: list[int] = []
-    placed = [False] * g1.n
-    sym1 = [sorted(set(g1.adj[v]) | {u for u in range(g1.n) if v in g1.adj[u]})
-            for v in range(g1.n)]
+    placed = np.zeros(g1.n, dtype=bool)
+    sym1 = _rows(g1.matrix() | g1.matrix().T)
     rarity = {v: len(by_sig[sig1[v]]) for v in range(g1.n)}
     while len(order) < g1.n:
-        pool = [v for v in range(g1.n) if not placed[v]]
+        pool = np.flatnonzero(~placed).tolist()
         seed = min(pool, key=lambda v: (rarity[v], v))
-        queue = [seed]
-        placed[seed] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sym1[v]:
-                if not placed[w]:
-                    placed[w] = True
-                    queue.append(w)
+        reached = [v for layer in breadth_first([seed], sym1.__getitem__) for v in layer]
+        placed[reached] = True
+        order += reached
 
     m1, m2 = g1.matrix(), g2.matrix()
     mapping = [-1] * g1.n
@@ -373,6 +368,7 @@ def takasaki_z_edge(a: int, c: int) -> bool:
     """Whether c is reachable from a in one step of a |> b = 2b - a over Z.
 
     Solvable for integer b exactly when a and c have the same parity.
+    Works elementwise on numpy arrays too.
     """
     return (a + c) % 2 == 0
 
@@ -384,8 +380,6 @@ def takasaki_z_window(w: int) -> DirectedGraph:
     """
     if w < 0:
         raise ValueError("window radius must be >= 0")
-    values = list(range(-w, w + 1))
-    n = len(values)
-    edges = [(i, j) for i in range(n) for j in range(n)
-             if takasaki_z_edge(values[i], values[j])]
-    return DirectedGraph(n, edges, names=[str(v) for v in values])
+    values = np.arange(-w, w + 1)
+    m = takasaki_z_edge(values[:, None], values[None, :])
+    return DirectedGraph._of_matrix(m, names=[str(v) for v in values.tolist()])

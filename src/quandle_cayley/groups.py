@@ -15,8 +15,51 @@ import numpy as np
 SYMMETRIC_CAP = 6
 AUTOMORPHISM_CAP = 16
 
-# keep the associativity scan's scratch arrays below ~16 MB
+# keep the cube scans' scratch arrays below ~16 MB
 _ASSOC_CHUNK_CELLS = 2_000_000
+
+
+def first_mismatch(n: int, lhs, rhs) -> tuple | None:
+    """Compare two sides of an identity over every triple (x, y, z) in 0..n-1.
+
+    lhs(xs) and rhs(xs) evaluate the sides for the x values in xs, as arrays
+    of shape (len(xs), n, n).  The cube is scanned in slabs of consecutive x
+    small enough to stay under _ASSOC_CHUNK_CELLS.  Returns the
+    lexicographically first (x, y, z) where the sides differ, or None.
+    """
+    chunk = max(1, _ASSOC_CHUNK_CELLS // (n * n))
+    for start in range(0, n, chunk):
+        xs = np.arange(start, min(start + chunk, n))
+        diff = lhs(xs) != rhs(xs)
+        if diff.any():
+            x, y, z = np.argwhere(diff)[0]
+            return int(xs[x]), int(y), int(z)
+    return None
+
+
+def breadth_first(sources, step, limit: int | None = None) -> list[list]:
+    """Breadth-first search over hashable vertices.
+
+    step(u) yields the out-neighbours of u.  Returns the layers in discovery
+    order: layer 0 is the sources (duplicates dropped), layer k the vertices
+    first reached in k steps, each listed in the order found.  Raises
+    ValueError as soon as more than `limit` vertices have been seen.
+    """
+    layer = list(dict.fromkeys(sources))
+    seen = set(layer)
+    layers = []
+    while layer:
+        layers.append(layer)
+        nxt = []
+        for u in layer:
+            for v in step(u):
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                    if limit is not None and len(seen) > limit:
+                        raise ValueError(f"search passed {limit} vertices")
+        layer = nxt
+    return layers
 
 
 def _as_table(table, what: str) -> np.ndarray:
@@ -88,17 +131,11 @@ class FiniteGroup:
             raise ValueError("some column is not a permutation (left cancellation fails)")
 
     def _check_associative(self) -> None:
-        n = self.order
-        chunk = max(1, _ASSOC_CHUNK_CELLS // (n * n))
-        for start in range(0, n, chunk):
-            xs = np.arange(start, min(start + chunk, n))
-            lhs = self.mul[self.mul[xs], :]
-            rhs = self.mul[xs[:, None, None], self.mul[None, :, :]]
-            if not (lhs == rhs).all():
-                x, y, z = np.argwhere(lhs != rhs)[0]
-                raise ValueError(
-                    f"associativity fails at ({int(xs[x])}, {int(y)}, {int(z)})"
-                )
+        mul = self.mul
+        bad = first_mismatch(self.order, lambda xs: mul[mul[xs], :],
+                             lambda xs: mul[xs[:, None, None], mul[None, :, :]])
+        if bad is not None:
+            raise ValueError(f"associativity fails at {bad}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -374,18 +411,8 @@ def _greedy_generators(g: FiniteGroup) -> list[int]:
         if x in closed:
             continue
         gens.append(x)
-        frontier = list(closed | {x})
-        members = set(frontier)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in gens:
-                    w = int(g.mul[u, v])
-                    if w not in members:
-                        members.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        closed = members
+        layers = breadth_first(closed | {x}, lambda u: g.mul[u, gens].tolist())
+        closed = {v for layer in layers for v in layer}
         if len(closed) == g.order:
             break
     return gens
@@ -393,21 +420,15 @@ def _greedy_generators(g: FiniteGroup) -> list[int]:
 
 def _bfs_recipe(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     """Discovery order (element, parent, generator slot) with x = parent*gens[slot]."""
-    recipe = []
-    seen = [False] * g.order
-    seen[g.identity] = True
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for slot, v in enumerate(gens):
-                w = int(g.mul[u, v])
-                if not seen[w]:
-                    seen[w] = True
-                    recipe.append((w, u, slot))
-                    nxt.append(w)
-        frontier = nxt
-    return recipe
+    first_edge: dict[int, tuple[int, int]] = {}
+
+    def step(u: int):
+        for slot, w in enumerate(g.mul[u, gens].tolist()):
+            first_edge.setdefault(w, (u, slot))   # the edge that discovers w
+            yield w
+
+    layers = breadth_first([g.identity], step)
+    return [(w, *first_edge[w]) for layer in layers[1:] for w in layer]
 
 
 def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> list[Automorphism]:
@@ -532,24 +553,14 @@ class CosetPartition:
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
-    """Closure of a generating set under multiplication (worklist scan)."""
-    members = {g.identity}
+    """Closure of a generating set under multiplication (breadth-first)."""
     gens = [int(x) for x in gens]
     for x in gens:
         if not 0 <= x < g.order:
             raise ValueError("generator out of range")
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in gens:
-                w = int(g.mul[u, v])
-                if w not in members:
-                    members.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    layers = breadth_first([g.identity], lambda u: g.mul[u, gens].tolist())
     # gens themselves are reachable (identity * gen), so closure has them all
-    return Subgroup(g, sorted(members))
+    return Subgroup(g, sorted(v for layer in layers for v in layer))
 
 
 def cosets(g: FiniteGroup, s: Subgroup, side: str = "left") -> CosetPartition:

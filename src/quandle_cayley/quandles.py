@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Automorphism, FiniteGroup
+from .groups import Automorphism, FiniteGroup, breadth_first, first_mismatch
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -83,13 +83,12 @@ def verify_quandle_axioms(table) -> AxiomReport:
                 inv_wit = (int(y), int(x1), int(x2))
                 break
 
-    lhs = rhd[rhd, :]                       # lhs[x,y,z] = (x|>y) |> z
-    rhs = rhd[rhd[:, None, :], rhd[None, :, :]]   # rhs[x,y,z] = (x|>z) |> (y|>z)
-    dist_ok = bool((lhs == rhs).all())
-    dist_wit = None
-    if not dist_ok:
-        x, y, z = np.argwhere(lhs != rhs)[0]
-        dist_wit = (int(x), int(y), int(z))
+    dist_wit = first_mismatch(
+        n,
+        lambda xs: rhd[rhd[xs], :],                          # (x|>y) |> z
+        lambda xs: rhd[rhd[xs][:, None, :], rhd[None, :, :]],  # (x|>z) |> (y|>z)
+    )
+    dist_ok = dist_wit is None
 
     return AxiomReport(
         idempotent=idem_ok,
@@ -242,6 +241,17 @@ def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:
 # -- translations and the inner action --------------------------------------
 
 
+def translation_defect(rhd: np.ndarray, b: int) -> tuple | None:
+    """First (x, y) where right translation by b fails to be an automorphism,
+    i.e. (x |> y) |> b != (x |> b) |> (y |> b); None when it is one."""
+    perm = rhd[:, b]
+    diff = perm[rhd] != rhd[perm[:, None], perm[None, :]]
+    if not diff.any():
+        return None
+    x, y = np.argwhere(diff)[0]
+    return int(x), int(y)
+
+
 class RightTranslation:
     """The map x -> x |> b for a fixed b; always a quandle automorphism."""
 
@@ -251,13 +261,10 @@ class RightTranslation:
         self.quandle = quandle
         self.b = b
         self.perm = quandle.rhd[:, b].copy()
-        rhd = quandle.rhd
-        lhs = self.perm[rhd]
-        rhs = rhd[self.perm[:, None], self.perm[None, :]]
-        if not (lhs == rhs).all():
-            x, y = np.argwhere(lhs != rhs)[0]
+        bad = translation_defect(quandle.rhd, b)
+        if bad is not None:
             raise AssertionError(
-                f"right translation by {b} is not an automorphism at ({x}, {y})"
+                f"right translation by {b} is not an automorphism at {bad}"
             )
 
     def __call__(self, x: int) -> int:
@@ -325,52 +332,27 @@ def inner_group(q: Quandle, cap: int = INNER_GROUP_CAP,
                 closure_cap: int = INNER_CLOSURE_CAP) -> PermGroup:
     """Group generated by all right translations, closed under composition.
 
-    Worklist closure over composition; inverses come for free in a finite
-    setting.  closure_cap bounds the member count as a safety net.
+    Breadth-first closure under composition; inverses come for free in a
+    finite setting.  closure_cap bounds the member count as a safety net.
     """
     if q.order > cap:
         raise ValueError(f"inner group computation capped at order <= {cap}")
-    gens = []
-    seen_gen = set()
-    for b in range(q.order):
-        p = tuple(int(v) for v in q.rhd[:, b])
-        if p not in seen_gen:
-            seen_gen.add(p)
-            gens.append(p)
-    ident = tuple(range(q.order))
-    members = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gph in gens:
-                comp = tuple(gph[v] for v in p)
-                if comp not in members:
-                    members.add(comp)
-                    nxt.append(comp)
-                    if len(members) > closure_cap:
-                        raise ValueError("inner group closure exceeded the safety cap")
-        frontier = nxt
-    return PermGroup(q.order, members, generators=gens)
+    gens = list(dict.fromkeys(map(tuple, q.rhd.T.tolist())))   # distinct columns
+    try:
+        layers = breadth_first([tuple(range(q.order))],
+                               lambda p: (tuple(gph[v] for v in p) for gph in gens),
+                               limit=closure_cap)
+    except ValueError:
+        raise ValueError("inner group closure exceeded the safety cap") from None
+    return PermGroup(q.order, [p for layer in layers for p in layer], generators=gens)
 
 
 def forward_orbit(q: Quandle, x: int) -> tuple:
     """All elements reachable from x by repeatedly applying |> (any operand)."""
     if not 0 <= x < q.order:
         raise ValueError("element out of range")
-    seen = np.zeros(q.order, dtype=bool)
-    seen[x] = True
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in q.rhd[u]:
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        frontier = nxt
-    return tuple(int(v) for v in np.nonzero(seen)[0])
+    layers = breadth_first([x], lambda u: q.rhd[u].tolist())
+    return tuple(sorted(v for layer in layers for v in layer))
 
 
 def is_involutory(q: Quandle) -> bool:

@@ -100,19 +100,17 @@ def check_axioms(label: str, table) -> VerificationReport:
                 "right_invertible": report.right_invertible,
                 "self_distributive": report.self_distributive,
             },
-            "witness": (report.idempotency_witness
-                        or report.invertibility_witness
-                        or report.distributivity_witness),
+            "witness": next(w for w in (report.idempotency_witness,
+                                        report.invertibility_witness,
+                                        report.distributivity_witness)
+                            if w is not None),
         })
     else:
         q = Q.Quandle(table, label=label)
         for b in range(q.order):
-            perm = q.rhd[:, b]
-            lhs = perm[q.rhd]
-            rhs = q.rhd[perm[:, None], perm[None, :]]
-            if not (lhs == rhs).all():
-                x, y = np.argwhere(lhs != rhs)[0]
-                failures.append({"translation_not_automorphism": (int(b), int(x), int(y))})
+            bad = Q.translation_defect(q.rhd, b)
+            if bad is not None:
+                failures.append({"translation_not_automorphism": (b, *bad)})
                 break
     return _report("axioms", label, start, failures)
 
@@ -278,15 +276,11 @@ def _translation_iso_ok(graph: gr.DirectedGraph, g: G.FiniteGroup,
     """Does x -> x * (u^-1 v) map src onto dst preserving edges both ways?"""
     u, v = src[0], dst[0]
     shift = g.op(g.inverse(u), v)
-    image = [g.op(x, shift) for x in src]
-    if sorted(image) != sorted(dst):
+    image = g.mul[list(src), shift]
+    if sorted(image.tolist()) != sorted(dst):
         return False
     m = graph.matrix()
-    for i, x in enumerate(src):
-        for j, y in enumerate(src):
-            if m[x, y] != m[image[i], image[j]]:
-                return False
-    return True
+    return bool((m[np.ix_(src, src)] == m[np.ix_(image, image)]).all())
 
 
 def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
@@ -465,8 +459,11 @@ class SuiteConfig:
             if unknown:
                 raise ValueError(f"unknown check ids: {', '.join(unknown)}")
             self.checks = checks
-        self.extra_quandles = tuple((str(lbl), [list(map(int, row)) for row in tbl])
-                                    for lbl, tbl in self.extra_quandles)
+        try:
+            self.extra_quandles = tuple((str(lbl), [list(map(int, row)) for row in tbl])
+                                        for lbl, tbl in self.extra_quandles)
+        except TypeError:
+            raise ValueError("extra_quandles tables must be lists of integer rows") from None
 
     @staticmethod
     def from_json(obj) -> "SuiteConfig":
@@ -483,6 +480,11 @@ class SuiteConfig:
         for key in allowed & set(obj):
             value = obj[key]
             if key == "extra_quandles":
+                if not isinstance(value, list) or not all(
+                        isinstance(item, dict) and "label" in item and "rhd" in item
+                        for item in value):
+                    raise ValueError("extra_quandles must be a list of objects "
+                                     "with 'label' and 'rhd'")
                 value = tuple((item["label"], item["rhd"]) for item in value)
             elif key in ("nonabelian_registry", "dihedral_range", "checks"):
                 value = tuple(value) if value is not None else None

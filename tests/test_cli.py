@@ -139,6 +139,16 @@ class TestVerify:
         assert code == 1
         assert "[FAIL] axioms" in out
 
+    @pytest.mark.parametrize("item", [{"label": "no_table"}, ["x", [[0]]],
+                                      {"label": "flat", "rhd": [0, 1]}])
+    def test_malformed_extra_quandle_exits_2(self, capsys, tmp_path, item):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"checks": ["axioms"], "extra_quandles": [item]}))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "extra_quandles" in err
+
     def test_bad_check_id_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "heptagon")
         assert code == 2

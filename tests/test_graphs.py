@@ -43,6 +43,14 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             gr.DirectedGraph(2, [(0, 5)])
 
+    def test_rejects_negative_vertex(self):
+        with pytest.raises(ValueError):
+            gr.DirectedGraph(2, [(-1, 0)])
+
+    def test_from_json_rejects_three_element_edge(self):
+        with pytest.raises(ValueError):
+            gr.graph_from_json({"n": 3, "edges": [[0, 1, 2]]})
+
     def test_matrix(self):
         g = gr.DirectedGraph(2, [(0, 1), (1, 1)])
         assert g.matrix().tolist() == [[False, True], [False, True]]
@@ -68,6 +76,23 @@ class TestCayleyGraphShapes:
         graph = gr.build_cayley_graph(Q.dihedral_quandle(7))
         assert gr.is_complete(graph)
         assert gr.degrees(graph) == [(7, 7)] * 7
+
+    def test_matrix_build_matches_edge_loop(self):
+        # reference: one edge x -> x |> y per table cell, collected in a loop
+        d6 = G.make_dihedral(6)
+        for q in (Q.dihedral_quandle(6), Q.conjugation_quandle(G.make_symmetric(4)),
+                  Q.generalized_alexander_quandle(d6, G.inner_automorphism(d6, 1))):
+            graph = gr.build_cayley_graph(q)
+            edges = {(x, int(q.rhd[x, y])) for x in range(q.order) for y in range(q.order)}
+            assert graph.edges() == sorted(edges)
+            assert graph.edge_count == len(edges)
+            assert graph.adj == tuple(tuple(sorted(v for u, v in edges if u == x))
+                                      for x in range(q.order))
+            verts = list(range(0, q.order, 3))
+            pos = {v: i for i, v in enumerate(verts)}
+            sub = gr.induced_subgraph(graph, reversed(verts))
+            assert sub.edges() == sorted((pos[u], pos[v]) for u, v in edges
+                                         if u in pos and v in pos)
 
     def test_complete_graph_helper(self):
         k = gr.complete_graph(4)
@@ -157,6 +182,13 @@ class TestPredicates:
         assert gr.takasaki_z_edge(-2, 4)
         assert not gr.takasaki_z_edge(0, 3)
         assert gr.takasaki_z_edge(7, 7)
+
+    def test_takasaki_window_matches_edge_predicate(self):
+        for w in range(4):
+            values = range(-w, w + 1)
+            expected = [(i, j) for i, a in enumerate(values)
+                        for j, c in enumerate(values) if gr.takasaki_z_edge(a, c)]
+            assert gr.takasaki_z_window(w).edges() == expected
 
     def test_takasaki_window(self):
         graph = gr.takasaki_z_window(2)

@@ -44,6 +44,23 @@ class TestAxiomScan:
         x, y, z = report.distributivity_witness
         assert table[table[x, y], z] != table[table[x, z], table[y, z]]
 
+    def test_distributivity_witness_in_a_later_chunk(self):
+        # T_160 with two entries of row 157 changed: every triple with
+        # x != 157 still satisfies self-distributivity, so the first failure
+        # lies in the last slab of the chunked scan
+        n = 160
+        table = Q.trivial_quandle(n).rhd.copy()
+        table[157, 1], table[157, 4] = 2, 9
+        chunk = G._ASSOC_CHUNK_CELLS // (n * n)
+        assert 2 * chunk <= 157 < n             # three slabs; row 157 in the last
+        report = Q.verify_quandle_axioms(table)
+        assert report.idempotent and not report.self_distributive
+        t = table.astype(np.int16)                  # unchunked full-cube oracle
+        diff = t[t] != t[t[:, None, :], t[None, :, :]]
+        first = tuple(int(v) for v in np.argwhere(diff)[0])
+        assert report.distributivity_witness == first
+        assert first[0] == 157
+
     def test_constructor_raises_with_witness_text(self):
         with pytest.raises(Q.AxiomViolation, match="idempotency"):
             Q.Quandle(np.array([[1, 0], [1, 0]]))
@@ -165,9 +182,22 @@ class TestTranslationsAndInnerGroup:
             for x in range(q.order):
                 assert tuple(sorted(inner.orbit(x))) == Q.forward_orbit(q, x)
 
+    def test_translation_defect(self):
+        q = Q.dihedral_quandle(5)
+        assert all(Q.translation_defect(q.rhd, b) is None for b in range(5))
+        table = columns_to_table([[0, 1, 2], [2, 1, 0], [1, 0, 2]])
+        x, y = Q.translation_defect(table, 2)
+        perm = table[:, 2]
+        assert perm[table[x, y]] != table[perm[x], perm[y]]
+
     def test_inner_group_cap(self):
         with pytest.raises(ValueError):
             Q.inner_group(Q.trivial_quandle(65))
+
+    def test_inner_group_closure_cap(self):
+        assert Q.inner_group(Q.dihedral_quandle(5), closure_cap=10).order == 10
+        with pytest.raises(ValueError, match="safety cap"):
+            Q.inner_group(Q.dihedral_quandle(5), closure_cap=9)
 
     def test_forward_orbit_dihedral(self):
         q = Q.dihedral_quandle(6)

@@ -20,6 +20,11 @@ class TestIndividualCheckers:
         assert not r.passed
         assert "axioms" in r.witness
 
+    def test_axioms_witness_zero_is_kept(self):
+        # idempotency fails at x = 0; a falsy witness must not be skipped
+        r = V.check_axioms("bad", np.array([[1, 0], [0, 1]]))
+        assert r.witness["witness"] == 0
+
     def test_trivial_edgeless(self):
         assert V.check_trivial_edgeless(6).passed
         assert V.check_trivial_edgeless(1).passed
