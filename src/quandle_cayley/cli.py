@@ -160,11 +160,12 @@ def cmd_verify(args) -> int:
         payload = []
         for r in reports:
             d = r.to_dict()
-            del d["elapsed"]
+            if not args.timing:
+                del d["elapsed"]
             payload.append(d)
         text = json.dumps({"reports": payload, "failed": failed}, indent=2) + "\n"
     else:
-        text = V.format_reports(reports)
+        text = V.format_reports(reports, show_timing=args.timing)
     _write_output(text, args.out)
     return 0 if failed == 0 else 1
 
@@ -215,6 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"restrict to these checks; ids: {', '.join(V.CHECK_IDS)}")
     p.add_argument("--range", metavar="LO..HI",
                    help="override the dihedral parameter range")
+    p.add_argument("--timing", action="store_true",
+                   help="add each report's elapsed seconds (the output then "
+                        "differs from run to run)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="serialize the Cayley graph of a quandle")

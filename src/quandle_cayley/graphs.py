@@ -147,6 +147,9 @@ def is_complete(g: DirectedGraph) -> bool:
 
 
 def _tarjan(adj, n: int) -> list[list[int]]:
+    """Tarjan's strong components, iteratively: each frame of the work stack
+    holds a vertex and the iterator over its out-neighbours, resumed after
+    every child returns.  O(V + E); each component comes back sorted."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -156,41 +159,39 @@ def _tarjan(adj, n: int) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
+            v, nbrs = work[-1]
+            for w in nbrs:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-        # loop continues with next root
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every out-neighbour of v is done
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        on_stack[w] = False
+                    comp.sort()
+                    comps.append(comp)
+                elif lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
     return comps
 
 

@@ -493,28 +493,46 @@ def image_id_minus_t(g: FiniteGroup, t: Automorphism) -> "Subgroup":
 # -- subgroups, cosets, classes --------------------------------------------
 
 
+def _mask(n: int, members) -> np.ndarray:
+    """Boolean membership mask over 0..n-1."""
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    return inside
+
+
+def _blocks_by_label(labels: np.ndarray) -> tuple:
+    """Group 0..n-1 by integer label: each block sorted, blocks ordered by
+    their minimum."""
+    blocks: dict[int, list[int]] = {}
+    # x ascends, so every block fills in sorted order and the blocks
+    # appear in the order of their least members
+    for x, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, []).append(x)
+    return tuple(tuple(blk) for blk in blocks.values())
+
+
 class Subgroup:
     """A subgroup of a parent group, stored as a sorted member tuple."""
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
-        mem = sorted({int(x) for x in np.asarray(members).ravel()})
-        if not mem:
+        arr = np.unique(np.asarray(members, dtype=np.int64).ravel())
+        if not arr.size:
             raise ValueError("subgroup cannot be empty")
-        if mem[0] < 0 or mem[-1] >= parent.order:
+        if arr[0] < 0 or arr[-1] >= parent.order:
             raise ValueError("subgroup members out of range")
-        if parent.identity not in mem:
+        inside = _mask(parent.order, arr)
+        if not inside[parent.identity]:
             raise ValueError("subgroup must contain the identity")
-        arr = np.array(mem)
-        prods = parent.mul[np.ix_(arr, arr)]
-        if not np.isin(prods, arr).all():
-            a, b = np.argwhere(~np.isin(prods, arr))[0]
+        closed = inside[parent.mul[arr[:, None], arr]]
+        if not closed.all():
+            a, b = np.argwhere(~closed)[0]
             raise ValueError(
                 f"not closed: {parent.name(int(arr[a]))} * {parent.name(int(arr[b]))} escapes"
             )
-        if not np.isin(parent.inv[arr], arr).all():
+        if not inside[parent.inv[arr]].all():
             raise ValueError("not closed under inverses")
-        self.members = tuple(mem)
+        self.members = tuple(arr.tolist())
 
     @property
     def order(self) -> int:
@@ -570,27 +588,21 @@ def cosets(g: FiniteGroup, s: Subgroup, side: str = "left") -> CosetPartition:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     mem = np.array(s.members)
-    assigned = np.zeros(g.order, dtype=bool)
-    blocks = []
-    for x in range(g.order):
-        if assigned[x]:
-            continue
-        blk = g.mul[x, mem] if side == "left" else g.mul[mem, x]
-        blk = np.unique(blk)
-        assigned[blk] = True
-        blocks.append(tuple(int(v) for v in blk))
-    return CosetPartition(subgroup=s, side=side, blocks=tuple(blocks))
+    # every element is labelled by the least member of its coset
+    if side == "left":
+        labels = g.mul[:, mem].min(axis=1)
+    else:
+        labels = g.mul[mem, :].min(axis=0)
+    return CosetPartition(subgroup=s, side=side, blocks=_blocks_by_label(labels))
 
 
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
     if s.parent is not g:
         raise ValueError("subgroup belongs to a different group")
     mem = np.array(s.members)
-    for h in range(g.order):
-        conj = g.mul[g.mul[g.inv[h], mem], h]
-        if not np.isin(conj, mem).all():
-            return False
-    return True
+    idx = np.arange(g.order)
+    conj = g.mul[g.mul[g.inv[:, None], mem], idx[:, None]]   # conj[h, m] = h^-1 m h
+    return bool(_mask(g.order, mem)[conj].all())
 
 
 def commutator_subgroup_with(g: FiniteGroup, h: int) -> Subgroup:
@@ -604,16 +616,9 @@ def commutator_subgroup_with(g: FiniteGroup, h: int) -> Subgroup:
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple]:
     """Conjugacy classes ordered by smallest member."""
-    assigned = np.zeros(g.order, dtype=bool)
-    out = []
     idx = np.arange(g.order)
-    for x in range(g.order):
-        if assigned[x]:
-            continue
-        cls = np.unique(g.mul[g.mul[g.inv[idx], x], idx])
-        assigned[cls] = True
-        out.append(tuple(int(v) for v in cls))
-    return out
+    conj = g.mul[g.mul[g.inv[None, :], idx[:, None]], idx[None, :]]   # conj[x, h] = h^-1 x h
+    return list(_blocks_by_label(conj.min(axis=1)))
 
 
 # -- catalogue of abelian types ---------------------------------------------

@@ -106,9 +106,10 @@ def check_axioms(label: str, table) -> VerificationReport:
                             if w is not None),
         })
     else:
-        q = Q.Quandle(table, label=label)
-        for b in range(q.order):
-            bad = Q.translation_defect(q.rhd, b)
+        # the scan above accepted the table, so it is not scanned again
+        rhd = np.asarray(table, dtype=np.int64)
+        for b in range(rhd.shape[0]):
+            bad = Q.translation_defect(rhd, b)
             if bad is not None:
                 failures.append({"translation_not_automorphism": (b, *bad)})
                 break

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,23 @@ class TestVerify:
         assert obj["failed"] == 0
         assert obj["reports"][0]["theorem_id"] == "s4_example"
         assert "elapsed" not in obj["reports"][0]
+
+    def test_timing_flag(self, capsys):
+        args = ("verify", "--check", "dihedral", "--range", "3..4")
+        code, plain, _ = run(capsys, *args)
+        code_t, timed, _ = run(capsys, *args, "--timing")
+        assert code == code_t == 0
+        stamp = r"  \(\d+\.\d{3}s\)$"
+        assert len(re.findall(stamp, timed, re.M)) == 2
+        assert re.sub(stamp, "", timed, flags=re.M) == plain
+        code, out, _ = run(capsys, "verify", "--check", "s4_example", "--json")
+        code_t, out_t, _ = run(capsys, "verify", "--check", "s4_example", "--json",
+                               "--timing")
+        assert code == code_t == 0
+        obj, obj_t = json.loads(out), json.loads(out_t)
+        elapsed = obj_t["reports"][0].pop("elapsed")
+        assert isinstance(elapsed, float) and elapsed >= 0
+        assert obj_t == obj
 
     def test_failing_config_exits_1(self, capsys, tmp_path):
         cfg = {"checks": ["axioms"], "dihedral_range": [2, 3],

@@ -149,6 +149,40 @@ class TestComponents:
         comps = gr.strongly_connected_components(graph)
         assert comps.count == 1
 
+    def test_long_path_without_back_edge(self):
+        # no vertex reaches back, so every frame closes its own singleton
+        n = 5000
+        graph = gr.DirectedGraph(n, [(i, i + 1) for i in range(n - 1)])
+        comps = gr.strongly_connected_components(graph)
+        assert comps.components == tuple((v,) for v in range(n))
+        assert comps.as_sets() == scc_partition_scipy(graph)
+
+    def test_core_d192_matches_scipy(self):
+        graph = gr.build_cayley_graph(Q.core_quandle(G.make_dihedral(192)))
+        assert graph.n == 384
+        comps = gr.strongly_connected_components(graph)
+        assert comps.as_sets() == scc_partition_scipy(graph)
+        assert comps.components == tuple(sorted(tuple(sorted(c)) for c in comps.components))
+        assert comps.sizes() == [96, 96, 96, 96]
+
+    def test_low_link_propagates_through_parent_frames(self):
+        # neighbours are taken in increasing order, so the search runs
+        # 0 -> 1 -> 2 -> 3 -> 4 and only 4 points back (to 1): 3 and 2 learn
+        # their low link from a returning child.  {5, 6} closes inside the
+        # frame of 2 after 3 returns.  In 10..14 the inner cycle 12 -> 13 ->
+        # 14 -> 12 nests inside the outer one closed by 13 -> 10.  8 and 9
+        # are later roots whose edges enter finished components.  15, 17, 16
+        # is found out of order and must still come back sorted.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1), (2, 5), (5, 6), (6, 5),
+                 (6, 7), (8, 4), (8, 9), (9, 8), (9, 0),
+                 (10, 11), (11, 12), (12, 13), (13, 10), (13, 14), (14, 12), (14, 7),
+                 (15, 17), (17, 16), (16, 15)]
+        graph = gr.DirectedGraph(18, edges)
+        comps = gr.strongly_connected_components(graph)
+        assert comps.components == ((0,), (1, 2, 3, 4), (5, 6), (7,), (8, 9),
+                                    (10, 11, 12, 13, 14), (15, 16, 17))
+        assert comps.as_sets() == scc_partition_scipy(graph)
+
     def test_induced_subgraph(self):
         graph = gr.build_cayley_graph(Q.dihedral_quandle(4))
         sub = gr.induced_subgraph(graph, [1, 3])

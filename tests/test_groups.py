@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,135 @@ class TestSubgroupsAndClasses:
             for x in cls:
                 for h in range(g.order):
                     assert g.conjugate(x, h) in members
+
+
+# Element-by-element loops that cosets, conjugacy_classes, is_normal and the
+# Subgroup constructor once used; the array kernels must agree with them
+# exactly, block order and error messages included.
+
+
+def _loop_cosets(g, s, side):
+    mem = np.array(s.members)
+    assigned = np.zeros(g.order, dtype=bool)
+    blocks = []
+    for x in range(g.order):
+        if assigned[x]:
+            continue
+        blk = np.unique(g.mul[x, mem] if side == "left" else g.mul[mem, x])
+        assigned[blk] = True
+        blocks.append(tuple(int(v) for v in blk))
+    return tuple(blocks)
+
+
+def _loop_conjugacy_classes(g):
+    assigned = np.zeros(g.order, dtype=bool)
+    out = []
+    idx = np.arange(g.order)
+    for x in range(g.order):
+        if assigned[x]:
+            continue
+        cls = np.unique(g.mul[g.mul[g.inv[idx], x], idx])
+        assigned[cls] = True
+        out.append(tuple(int(v) for v in cls))
+    return out
+
+
+def _loop_is_normal(g, s):
+    mem = set(s.members)
+    return all(g.conjugate(m, h) in mem for h in range(g.order) for m in mem)
+
+
+def _loop_subgroup_error(g, members):
+    """The message the Subgroup constructor raises for members, or None."""
+    mem = sorted({int(x) for x in members})
+    if not mem:
+        return "subgroup cannot be empty"
+    if mem[0] < 0 or mem[-1] >= g.order:
+        return "subgroup members out of range"
+    if g.identity not in mem:
+        return "subgroup must contain the identity"
+    for a in mem:
+        for b in mem:
+            if g.op(a, b) not in mem:
+                return f"not closed: {g.name(a)} * {g.name(b)} escapes"
+    if any(g.inverse(a) not in mem for a in mem):
+        return "not closed under inverses"
+    return None
+
+
+def _distinct(subgroups):
+    return list({s.members: s for s in subgroups}.values())
+
+
+def _abelian_kernel_subgroups(g, autos):
+    """The subgroups the suite builds on an abelian group, plus the cyclic ones."""
+    subs = [G.image_id_minus_t(g, t) for t in autos]
+    subs += [G.fixed_point_subgroup(g, t) for t in autos]
+    subs += [G.subgroup_generated(g, [x]) for x in range(g.order)]
+    subs += [G.commutator_subgroup_with(g, x) for x in range(g.order)]
+    return _distinct(subs)
+
+
+def _registry_kernel_subgroups(g):
+    subs = [G.fixed_point_subgroup(g, G.inner_automorphism(g, h)) for h in range(g.order)]
+    subs += [G.commutator_subgroup_with(g, h) for h in range(g.order)]
+    subs += [G.subgroup_generated(g, pair)
+             for pair in itertools.combinations_with_replacement(range(g.order), 2)]
+    return _distinct(subs)
+
+
+class TestPartitionKernelsMatchLoops:
+    def _check(self, g, subgroups):
+        for s in subgroups:
+            for side in ("left", "right"):
+                part = G.cosets(g, s, side=side)
+                assert part.blocks == _loop_cosets(g, s, side), (g.label, s.members, side)
+            assert G.is_normal(g, s) == _loop_is_normal(g, s), (g.label, s.members)
+        assert G.conjugacy_classes(g) == _loop_conjugacy_classes(g), g.label
+
+    def test_abelian_types_up_to_16(self, abelian_sweep):
+        assert len(abelian_sweep) == 25
+        for g, autos in abelian_sweep:
+            self._check(g, _abelian_kernel_subgroups(g, autos))
+
+    def test_registry_groups(self, registry_groups):
+        normal = non_normal = 0
+        for g in registry_groups:
+            subs = _registry_kernel_subgroups(g)
+            self._check(g, subs)
+            normal += sum(G.is_normal(g, s) for s in subs)
+            non_normal += sum(not G.is_normal(g, s) for s in subs)
+        # both answers of is_normal, and so left != right cosets, are covered
+        assert normal > 0 and non_normal > 0
+
+    def test_non_closed_set_keeps_first_escaping_pair(self):
+        # (34) * (12), (34) * (123), (12) * (123), (123) * (123), ... all
+        # escape; the message names the first pair in row-major order of
+        # the sorted members
+        s4 = G.make_symmetric(4)
+        members = [s4.index_of(x) for x in ("(123)", "(34)", "id", "(12)", "(12)")]
+        with pytest.raises(ValueError, match=r"^not closed: \(34\) \* \(12\) escapes$"):
+            G.Subgroup(s4, members)
+        with pytest.raises(ValueError, match=r"^not closed: \(23\) \* \(12\) escapes$"):
+            G.Subgroup(s4, [s4.index_of(x) for x in ("(23)", "id", "(12)")])
+
+    @pytest.mark.parametrize("builder", [lambda: G.make_symmetric(3),
+                                         lambda: G.make_dihedral(4)])
+    def test_subgroup_constructor_matches_loop_on_every_subset(self, builder):
+        g = builder()
+        accepted = 0
+        for bits in range(1 << g.order):
+            members = [x for x in range(g.order) if bits >> x & 1]
+            expected = _loop_subgroup_error(g, members)
+            if expected is None:
+                assert G.Subgroup(g, members).members == tuple(members)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError) as info:
+                    G.Subgroup(g, members)
+                assert str(info.value) == expected, members
+        # S3 has 6 subgroups, D4 has 10
+        assert accepted == {6: 6, 8: 10}[g.order]
 
 
 class TestAbelianTypes:

@@ -25,6 +25,21 @@ class TestIndividualCheckers:
         r = V.check_axioms("bad", np.array([[1, 0], [0, 1]]))
         assert r.witness["witness"] == 0
 
+    def test_axioms_scan_a_table_once(self, monkeypatch):
+        # a passing table is not scanned again to build a Quandle
+        good = Q.dihedral_quandle(5).rhd.tolist()
+        scans = []
+        real = Q.verify_quandle_axioms
+
+        def counted(table):
+            scans.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(Q, "verify_quandle_axioms", counted)
+        assert V.check_axioms("R5", good).passed
+        assert not V.check_axioms("bad", np.zeros((3, 3), dtype=int)).passed
+        assert scans == [5, 3]
+
     def test_trivial_edgeless(self):
         assert V.check_trivial_edgeless(6).passed
         assert V.check_trivial_edgeless(1).passed
