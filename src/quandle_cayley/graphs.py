@@ -47,7 +47,7 @@ class DirectedGraph:
 
     @classmethod
     def _of_matrix(cls, m: np.ndarray, names=None) -> "DirectedGraph":
-        """Wrap a square bool matrix built in this module (entries unchecked)."""
+        """Wrap a square bool matrix the library built (entries unchecked)."""
         g = cls.__new__(cls)
         g._init(m, names)
         return g

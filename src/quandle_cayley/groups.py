@@ -17,6 +17,8 @@ AUTOMORPHISM_CAP = 16
 
 # keep the cube scans' scratch arrays below ~16 MB
 _ASSOC_CHUNK_CELLS = 2_000_000
+# generator-image tuples per chunk of the automorphism sweep
+_AUT_CHUNK = 1024
 
 
 def first_mismatch(n: int, lhs, rhs) -> tuple | None:
@@ -323,6 +325,14 @@ class Automorphism:
             )
         self.mapping = arr
 
+    @classmethod
+    def _of_checked(cls, group: FiniteGroup, mapping: np.ndarray) -> "Automorphism":
+        """Wrap an image array this module has already checked."""
+        a = cls.__new__(cls)
+        a.group = group
+        a.mapping = mapping
+        return a
+
     def __call__(self, x: int) -> int:
         return int(self.mapping[x])
 
@@ -432,11 +442,13 @@ def _bfs_recipe(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
 
 
 def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> list[Automorphism]:
-    """All automorphisms, by backtracking over generator images.
+    """All automorphisms, by a sweep over generator images.
 
-    Candidate images are filtered by element order; each full assignment is
-    expanded to a map along a BFS word recipe and then checked in one shot.
-    Results are sorted by image tuple, so the order is reproducible.
+    Candidate images are filtered by element order.  The candidate tuples
+    are taken in chunks; each chunk is expanded column by column along a
+    BFS word recipe into a stack of maps, and the bijections that are
+    homomorphisms are kept.  Results are sorted by image tuple, so the
+    order is reproducible.
     """
     if g.order > cap:
         raise ValueError(
@@ -445,26 +457,30 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> list
     gens = _greedy_generators(g)
     if not gens:  # trivial group
         return [identity_automorphism(g)]
+    n = g.order
     recipe = _bfs_recipe(g, gens)
-    orders = [g.element_order(x) for x in range(g.order)]
-    candidates = [[x for x in range(g.order) if orders[x] == orders[gen]] for gen in gens]
-    idx = np.arange(g.order)
+    orders = [g.element_order(x) for x in range(n)]
+    candidates = [[x for x in range(n) if orders[x] == orders[gen]] for gen in gens]
+    # the homomorphism test holds rows * n * n cells at once
+    rows = min(_AUT_CHUNK, max(1, _ASSOC_CHUNK_CELLS // (n * n)))
+    tuples = itertools.product(*candidates)
     found = []
-    for images in itertools.product(*candidates):
-        phi = np.full(g.order, -1, dtype=np.int64)
-        phi[g.identity] = g.identity
+    while chunk := list(itertools.islice(tuples, rows)):
+        images = np.array(chunk, dtype=np.int64)
+        k = len(images)
+        phi = np.empty((k, n), dtype=np.int64)
+        phi[:, g.identity] = g.identity
         for elem, parent, slot in recipe:
-            phi[elem] = g.mul[phi[parent], images[slot]]
-        seen = np.zeros(g.order, dtype=bool)
-        seen[phi] = True
-        if not seen.all():
-            continue
-        lhs = phi[g.mul]
-        rhs = g.mul[phi[:, None], phi[None, :]]
-        if (lhs == rhs).all():
-            found.append(phi)
-    found.sort(key=lambda p: tuple(p))
-    return [Automorphism(g, p) for p in found]
+            phi[:, elem] = g.mul[phi[:, parent], images[:, slot]]
+        seen = np.zeros((k, n), dtype=bool)
+        seen[np.arange(k)[:, None], phi] = True
+        phi = phi[seen.all(axis=1)]
+        hom = (phi[:, g.mul] == g.mul[phi[:, :, None], phi[:, None, :]]).all(axis=(1, 2))
+        found.append(phi[hom])
+    found = np.concatenate(found)
+    found = found[np.lexsort(found.T[::-1])]
+    # the sweep above checked every row, so they are not checked again
+    return [Automorphism._of_checked(g, p) for p in found]
 
 
 def fixed_point_subgroup(g: FiniteGroup, phi: Automorphism) -> "Subgroup":

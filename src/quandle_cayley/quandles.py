@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Automorphism, FiniteGroup, breadth_first, first_mismatch
+from .groups import (_ASSOC_CHUNK_CELLS, Automorphism, FiniteGroup, breadth_first,
+                     first_mismatch)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -98,6 +99,34 @@ def verify_quandle_axioms(table) -> AxiomReport:
         invertibility_witness=inv_wit,
         distributivity_witness=dist_wit,
     )
+
+
+def axioms_hold(stack) -> np.ndarray:
+    """Which tables of a (k, n, n) stack satisfy all three axioms.
+
+    The stack holds tables the library derived itself, so entries are
+    taken to lie in 0..n-1.  Only a verdict per table comes back;
+    verify_quandle_axioms gives the witnesses.  Self-distributivity is
+    scanned over rows (table, x), in slabs kept under _ASSOC_CHUNK_CELLS.
+    """
+    rhd = np.asarray(stack, dtype=np.intp)
+    k, n = rhd.shape[0], rhd.shape[1]
+    idx = np.arange(n)
+    ok = (rhd[:, idx, idx] == idx).all(axis=1)
+    ok &= (np.sort(rhd, axis=1) == idx[:, None]).all(axis=(1, 2))
+    rows = rhd.reshape(k * n, n)          # row b*n + x holds x |> y of table b
+    flat = rhd.ravel()
+    per = max(1, _ASSOC_CHUNK_CELLS // (n * n))
+    for start in range(0, k * n, per):
+        r = np.arange(start, min(start + per, k * n))
+        b = r // n
+        xy = rows[r]
+        lhs = rows[(b * n)[:, None] + xy]                          # (x|>y) |> z
+        rhs = flat[((b * n * n)[:, None] + xy * n)[:, None, :]     # (x|>z) |> (y|>z)
+                   + rhd[b]]
+        bad = (lhs != rhs).any(axis=(1, 2))
+        ok[b[bad]] = False
+    return ok
 
 
 class AxiomViolation(ValueError):
@@ -219,6 +248,18 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
     )
 
 
+def alexander_tables(g: FiniteGroup, maps) -> np.ndarray:
+    """Stacked Alexander tables rhd[k, x, y] = t_k(x) + y - t_k(y), one per
+    row of the (k, n) stack of automorphism image arrays, unvalidated.
+    On an abelian group rhd[k] is also the generalized table
+    t_k(x y^-1) y.  alexander_quandle keeps its own copy of the formula, so
+    the per-instance checkers do not share code with the stacked sweep."""
+    if not g.is_abelian():
+        raise ValueError("Alexander quandles need an abelian group")
+    tx = np.asarray(maps, dtype=np.int64)
+    return g.mul[g.mul[tx[:, :, None], np.arange(g.order)], g.inv[tx][:, None, :]]
+
+
 def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:
     """x |> y = phi(x y^-1) y on any group, abelian or not."""
     if phi.group is not g:
@@ -284,10 +325,6 @@ class RightTranslation:
 
     def __repr__(self) -> str:
         return f"RightTranslation({self.quandle.label}, b={self.b})"
-
-
-def right_translation(q: Quandle, b: int) -> RightTranslation:
-    return RightTranslation(q, b)
 
 
 class PermGroup:

@@ -5,6 +5,10 @@ computes the predicted structure by an independent route (cosets, orbits,
 conjugacy classes, explicit formulas), and compares the two exhaustively.
 A checker never assumes what it is checking; a failed comparison comes
 back as a report with a concrete witness.
+
+The suite sweeps the Alexander quandles of every automorphism of an
+abelian group as stacked arrays (sweep_alexander, sweep_alexander_iso);
+the per-instance checkers are their reference and give their witnesses.
 """
 from __future__ import annotations
 
@@ -36,6 +40,10 @@ CHECK_IDS = (
 
 # unordered automorphism pairs are swept only below this Aut-group size
 _ISO_PAIR_AUT_CAP = 100
+# automorphisms per array chunk of sweep_alexander; peak memory grows with it
+_SWEEP_CHUNK = 64
+# the checks sweep_alexander runs, in suite order
+_SWEPT = ("alexander_components", "regularity")
 
 
 @dataclass(frozen=True)
@@ -66,19 +74,29 @@ def _report(tid: str, instance: str, start: float, failures: list) -> Verificati
     )
 
 
-def _merge(tid: str, instance: str, reports: list[VerificationReport]) -> VerificationReport:
-    bad = [r for r in reports if not r.passed]
+def _merged(tid: str, instance: str, of: int, failed: int, first,
+            elapsed: float) -> VerificationReport:
+    """One report for `of` sub-instances, `failed` of which failed; `first`
+    is the (sub_instance, witness) of the first failure, read only when
+    one failed."""
     witness = None
-    if bad:
-        witness = {"sub_instance": bad[0].instance, "detail": bad[0].witness,
-                   "failed": len(bad), "of": len(reports)}
+    if failed:
+        witness = {"sub_instance": first[0], "detail": first[1],
+                   "failed": failed, "of": of}
     return VerificationReport(
         theorem_id=tid,
         instance=instance,
-        passed=not bad,
+        passed=not failed,
         witness=witness,
-        elapsed=sum(r.elapsed for r in reports),
+        elapsed=elapsed,
     )
+
+
+def _merge(tid: str, instance: str, reports: list[VerificationReport]) -> VerificationReport:
+    bad = [r for r in reports if not r.passed]
+    first = (bad[0].instance, bad[0].witness) if bad else None
+    return _merged(tid, instance, len(reports), len(bad), first,
+                   sum(r.elapsed for r in reports))
 
 
 def _partition_sets(blocks) -> set:
@@ -270,6 +288,138 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
                              "phi": _auto_desc(phi)})
             break
     return _report("regularity", f"{g.label}", start, failures)
+
+
+# -- batched sweeps over the automorphisms of an abelian group ----------------
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, as dict keys."""
+    buf, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    return [buf[i:i + width] for i in range(0, len(buf), width)]
+
+
+def _block_matrix(part: G.CosetPartition, n: int) -> np.ndarray:
+    """m[x, y] is True exactly when x and y share a block."""
+    label = np.empty(n, dtype=np.int64)
+    for b, blk in enumerate(part.blocks):
+        label[list(blk)] = b
+    return label[:, None] == label[None, :]
+
+
+def _components_are_cosets(g: G.FiniteGroup, m: np.ndarray, part: G.CosetPartition,
+                           image_order: int) -> bool:
+    """The strong-component part of check_alexander_components on one matrix."""
+    graph = gr.DirectedGraph._of_matrix(m, names=g.element_names)
+    comps = gr.strongly_connected_components(graph)
+    return (comps.as_sets() == part.as_sets()
+            and comps.count == g.order // image_order
+            and all(gr.is_complete(gr.induced_subgraph(graph, c))
+                    for c in comps.components))
+
+
+def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids=_SWEPT) -> dict:
+    """alexander_components and regularity for every automorphism of an
+    abelian group, _SWEEP_CHUNK automorphisms at a time.
+
+    Per chunk, one gather builds the stacked tables t(x) + y - t(y) (on an
+    abelian group also the generalized tables t(x y^-1) y), axioms_hold
+    scans them and one scatter gives the adjacency matrices.
+    alexander_components: each matrix equals the block matrix of the left
+    cosets of im(id - t), which also rules out one-way edges between
+    components; strong components and completeness run once per distinct
+    matrix.  regularity: every in- and out-degree is [G : Fix(t)].  The
+    predictions come from image_id_minus_t, cosets and fixed_point_subgroup,
+    once per distinct image or fixed-point set.
+
+    Returns, per check id, the verdicts (one bool per automorphism) and the
+    witness for the first failing automorphism: its per-instance checker's
+    witness, or, when that checker passes it, the first cell or vertex
+    where the sweep's own comparison failed.
+    """
+    n = g.order
+    idx = np.arange(n)
+    maps = np.stack([t.mapping for t in autos])
+    cosets: dict[bytes, tuple] = {}    # image mask -> (block matrix, cosets, |image|)
+    strong: dict[bytes, bool] = {}     # adjacency matrix -> components are cosets
+    index: dict[bytes, int] = {}       # fixed-point mask -> [G : Fix(t)]
+    verdicts = {tid: [] for tid in check_ids}
+    witness: dict = {}
+    for start in range(0, len(autos), _SWEEP_CHUNK):
+        maps_k = maps[start:start + _SWEEP_CHUNK]
+        k = len(maps_k)
+        rows = np.arange(k)
+        rhd = Q.alexander_tables(g, maps_k)
+        held = Q.axioms_hold(rhd)
+        if not held.all():
+            bad = rhd[int(np.argmin(held))]
+            raise Q.AxiomViolation(Q.verify_quandle_axioms(bad), f"Alex({g.label})")
+        adj = np.zeros((k, n, n), dtype=bool)
+        adj[rows[:, None, None], idx[:, None], rhd] = True
+        checks = {}
+        if "alexander_components" in check_ids:
+            image = np.zeros((k, n), dtype=bool)
+            image[rows[:, None], g.mul[idx, g.inv[maps_k]]] = True
+            keys = _row_keys(image)
+            for i, key in enumerate(keys):
+                if key not in cosets:
+                    sub = G.image_id_minus_t(g, autos[start + i])
+                    part = G.cosets(g, sub, side="left")
+                    cosets[key] = (_block_matrix(part, n), part, sub.order)
+            blocks = np.stack([cosets[key][0] for key in keys])
+            ok = (adj == blocks).all(axis=(1, 2))
+            for i, key in enumerate(_row_keys(adj.reshape(k, -1))):
+                if key not in strong:
+                    _, part, order = cosets[keys[i]]
+                    strong[key] = _components_are_cosets(g, adj[i], part, order)
+                ok[i] &= strong[key]
+
+            def block_cell(i):
+                cells = np.argwhere(adj[i] != blocks[i])
+                cell = tuple(int(v) for v in cells[0]) if cells.size else None
+                return {"block_mismatch": cell, "t": _auto_desc(autos[start + i])}
+
+            checks["alexander_components"] = (ok, check_alexander_components, block_cell)
+        if "regularity" in check_ids:
+            keys = _row_keys(maps_k == idx)
+            for i, key in enumerate(keys):
+                if key not in index:
+                    index[key] = G.fixed_point_subgroup(g, autos[start + i]).index()
+            expected = np.array([index[key] for key in keys])
+            outs, ins = adj.sum(axis=2), adj.sum(axis=1)
+            wrong = (outs != expected[:, None]) | (ins != expected[:, None])
+
+            def bad_vertex(i):
+                v = int(np.argmax(wrong[i]))
+                return {"vertex": v, "degree": (int(outs[i, v]), int(ins[i, v])),
+                        "expected": int(expected[i]), "phi": _auto_desc(autos[start + i])}
+
+            checks["regularity"] = (~wrong.any(axis=1), check_generalized_regularity,
+                                    bad_vertex)
+        for tid, (ok, checker, own_witness) in checks.items():
+            verdicts[tid].append(ok)
+            if tid not in witness and not ok.all():
+                i = int(np.argmin(ok))
+                report = checker(g, autos[start + i])
+                witness[tid] = own_witness(i) if report.passed else report.witness
+    return {tid: (np.concatenate(v), witness.get(tid)) for tid, v in verdicts.items()}
+
+
+def sweep_alexander_iso(g: G.FiniteGroup, autos: list, pairs) -> list:
+    """check_alexander_iso_corollary on each index pair (i, j) of autos,
+    with each automorphism's graph and image size built once.  One entry
+    per pair: None when it passes, else the checker's witness."""
+    graphs = [gr.build_cayley_graph(Q.alexander_quandle(g, t)) for t in autos]
+    sizes = [G.image_id_minus_t(g, t).order for t in autos]
+    out = []
+    for i, j in pairs:
+        iso = gr.is_isomorphic(graphs[i], graphs[j])
+        if iso == (sizes[i] == sizes[j]):
+            out.append(None)
+        else:
+            out.append({"iso": iso, "image_sizes": (sizes[i], sizes[j]),
+                        "t1": _auto_desc(autos[i]), "t2": _auto_desc(autos[j])})
+    return out
 
 
 def _translation_iso_ok(graph: gr.DirectedGraph, g: G.FiniteGroup,
@@ -500,7 +650,7 @@ def _registry_groups(config: SuiteConfig) -> list[G.FiniteGroup]:
     return [specs.group_from_string(label) for label in config.nonabelian_registry]
 
 
-def _abelian_sweep(config: SuiteConfig):
+def _abelian_groups(config: SuiteConfig):
     for g in G.abelian_group_types(config.abelian_order_cap):
         yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
 
@@ -550,30 +700,37 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
 
     needs_abelian = any(config.wants(c) for c in
                         ("alexander_components", "alexander_iso", "regularity"))
-    abelian = list(_abelian_sweep(config)) if needs_abelian else []
+    abelian = list(_abelian_groups(config)) if needs_abelian else []
+
+    # alexander_components and regularity share one sweep per group; their
+    # reports keep their places in the suite order
+    swept = tuple(c for c in _SWEPT if config.wants(c))
+    merged: dict[str, list] = {tid: [] for tid in swept}
+    for g, autos in abelian if swept else []:
+        start = time.perf_counter()
+        results = sweep_alexander(g, autos, swept)
+        share = (time.perf_counter() - start) / len(swept)
+        for tid, (ok, detail) in results.items():
+            merged[tid].append(_merged(tid, f"{g.label} ({len(autos)} automorphisms)",
+                                       len(autos), int(np.count_nonzero(~ok)),
+                                       (g.label, detail), share))
 
     if config.wants("alexander_components"):
-        for g, autos in abelian:
-            subs = [check_alexander_components(g, t) for t in autos]
-            reports.append(_merge("alexander_components",
-                                  f"{g.label} ({len(autos)} automorphisms)", subs))
+        reports.extend(merged["alexander_components"])
 
     if config.wants("alexander_iso"):
         for g, autos in abelian:
             if len(autos) > _ISO_PAIR_AUT_CAP:
                 continue
-            subs = []
-            for i in range(len(autos)):
-                for j in range(i, len(autos)):
-                    subs.append(check_alexander_iso_corollary(g, autos[i], autos[j]))
-            reports.append(_merge("alexander_iso",
-                                  f"{g.label} ({len(subs)} pairs)", subs))
+            start = time.perf_counter()
+            pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
+            bad = [w for w in sweep_alexander_iso(g, autos, pairs) if w is not None]
+            reports.append(_merged("alexander_iso", f"{g.label} ({len(pairs)} pairs)",
+                                   len(pairs), len(bad), (g.label, bad[0] if bad else None),
+                                   time.perf_counter() - start))
 
     if config.wants("regularity"):
-        for g, autos in abelian:
-            subs = [check_generalized_regularity(g, t) for t in autos]
-            reports.append(_merge("regularity",
-                                  f"{g.label} ({len(autos)} automorphisms)", subs))
+        reports.extend(merged["regularity"])
         for g in _registry_groups(config):
             subs = [check_generalized_regularity(g, G.inner_automorphism(g, h))
                     for h in range(g.order)]

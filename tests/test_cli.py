@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,17 @@ class TestVerify:
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--config", str(tmp_path / "none.json"))
         assert code == 2
+
+    def test_abelian_sweeps_match_recorded_output(self, capsys):
+        # the recorded default-suite output is only read here, never written
+        ids = ("alexander_components", "alexander_iso", "regularity")
+        oracle = Path(__file__).resolve().parents[1] / "bench" / "expected" / "suite_default.txt"
+        want = [line for line in oracle.read_text().splitlines()
+                if line.startswith("[") and line.split()[1] in ids]
+        code, out, _ = run(capsys, "verify", "--check", ",".join(ids))
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("[")] == want
+        assert len(want) == 81         # 25 + 22 + 25 abelian, 9 registry
 
     def test_byte_identical_output(self, capsys):
         args = ("verify", "--check", "conjugation")

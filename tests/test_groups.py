@@ -369,6 +369,55 @@ class TestPartitionKernelsMatchLoops:
         assert accepted == {6: 6, 8: 10}[g.order]
 
 
+def _loop_enumerate_automorphisms(g):
+    """One candidate tuple at a time, as enumerate_automorphisms once ran."""
+    gens = G._greedy_generators(g)
+    if not gens:
+        return [tuple(range(g.order))]
+    recipe = G._bfs_recipe(g, gens)
+    orders = [g.element_order(x) for x in range(g.order)]
+    candidates = [[x for x in range(g.order) if orders[x] == orders[gen]] for gen in gens]
+    found = []
+    for images in itertools.product(*candidates):
+        phi = np.full(g.order, -1, dtype=np.int64)
+        phi[g.identity] = g.identity
+        for elem, parent, slot in recipe:
+            phi[elem] = g.mul[phi[parent], images[slot]]
+        seen = np.zeros(g.order, dtype=bool)
+        seen[phi] = True
+        if not seen.all():
+            continue
+        if (phi[g.mul] == g.mul[phi[:, None], phi[None, :]]).all():
+            found.append(tuple(int(v) for v in phi))
+    return sorted(found)
+
+
+class TestBatchedAutomorphismsMatchLoop:
+    def test_abelian_types_up_to_16(self, abelian_sweep):
+        for g, autos in abelian_sweep:
+            assert [a.key() for a in autos] == _loop_enumerate_automorphisms(g), g.label
+
+    def test_registry_groups_up_to_16(self, registry_groups):
+        small = [g for g in registry_groups if g.order <= 16]
+        assert len(small) == 8                    # every registry group but S4
+        for g in small:
+            got = [a.key() for a in G.enumerate_automorphisms(g)]
+            assert got == _loop_enumerate_automorphisms(g), g.label
+
+    def test_small_chunks_keep_the_list(self, monkeypatch):
+        # Z3xZ3 has 8 * 8 candidate tuples; chunks of 5 leave a partial last one
+        g = G.make_abelian([3, 3])
+        monkeypatch.setattr(G, "_AUT_CHUNK", 5)
+        got = [a.key() for a in G.enumerate_automorphisms(g)]
+        assert len(got) == 48
+        assert got == _loop_enumerate_automorphisms(g)
+
+    def test_results_are_automorphisms(self):
+        g = G.make_abelian([2, 4])
+        for a in G.enumerate_automorphisms(g):
+            assert G.Automorphism(g, a.mapping) == a
+
+
 class TestAbelianTypes:
     def test_count_up_to_16(self):
         types = G.abelian_group_types(16)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,85 @@ class TestAxiomScan:
             Q.verify_quandle_axioms(np.zeros((2, 3), dtype=int))
         with pytest.raises(ValueError):
             Q.verify_quandle_axioms(np.array([[0, 5], [1, 1]]))
+
+
+def _z4xz4_stack():
+    g = G.make_abelian([4, 4])
+    autos = G.enumerate_automorphisms(g)
+    return Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
+
+
+def _planted(table, kind):
+    """A table of the order of `table` that breaks exactly one axiom."""
+    n = table.shape[0]
+    idx = np.arange(n)
+    if kind == "idempotency":
+        # x |> y = x + 1: columns are one bijection, an automorphism of itself
+        return np.repeat(((idx + 1) % n)[:, None], n, axis=1)
+    if kind == "repeated_column_entry":
+        # x |> y = y: idempotent and self-distributive, columns constant
+        return np.repeat(idx[None, :], n, axis=0)
+    # column 9 composed with the swap of two elements it does not fix
+    bad = table.copy()
+    a, b = [int(v) for v in np.nonzero(idx != 9)[0][:2]]
+    col = bad[:, 9].copy()
+    bad[:, 9] = np.where(col == a, b, np.where(col == b, a, col))
+    return bad
+
+
+class TestStackedAxiomScan:
+    def test_valid_stack(self):
+        stack = _z4xz4_stack()
+        assert stack.shape == (96, 16, 16)
+        assert Q.axioms_hold(stack).all()
+
+    @pytest.mark.parametrize("kind", ["idempotency", "repeated_column_entry",
+                                      "distributivity"])
+    def test_planted_tables_agree_with_scan(self, kind, monkeypatch):
+        stack = _z4xz4_stack()[:40].copy()
+        # slabs of 7 rows (table, x): 640 rows end in a partial slab of 3
+        monkeypatch.setattr(Q, "_ASSOC_CHUNK_CELLS", 7 * 16 * 16)
+        for at in (17, 39):        # mid-stack, and in the last, partial slab
+            planted = stack.copy()
+            planted[at] = _planted(stack[at], kind)
+            r = Q.verify_quandle_axioms(planted[at])
+            broken = [not r.idempotent, not r.right_invertible, not r.self_distributive]
+            assert broken == [kind == "idempotency", kind == "repeated_column_entry",
+                              kind == "distributivity"]
+            want = np.array([Q.verify_quandle_axioms(t).ok for t in planted])
+            assert list(np.nonzero(~want)[0]) == [at]
+            assert (Q.axioms_hold(planted) == want).all()
+
+    def test_every_small_table_agrees_with_scan(self, monkeypatch):
+        # every idempotent table of order 3, and every order-4 table whose
+        # columns are bijections fixing the diagonal
+        idx3 = np.arange(3)
+        order3 = []
+        for vals in itertools.product(range(3), repeat=6):
+            t = np.diag(idx3)
+            t[~np.eye(3, dtype=bool)] = vals
+            order3.append(t)
+        fixing = [[p for p in itertools.permutations(range(4)) if p[y] == y]
+                  for y in range(4)]
+        order4 = [np.array(cols).T for cols in itertools.product(*fixing)]
+        monkeypatch.setattr(Q, "_ASSOC_CHUNK_CELLS", 5 * 4 * 4)   # ragged slabs
+        for tables in (order3, order4):
+            stack = np.stack(tables)
+            want = np.array([Q.verify_quandle_axioms(t).ok for t in stack])
+            assert 0 < want.sum() < len(stack)
+            assert (Q.axioms_hold(stack) == want).all()
+            # one table at a time: its last row (x = n - 1) ends the last slab
+            assert [bool(Q.axioms_hold(t[None])[0]) for t in stack] == want.tolist()
+
+    def test_alexander_tables_match_constructors(self):
+        g = G.make_abelian([2, 4])
+        autos = G.enumerate_automorphisms(g)
+        stack = Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
+        for table, t in zip(stack, autos):
+            assert (table == Q.alexander_quandle(g, t).rhd).all()
+            assert (table == Q.generalized_alexander_quandle(g, t).rhd).all()
+        with pytest.raises(ValueError):
+            Q.alexander_tables(G.make_symmetric(3), [list(range(6))])
 
 
 class TestConstructions:

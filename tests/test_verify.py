@@ -224,3 +224,179 @@ class TestCheckersCatchSabotage:
 
         monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda a, b: FakeSub())
         assert not V.check_generalized_regularity(g, phi).passed
+
+
+def _verdicts(g, autos, check):
+    return [check(g, t).passed for t in autos]
+
+
+def _wrong_for_order(real, order, wrong):
+    """real(group, t), except wrong(group) where real's subgroup has `order`."""
+    def patched(group, t):
+        sub = real(group, t)
+        return wrong(group) if sub.order == order else sub
+    return patched
+
+
+class TestAbelianSweepMatchesCheckers:
+    """sweep_alexander and sweep_alexander_iso against the per-instance
+    checkers, which stay their reference."""
+
+    def _check(self, g, autos):
+        result = V.sweep_alexander(g, autos)
+        ok03, w03 = result["alexander_components"]
+        ok05, w05 = result["regularity"]
+        assert list(ok03) == _verdicts(g, autos, V.check_alexander_components), g.label
+        assert list(ok05) == _verdicts(g, autos, V.check_generalized_regularity), g.label
+        return ok03, w03, ok05, w05
+
+    def test_every_type_with_small_aut(self, abelian_sweep):
+        swept = 0
+        for g, autos in abelian_sweep:
+            if len(autos) <= 192:
+                ok03, w03, ok05, w05 = self._check(g, autos)
+                assert ok03.all() and ok05.all() and w03 is None and w05 is None
+                swept += 1
+        assert swept == 24                         # all but Z2^4
+
+    def test_seeded_z2_4_sample(self, abelian_sweep):
+        g, autos = next((g, a) for g, a in abelian_sweep if g.label == "Z2xZ2xZ2xZ2")
+        pick = np.random.default_rng(6).choice(len(autos), 500, replace=False)
+        ok03, _, ok05, _ = self._check(g, [autos[i] for i in sorted(pick)])
+        assert ok03.all() and ok05.all()
+
+    def test_failures_land_on_the_same_automorphisms(self, abelian_sweep, monkeypatch):
+        # wrong predictions for every t with |im(id - t)| = 4 or |Fix(t)| = 2
+        trivial = lambda group: G.Subgroup(group, [group.identity])
+        monkeypatch.setattr(V.G, "image_id_minus_t",
+                            _wrong_for_order(G.image_id_minus_t, 4, trivial))
+        monkeypatch.setattr(V.G, "fixed_point_subgroup",
+                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        for g, autos in abelian_sweep:
+            if g.label in ("Z4xZ4", "Z2xZ6", "Z8", "Z2xZ2xZ2"):
+                ok03, w03, ok05, w05 = self._check(g, autos)
+                assert 0 < ok03.sum() < len(autos) and 0 < ok05.sum() < len(autos)
+                first = autos[int(np.argmin(ok03))]
+                assert w03 == V.check_alexander_components(g, first).witness
+                first = autos[int(np.argmin(ok05))]
+                assert w05 == V.check_generalized_regularity(g, first).witness
+
+    def test_chunk_edges(self, monkeypatch):
+        # Z4xZ4 has 96 automorphisms: chunks of 7 end in a partial chunk of 5
+        g = G.make_abelian([4, 4])
+        autos = G.enumerate_automorphisms(g)
+        monkeypatch.setattr(V, "_SWEEP_CHUNK", 7)
+        self._check(g, autos)
+
+    def test_planted_fault_names_the_third_automorphism(self, monkeypatch):
+        g = G.make_abelian([4, 4])
+        autos = G.enumerate_automorphisms(g)
+        planted = {autos[2].key(), autos[69].key()}
+        real = Q.alexander_tables
+
+        def tables(group, maps):
+            out = real(group, maps)
+            for row, m in enumerate(maps):
+                if group.label == "Z4xZ4" and tuple(int(v) for v in m) in planted:
+                    out[row] = np.arange(group.order)[:, None]   # trivial quandle
+            return out
+
+        monkeypatch.setattr(Q, "alexander_tables", tables)
+        cfg = V.SuiteConfig(checks=("alexander_components", "regularity"),
+                            nonabelian_registry=())
+        reports = V.run_suite(cfg)
+        failing = [r for r in reports if not r.passed]
+        assert [(r.theorem_id, r.instance) for r in failing] == [
+            ("alexander_components", "Z4xZ4 (96 automorphisms)"),
+            ("regularity", "Z4xZ4 (96 automorphisms)")]
+        third = [int(v) for v in autos[2].mapping]
+        image = G.image_id_minus_t(g, autos[2])
+        c03, c05 = (r.witness for r in failing)
+        # the checkers build their own tables and pass t, so the witnesses
+        # come from the sweep's comparisons: the identity-only row 0 misses
+        # the edge to the least non-zero member of im(id - t)
+        assert c03 == {"sub_instance": "Z4xZ4", "failed": 2, "of": 96,
+                       "detail": {"block_mismatch": (0, image.members[1]), "t": third}}
+        assert c05 == {"sub_instance": "Z4xZ4", "failed": 2, "of": 96,
+                       "detail": {"vertex": 0, "degree": (1, 1),
+                                  "expected": G.fixed_point_subgroup(g, autos[2]).index(),
+                                  "phi": third}}
+
+    def test_checker_witness_comes_first(self, monkeypatch):
+        g = G.make_abelian([3, 3])
+        autos = G.enumerate_automorphisms(g)
+
+        class FakeSub:
+            def index(self):
+                return 99
+
+        monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda a, b: FakeSub())
+        ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+        assert not ok.any()
+        assert detail == V.check_generalized_regularity(g, autos[0]).witness
+
+    def test_non_quandle_table_raises(self, monkeypatch):
+        g = G.make_abelian([4, 4])
+        autos = G.enumerate_automorphisms(g)
+        real = Q.alexander_tables
+
+        def tables(group, maps):
+            out = real(group, maps)
+            out[-1, 3, 7] = out[-1, 2, 7]
+            return out
+
+        monkeypatch.setattr(Q, "alexander_tables", tables)
+        with pytest.raises(Q.AxiomViolation, match=r"^Alex\(Z4xZ4\) is not a quandle"):
+            V.sweep_alexander(g, autos)
+
+    def _check_iso(self, g, autos, pairs):
+        got = V.sweep_alexander_iso(g, autos, pairs)
+        want = [V.check_alexander_iso_corollary(g, autos[i], autos[j]).witness
+                for i, j in pairs]
+        assert got == want
+        return got
+
+    def test_iso_all_z3xz3_pairs(self):
+        g = G.make_abelian([3, 3])
+        autos = G.enumerate_automorphisms(g)
+        pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
+        assert len(pairs) == 1176
+        assert self._check_iso(g, autos, pairs) == [None] * 1176
+
+    def test_iso_seeded_z4xz4_sample(self):
+        g = G.make_abelian([4, 4])
+        autos = G.enumerate_automorphisms(g)
+        rng = np.random.default_rng(3)
+        pairs = [tuple(int(v) for v in rng.integers(0, len(autos), 2)) for _ in range(300)]
+        self._check_iso(g, autos, pairs)
+
+    def test_iso_failures_match(self, monkeypatch):
+        # a wrong image size for two automorphisms: pairs that are isomorphic
+        # with unequal sizes, and non-isomorphic with equal sizes, both fail
+        g = G.make_abelian([2, 4])
+        autos = G.enumerate_automorphisms(g)
+        real = G.image_id_minus_t
+        wrong = {autos[1].key(), autos[5].key()}
+        monkeypatch.setattr(V.G, "image_id_minus_t", lambda group, t: (
+            G.Subgroup(group, [group.identity]) if t.key() in wrong else real(group, t)))
+        pairs = [(i, j) for i in range(len(autos)) for j in range(len(autos))]
+        got = self._check_iso(g, autos, pairs)
+        assert {w["iso"] for w in got if w is not None} == {True, False}
+
+    def test_strong_components_run_once_per_distinct_matrix(self, monkeypatch):
+        g = G.make_abelian([4, 4])
+        autos = G.enumerate_automorphisms(g)
+        distinct = {V.gr.build_cayley_graph(Q.alexander_quandle(g, t)).matrix().tobytes()
+                    for t in autos}
+        real = V.gr.strongly_connected_components
+        calls = []
+        monkeypatch.setattr(V.gr, "strongly_connected_components",
+                            lambda graph: calls.append(graph) or real(graph))
+        ok, _ = V.sweep_alexander(g, autos, ("alexander_components",))["alexander_components"]
+        assert ok.all() and len(calls) == len(distinct) == 15
+        # one component for every graph is right only where im(id - t) is G
+        monkeypatch.setattr(V.gr, "strongly_connected_components", lambda graph: (
+            V.gr.ComponentDecomposition("strong", (tuple(range(graph.n)),))))
+        ok, _ = V.sweep_alexander(g, autos, ("alexander_components",))["alexander_components"]
+        assert list(ok) == [G.image_id_minus_t(g, t).order == 16 for t in autos]
+        assert 0 < ok.sum() < len(autos)
