@@ -407,13 +407,36 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids=_SWEPT) -> dict:
 
 def sweep_alexander_iso(g: G.FiniteGroup, autos: list, pairs) -> list:
     """check_alexander_iso_corollary on each index pair (i, j) of autos,
-    with each automorphism's graph and image size built once.  One entry
-    per pair: None when it passes, else the checker's witness."""
+    with at most one isomorphism search per distinct matrix and class.
+
+    Each automorphism's graph and image size are built once.  The distinct
+    adjacency matrices, in order of first appearance, are searched against
+    the class representatives in turn; a mapping counts only if it carries
+    every edge and non-edge onto the representative's, and an unmatched
+    matrix starts a new class.  A pair is isomorphic when its graphs share
+    a class.  The classes never read the image sizes, so a missed or wrong
+    isomorphism shows up as failing pairs.  One entry per pair: None when
+    it passes, else the checker's witness."""
     graphs = [gr.build_cayley_graph(Q.alexander_quandle(g, t)) for t in autos]
     sizes = [G.image_id_minus_t(g, t).order for t in autos]
+    reps: list[gr.DirectedGraph] = []       # one graph per isomorphism class
+    class_of: dict[bytes, int] = {}         # adjacency matrix -> class id
+    keys = [graph.matrix().tobytes() for graph in graphs]
+    for graph, key in zip(graphs, keys):
+        if key in class_of:
+            continue
+        for c, rep in enumerate(reps):
+            p = gr.find_isomorphism(graph, rep)
+            if p is not None and (graph.matrix() == rep.matrix()[np.ix_(p, p)]).all():
+                class_of[key] = c
+                break
+        else:
+            class_of[key] = len(reps)
+            reps.append(graph)
+    cls = [class_of[key] for key in keys]
     out = []
     for i, j in pairs:
-        iso = gr.is_isomorphic(graphs[i], graphs[j])
+        iso = cls[i] == cls[j]
         if iso == (sizes[i] == sizes[j]):
             out.append(None)
         else:

@@ -400,3 +400,126 @@ class TestAbelianSweepMatchesCheckers:
         ok, _ = V.sweep_alexander(g, autos, ("alexander_components",))["alexander_components"]
         assert list(ok) == [G.image_id_minus_t(g, t).order == 16 for t in autos]
         assert 0 < ok.sum() < len(autos)
+
+    def test_iso_capped_groups_all_pairs(self, abelian_sweep):
+        # the suite skips these groups (over _ISO_PAIR_AUT_CAP automorphisms)
+        rng = np.random.default_rng(7)
+        for label, count in (("Z2xZ2xZ2", 168), ("Z2xZ2xZ4", 192)):
+            g, autos = next((g, a) for g, a in abelian_sweep if g.label == label)
+            assert len(autos) == count
+            pairs = [(i, j) for i in range(count) for j in range(i, count)]
+            assert len(pairs) == count * (count + 1) // 2
+            assert V.sweep_alexander_iso(g, autos, pairs) == [None] * len(pairs)
+            sample = [pairs[k] for k in sorted(rng.choice(len(pairs), 200, replace=False))]
+            self._check_iso(g, autos, sample)
+
+
+def _z4xz4_iso_pairs():
+    g = G.make_abelian([4, 4])
+    autos = G.enumerate_automorphisms(g)
+    pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
+    return g, autos, pairs
+
+
+class TestIsoClassesCatchSabotage:
+    """The class step of sweep_alexander_iso: a wrong or missing
+    isomorphism must come out as failing pairs, and the searches stay
+    within distinct matrices times classes."""
+
+    def _matrices_and_sizes(self, g, autos):
+        keys = [V.gr.build_cayley_graph(Q.alexander_quandle(g, t)).matrix().tobytes()
+                for t in autos]
+        return keys, [G.image_id_minus_t(g, t).order for t in autos]
+
+    def _fails_on_distinct_equal_size_pairs(self, monkeypatch, search):
+        g, autos, pairs = _z4xz4_iso_pairs()
+        keys, sizes = self._matrices_and_sizes(g, autos)
+        monkeypatch.setattr(V.gr, "find_isomorphism", search)
+        got = V.sweep_alexander_iso(g, autos, pairs)
+        # every distinct matrix became its own class
+        want = [keys[i] != keys[j] and sizes[i] == sizes[j] for i, j in pairs]
+        assert [w is not None for w in got] == want
+        assert any(want)
+        assert all(w["iso"] is False for w in got if w is not None)
+
+    def test_identity_mapping_fails_the_edge_check(self, monkeypatch):
+        self._fails_on_distinct_equal_size_pairs(
+            monkeypatch, lambda g1, g2, cap=64: list(range(g1.n)))
+
+    def test_missed_isomorphisms_fail(self, monkeypatch):
+        real = V.gr.find_isomorphism
+
+        def search(g1, g2, cap=64):
+            if g1.matrix().tobytes() != g2.matrix().tobytes():
+                return None
+            return real(g1, g2, cap)
+
+        self._fails_on_distinct_equal_size_pairs(monkeypatch, search)
+
+    def test_searches_per_distinct_matrix_and_class(self, monkeypatch):
+        g, autos, pairs = _z4xz4_iso_pairs()
+        keys, sizes = self._matrices_and_sizes(g, autos)
+        assert (len(set(keys)), len(set(sizes))) == (15, 5)
+        real = V.gr.find_isomorphism
+        calls = []
+        monkeypatch.setattr(V.gr, "find_isomorphism",
+                            lambda g1, g2, cap=64: calls.append(1) or real(g1, g2, cap))
+        assert V.sweep_alexander_iso(g, autos, pairs) == [None] * len(pairs)
+        assert 0 < len(calls) <= 15 * 5
+
+
+def _in_degree_plant(g, t):
+    """The Alexander table of t with one non-loop target a of row 0
+    replaced by a vertex b outside that row: every out-degree stays
+    [G : Fix(t)], the in-degrees of a and b move by one."""
+    table = Q.alexander_quandle(g, t).rhd.copy()
+    row = set(table[0].tolist())
+    a = min(row - {0})
+    b = min(set(range(g.order)) - row)
+    table[0][table[0] == a] = b
+    return table, a, b
+
+
+class TestRegularityInDegrees:
+    """A table whose out-degrees are all right but two in-degrees are not
+    must fail regularity, in the sweep and in the per-instance checker."""
+
+    def _plant(self):
+        g = G.make_abelian([4, 4])
+        autos = G.enumerate_automorphisms(g)
+        k = next(k for k, t in enumerate(autos)
+                 if 1 < G.fixed_point_subgroup(g, t).index() < g.order)
+        table, a, b = _in_degree_plant(g, autos[k])
+        return g, autos, k, table, a, b
+
+    def test_sweep_fails_the_planted_automorphism(self, monkeypatch):
+        g, autos, k, table, a, b = self._plant()
+        real = Q.alexander_tables
+
+        def tables(group, maps):
+            out = real(group, maps)
+            for row, m in enumerate(maps):
+                if tuple(int(v) for v in m) == autos[k].key():
+                    out[row] = table
+            return out
+
+        monkeypatch.setattr(Q, "alexander_tables", tables)
+        monkeypatch.setattr(Q, "axioms_hold", lambda rhd: np.ones(len(rhd), dtype=bool))
+        ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+        assert np.flatnonzero(~ok).tolist() == [k]
+        expected = G.fixed_point_subgroup(g, autos[k]).index()
+        out, inn = detail["degree"]
+        assert detail["vertex"] == min(a, b)
+        assert out == expected and inn != expected
+
+    def test_checker_fails_the_planted_degrees(self, monkeypatch):
+        g, autos, k, table, a, b = self._plant()
+        planted = V.gr.DirectedGraph(g.order, [(x, int(y)) for x in range(g.order)
+                                               for y in table[x]])
+        real = V.gr.degrees
+        monkeypatch.setattr(V.gr, "degrees", lambda graph: real(planted))
+        r = V.check_generalized_regularity(g, autos[k])
+        assert not r.passed
+        out, inn = r.witness["degree"]
+        assert r.witness["vertex"] == min(a, b)
+        assert out == r.witness["expected"] and inn != r.witness["expected"]
