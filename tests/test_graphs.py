@@ -27,6 +27,26 @@ def random_digraph(rng, n: int, p: float) -> gr.DirectedGraph:
     return gr.DirectedGraph(n, ((u, v) for u, v in np.argwhere(m)))
 
 
+def bfs_diameter(g: gr.DirectedGraph, component) -> int:
+    """The per-source breadth-first diameter that component_diameter
+    replaced, kept as its oracle."""
+    sub = gr.induced_subgraph(g, component)
+    best = 0
+    for s in range(sub.n):
+        layers = G.breadth_first([s], sub.adj.__getitem__)
+        if sum(len(layer) for layer in layers) < sub.n:
+            raise ValueError("component is not strongly connected")
+        best = max(best, len(layers) - 1)
+    return best
+
+
+def json_reference(g: gr.DirectedGraph) -> str:
+    """The export_graph(fmt="json") text as json.dumps renders it."""
+    payload = {"n": g.n, "names": list(g.names),
+               "edges": [[u, v] for u, v in g.edges()]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestDirectedGraph:
     def test_dedupes_and_sorts(self):
         g = gr.DirectedGraph(3, [(0, 1), (0, 1), (2, 0), (0, 2)])
@@ -203,6 +223,63 @@ class TestComponents:
             gr.component_diameter(path, [0, 1, 2])
 
 
+class TestDiameterOracle:
+    """component_diameter (matrix powers) against the per-source BFS."""
+
+    @pytest.mark.parametrize("length", list(range(1, 41)) + [300])
+    def test_cycles(self, length):
+        cycle = gr.DirectedGraph(length, [(i, (i + 1) % length) for i in range(length)])
+        assert gr.component_diameter(cycle, range(length)) == length - 1
+        assert bfs_diameter(cycle, range(length)) == length - 1
+
+    def test_complete_graphs_and_a_loopless_vertex(self):
+        for n in range(1, 9):
+            assert gr.component_diameter(gr.complete_graph(n), range(n)) == min(n - 1, 1)
+        lone = gr.DirectedGraph(1, [])
+        assert gr.component_diameter(lone, [0]) == bfs_diameter(lone, [0]) == 0
+        assert gr.component_diameter(gr.DirectedGraph(0, []), []) == 0
+
+    def test_raw_large_family_components(self):
+        # the families of the raw_large benchmark workload, orders 120..384
+        z = {k: G.make_abelian([k, k]) for k in (11, 13, 16, 19)}
+        twists = {11: [[1, 1], [0, 1]], 13: [[1, 0], [3, 1]],
+                  16: [[1, 2], [0, 1]], 19: [[1, 0], [1, 1]]}
+        quandles = [Q.conjugation_quandle(G.make_symmetric(5)),
+                    Q.dihedral_quandle(128), Q.dihedral_quandle(150)]
+        quandles += [Q.core_quandle(G.make_dihedral(m)) for m in (60, 96, 144, 192)]
+        quandles += [Q.alexander_quandle(z[k], G.matrix_automorphism(z[k], twists[k]))
+                     for k in z]
+        for q in quandles:
+            graph = gr.build_cayley_graph(q)
+            for comp in gr.strongly_connected_components(graph).components:
+                assert gr.component_diameter(graph, comp) == bfs_diameter(graph, comp)
+
+    def test_random_strongly_connected_digraphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n = int(rng.integers(2, 70))
+            m = rng.random((n, n)) < rng.choice([0.0, 0.02, 0.1, 0.4])
+            order = rng.permutation(n)                  # a Hamilton cycle
+            m[order, np.roll(order, -1)] = True
+            g = gr.DirectedGraph(n, np.argwhere(m).tolist())
+            assert gr.component_diameter(g, range(n)) == bfs_diameter(g, range(n))
+
+    def test_not_strongly_connected_raises_the_same_message(self):
+        rng = np.random.default_rng(12)
+        cases = [gr.DirectedGraph(2, []), gr.DirectedGraph(2, [(0, 1)]),
+                 gr.DirectedGraph(3, [(0, 1), (1, 2)])]
+        while len(cases) < 40:
+            g = random_digraph(rng, int(rng.integers(2, 30)), 0.08)
+            if gr.strongly_connected_components(g).count > 1:
+                cases.append(g)
+        for g in cases:
+            with pytest.raises(ValueError) as old:
+                bfs_diameter(g, range(g.n))
+            with pytest.raises(ValueError) as new:
+                gr.component_diameter(g, range(g.n))
+            assert str(new.value) == str(old.value) == "component is not strongly connected"
+
+
 class TestPredicates:
     def test_symmetry(self):
         assert gr.is_symmetric(gr.build_cayley_graph(Q.dihedral_quandle(6)))
@@ -303,6 +380,34 @@ class TestExport:
         assert back.n == graph.n
         assert back.adj == graph.adj
         assert back.names == graph.names
+
+    @pytest.mark.parametrize("graph", [
+        gr.DirectedGraph(3, []),
+        gr.DirectedGraph(1, []),
+        gr.DirectedGraph(1, [(0, 0)]),
+        gr.DirectedGraph(0, []),
+        gr.DirectedGraph(4, [(0, 1), (3, 3), (1, 0)],
+                         names=['a"b', "c\\d", "\u00e9\u2603\U0001d11e", "x\x01\ty"]),
+    ], ids=["edgeless", "one_vertex", "one_loop", "empty", "escaped_names"])
+    def test_json_bytes_match_json_dumps(self, graph):
+        assert gr.export_graph(graph, "json") == json_reference(graph)
+
+    def test_json_bytes_match_json_dumps_on_cayley_and_random_graphs(self):
+        rng = np.random.default_rng(5)
+        graphs = [gr.build_cayley_graph(Q.conjugation_quandle(G.make_symmetric(4))),
+                  gr.build_cayley_graph(Q.trivial_quandle(5))]
+        graphs += [random_digraph(rng, int(rng.integers(1, 20)), p) for p in (0.0, 0.1, 0.5) * 10]
+        for graph in graphs:
+            assert gr.export_graph(graph, "json") == json_reference(graph)
+
+    def test_dot_and_adjlist_text_is_unchanged(self):
+        g = gr.DirectedGraph(4, [(0, 1), (1, 2), (2, 0), (1, 1), (3, 3)],
+                             names=['a"b', "c\\d", "\u00e9", "x y"])
+        assert gr.export_graph(g, "dot") == (
+            'digraph {\n    0 [label="a\\"b"];\n    1 [label="c\\\\d"];\n'
+            '    2 [label="\u00e9"];\n    3 [label="x y"];\n    0 -> 1;\n    1 -> 1;\n'
+            '    1 -> 2;\n    2 -> 0;\n    3 -> 3;\n}\n')
+        assert gr.export_graph(g, "adjlist") == 'a"b: 1\nc\\d: 1 2\n\u00e9: 0\nx y: 3\n'
 
     def test_adjlist(self):
         graph = gr.build_cayley_graph(Q.dihedral_quandle(4))

@@ -153,6 +153,165 @@ class TestStackedAxiomScan:
             Q.alexander_tables(G.make_symmetric(3), [list(range(6))])
 
 
+def _cube_witnesses(stack):
+    """Unchunked int16 full-cube oracle over a (k, n, n) stack of tables:
+    per table the first failing (x, y, z), or None."""
+    t = np.asarray(stack).astype(np.int16)
+    k, n = t.shape[:2]
+    b = np.arange(k)[:, None, None, None]
+    lhs = t[b, t[:, :, :, None], np.arange(n)]           # (x|>y) |> z
+    rhs = t[b, t[:, :, None, :], t[:, None, :, :]]       # (x|>z) |> (y|>z)
+    diff = (lhs != rhs).reshape(k, -1)
+    first = np.unravel_index(diff.argmax(axis=1), (n, n, n))
+    return [tuple(int(v[i]) for v in first) if diff[i].any() else None
+            for i in range(k)]
+
+
+def _closure(table, gens):
+    """Naive |>-closure: add every product of members until none is new."""
+    members = set(int(g) for g in gens)
+    while True:
+        new = {int(table[a, b]) for a in members for b in members} - members
+        if not new:
+            return members
+        members |= new
+
+
+def _generators_pass(table):
+    """Whether every generator's right translation is a homomorphism."""
+    return all(Q.translation_defect(table, z) is None for z in Q._generating_set(table))
+
+
+def _relabelled(table, seed):
+    perm = np.random.default_rng(seed).permutation(len(table))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def _column_permutation_tables(n, fix_diagonal):
+    perms = [[p for p in itertools.permutations(range(n)) if not fix_diagonal or p[y] == y]
+             for y in range(n)]
+    return [np.array(cols).T for cols in itertools.product(*perms)]
+
+
+class TestReducedDistributivityScan:
+    """_reduced_scan against the full scan.  Small tables never take the
+    reduced path in verify_quandle_axioms, so the helpers are called
+    directly."""
+
+    @staticmethod
+    def _agree(tables, reference=None):
+        """Reduced and full scans give the same witness, and the check on
+        the generating set alone gives the full scan's verdict.  The
+        reference is the library's full scan unless given."""
+        if reference is None:
+            reference = [Q._full_scan(t) for t in tables]
+        for t, full in zip(tables, reference):
+            assert Q._reduced_scan(t) == full
+            assert _generators_pass(t) == (full is None)
+        return [full is None for full in reference]
+
+    def test_every_column_permutation_table_of_order_3(self):
+        tables = _column_permutation_tables(3, fix_diagonal=False)
+        assert len(tables) == 216
+        verdicts = self._agree(tables)
+        assert 0 < sum(verdicts) < len(tables)
+
+    def test_every_idempotent_right_invertible_table_of_order_4(self):
+        tables = _column_permutation_tables(4, fix_diagonal=True)
+        assert len(tables) == 1296
+        assert sum(self._agree(tables)) == 36      # the labelled quandles of order 4
+
+    def test_seeded_sample_of_orders_4_and_5(self):
+        rng = np.random.default_rng(20260)
+        passed = 0
+        for n in (4, 5):
+            stack = np.argsort(rng.random((10_000, n, n)), axis=1)  # columns bijective
+            for t in stack[::2]:                                    # half idempotent
+                for y in range(n):
+                    x = int(np.nonzero(t[:, y] == y)[0][0])
+                    t[[x, y], y] = t[[y, x], y]
+            passed += sum(self._agree(stack, _cube_witnesses(stack)))
+        assert 0 < passed < 20_000
+
+    def test_generating_set_is_greedy_and_generates(self):
+        tables = (_column_permutation_tables(3, fix_diagonal=False)
+                  + _column_permutation_tables(4, fix_diagonal=True)
+                  + [_relabelled(Q.core_quandle(G.make_dihedral(24)).rhd, 1),
+                     Q.trivial_quandle(6).rhd])
+        for t in tables:
+            gens = Q._generating_set(t).tolist()
+            assert _closure(t, gens) == set(range(len(t)))
+            for i, g in enumerate(gens):
+                outside = set(range(len(t))) - _closure(t, gens[:i])
+                assert g == min(outside)
+            assert Q._generating_set(t, limit=1).tolist() == gens[:2]
+
+    @pytest.fixture(scope="class")
+    def large_quandles(self):
+        z13 = G.make_abelian([13, 13])
+        return {
+            "Core(D96)": Q.core_quandle(G.make_dihedral(96)).rhd,
+            "Alex(Z13^2)": Q.alexander_quandle(
+                z13, G.matrix_automorphism(z13, [[1, 0], [3, 1]])).rhd,
+            "R150": Q.dihedral_quandle(150).rhd,
+        }
+
+    def test_large_quandles_pass_on_their_generators(self, large_quandles, monkeypatch):
+        def no_full_scan(rhd):
+            raise AssertionError("the full scan ran")
+
+        monkeypatch.setattr(Q, "_full_scan", no_full_scan)
+        for seed, table in enumerate(large_quandles.values()):
+            t = _relabelled(table, seed)
+            assert 2 * Q._generating_set(t).size <= len(t)
+            assert Q.verify_quandle_axioms(t) == Q.AxiomReport(True, True, True)
+
+    @pytest.mark.parametrize("generator", [True, False])
+    def test_planted_faults_match_the_full_cube(self, large_quandles, generator):
+        table = _relabelled(large_quandles["Core(D96)"], 7)
+        n = len(table)
+        gens = Q._generating_set(table).tolist()
+        z = gens[1] if generator else min(set(range(n)) - set(gens))
+        rng = np.random.default_rng(z)
+        for _ in range(2):
+            # swap two off-diagonal entries of column z: still idempotent
+            # and right-invertible, but R_z is no longer a homomorphism
+            r1, r2 = rng.choice(np.delete(np.arange(n), z), size=2, replace=False)
+            bad = table.copy()
+            bad[[r1, r2], z] = bad[[r2, r1], z]
+            want = _cube_witnesses(bad[None])[0]
+            assert want is not None
+            assert not _generators_pass(bad)
+            assert Q.verify_quandle_axioms(bad) == Q.AxiomReport(
+                True, True, False, distributivity_witness=want)
+
+    def test_trivial_quandle_falls_back_to_the_full_scan(self, monkeypatch):
+        table = Q.trivial_quandle(200).rhd
+        calls = []
+        full_scan = Q._full_scan
+        monkeypatch.setattr(Q, "_full_scan", lambda rhd: calls.append(len(rhd)) or full_scan(rhd))
+        assert Q._generating_set(table).size == 200
+        assert Q.verify_quandle_axioms(table).ok
+        assert calls == [200]
+
+    def test_reduction_starts_above_one_slab(self, monkeypatch):
+        # 125^3 cells fit in one slab of the full scan, 126^3 do not
+        r125, r126 = Q.dihedral_quandle(125).rhd, Q.dihedral_quandle(126).rhd
+        seen = []
+        reduced_scan = Q._reduced_scan
+        monkeypatch.setattr(Q, "_reduced_scan", lambda rhd: seen.append(len(rhd)) or reduced_scan(rhd))
+        for table in (r125, r126):
+            assert Q.verify_quandle_axioms(table).ok
+        assert seen == [126]
+        # a table with a repeated column entry always takes the full scan
+        table = r126.copy()
+        table[0, 5] = table[1, 5]
+        assert not Q.verify_quandle_axioms(table).right_invertible
+        assert seen == [126]
+
+
 class TestConstructions:
     def test_trivial(self):
         q = Q.trivial_quandle(4)
