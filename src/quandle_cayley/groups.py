@@ -64,6 +64,41 @@ def breadth_first(sources, step, limit: int | None = None) -> list[list]:
     return layers
 
 
+def _generating_set(op: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """A generating set for the binary operation table op[x, y], picked
+    greedily: each generator is the least element outside the closure, under
+    op, of those picked before it.  Stops early once more than `limit`
+    generators are picked.
+
+    The closure grows semi-naively: the elements that join it in one round
+    are combined with every member, both ways round, so every ordered pair
+    of members is combined once and the whole search costs O(n^2) lookups.
+    """
+    n = op.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    members = np.empty(n, dtype=np.intp)
+    count = 0
+    gens = []
+    for x in range(n):
+        if inside[x]:
+            continue
+        gens.append(x)
+        if limit is not None and len(gens) > limit:
+            break
+        inside[x] = True
+        new = np.array([x])
+        while new.size:
+            members[count:count + new.size] = new
+            count += new.size
+            fresh = np.zeros(n, dtype=bool)
+            fresh[op[new][:, members[:count]]] = True          # new op any
+            fresh[op[members[:count - new.size]][:, new]] = True  # old op new
+            fresh &= ~inside
+            inside |= fresh
+            new = np.flatnonzero(fresh)
+    return np.array(gens, dtype=np.intp)
+
+
 def _as_table(table, what: str) -> np.ndarray:
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -415,17 +450,9 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
 
 
 def _greedy_generators(g: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    closed = {g.identity}
-    for x in range(g.order):
-        if x in closed:
-            continue
-        gens.append(x)
-        layers = breadth_first(closed | {x}, lambda u: g.mul[u, gens].tolist())
-        closed = {v for layer in layers for v in layer}
-        if len(closed) == g.order:
-            break
-    return gens
+    """Greedy group generators: in a finite group the closure of a set is
+    the subgroup it generates, and an identity pick generates nothing."""
+    return [int(x) for x in _generating_set(g.mul) if x != g.identity]
 
 
 def _bfs_recipe(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:

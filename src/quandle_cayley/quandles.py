@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (_ASSOC_CHUNK_CELLS, Automorphism, FiniteGroup, breadth_first,
-                     first_mismatch)
+from .groups import (_ASSOC_CHUNK_CELLS, Automorphism, FiniteGroup, _generating_set,
+                     breadth_first, first_mismatch)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -68,40 +68,6 @@ def _full_scan(rhd: np.ndarray) -> tuple | None:
         lambda xs: rhd[rhd[xs], :],                          # (x|>y) |> z
         lambda xs: rhd[rhd[xs][:, None, :], rhd[None, :, :]],  # (x|>z) |> (y|>z)
     )
-
-
-def _generating_set(rhd: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """A |>-generating set, picked greedily: each generator is the least
-    element outside the |>-closure of those picked before it.  Stops early
-    once more than `limit` generators are picked.
-
-    The closure grows semi-naively: the elements that join it in one round
-    are combined with every member, both ways round, so every ordered pair
-    of members is combined once and the whole search costs O(n^2) lookups.
-    """
-    n = rhd.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    members = np.empty(n, dtype=np.intp)
-    count = 0
-    gens = []
-    for g in range(n):
-        if inside[g]:
-            continue
-        gens.append(g)
-        if limit is not None and len(gens) > limit:
-            break
-        inside[g] = True
-        new = np.array([g])
-        while new.size:
-            members[count:count + new.size] = new
-            count += new.size
-            fresh = np.zeros(n, dtype=bool)
-            fresh[rhd[new][:, members[:count]]] = True          # new |> any
-            fresh[rhd[members[:count - new.size]][:, new]] = True  # old |> new
-            fresh &= ~inside
-            inside |= fresh
-            new = np.flatnonzero(fresh)
-    return np.array(gens, dtype=np.intp)
 
 
 def _reduced_scan(rhd: np.ndarray) -> tuple | None:
@@ -329,15 +295,16 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
 
 
 def alexander_tables(g: FiniteGroup, maps) -> np.ndarray:
-    """Stacked Alexander tables rhd[k, x, y] = t_k(x) + y - t_k(y), one per
-    row of the (k, n) stack of automorphism image arrays, unvalidated.
-    On an abelian group rhd[k] is also the generalized table
-    t_k(x y^-1) y.  alexander_quandle keeps its own copy of the formula, so
-    the per-instance checkers do not share code with the stacked sweep."""
-    if not g.is_abelian():
-        raise ValueError("Alexander quandles need an abelian group")
-    tx = np.asarray(maps, dtype=np.int64)
-    return g.mul[g.mul[tx[:, :, None], np.arange(g.order)], g.inv[tx][:, None, :]]
+    """Stacked generalized Alexander tables rhd[k, x, y] = phi_k(x y^-1) y,
+    one per row of the (k, n) stack of automorphism image arrays,
+    unvalidated.  On an abelian group this is t_k(x) + y - t_k(y).
+    alexander_quandle and generalized_alexander_quandle keep their own
+    copies of the formula, so the per-instance checkers do not share code
+    with the stacked sweep."""
+    idx = np.arange(g.order)
+    xyinv = g.mul[idx[:, None], g.inv[idx][None, :]]
+    # np.take keeps the (k, n, n) gather C-contiguous; maps[:, xyinv] would not
+    return g.mul[np.take(np.asarray(maps, dtype=np.int64), xyinv, axis=1), idx]
 
 
 def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:

@@ -6,9 +6,10 @@ conjugacy classes, explicit formulas), and compares the two exhaustively.
 A checker never assumes what it is checking; a failed comparison comes
 back as a report with a concrete witness.
 
-The suite sweeps the Alexander quandles of every automorphism of an
-abelian group as stacked arrays (sweep_alexander, sweep_alexander_iso);
-the per-instance checkers are their reference and give their witnesses.
+The suite sweeps the generalized Alexander quandles of whole families of
+automorphisms as stacked arrays (sweep_alexander): every automorphism of
+each abelian group, and the inner automorphisms of each registry group.
+The per-instance checkers are the sweep's reference and give its witnesses.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ CHECK_IDS = (
 _ISO_PAIR_AUT_CAP = 100
 # automorphisms per array chunk of sweep_alexander; peak memory grows with it
 _SWEEP_CHUNK = 64
-# the checks sweep_alexander runs, in suite order
-_SWEPT = ("alexander_components", "regularity")
+# the checks sweep_alexander can run, in suite order
+_SWEPT = ("alexander_components", "alexander_iso", "regularity")
 
 
 @dataclass(frozen=True)
@@ -206,12 +207,12 @@ def check_takasaki_window(w: int) -> VerificationReport:
     direct solvability of c = 2b - a, and parity classes are the complete
     components."""
     start = time.perf_counter()
-    failures = []
-    for a in range(-w, w + 1):
-        for c in range(-w, w + 1):
-            direct = any(2 * b - a == c for b in range(-3 * w, 3 * w + 1))
-            if direct != gr.takasaki_z_edge(a, c):
-                failures.append({"edge_mismatch": (a, c)})
+    vals = np.arange(-w, w + 1)
+    b = np.arange(-3 * w, 3 * w + 1)
+    # direct[i, j]: some b in [-3w, 3w] has 2b - a = c, for a = vals[i], c = vals[j]
+    direct = (2 * b - vals[:, None, None] == vals[None, :, None]).any(axis=2)
+    mismatch = np.argwhere(direct != gr.takasaki_z_edge(vals[:, None], vals[None, :]))
+    failures = [{"edge_mismatch": (a, c)} for a, c in (mismatch - w).tolist()]
     graph = gr.takasaki_z_window(w)
     if not gr.is_symmetric(graph):
         failures.append({"not_symmetric": w})
@@ -318,32 +319,64 @@ def _components_are_cosets(g: G.FiniteGroup, m: np.ndarray, part: G.CosetPartiti
                     for c in comps.components))
 
 
-def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids=_SWEPT) -> dict:
-    """alexander_components and regularity for every automorphism of an
-    abelian group, _SWEEP_CHUNK automorphisms at a time.
+def _iso_classes(matrices: dict) -> dict:
+    """Isomorphism class id per distinct adjacency matrix (bytes -> int).
 
-    Per chunk, one gather builds the stacked tables t(x) + y - t(y) (on an
-    abelian group also the generalized tables t(x y^-1) y), axioms_hold
-    scans them and one scatter gives the adjacency matrices.
+    The matrices, in order, are searched against the class representatives
+    in turn; a mapping counts only if it carries every edge and non-edge
+    onto the representative's, and an unmatched matrix starts a new class.
+    """
+    reps: list[gr.DirectedGraph] = []
+    class_of: dict[bytes, int] = {}
+    for key, m in matrices.items():
+        graph = gr.DirectedGraph._of_matrix(m)
+        for c, rep in enumerate(reps):
+            p = gr.find_isomorphism(graph, rep)
+            if p is not None and (m == rep.matrix()[np.ix_(p, p)]).all():
+                class_of[key] = c
+                break
+        else:
+            class_of[key] = len(reps)
+            reps.append(graph)
+    return class_of
+
+
+def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
+    """alexander_components, alexander_iso and regularity over the
+    generalized Alexander quandles of a list of automorphisms,
+    _SWEEP_CHUNK automorphisms at a time.  alexander_components and
+    alexander_iso need an abelian group; regularity takes any group.
+    alexander_iso gives one verdict per pair, so keep autos short for it.
+
+    Per chunk, one gather builds the stacked tables phi(x y^-1) y (on an
+    abelian group t(x) + y - t(y)), axioms_hold scans them and one scatter
+    gives the adjacency matrices.
     alexander_components: each matrix equals the block matrix of the left
     cosets of im(id - t), which also rules out one-way edges between
     components; strong components and completeness run once per distinct
-    matrix.  regularity: every in- and out-degree is [G : Fix(t)].  The
+    matrix.  alexander_iso: the distinct matrices are sorted into
+    isomorphism classes (_iso_classes), and each pair i <= j, in row-major
+    order, is isomorphic when its graphs share a class; that verdict must
+    agree with whether |im(id - t)| is equal, which the classes never read.
+    regularity: every in- and out-degree is [G : Fix(phi)].  The
     predictions come from image_id_minus_t, cosets and fixed_point_subgroup,
     once per distinct image or fixed-point set.
 
-    Returns, per check id, the verdicts (one bool per automorphism) and the
-    witness for the first failing automorphism: its per-instance checker's
-    witness, or, when that checker passes it, the first cell or vertex
-    where the sweep's own comparison failed.
+    Returns, per check id, the verdicts (one bool per automorphism, or per
+    pair for alexander_iso) and the witness for the first failure: the
+    per-instance checker's witness, or, when that checker passes it, the
+    first cell or vertex where the sweep's own comparison failed; for
+    alexander_iso, the failing pair's verdict, image sizes and maps.
     """
     n = g.order
     idx = np.arange(n)
     maps = np.stack([t.mapping for t in autos])
     cosets: dict[bytes, tuple] = {}    # image mask -> (block matrix, cosets, |image|)
     strong: dict[bytes, bool] = {}     # adjacency matrix -> components are cosets
-    index: dict[bytes, int] = {}       # fixed-point mask -> [G : Fix(t)]
-    verdicts = {tid: [] for tid in check_ids}
+    index: dict[bytes, int] = {}       # fixed-point mask -> [G : Fix(phi)]
+    matrices: dict[bytes, np.ndarray] = {}   # distinct adjacency matrices, in order
+    adj_keys, sizes = [], []           # per automorphism: its matrix and |image|
+    verdicts = {tid: [] for tid in check_ids if tid != "alexander_iso"}
     witness: dict = {}
     for start in range(0, len(autos), _SWEEP_CHUNK):
         maps_k = maps[start:start + _SWEEP_CHUNK]
@@ -352,25 +385,32 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids=_SWEPT) -> dict:
         rhd = Q.alexander_tables(g, maps_k)
         held = Q.axioms_hold(rhd)
         if not held.all():
-            bad = rhd[int(np.argmin(held))]
-            raise Q.AxiomViolation(Q.verify_quandle_axioms(bad), f"Alex({g.label})")
+            report = Q.verify_quandle_axioms(rhd[int(np.argmin(held))])
+            family = "Alex" if g.is_abelian() else "GAlex"
+            raise Q.AxiomViolation(report, f"{family}({g.label})")
         adj = np.zeros((k, n, n), dtype=bool)
         adj[rows[:, None, None], idx[:, None], rhd] = True
+        keys = _row_keys(adj.reshape(k, -1))
         checks = {}
-        if "alexander_components" in check_ids:
+        if "alexander_components" in check_ids or "alexander_iso" in check_ids:
             image = np.zeros((k, n), dtype=bool)
             image[rows[:, None], g.mul[idx, g.inv[maps_k]]] = True
-            keys = _row_keys(image)
-            for i, key in enumerate(keys):
+            image_keys = _row_keys(image)
+            for i, key in enumerate(image_keys):
                 if key not in cosets:
                     sub = G.image_id_minus_t(g, autos[start + i])
                     part = G.cosets(g, sub, side="left")
                     cosets[key] = (_block_matrix(part, n), part, sub.order)
-            blocks = np.stack([cosets[key][0] for key in keys])
+        if "alexander_iso" in check_ids:
+            matrices.update(zip(keys, adj))    # a repeated key keeps its first place
+            adj_keys += keys
+            sizes += [cosets[key][2] for key in image_keys]
+        if "alexander_components" in check_ids:
+            blocks = np.stack([cosets[key][0] for key in image_keys])
             ok = (adj == blocks).all(axis=(1, 2))
-            for i, key in enumerate(_row_keys(adj.reshape(k, -1))):
+            for i, key in enumerate(keys):
                 if key not in strong:
-                    _, part, order = cosets[keys[i]]
+                    _, part, order = cosets[image_keys[i]]
                     strong[key] = _components_are_cosets(g, adj[i], part, order)
                 ok[i] &= strong[key]
 
@@ -381,11 +421,11 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids=_SWEPT) -> dict:
 
             checks["alexander_components"] = (ok, check_alexander_components, block_cell)
         if "regularity" in check_ids:
-            keys = _row_keys(maps_k == idx)
-            for i, key in enumerate(keys):
+            fixed_keys = _row_keys(maps_k == idx)
+            for i, key in enumerate(fixed_keys):
                 if key not in index:
                     index[key] = G.fixed_point_subgroup(g, autos[start + i]).index()
-            expected = np.array([index[key] for key in keys])
+            expected = np.array([index[key] for key in fixed_keys])
             outs, ins = adj.sum(axis=2), adj.sum(axis=1)
             wrong = (outs != expected[:, None]) | (ins != expected[:, None])
 
@@ -402,46 +442,18 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids=_SWEPT) -> dict:
                 i = int(np.argmin(ok))
                 report = checker(g, autos[start + i])
                 witness[tid] = own_witness(i) if report.passed else report.witness
-    return {tid: (np.concatenate(v), witness.get(tid)) for tid, v in verdicts.items()}
-
-
-def sweep_alexander_iso(g: G.FiniteGroup, autos: list, pairs) -> list:
-    """check_alexander_iso_corollary on each index pair (i, j) of autos,
-    with at most one isomorphism search per distinct matrix and class.
-
-    Each automorphism's graph and image size are built once.  The distinct
-    adjacency matrices, in order of first appearance, are searched against
-    the class representatives in turn; a mapping counts only if it carries
-    every edge and non-edge onto the representative's, and an unmatched
-    matrix starts a new class.  A pair is isomorphic when its graphs share
-    a class.  The classes never read the image sizes, so a missed or wrong
-    isomorphism shows up as failing pairs.  One entry per pair: None when
-    it passes, else the checker's witness."""
-    graphs = [gr.build_cayley_graph(Q.alexander_quandle(g, t)) for t in autos]
-    sizes = [G.image_id_minus_t(g, t).order for t in autos]
-    reps: list[gr.DirectedGraph] = []       # one graph per isomorphism class
-    class_of: dict[bytes, int] = {}         # adjacency matrix -> class id
-    keys = [graph.matrix().tobytes() for graph in graphs]
-    for graph, key in zip(graphs, keys):
-        if key in class_of:
-            continue
-        for c, rep in enumerate(reps):
-            p = gr.find_isomorphism(graph, rep)
-            if p is not None and (graph.matrix() == rep.matrix()[np.ix_(p, p)]).all():
-                class_of[key] = c
-                break
-        else:
-            class_of[key] = len(reps)
-            reps.append(graph)
-    cls = [class_of[key] for key in keys]
-    out = []
-    for i, j in pairs:
-        iso = cls[i] == cls[j]
-        if iso == (sizes[i] == sizes[j]):
-            out.append(None)
-        else:
-            out.append({"iso": iso, "image_sizes": (sizes[i], sizes[j]),
-                        "t1": _auto_desc(autos[i]), "t2": _auto_desc(autos[j])})
+    out = {tid: (np.concatenate(v), witness.get(tid)) for tid, v in verdicts.items()}
+    if "alexander_iso" in check_ids:
+        class_of = _iso_classes(matrices)
+        cls = np.array([class_of[key] for key in adj_keys])
+        size = np.array(sizes)
+        first, second = np.triu_indices(len(autos))
+        ok = (cls[first] == cls[second]) == (size[first] == size[second])
+        p = int(np.argmin(ok))          # the first failing pair, read only on a failure
+        a, b = int(first[p]), int(second[p])
+        out["alexander_iso"] = (ok, None if ok.all() else {
+            "iso": bool(cls[a] == cls[b]), "image_sizes": (sizes[a], sizes[b]),
+            "t1": _auto_desc(autos[a]), "t2": _auto_desc(autos[b])})
     return out
 
 
@@ -669,13 +681,24 @@ class SuiteConfig:
         return self.checks is None or check_id in self.checks
 
 
-def _registry_groups(config: SuiteConfig) -> list[G.FiniteGroup]:
-    return [specs.group_from_string(label) for label in config.nonabelian_registry]
-
-
 def _abelian_groups(config: SuiteConfig):
     for g in G.abelian_group_types(config.abelian_order_cap):
         yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
+
+
+def _sweep_reports(g: G.FiniteGroup, autos: list, check_ids, instance=None) -> dict:
+    """sweep_alexander as one merged report per check id, which share its
+    time.  The instance is `instance`, else the group with its count of
+    automorphisms (or pairs, for alexander_iso)."""
+    start = time.perf_counter()
+    results = sweep_alexander(g, autos, check_ids)
+    share = (time.perf_counter() - start) / len(check_ids)
+    out = {}
+    for tid, (ok, detail) in results.items():
+        unit = "pairs" if tid == "alexander_iso" else "automorphisms"
+        out[tid] = _merged(tid, instance or f"{g.label} ({ok.size} {unit})", ok.size,
+                           int(np.count_nonzero(~ok)), (g.label, detail), share)
+    return out
 
 
 def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
@@ -685,6 +708,9 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     config = config or SuiteConfig()
     reports: list[VerificationReport] = []
     lo, hi = config.dihedral_range
+    registry = []
+    if any(map(config.wants, ("axioms", "conjugation", "regularity", "orbit_coset"))):
+        registry = [specs.group_from_string(label) for label in config.nonabelian_registry]
 
     if config.wants("axioms"):
         samples: list[tuple[str, np.ndarray]] = []
@@ -692,7 +718,7 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
             samples.append((f"T{n}", Q.trivial_quandle(n).rhd))
         for n in range(max(2, lo), min(hi, 12) + 1):
             samples.append((f"R{n}", Q.dihedral_quandle(n).rhd))
-        for g in _registry_groups(config):
+        for g in registry:
             if g.order <= 24:
                 samples.append((f"Conj({g.label})", Q.conjugation_quandle(g).rhd))
                 phi = G.inner_automorphism(g, 1 % g.order)
@@ -710,7 +736,7 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
             reports.append(check_trivial_edgeless(n))
 
     if config.wants("conjugation"):
-        for g in _registry_groups(config):
+        for g in registry:
             reports.append(check_conjugation_components(g))
 
     if config.wants("dihedral"):
@@ -721,47 +747,26 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
         for w in range(1, config.takasaki_window + 1):
             reports.append(check_takasaki_window(w))
 
-    needs_abelian = any(config.wants(c) for c in
-                        ("alexander_components", "alexander_iso", "regularity"))
-    abelian = list(_abelian_groups(config)) if needs_abelian else []
-
-    # alexander_components and regularity share one sweep per group; their
-    # reports keep their places in the suite order
+    # one sweep per abelian group serves all three swept checks, and one
+    # per registry group the inner twists' regularity; the reports keep
+    # their places in the suite order
     swept = tuple(c for c in _SWEPT if config.wants(c))
     merged: dict[str, list] = {tid: [] for tid in swept}
-    for g, autos in abelian if swept else []:
-        start = time.perf_counter()
-        results = sweep_alexander(g, autos, swept)
-        share = (time.perf_counter() - start) / len(swept)
-        for tid, (ok, detail) in results.items():
-            merged[tid].append(_merged(tid, f"{g.label} ({len(autos)} automorphisms)",
-                                       len(autos), int(np.count_nonzero(~ok)),
-                                       (g.label, detail), share))
-
-    if config.wants("alexander_components"):
-        reports.extend(merged["alexander_components"])
-
-    if config.wants("alexander_iso"):
-        for g, autos in abelian:
-            if len(autos) > _ISO_PAIR_AUT_CAP:
-                continue
-            start = time.perf_counter()
-            pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
-            bad = [w for w in sweep_alexander_iso(g, autos, pairs) if w is not None]
-            reports.append(_merged("alexander_iso", f"{g.label} ({len(pairs)} pairs)",
-                                   len(pairs), len(bad), (g.label, bad[0] if bad else None),
-                                   time.perf_counter() - start))
-
-    if config.wants("regularity"):
-        reports.extend(merged["regularity"])
-        for g in _registry_groups(config):
-            subs = [check_generalized_regularity(g, G.inner_automorphism(g, h))
-                    for h in range(g.order)]
-            reports.append(_merge("regularity",
-                                  f"{g.label} (inner, all h)", subs))
+    for g, autos in _abelian_groups(config) if swept else []:
+        # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
+        tids = tuple(c for c in swept
+                     if c != "alexander_iso" or len(autos) <= _ISO_PAIR_AUT_CAP)
+        for tid, report in (_sweep_reports(g, autos, tids) if tids else {}).items():
+            merged[tid].append(report)
+    for g in registry if config.wants("regularity") else []:
+        inner = [G.inner_automorphism(g, h) for h in range(g.order)]
+        merged["regularity"].append(_sweep_reports(
+            g, inner, ("regularity",), f"{g.label} (inner, all h)")["regularity"])
+    for tid in swept:
+        reports.extend(merged[tid])
 
     if config.wants("orbit_coset"):
-        for g in _registry_groups(config):
+        for g in registry:
             subs = [check_orbit_coset(g, h) for h in range(g.order)]
             reports.append(_merge("orbit_coset", f"{g.label} (all h)", subs))
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from quandle_cayley import groups as G
+from quandle_cayley import quandles as Q
+from quandle_cayley import specs
 
 
 # a loop of order 5: two-sided identity and inverses, Latin, but
@@ -390,6 +392,36 @@ def _loop_enumerate_automorphisms(g):
         if (phi[g.mul] == g.mul[phi[:, None], phi[None, :]]).all():
             found.append(tuple(int(v) for v in phi))
     return sorted(found)
+
+
+def _loop_greedy_generators(g):
+    """Greedy generators by breadth-first closure, as _greedy_generators
+    once ran: the least element outside the subgroup generated so far."""
+    gens, closed = [], {g.identity}
+    for x in range(g.order):
+        if x in closed:
+            continue
+        gens.append(x)
+        layers = G.breadth_first(closed | {x}, lambda u: g.mul[u, gens].tolist())
+        closed = {v for layer in layers for v in layer}
+    return gens
+
+
+class TestGreedyGenerators:
+    def test_match_the_closure_loop(self, abelian_sweep, registry_groups):
+        extra = [specs.group_from_string(s) for s in ("S5", "D12xZ2")]
+        # S4 relabelled so that the identity is not 0
+        s4 = G.make_symmetric(4)
+        perm = np.random.default_rng(0).permutation(24)
+        back = np.argsort(perm)
+        moved = G.FiniteGroup(perm[s4.mul[back][:, back]], label="S4'")
+        assert moved.identity != 0
+        groups = [g for g, _ in abelian_sweep] + list(registry_groups) + extra + [moved]
+        for g in groups:
+            assert G._greedy_generators(g) == _loop_greedy_generators(g), g.label
+
+    def test_one_generating_set_routine(self):
+        assert Q._generating_set is G._generating_set
 
 
 class TestBatchedAutomorphismsMatchLoop:

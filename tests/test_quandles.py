@@ -142,15 +142,22 @@ class TestStackedAxiomScan:
             # one table at a time: its last row (x = n - 1) ends the last slab
             assert [bool(Q.axioms_hold(t[None])[0]) for t in stack] == want.tolist()
 
-    def test_alexander_tables_match_constructors(self):
+    def test_alexander_tables_match_constructors(self, registry_groups):
         g = G.make_abelian([2, 4])
         autos = G.enumerate_automorphisms(g)
         stack = Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
         for table, t in zip(stack, autos):
             assert (table == Q.alexander_quandle(g, t).rhd).all()
             assert (table == Q.generalized_alexander_quandle(g, t).rhd).all()
-        with pytest.raises(ValueError):
-            Q.alexander_tables(G.make_symmetric(3), [list(range(6))])
+        # the generalized table phi(x y^-1) y on nonabelian groups, every
+        # automorphism, inner and outer
+        for g in registry_groups:
+            autos = G.enumerate_automorphisms(g, cap=24)
+            stack = Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
+            assert stack.shape == (len(autos), g.order, g.order)
+            assert stack.flags["C_CONTIGUOUS"], g.label
+            for table, phi in zip(stack, autos):
+                assert (table == Q.generalized_alexander_quandle(g, phi).rhd).all(), g.label
 
 
 def _cube_witnesses(stack):

@@ -239,11 +239,11 @@ def _wrong_for_order(real, order, wrong):
 
 
 class TestAbelianSweepMatchesCheckers:
-    """sweep_alexander and sweep_alexander_iso against the per-instance
-    checkers, which stay their reference."""
+    """sweep_alexander's three checks against the per-instance checkers,
+    which stay their reference."""
 
     def _check(self, g, autos):
-        result = V.sweep_alexander(g, autos)
+        result = V.sweep_alexander(g, autos, ("alexander_components", "regularity"))
         ok03, w03 = result["alexander_components"]
         ok05, w05 = result["regularity"]
         assert list(ok03) == _verdicts(g, autos, V.check_alexander_components), g.label
@@ -347,21 +347,35 @@ class TestAbelianSweepMatchesCheckers:
 
         monkeypatch.setattr(Q, "alexander_tables", tables)
         with pytest.raises(Q.AxiomViolation, match=r"^Alex\(Z4xZ4\) is not a quandle"):
-            V.sweep_alexander(g, autos)
+            V.sweep_alexander(g, autos, V._SWEPT)
 
     def _check_iso(self, g, autos, pairs):
-        got = V.sweep_alexander_iso(g, autos, pairs)
-        want = [V.check_alexander_iso_corollary(g, autos[i], autos[j]).witness
-                for i, j in pairs]
-        assert got == want
-        return got
+        """The sweep's alexander_iso verdicts on `pairs` (either way round)
+        equal the checker's, and its witness is the checker's for the first
+        failing pair i <= j in row-major order.  Returns every verdict of
+        the sweep, keyed by pair, and the checker's witnesses on `pairs`."""
+        ok, detail = V.sweep_alexander(g, autos, ("alexander_iso",))["alexander_iso"]
+        every = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
+        assert len(ok) == len(every)
+        verdict = dict(zip(every, ok.tolist()))
+        want = [V.check_alexander_iso_corollary(g, autos[i], autos[j]) for i, j in pairs]
+        assert [verdict[min(p), max(p)] for p in pairs] == [r.passed for r in want]
+        failing = [p for p in every if not verdict[p]]
+        if failing:
+            i, j = failing[0]
+            assert detail == V.check_alexander_iso_corollary(g, autos[i], autos[j]).witness
+        else:
+            assert detail is None
+        return verdict, [r.witness for r in want]
 
     def test_iso_all_z3xz3_pairs(self):
         g = G.make_abelian([3, 3])
         autos = G.enumerate_automorphisms(g)
         pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
         assert len(pairs) == 1176
-        assert self._check_iso(g, autos, pairs) == [None] * 1176
+        verdict, witnesses = self._check_iso(g, autos, pairs)
+        assert len(verdict) == 1176 and all(verdict.values())
+        assert witnesses == [None] * 1176
 
     def test_iso_seeded_z4xz4_sample(self):
         g = G.make_abelian([4, 4])
@@ -371,17 +385,20 @@ class TestAbelianSweepMatchesCheckers:
         self._check_iso(g, autos, pairs)
 
     def test_iso_failures_match(self, monkeypatch):
-        # a wrong image size for two automorphisms: pairs that are isomorphic
-        # with unequal sizes, and non-isomorphic with equal sizes, both fail
+        # a wrong image size for the images of two automorphisms (the sweep
+        # reads one size per distinct image): pairs that are isomorphic with
+        # unequal sizes, and non-isomorphic with equal sizes, both fail
         g = G.make_abelian([2, 4])
         autos = G.enumerate_automorphisms(g)
         real = G.image_id_minus_t
-        wrong = {autos[1].key(), autos[5].key()}
+        wrong = {real(g, autos[1]).members, real(g, autos[5]).members}
         monkeypatch.setattr(V.G, "image_id_minus_t", lambda group, t: (
-            G.Subgroup(group, [group.identity]) if t.key() in wrong else real(group, t)))
+            G.Subgroup(group, [group.identity]) if real(group, t).members in wrong
+            else real(group, t)))
         pairs = [(i, j) for i in range(len(autos)) for j in range(len(autos))]
-        got = self._check_iso(g, autos, pairs)
-        assert {w["iso"] for w in got if w is not None} == {True, False}
+        verdict, witnesses = self._check_iso(g, autos, pairs)
+        assert not all(verdict.values())
+        assert {w["iso"] for w in witnesses if w is not None} == {True, False}
 
     def test_strong_components_run_once_per_distinct_matrix(self, monkeypatch):
         g = G.make_abelian([4, 4])
@@ -408,10 +425,10 @@ class TestAbelianSweepMatchesCheckers:
             g, autos = next((g, a) for g, a in abelian_sweep if g.label == label)
             assert len(autos) == count
             pairs = [(i, j) for i in range(count) for j in range(i, count)]
-            assert len(pairs) == count * (count + 1) // 2
-            assert V.sweep_alexander_iso(g, autos, pairs) == [None] * len(pairs)
             sample = [pairs[k] for k in sorted(rng.choice(len(pairs), 200, replace=False))]
-            self._check_iso(g, autos, sample)
+            verdict, _ = self._check_iso(g, autos, sample)
+            assert len(verdict) == count * (count + 1) // 2
+            assert all(verdict.values())
 
 
 def _z4xz4_iso_pairs():
@@ -421,8 +438,12 @@ def _z4xz4_iso_pairs():
     return g, autos, pairs
 
 
+def _iso_sweep(g, autos):
+    return V.sweep_alexander(g, autos, ("alexander_iso",))["alexander_iso"]
+
+
 class TestIsoClassesCatchSabotage:
-    """The class step of sweep_alexander_iso: a wrong or missing
+    """The class step of the alexander_iso sweep: a wrong or missing
     isomorphism must come out as failing pairs, and the searches stay
     within distinct matrices times classes."""
 
@@ -435,12 +456,14 @@ class TestIsoClassesCatchSabotage:
         g, autos, pairs = _z4xz4_iso_pairs()
         keys, sizes = self._matrices_and_sizes(g, autos)
         monkeypatch.setattr(V.gr, "find_isomorphism", search)
-        got = V.sweep_alexander_iso(g, autos, pairs)
+        ok, detail = _iso_sweep(g, autos)
         # every distinct matrix became its own class
         want = [keys[i] != keys[j] and sizes[i] == sizes[j] for i, j in pairs]
-        assert [w is not None for w in got] == want
-        assert any(want)
-        assert all(w["iso"] is False for w in got if w is not None)
+        assert (~ok).tolist() == want
+        i, j = pairs[want.index(True)]
+        assert detail == {"iso": False, "image_sizes": (sizes[i], sizes[j]),
+                          "t1": [int(v) for v in autos[i].mapping],
+                          "t2": [int(v) for v in autos[j].mapping]}
 
     def test_identity_mapping_fails_the_edge_check(self, monkeypatch):
         self._fails_on_distinct_equal_size_pairs(
@@ -464,7 +487,8 @@ class TestIsoClassesCatchSabotage:
         calls = []
         monkeypatch.setattr(V.gr, "find_isomorphism",
                             lambda g1, g2, cap=64: calls.append(1) or real(g1, g2, cap))
-        assert V.sweep_alexander_iso(g, autos, pairs) == [None] * len(pairs)
+        ok, detail = _iso_sweep(g, autos)
+        assert len(ok) == len(pairs) and ok.all() and detail is None
         assert 0 < len(calls) <= 15 * 5
 
 
@@ -523,3 +547,111 @@ class TestRegularityInDegrees:
         out, inn = r.witness["degree"]
         assert r.witness["vertex"] == min(a, b)
         assert out == r.witness["expected"] and inn != r.witness["expected"]
+
+
+class TestRegistrySweepMatchesCheckers:
+    """sweep_alexander's regularity on the generalized Alexander quandles
+    of nonabelian groups, against check_generalized_regularity."""
+
+    def test_every_inner_and_outer_automorphism(self, registry_groups):
+        for g in registry_groups:
+            inner = [G.inner_automorphism(g, h) for h in range(g.order)]
+            for autos in (inner, G.enumerate_automorphisms(g, cap=24)):
+                ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+                assert list(ok) == _verdicts(g, autos, V.check_generalized_regularity)
+                assert ok.all() and detail is None, g.label
+
+    def test_failures_land_on_the_same_automorphisms(self, registry_groups, monkeypatch):
+        trivial = lambda group: G.Subgroup(group, [group.identity])
+        monkeypatch.setattr(V.G, "fixed_point_subgroup",
+                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        g = next(g for g in registry_groups if g.label == "D4")
+        autos = G.enumerate_automorphisms(g)
+        ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+        assert list(ok) == _verdicts(g, autos, V.check_generalized_regularity)
+        assert 0 < ok.sum() < len(autos)
+        first = autos[int(np.argmin(ok))]
+        assert detail == V.check_generalized_regularity(g, first).witness
+
+    def test_suite_report_equals_merged_checkers(self, monkeypatch):
+        # the report the per-instance loop gave: checker reports merged
+        trivial = lambda group: G.Subgroup(group, [group.identity])
+        monkeypatch.setattr(V.G, "fixed_point_subgroup",
+                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        cfg = V.SuiteConfig(checks=("regularity",), abelian_order_cap=1,
+                            nonabelian_registry=("S3", "D4", "D5"))
+        got = [r for r in V.run_suite(cfg) if "inner" in r.instance]
+        want = []
+        for label in ("S3", "D4", "D5"):
+            g = V.specs.group_from_string(label)
+            subs = [V.check_generalized_regularity(g, G.inner_automorphism(g, h))
+                    for h in range(g.order)]
+            want.append(V._merge("regularity", f"{label} (inner, all h)", subs))
+        strip = lambda rs: [(r.theorem_id, r.instance, r.passed, r.witness) for r in rs]
+        assert strip(got) == strip(want)
+        # no centralizer in D4 has order 2
+        assert [r.passed for r in got] == [False, True, False]
+
+    def test_non_quandle_table_names_the_family(self, registry_groups, monkeypatch):
+        real = Q.alexander_tables
+
+        def tables(group, maps):
+            out = real(group, maps)
+            out[-1, 0, 1] = out[-1, 1, 1]
+            return out
+
+        monkeypatch.setattr(Q, "alexander_tables", tables)
+        for label, family in (("S3", "GAlex"), ("D2", "Alex")):
+            g = next(g for g in registry_groups if g.label == label)
+            with pytest.raises(Q.AxiomViolation, match=rf"^{family}\({label}\) is not"):
+                V.sweep_alexander(g, G.enumerate_automorphisms(g), ("regularity",))
+
+
+class TestSuiteWiring:
+    def test_registry_groups_built_once(self, monkeypatch):
+        real = V.specs.group_from_string
+        built = []
+        monkeypatch.setattr(V.specs, "group_from_string",
+                            lambda label: built.append(label) or real(label))
+        cfg = V.SuiteConfig(abelian_order_cap=4, nonabelian_registry=("S3", "D4"),
+                            dihedral_range=(2, 4), takasaki_window=2)
+        assert all(r.passed for r in V.run_suite(cfg))
+        assert built == ["S3", "D4"]
+        built.clear()
+        V.run_suite(V.SuiteConfig(checks=("dihedral",), dihedral_range=(2, 3)))
+        assert built == []
+
+    def test_one_sweep_per_group_and_no_pairs_above_the_cap(self, monkeypatch):
+        real = V.sweep_alexander
+        calls = []
+        monkeypatch.setattr(V, "sweep_alexander", lambda g, autos, ids: (
+            calls.append((g.label, len(autos), ids)) or real(g, autos, ids)))
+        cfg = V.SuiteConfig(abelian_order_cap=8, nonabelian_registry=("S3",),
+                            checks=("alexander_components", "alexander_iso", "regularity"))
+        reports = V.run_suite(cfg)
+        assert all(r.passed for r in reports)
+        assert calls[-1] == ("S3", 6, ("regularity",))
+        abelian = calls[:-1]
+        assert len(abelian) == len({label for label, _, _ in abelian}) == 11
+        assert all(("alexander_iso" in ids) == (n <= V._ISO_PAIR_AUT_CAP)
+                   for _, n, ids in abelian)
+        assert ("Z2xZ2xZ2", 168, ("alexander_components", "regularity")) in abelian
+        iso = [r.instance for r in reports if r.theorem_id == "alexander_iso"]
+        assert len(iso) == 10 and "Z8 (10 pairs)" in iso
+
+
+class TestTakasakiScan:
+    def test_mismatches_match_the_loop(self, monkeypatch):
+        # a wrong predicate: the sweep's mismatch list is the loop's, in order
+        wrong = lambda a, c: (a + c) % 3 == 0
+        monkeypatch.setattr(V.gr, "takasaki_z_edge", wrong)
+        seen = []
+        real = V._report
+        monkeypatch.setattr(V, "_report", lambda tid, inst, start, failures: (
+            seen.append(list(failures)) or real(tid, inst, start, failures)))
+        for w in (0, 1, 3, 6):
+            assert V.check_takasaki_window(w).passed == (w == 0)
+            loop = [{"edge_mismatch": (a, c)}
+                    for a in range(-w, w + 1) for c in range(-w, w + 1)
+                    if any(2 * b - a == c for b in range(-3 * w, 3 * w + 1)) != wrong(a, c)]
+            assert [f for f in seen[-1] if "edge_mismatch" in f] == loop
