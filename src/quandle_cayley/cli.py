@@ -73,7 +73,7 @@ def _analysis(quandle: Q.Quandle, spec: specs.QuandleSpec) -> tuple:
             "vertices": [graph.names[v] for v in comp],
             "size": len(comp),
             "complete": gr.is_complete(sub),
-            "diameter": gr.component_diameter(graph, comp),
+            "diameter": gr._matrix_diameter(sub.matrix()),
         })
     return {
         "spec": spec.describe(),

@@ -230,19 +230,23 @@ def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
 
 def component_diameter(g: DirectedGraph, component) -> int:
     """Max over ordered pairs of shortest directed path length inside one
-    strongly connected component.
+    strongly connected component."""
+    return _matrix_diameter(induced_subgraph(g, component).matrix())
 
-    With B the component's matrix plus the identity, B^t holds the pairs
-    joined by a path of length <= t, and the diameter is the least t with
-    B^t all true.  Squaring finds the first power of two that reaches it,
-    then binary lifting walks down from the last power that does not:
+
+def _matrix_diameter(m: np.ndarray) -> int:
+    """Diameter of the strongly connected graph with bool matrix m.
+
+    With B the matrix plus the identity, B^t holds the pairs joined by a
+    path of length <= t, and the diameter is the least t with B^t all
+    true.  Squaring finds the first power of two that reaches it, then
+    binary lifting walks down from the last power that does not:
     O(k^3 log d) in float32 matmuls for k vertices and diameter d.
     """
-    sub = induced_subgraph(g, component)
-    k = sub.n
+    k = m.shape[0]
     if k <= 1:
         return 0
-    powers = [(sub.matrix() | np.eye(k, dtype=bool)).astype(np.float32)]
+    powers = [(m | np.eye(k, dtype=bool)).astype(np.float32)]
     while not powers[-1].all():       # powers[i] = B^(2^i), entries 0 or 1
         if 2 ** (len(powers) - 1) >= k - 1:
             raise ValueError("component is not strongly connected")

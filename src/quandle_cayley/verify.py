@@ -349,8 +349,10 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
     alexander_iso gives one verdict per pair, so keep autos short for it.
 
     Per chunk, one gather builds the stacked tables phi(x y^-1) y (on an
-    abelian group t(x) + y - t(y)), axioms_hold scans them and one scatter
-    gives the adjacency matrices.
+    abelian group t(x) + y - t(y)), axioms_hold checks them, proving
+    self-distributivity through right multiplications by the group
+    generators (picked once per sweep), and one scatter gives the
+    adjacency matrices.
     alexander_components: each matrix equals the block matrix of the left
     cosets of im(id - t), which also rules out one-way edges between
     components; strong components and completeness run once per distinct
@@ -378,12 +380,13 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
     adj_keys, sizes = [], []           # per automorphism: its matrix and |image|
     verdicts = {tid: [] for tid in check_ids if tid != "alexander_iso"}
     witness: dict = {}
+    gens = G._greedy_generators(g)
     for start in range(0, len(autos), _SWEEP_CHUNK):
         maps_k = maps[start:start + _SWEEP_CHUNK]
         k = len(maps_k)
         rows = np.arange(k)
         rhd = Q.alexander_tables(g, maps_k)
-        held = Q.axioms_hold(rhd)
+        held = Q.axioms_hold(rhd, g, gens)
         if not held.all():
             report = Q.verify_quandle_axioms(rhd[int(np.argmin(held))])
             family = "Alex" if g.is_abelian() else "GAlex"

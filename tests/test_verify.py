@@ -528,7 +528,8 @@ class TestRegularityInDegrees:
             return out
 
         monkeypatch.setattr(Q, "alexander_tables", tables)
-        monkeypatch.setattr(Q, "axioms_hold", lambda rhd: np.ones(len(rhd), dtype=bool))
+        monkeypatch.setattr(Q, "axioms_hold",
+                            lambda rhd, g, gens=None: np.ones(len(rhd), dtype=bool))
         ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
         assert np.flatnonzero(~ok).tolist() == [k]
         expected = G.fixed_point_subgroup(g, autos[k]).index()
