@@ -120,8 +120,22 @@ class FiniteGroup:
     """
 
     def __init__(self, mul, label: str = "G", element_names=None):
-        self.mul = _as_table(mul, "multiplication table")
-        self.order = int(self.mul.shape[0])
+        self._init(_as_table(mul, "multiplication table"), label, element_names)
+        self._check_latin()
+        self._check_associative()
+
+    @classmethod
+    def _of_checked(cls, mul: np.ndarray, label: str, element_names) -> "FiniteGroup":
+        """Wrap an int64 table this module built from a group law.  It is a
+        group by construction, so cancellation and associativity are not
+        scanned; the identity and inverses are still located."""
+        g = cls.__new__(cls)
+        g._init(mul, label, element_names)
+        return g
+
+    def _init(self, mul: np.ndarray, label: str, element_names) -> None:
+        self.mul = mul
+        self.order = int(mul.shape[0])
         self.label = label
         if element_names is None:
             element_names = [str(i) for i in range(self.order)]
@@ -133,8 +147,6 @@ class FiniteGroup:
         self._index = {s: i for i, s in enumerate(self.element_names)}
         self.identity = self._find_identity()
         self.inv = self._find_inverses()
-        self._check_latin()
-        self._check_associative()
         self._abelian: bool | None = None
 
     # -- validation ------------------------------------------------------
@@ -223,7 +235,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic group needs n >= 1")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(mul, label=f"Z{n}", element_names=[str(i) for i in range(n)])
+    return FiniteGroup._of_checked(mul, f"Z{n}", [str(i) for i in range(n)])
 
 
 def _tuple_name(a: str, b: str) -> str:
@@ -238,7 +250,7 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     mul = a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]
     names = [_tuple_name(a.element_names[x], b.element_names[y])
              for x in range(na) for y in range(nb)]
-    return FiniteGroup(mul, label=f"{a.label}x{b.label}", element_names=names)
+    return FiniteGroup._of_checked(mul, f"{a.label}x{b.label}", names)
 
 
 def make_abelian(factors) -> FiniteGroup:
@@ -267,7 +279,7 @@ def make_abelian(factors) -> FiniteGroup:
         mul = mul * d + summed[:, :, j]
     names = ["(" + ",".join(str(c) for c in row) + ")" for row in coords]
     label = "x".join(f"Z{d}" for d in factors)
-    return FiniteGroup(mul, label=label, element_names=names)
+    return FiniteGroup._of_checked(mul, label, names)
 
 
 def make_dihedral(m: int) -> FiniteGroup:
@@ -292,7 +304,7 @@ def make_dihedral(m: int) -> FiniteGroup:
         names.append("e" if i_ == 0 else ("r" if i_ == 1 else f"r^{i_}"))
     for i_ in range(m):
         names.append("s" if i_ == 0 else ("r s" if i_ == 1 else f"r^{i_} s"))
-    return FiniteGroup(mul, label=f"D{m}", element_names=names)
+    return FiniteGroup._of_checked(mul, f"D{m}", names)
 
 
 def _perm_cycle_name(p) -> str:
@@ -329,7 +341,7 @@ def make_symmetric(n: int, cap: int = SYMMETRIC_CAP) -> FiniteGroup:
         for j, q in enumerate(perms):
             mul[i, j] = index[tuple(p[q[k]] for k in range(n))]
     names = [_perm_cycle_name(p) for p in perms]
-    return FiniteGroup(mul, label=f"S{n}", element_names=names)
+    return FiniteGroup._of_checked(mul, f"S{n}", names)
 
 
 # -- automorphisms ---------------------------------------------------------
@@ -362,7 +374,8 @@ class Automorphism:
 
     @classmethod
     def _of_checked(cls, group: FiniteGroup, mapping: np.ndarray) -> "Automorphism":
-        """Wrap an image array this module has already checked."""
+        """Wrap an image array this module has already checked, or derived
+        from a group law or from other automorphisms."""
         a = cls.__new__(cls)
         a.group = group
         a.mapping = mapping
@@ -375,12 +388,12 @@ class Automorphism:
         """self after other."""
         if other.group is not self.group:
             raise ValueError("automorphisms act on different groups")
-        return Automorphism(self.group, self.mapping[other.mapping])
+        return Automorphism._of_checked(self.group, self.mapping[other.mapping])
 
     def inverse(self) -> "Automorphism":
         inv = np.empty_like(self.mapping)
         inv[self.mapping] = np.arange(self.group.order)
-        return Automorphism(self.group, inv)
+        return Automorphism._of_checked(self.group, inv)
 
     def is_identity(self) -> bool:
         return bool((self.mapping == np.arange(self.group.order)).all())
@@ -409,21 +422,21 @@ class Automorphism:
 
 
 def identity_automorphism(g: FiniteGroup) -> Automorphism:
-    return Automorphism(g, np.arange(g.order))
+    return Automorphism._of_checked(g, np.arange(g.order))
 
 
 def inner_automorphism(g: FiniteGroup, h: int) -> Automorphism:
     """Conjugation x -> h x h^-1."""
     if not 0 <= h < g.order:
         raise ValueError("conjugating element out of range")
-    return Automorphism(g, g.mul[g.mul[h, :], g.inv[h]])
+    return Automorphism._of_checked(g, g.mul[g.mul[h, :], g.inv[h]])
 
 
 def negation_automorphism(g: FiniteGroup) -> Automorphism:
     """x -> x^-1, an automorphism exactly when the group is abelian."""
     if not g.is_abelian():
         raise ValueError("inversion is only an automorphism of abelian groups")
-    return Automorphism(g, g.inv.copy())
+    return Automorphism._of_checked(g, g.inv.copy())
 
 
 def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:

@@ -229,13 +229,30 @@ class AxiomViolation(ValueError):
 
 
 class Quandle:
-    """A finite quandle: validated operation table plus display names."""
+    """A finite quandle: validated operation table plus display names.
+
+    The constructor scans the table against the three axioms.  The family
+    constructors below apply formulas that give a quandle for every valid
+    group and automorphism (Joyce, "A classifying invariant of knots, the
+    knot quandle", J. Pure Appl. Algebra 23, 1982), so they skip the scan.
+    """
 
     def __init__(self, rhd, label: str = "Q", element_names=None, provenance=None):
         table = _coerce_table(rhd)
         report = verify_quandle_axioms(table)
         if not report.ok:
             raise AxiomViolation(report, label)
+        self._init(table, label, element_names, provenance)
+
+    @classmethod
+    def _of_checked(cls, rhd: np.ndarray, label: str, element_names=None,
+                    provenance=None) -> "Quandle":
+        """Wrap an int64 table a family formula built (axioms unscanned)."""
+        q = cls.__new__(cls)
+        q._init(rhd, label, element_names, provenance)
+        return q
+
+    def _init(self, table: np.ndarray, label: str, element_names, provenance) -> None:
         self.rhd = table
         self.order = int(table.shape[0])
         self.label = label
@@ -273,7 +290,7 @@ def trivial_quandle(n: int) -> Quandle:
     if n < 1:
         raise ValueError("trivial quandle needs n >= 1")
     rhd = np.repeat(np.arange(n)[:, None], n, axis=1)
-    return Quandle(rhd, label=f"T{n}", provenance={"family": "trivial", "n": n})
+    return Quandle._of_checked(rhd, f"T{n}", provenance={"family": "trivial", "n": n})
 
 
 def conjugation_quandle(g: FiniteGroup) -> Quandle:
@@ -281,9 +298,9 @@ def conjugation_quandle(g: FiniteGroup) -> Quandle:
     idx = np.arange(g.order)
     left = g.mul[g.inv[idx][None, :], idx[:, None]]   # left[x, y] = y^-1 x
     rhd = g.mul[left, idx[None, :]]
-    return Quandle(
+    return Quandle._of_checked(
         rhd,
-        label=f"Conj({g.label})",
+        f"Conj({g.label})",
         element_names=g.element_names,
         provenance={"family": "conj", "group": g.label},
     )
@@ -294,9 +311,9 @@ def core_quandle(g: FiniteGroup) -> Quandle:
     idx = np.arange(g.order)
     yx = g.mul[idx[None, :], g.inv[idx][:, None]]     # yx[x, y] = y x^-1
     rhd = g.mul[yx, idx[None, :]]
-    return Quandle(
+    return Quandle._of_checked(
         rhd,
-        label=f"Core({g.label})",
+        f"Core({g.label})",
         element_names=g.element_names,
         provenance={"family": "core", "group": g.label},
     )
@@ -308,7 +325,7 @@ def dihedral_quandle(n: int) -> Quandle:
         raise ValueError("dihedral quandle needs n >= 1")
     idx = np.arange(n)
     rhd = (2 * idx[None, :] - idx[:, None]) % n
-    return Quandle(rhd, label=f"R{n}", provenance={"family": "dihedral", "n": n})
+    return Quandle._of_checked(rhd, f"R{n}", provenance={"family": "dihedral", "n": n})
 
 
 def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
@@ -319,9 +336,9 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
         raise ValueError("automorphism belongs to a different group")
     tx = t.mapping
     rhd = g.mul[g.mul[tx[:, None], np.arange(g.order)[None, :]], g.inv[tx][None, :]]
-    return Quandle(
+    return Quandle._of_checked(
         rhd,
-        label=f"Alex({g.label})",
+        f"Alex({g.label})",
         element_names=g.element_names,
         provenance={
             "family": "alexander",
@@ -351,9 +368,9 @@ def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:
     idx = np.arange(g.order)
     xyinv = g.mul[idx[:, None], g.inv[idx][None, :]]
     rhd = g.mul[phi.mapping[xyinv], idx[None, :]]
-    return Quandle(
+    return Quandle._of_checked(
         rhd,
-        label=f"GAlex({g.label})",
+        f"GAlex({g.label})",
         element_names=g.element_names,
         provenance={
             "family": "gen_alexander",
@@ -377,47 +394,12 @@ def translation_defect(rhd: np.ndarray, b: int) -> tuple | None:
     return int(x), int(y)
 
 
-class RightTranslation:
-    """The map x -> x |> b for a fixed b; always a quandle automorphism."""
-
-    def __init__(self, quandle: Quandle, b: int):
-        if not 0 <= b < quandle.order:
-            raise ValueError("translation element out of range")
-        self.quandle = quandle
-        self.b = b
-        self.perm = quandle.rhd[:, b].copy()
-        bad = translation_defect(quandle.rhd, b)
-        if bad is not None:
-            raise AssertionError(
-                f"right translation by {b} is not an automorphism at {bad}"
-            )
-
-    def __call__(self, x: int) -> int:
-        return int(self.perm[x])
-
-    def as_tuple(self) -> tuple:
-        return tuple(int(v) for v in self.perm)
-
-    def order(self) -> int:
-        power = self.perm
-        ident = np.arange(self.perm.size)
-        k = 1
-        while not (power == ident).all():
-            power = self.perm[power]
-            k += 1
-        return k
-
-    def __repr__(self) -> str:
-        return f"RightTranslation({self.quandle.label}, b={self.b})"
-
-
 class PermGroup:
     """A permutation group on 0..degree-1, stored as the full member set."""
 
-    def __init__(self, degree: int, members, generators=None):
+    def __init__(self, degree: int, members):
         self.degree = degree
         self.members = tuple(sorted({tuple(int(v) for v in p) for p in members}))
-        self.generators = tuple(tuple(int(v) for v in p) for p in (generators or ()))
         ident = tuple(range(degree))
         if ident not in set(self.members):
             raise ValueError("permutation group must contain the identity")
@@ -428,22 +410,6 @@ class PermGroup:
 
     def orbit(self, x: int) -> tuple:
         return tuple(sorted({p[x] for p in self.members}))
-
-    def orbits(self) -> list[tuple]:
-        seen, out = set(), []
-        for x in range(self.degree):
-            if x in seen:
-                continue
-            orb = self.orbit(x)
-            seen.update(orb)
-            out.append(orb)
-        return out
-
-    def __contains__(self, perm) -> bool:
-        return tuple(int(v) for v in perm) in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -465,7 +431,7 @@ def inner_group(q: Quandle, cap: int = INNER_GROUP_CAP,
                                limit=closure_cap)
     except ValueError:
         raise ValueError("inner group closure exceeded the safety cap") from None
-    return PermGroup(q.order, [p for layer in layers for p in layer], generators=gens)
+    return PermGroup(q.order, [p for layer in layers for p in layer])
 
 
 def forward_orbit(q: Quandle, x: int) -> tuple:

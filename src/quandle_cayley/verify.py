@@ -194,11 +194,9 @@ def check_dihedral_quandle(n: int) -> VerificationReport:
     if comps.as_sets() != expected:
         failures.append({"components": [list(c) for c in comps.components]})
     for comp in comps.components:
-        sub = gr.induced_subgraph(graph, comp)
-        if not gr.is_complete(sub):
+        # a complete component's matrix is complete_graph's: they are isomorphic
+        if not gr.is_complete(gr.induced_subgraph(graph, comp)):
             failures.append({"incomplete_component": list(comp)})
-        elif gr.find_isomorphism(sub, gr.complete_graph(len(comp))) is None:
-            failures.append({"not_isomorphic_to_complete": list(comp)})
     return _report("dihedral", f"n={n}", start, failures)
 
 
@@ -476,7 +474,12 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
     """For the inner twist by h: forward orbits are the left cosets of the
     subgroup N generated by all [h, x]; N is normal; the components are
     exactly those cosets; and coset translation is a graph isomorphism
-    between any two components."""
+    between any two components.
+
+    Translations are checked from component 0 only: the one from i to j is
+    the one from 0 to j after the inverse of the one from 0 to i, so every
+    pair passes exactly when row 0 does, and row 0 holds the first failing
+    pair in row-major order."""
     start = time.perf_counter()
     failures = []
     phi = G.inner_automorphism(g, h)
@@ -499,20 +502,10 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
             "components": [list(c) for c in comps.components],
             "cosets": [list(b) for b in part.blocks]}})
     else:
-        comp_list = comps.components
-        base = gr.induced_subgraph(graph, comp_list[0])
-        for i in range(len(comp_list)):
-            for j in range(len(comp_list)):
-                if i != j and not _translation_iso_ok(graph, g, comp_list[i], comp_list[j]):
-                    failures.append({"translation_not_isomorphism": (i, j)})
-                    break
-            else:
-                continue
-            break
-        for i in range(1, len(comp_list)):
-            other = gr.induced_subgraph(graph, comp_list[i])
-            if gr.find_isomorphism(base, other) is None:
-                failures.append({"components_not_isomorphic": (0, i)})
+        base, *others = comps.components
+        for j, comp in enumerate(others, start=1):
+            if not _translation_iso_ok(graph, g, base, comp):
+                failures.append({"translation_not_isomorphism": (0, j)})
                 break
     return _report("orbit_coset", f"({g.label}, h={g.name(h)})", start, failures)
 

@@ -16,3 +16,17 @@ def abelian_sweep():
 @pytest.fixture(scope="session")
 def registry_groups():
     return [specs.group_from_string(label) for label in REGISTRY]
+
+
+@pytest.fixture(scope="session")
+def built_groups():
+    """The outputs of every make_* constructor the oracle tests cover:
+    Z1-Z50, D1-D50, S1-S5, the 25 abelian types of order <= 16, and the
+    products S3xZ4 and D4xZ3."""
+    groups = [G.make_cyclic(n) for n in range(1, 51)]
+    groups += [G.make_dihedral(m) for m in range(1, 51)]
+    groups += [G.make_symmetric(n) for n in range(1, 6)]
+    groups += G.abelian_group_types(16)
+    groups += [G.make_direct_product(G.make_symmetric(3), G.make_cyclic(4)),
+               G.make_direct_product(G.make_dihedral(4), G.make_cyclic(3))]
+    return groups

@@ -175,6 +175,41 @@ class TestAutomorphisms:
             G.image_id_minus_t(g, G.identity_automorphism(g))
 
 
+class TestTrustedConstructorsMatchTheFullCheck:
+    """make_* and the derived automorphisms skip the validation scans; the
+    public constructors, which run them, accept everything they build."""
+
+    def test_make_functions_skip_the_scans(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a derived table was scanned")
+
+        monkeypatch.setattr(G.FiniteGroup, "_check_latin", refuse)
+        monkeypatch.setattr(G.FiniteGroup, "_check_associative", refuse)
+        G.make_direct_product(G.make_dihedral(4), G.make_symmetric(3))
+        G.make_abelian([2, 4])
+        assert len(G.abelian_group_types(8)) == 11
+        with pytest.raises(AssertionError, match="scanned"):
+            G.FiniteGroup(G.make_cyclic(3).mul)
+
+    def test_full_check_accepts_every_built_group(self, built_groups):
+        assert len(built_groups) == 50 + 50 + 5 + 25 + 2
+        for g in built_groups:
+            checked = G.FiniteGroup(g.mul, g.label, g.element_names)
+            assert checked.identity == g.identity, g.label
+            assert (checked.inv == g.inv).all(), g.label
+
+    def test_full_check_accepts_every_derived_automorphism(self, built_groups):
+        for g in built_groups:
+            autos = [G.identity_automorphism(g)]
+            autos += [G.inner_automorphism(g, h) for h in range(g.order)]
+            if g.is_abelian():
+                autos.append(G.negation_automorphism(g))
+            autos += [a.compose(b) for a, b in zip(autos, autos[::-1])]
+            autos += [a.inverse() for a in autos]
+            for a in autos:
+                assert G.Automorphism(g, a.mapping) == a, g.label
+
+
 class TestSubgroupsAndClasses:
     def test_subgroup_generated(self):
         g = G.make_cyclic(6)

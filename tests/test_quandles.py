@@ -435,7 +435,7 @@ class TestConstructions:
                 == Q.alexander_quandle(g, t).rhd).all()
 
     def test_all_constructors_satisfy_axioms(self):
-        """The constructor would raise otherwise; make the sweep explicit."""
+        """The constructors skip the scan; it passes on what they build."""
         g = G.make_dihedral(6)
         s4 = G.make_symmetric(4)
         quandles = [
@@ -458,21 +458,56 @@ class TestConstructions:
         assert Q.is_involutory(Q.alexander_quandle(g, t_b))
 
 
+class TestFamilyConstructorsMatchTheAxiomScan:
+    """The six family constructors skip the axiom scan that Quandle(...)
+    runs; the scan accepts every table they build."""
+
+    def test_constructors_skip_the_scan(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("a derived table was scanned")
+
+        monkeypatch.setattr(Q, "verify_quandle_axioms", refuse)
+        g = G.make_cyclic(4)
+        Q.trivial_quandle(3)
+        Q.dihedral_quandle(5)
+        Q.conjugation_quandle(g)
+        Q.core_quandle(g)
+        Q.alexander_quandle(g, G.negation_automorphism(g))
+        Q.generalized_alexander_quandle(g, G.identity_automorphism(g))
+        with pytest.raises(AssertionError, match="scanned"):
+            Q.Quandle(Q.dihedral_quandle(5).rhd)
+
+    def test_sized_families(self):
+        for n in range(1, 51):
+            assert Q.verify_quandle_axioms(Q.trivial_quandle(n).rhd).ok, n
+            assert Q.verify_quandle_axioms(Q.dihedral_quandle(n).rhd).ok, n
+
+    def test_conjugation_and_core(self, built_groups):
+        for g in built_groups:
+            for q in (Q.conjugation_quandle(g), Q.core_quandle(g)):
+                assert Q.verify_quandle_axioms(q.rhd).ok, q.label
+
+    def test_every_automorphism_up_to_order_16(self, built_groups, abelian_sweep):
+        # the abelian types include Z1-Z16 and every abelian group built
+        cases = list(abelian_sweep) + [(g, G.enumerate_automorphisms(g)) for g in built_groups
+                                       if g.order <= 16 and not g.is_abelian()]
+        assert len(cases) == 25 + 7           # and D3-D8, S3
+        for g, autos in cases:
+            for t in autos:
+                q = Q.generalized_alexander_quandle(g, t)
+                if g.is_abelian():
+                    # the same table, so one scan covers both constructors
+                    assert (Q.alexander_quandle(g, t).rhd == q.rhd).all()
+                assert Q.verify_quandle_axioms(q.rhd).ok, (g.label, t.key())
+
+    def test_inner_twists_of_dihedral_groups(self):
+        for m in range(2, 51):
+            g = G.make_dihedral(m)
+            q = Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.index_of("r")))
+            assert Q.verify_quandle_axioms(q.rhd).ok, m
+
+
 class TestTranslationsAndInnerGroup:
-    def test_right_translation_is_permutation(self):
-        q = Q.dihedral_quandle(4)
-        tr = Q.RightTranslation(q, 1)
-        assert list(tr.perm) == [2, 1, 0, 3]
-        assert tr.order() == 2
-
-    def test_translation_preserves_operation(self):
-        q = Q.conjugation_quandle(G.make_symmetric(3))
-        for b in range(q.order):
-            p = Q.RightTranslation(q, b).perm
-            for x in range(q.order):
-                for y in range(q.order):
-                    assert p[q.rhd[x, y]] == q.rhd[p[x], p[y]]
-
     def test_inner_group_orders(self):
         assert Q.inner_group(Q.dihedral_quandle(3)).order == 6
         assert Q.inner_group(Q.dihedral_quandle(4)).order == 4

@@ -226,6 +226,58 @@ class TestCheckersCatchSabotage:
         assert not V.check_generalized_regularity(g, phi).passed
 
 
+class TestCheckersExhibitTheirIsomorphisms:
+    """check_dihedral_quandle and check_orbit_coset settle isomorphism
+    without a search: a complete component is complete_graph's matrix, and
+    a coset translation that passes is an explicit isomorphism.  So they
+    also run on components above the search cap."""
+
+    def test_dihedral_above_the_search_cap(self):
+        for n in (65, 130):
+            assert V.check_dihedral_quandle(n).passed, n
+
+    def test_orbit_coset_above_the_search_cap(self):
+        g = G.make_dihedral(130)
+        assert V.check_orbit_coset(g, g.index_of("r")).passed
+
+    def test_no_search(self, registry_groups, monkeypatch):
+        calls = []
+        real = V.gr.find_isomorphism
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(V.gr, "find_isomorphism", counted)
+        for n in range(2, 13):
+            assert V.check_dihedral_quandle(n).passed
+        for g in registry_groups:
+            for h in range(g.order):
+                assert V.check_orbit_coset(g, h).passed
+        assert calls == []
+
+    def test_planted_in_coset_non_edge(self, monkeypatch):
+        g = G.make_symmetric(4)
+        h = g.index_of("(12)")
+        q = Q.generalized_alexander_quandle(g, G.inner_automorphism(g, h))
+        real = V.gr.build_cayley_graph
+        u = g.identity
+        v = next(w for w in real(q).adj[u] if w != u)
+
+        def planted(quandle):
+            m = real(quandle).matrix().copy()
+            m[u, v] = False
+            return V.gr.DirectedGraph._of_matrix(m, names=quandle.element_names)
+
+        # one in-coset edge goes, and the components stay as they were
+        scc = V.gr.strongly_connected_components
+        assert scc(planted(q)).components == scc(real(q)).components
+        monkeypatch.setattr(V.gr, "build_cayley_graph", planted)
+        r = V.check_orbit_coset(g, h)
+        assert not r.passed
+        assert r.witness == {"translation_not_isomorphism": (0, 1)}
+
+
 def _verdicts(g, autos, check):
     return [check(g, t).passed for t in autos]
 
