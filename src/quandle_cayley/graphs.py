@@ -234,24 +234,51 @@ def component_diameter(g: DirectedGraph, component) -> int:
     return _matrix_diameter(induced_subgraph(g, component).matrix())
 
 
+def _reach_powers(m: np.ndarray):
+    """Yield B, B^2, B^4, ... for B the bool matrix m plus the identity, as
+    float32 0/1 matrices: B^t holds the pairs joined by a path of length
+    <= t.  The last one is the first B^t with t >= k - 1 for k vertices,
+    the reflexive-transitive closure, since no shortest path is longer.
+    """
+    k = m.shape[0]
+    p = (m | np.eye(k, dtype=bool)).astype(np.float32)
+    yield p
+    steps = 1
+    while steps < k - 1:
+        p = (p @ p > 0).astype(np.float32)
+        steps *= 2
+        yield p
+
+
+def _reachability(m: np.ndarray) -> np.ndarray:
+    """Bool matrix whose row x marks every vertex reachable from x, x itself
+    included: the first of _reach_powers that squaring leaves unchanged."""
+    last = None
+    for p in _reach_powers(m):
+        if last is not None and (p == last).all():
+            break
+        last = p
+    return last > 0
+
+
 def _matrix_diameter(m: np.ndarray) -> int:
     """Diameter of the strongly connected graph with bool matrix m.
 
-    With B the matrix plus the identity, B^t holds the pairs joined by a
-    path of length <= t, and the diameter is the least t with B^t all
-    true.  Squaring finds the first power of two that reaches it, then
-    binary lifting walks down from the last power that does not:
-    O(k^3 log d) in float32 matmuls for k vertices and diameter d.
+    The diameter is the least t with B^t all true (see _reach_powers).
+    Squaring finds the first power of two that reaches it, then binary
+    lifting walks down from the last power that does not: O(k^3 log d)
+    in float32 matmuls for k vertices and diameter d.
     """
     k = m.shape[0]
     if k <= 1:
         return 0
-    powers = [(m | np.eye(k, dtype=bool)).astype(np.float32)]
-    while not powers[-1].all():       # powers[i] = B^(2^i), entries 0 or 1
-        if 2 ** (len(powers) - 1) >= k - 1:
-            raise ValueError("component is not strongly connected")
-        p = powers[-1]
-        powers.append((p @ p > 0).astype(np.float32))
+    powers = []
+    for p in _reach_powers(m):        # powers[i] = B^(2^i), entries 0 or 1
+        powers.append(p)
+        if p.all():
+            break
+    else:
+        raise ValueError("component is not strongly connected")
     if len(powers) == 1:
         return 1
     top = len(powers) - 2             # B^(2^top) is not all true

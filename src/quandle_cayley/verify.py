@@ -489,13 +489,15 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
     if not G.is_normal(g, big_n):
         failures.append({"not_normal": list(big_n.members)})
     part = G.cosets(g, big_n, side="left")
-    for x in range(g.order):
-        orbit = Q.forward_orbit(q, x)
-        coset = tuple(sorted(int(g.mul[x, m]) for m in big_n.members))
-        if orbit != coset:
-            failures.append({"orbit_mismatch": {"x": x, "orbit": list(orbit),
-                                                "coset": list(coset)}})
-            break
+    # row x of the reachability closure is the forward orbit of x
+    orbits = gr._reachability(graph.matrix())
+    cosets = np.zeros_like(orbits)
+    cosets[np.arange(g.order)[:, None], g.mul[:, list(big_n.members)]] = True
+    bad = np.flatnonzero((orbits != cosets).any(axis=1))
+    if bad.size:
+        x = int(bad[0])
+        failures.append({"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[x]).tolist(),
+                                            "coset": np.flatnonzero(cosets[x]).tolist()}})
     comps = gr.strongly_connected_components(graph)
     if comps.as_sets() != part.as_sets():
         failures.append({"components_vs_cosets": {

@@ -279,6 +279,20 @@ class TestDiameterOracle:
                 gr.component_diameter(g, range(g.n))
             assert str(new.value) == str(old.value) == "component is not strongly connected"
 
+    def test_reachability_matches_breadth_first(self):
+        # long paths, where the closure needs every squaring, and random
+        # sparse graphs with several components
+        rng = np.random.default_rng(13)
+        cases = [gr.DirectedGraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 3, 33, 64, 65)]
+        cases += [random_digraph(rng, int(rng.integers(1, 60)), p)
+                  for p in (0.0, 0.02, 0.05, 0.2) for _ in range(10)]
+        for g in cases:
+            reach = gr._reachability(g.matrix())
+            assert reach.dtype == bool
+            for s in range(g.n):
+                seen = {v for layer in G.breadth_first([s], g.adj.__getitem__) for v in layer}
+                assert np.flatnonzero(reach[s]).tolist() == sorted(seen)
+
 
 class TestPredicates:
     def test_symmetry(self):

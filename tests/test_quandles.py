@@ -259,9 +259,8 @@ def _column_permutation_tables(n, fix_diagonal):
 
 
 class TestReducedDistributivityScan:
-    """_reduced_scan against the full scan.  Small tables never take the
-    reduced path in verify_quandle_axioms, so the helpers are called
-    directly."""
+    """_reduced_scan against the full scan.  The helpers are called
+    directly, so every table is checked both ways."""
 
     @staticmethod
     def _agree(tables, reference=None):
@@ -359,20 +358,59 @@ class TestReducedDistributivityScan:
         assert Q.verify_quandle_axioms(table).ok
         assert calls == [200]
 
-    def test_reduction_starts_above_one_slab(self, monkeypatch):
-        # 125^3 cells fit in one slab of the full scan, 126^3 do not
-        r125, r126 = Q.dihedral_quandle(125).rhd, Q.dihedral_quandle(126).rhd
-        seen = []
-        reduced_scan = Q._reduced_scan
+    def test_every_right_invertible_table_takes_the_reduced_scan(self, monkeypatch):
+        # no order threshold: 125^3 cells fit in one slab of the full scan,
+        # 126^3 do not, and R3 is tiny
+        seen, full = [], []
+        reduced_scan, full_scan = Q._reduced_scan, Q._full_scan
         monkeypatch.setattr(Q, "_reduced_scan", lambda rhd: seen.append(len(rhd)) or reduced_scan(rhd))
-        for table in (r125, r126):
+        monkeypatch.setattr(Q, "_full_scan", lambda rhd: full.append(len(rhd)) or full_scan(rhd))
+        tables = [Q.dihedral_quandle(n).rhd for n in (3, 125, 126)]
+        for table in tables:
             assert Q.verify_quandle_axioms(table).ok
-        assert seen == [126]
-        # a table with a repeated column entry always takes the full scan
-        table = r126.copy()
+        assert seen == [3, 125, 126]
+        assert full == [3]          # R3's generators {0, 1} are more than half of it
+        # a table with a repeated column entry takes the full scan only
+        table = tables[2].copy()
         table[0, 5] = table[1, 5]
         assert not Q.verify_quandle_axioms(table).right_invertible
-        assert seen == [126]
+        assert seen == [3, 125, 126]
+        assert full == [3, 126]
+
+    @pytest.fixture(scope="class")
+    def orders_120_121(self):
+        """Quandles just below 126, the order at which the generator proof
+        used to start."""
+        z11 = G.make_abelian([11, 11])
+        return {
+            "Conj(S5)": Q.conjugation_quandle(G.make_symmetric(5)).rhd,
+            "Core(D60)": Q.core_quandle(G.make_dihedral(60)).rhd,
+            "Alex(Z11^2)": Q.alexander_quandle(
+                z11, G.matrix_automorphism(z11, [[1, 1], [0, 1]])).rhd,
+        }
+
+    def test_orders_120_121_match_the_full_scan(self, orders_120_121):
+        for label, table in orders_120_121.items():
+            n = len(table)
+            gens = Q._generating_set(table)
+            assert 2 * gens.size <= n, label        # the proof settles them
+            z = int(min(set(range(n)) - set(gens.tolist())))
+            r1, r2 = np.random.default_rng(n + z).choice(
+                np.delete(np.arange(n), z), size=2, replace=False)
+            bad = table.copy()
+            bad[[r1, r2], z] = bad[[r2, r1], z]     # a column swap keeps both other axioms
+            for t in (table, bad):
+                want = Q._full_scan(t)
+                assert Q.verify_quandle_axioms(t) == Q.AxiomReport(
+                    True, True, want is None, distributivity_witness=want), label
+                assert (want is None) == (t is table), label
+                t32 = t.astype(np.int32)
+                for col in range(n):
+                    perm = t[:, col]
+                    fancy = perm[t] != t[perm[:, None], perm[None, :]]
+                    # the kernel as _reduced_scan and translation_defect call it
+                    assert (Q._translation_mismatch(t, t32, col) == fancy).all(), (label, col)
+                    assert (Q._translation_mismatch(t, t, col) == fancy).all(), (label, col)
 
 
 class TestConstructions:

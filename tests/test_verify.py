@@ -277,6 +277,31 @@ class TestCheckersExhibitTheirIsomorphisms:
         assert not r.passed
         assert r.witness == {"translation_not_isomorphism": (0, 1)}
 
+    def test_planted_cross_coset_edge_names_the_first_orbit(self, monkeypatch):
+        g = G.make_symmetric(4)
+        h = g.index_of("(12)")
+        q = Q.generalized_alexander_quandle(g, G.inner_automorphism(g, h))
+        members = list(G.commutator_subgroup_with(g, h).members)
+        cosets = [sorted(int(g.mul[x, s]) for s in members) for x in range(g.order)]
+        real = V.gr.build_cayley_graph
+        u = 5
+        v = min(set(range(g.order)) - set(cosets[u]))
+
+        def planted(quandle):
+            m = real(quandle).matrix().copy()
+            m[u, v] = True
+            return V.gr.DirectedGraph._of_matrix(m, names=quandle.element_names)
+
+        # breadth-first forward orbits in the planted graph, the oracle
+        m = planted(q).matrix()
+        orbits = [sorted(w for layer in G.breadth_first([x], lambda a: np.flatnonzero(m[a]).tolist())
+                         for w in layer) for x in range(g.order)]
+        x = next(x for x in range(g.order) if orbits[x] != cosets[x])
+        assert x == min(cosets[u]) and len(orbits[x]) == 2 * len(members)
+        monkeypatch.setattr(V.gr, "build_cayley_graph", planted)
+        r = V.check_orbit_coset(g, h)
+        assert r.witness == {"orbit_mismatch": {"x": x, "orbit": orbits[x], "coset": cosets[x]}}
+
 
 def _verdicts(g, autos, check):
     return [check(g, t).passed for t in autos]
