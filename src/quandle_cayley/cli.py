@@ -68,12 +68,14 @@ def _analysis(quandle: Q.Quandle, spec: specs.QuandleSpec) -> tuple:
     ins = [i for _, i in degs]
     components = []
     for comp in comps.components:
-        sub = gr.induced_subgraph(graph, comp)
+        diameter = gr.component_diameter(graph, comp)
         components.append({
             "vertices": [graph.names[v] for v in comp],
             "size": len(comp),
-            "complete": gr.is_complete(sub),
-            "diameter": gr._matrix_diameter(sub.matrix()),
+            # idempotency puts a loop at every vertex, so a component is
+            # complete exactly when every pair is joined in one step
+            "complete": diameter <= 1,
+            "diameter": diameter,
         })
     return {
         "spec": spec.describe(),

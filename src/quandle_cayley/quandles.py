@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (_ASSOC_CHUNK_CELLS, Automorphism, FiniteGroup, _generating_set,
-                     _greedy_generators, breadth_first, first_mismatch)
+from .groups import (Automorphism, FiniteGroup, _generating_set, breadth_first,
+                     first_mismatch)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -145,71 +145,6 @@ def verify_quandle_axioms(table) -> AxiomReport:
         invertibility_witness=inv_wit,
         distributivity_witness=dist_wit,
     )
-
-
-def axioms_hold(stack, g: FiniteGroup, gens=None) -> np.ndarray:
-    """Which tables of a (k, n, n) stack satisfy all three axioms.
-
-    The stack holds tables on the underlying set of the group g, derived
-    by the library itself, so entries are taken to lie in 0..n-1.  Only a
-    verdict per table comes back; verify_quandle_axioms gives the
-    witnesses.
-
-    Idempotency and column bijectivity are checked directly.
-    Self-distributivity is proved through right multiplications, as suits
-    the generalized Alexander tables phi(x y^-1) y, on which every
-    rho_h: x -> x h is an automorphism.  The rho_h that are automorphisms
-    of a table form a subgroup of G, so when rho_s is one for each s of
-    gens (greedy group generators of g, computed when None), all are, and
-    rho_h(x |> e) = rho_h(x) |> h gives R_h = rho_h R_e rho_h^-1 for the
-    right translation R_h: x -> x |> h.  So if R_e is an automorphism too,
-    every R_h is, and the table is self-distributive.  Each check is one
-    gather of n^2 cells, (len(gens) + 1) n^2 per table instead of n^3.
-    Tables that pass idempotency and bijectivity but that the proof does
-    not settle go to _stacked_scan.
-    """
-    rhd = np.asarray(stack, dtype=np.intp)
-    k, n = rhd.shape[0], rhd.shape[1]
-    idx = np.arange(n)
-    ok = (rhd[:, idx, idx] == idx).all(axis=1)
-    ok &= (np.sort(rhd, axis=1) == idx[:, None]).all(axis=(1, 2))
-    flat = rhd.reshape(k, n * n)
-    proved = ok.copy()
-    for s in (_greedy_generators(g) if gens is None else gens):
-        rho = g.mul[:, s]
-        # rho(x) |> rho(y) == rho(x |> y)
-        proved &= (np.take(flat, (rho[:, None] * n + rho).ravel(), axis=1)
-                   == rho[flat]).all(axis=1)
-    r_e = rhd[:, :, g.identity]
-    base = np.arange(k)[:, None] * n
-    # R_e(x) |> R_e(y) == R_e(x |> y)
-    pairs = ((base + r_e)[:, :, None] * n + r_e[:, None, :]).reshape(k, n * n)
-    proved &= (flat.ravel()[pairs] == r_e.ravel()[base + flat]).all(axis=1)
-    rest = np.flatnonzero(ok & ~proved)
-    if rest.size:
-        ok[rest] = _stacked_scan(rhd[rest])
-    return ok
-
-
-def _stacked_scan(rhd: np.ndarray) -> np.ndarray:
-    """Which tables of a (k, n, n) stack are self-distributive, scanned
-    over the whole cube: rows (table, x), in slabs kept under
-    _ASSOC_CHUNK_CELLS."""
-    k, n = rhd.shape[0], rhd.shape[1]
-    ok = np.ones(k, dtype=bool)
-    rows = rhd.reshape(k * n, n)          # row b*n + x holds x |> y of table b
-    flat = rhd.ravel()
-    per = max(1, _ASSOC_CHUNK_CELLS // (n * n))
-    for start in range(0, k * n, per):
-        r = np.arange(start, min(start + per, k * n))
-        b = r // n
-        xy = rows[r]
-        lhs = rows[(b * n)[:, None] + xy]                          # (x|>y) |> z
-        rhs = flat[((b * n * n)[:, None] + xy * n)[:, None, :]     # (x|>z) |> (y|>z)
-                   + rhd[b]]
-        bad = (lhs != rhs).any(axis=(1, 2))
-        ok[b[bad]] = False
-    return ok
 
 
 class AxiomViolation(ValueError):
@@ -350,8 +285,10 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
 
 def alexander_tables(g: FiniteGroup, maps) -> np.ndarray:
     """Stacked generalized Alexander tables rhd[k, x, y] = phi_k(x y^-1) y,
-    one per row of the (k, n) stack of automorphism image arrays,
-    unvalidated.  On an abelian group this is t_k(x) + y - t_k(y).
+    one per row of the (k, n) stack of automorphism image arrays.  On an
+    abelian group this is t_k(x) + y - t_k(y).  Each is the table
+    generalized_alexander_quandle builds, a quandle for every automorphism
+    (Joyce 1982, as in the Quandle docstring), so none is scanned.
     alexander_quandle and generalized_alexander_quandle keep their own
     copies of the formula, so the per-instance checkers do not share code
     with the stacked sweep."""

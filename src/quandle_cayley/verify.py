@@ -9,6 +9,8 @@ back as a report with a concrete witness.
 The suite sweeps the generalized Alexander quandles of whole families of
 automorphisms as stacked arrays (sweep_alexander): every automorphism of
 each abelian group, and the inner automorphisms of each registry group.
+Like the family constructors, the sweep takes its tables to be quandles,
+as phi(x y^-1) y is for every automorphism, and does not scan them again.
 The per-instance checkers are the sweep's reference and give its witnesses.
 """
 from __future__ import annotations
@@ -306,17 +308,6 @@ def _block_matrix(part: G.CosetPartition, n: int) -> np.ndarray:
     return label[:, None] == label[None, :]
 
 
-def _components_are_cosets(g: G.FiniteGroup, m: np.ndarray, part: G.CosetPartition,
-                           image_order: int) -> bool:
-    """The strong-component part of check_alexander_components on one matrix."""
-    graph = gr.DirectedGraph._of_matrix(m, names=g.element_names)
-    comps = gr.strongly_connected_components(graph)
-    return (comps.as_sets() == part.as_sets()
-            and comps.count == g.order // image_order
-            and all(gr.is_complete(gr.induced_subgraph(graph, c))
-                    for c in comps.components))
-
-
 def _iso_classes(matrices: dict) -> dict:
     """Isomorphism class id per distinct adjacency matrix (bytes -> int).
 
@@ -347,17 +338,17 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
     alexander_iso gives one verdict per pair, so keep autos short for it.
 
     Per chunk, one gather builds the stacked tables phi(x y^-1) y (on an
-    abelian group t(x) + y - t(y)), axioms_hold checks them, proving
-    self-distributivity through right multiplications by the group
-    generators (picked once per sweep), and one scatter gives the
-    adjacency matrices.
+    abelian group t(x) + y - t(y)) and one scatter gives the adjacency
+    matrices.  The tables are generalized_alexander_quandle's, quandles
+    for every automorphism, so their axioms are not scanned.
     alexander_components: each matrix equals the block matrix of the left
-    cosets of im(id - t), which also rules out one-way edges between
-    components; strong components and completeness run once per distinct
-    matrix.  alexander_iso: the distinct matrices are sorted into
-    isomorphism classes (_iso_classes), and each pair i <= j, in row-major
-    order, is isomorphic when its graphs share a class; that verdict must
-    agree with whether |im(id - t)| is equal, which the classes never read.
+    cosets of im(id - t).  That makes the graph the disjoint union of the
+    complete digraphs on those cosets, so it fixes the strong components,
+    their count |G| / |im(id - t)| and their completeness.
+    alexander_iso: the distinct matrices are sorted into isomorphism
+    classes (_iso_classes), and each pair i <= j, in row-major order, is
+    isomorphic when its graphs share a class; that verdict must agree with
+    whether |im(id - t)| is equal, which the classes never read.
     regularity: every in- and out-degree is [G : Fix(phi)].  The
     predictions come from image_id_minus_t, cosets and fixed_point_subgroup,
     once per distinct image or fixed-point set.
@@ -371,26 +362,18 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
     n = g.order
     idx = np.arange(n)
     maps = np.stack([t.mapping for t in autos])
-    cosets: dict[bytes, tuple] = {}    # image mask -> (block matrix, cosets, |image|)
-    strong: dict[bytes, bool] = {}     # adjacency matrix -> components are cosets
+    cosets: dict[bytes, tuple] = {}    # image mask -> (block matrix, |image|)
     index: dict[bytes, int] = {}       # fixed-point mask -> [G : Fix(phi)]
     matrices: dict[bytes, np.ndarray] = {}   # distinct adjacency matrices, in order
     adj_keys, sizes = [], []           # per automorphism: its matrix and |image|
     verdicts = {tid: [] for tid in check_ids if tid != "alexander_iso"}
     witness: dict = {}
-    gens = G._greedy_generators(g)
     for start in range(0, len(autos), _SWEEP_CHUNK):
         maps_k = maps[start:start + _SWEEP_CHUNK]
         k = len(maps_k)
         rows = np.arange(k)
-        rhd = Q.alexander_tables(g, maps_k)
-        held = Q.axioms_hold(rhd, g, gens)
-        if not held.all():
-            report = Q.verify_quandle_axioms(rhd[int(np.argmin(held))])
-            family = "Alex" if g.is_abelian() else "GAlex"
-            raise Q.AxiomViolation(report, f"{family}({g.label})")
         adj = np.zeros((k, n, n), dtype=bool)
-        adj[rows[:, None, None], idx[:, None], rhd] = True
+        adj[rows[:, None, None], idx[:, None], Q.alexander_tables(g, maps_k)] = True
         keys = _row_keys(adj.reshape(k, -1))
         checks = {}
         if "alexander_components" in check_ids or "alexander_iso" in check_ids:
@@ -400,25 +383,19 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
             for i, key in enumerate(image_keys):
                 if key not in cosets:
                     sub = G.image_id_minus_t(g, autos[start + i])
-                    part = G.cosets(g, sub, side="left")
-                    cosets[key] = (_block_matrix(part, n), part, sub.order)
+                    cosets[key] = (_block_matrix(G.cosets(g, sub, side="left"), n), sub.order)
         if "alexander_iso" in check_ids:
             matrices.update(zip(keys, adj))    # a repeated key keeps its first place
             adj_keys += keys
-            sizes += [cosets[key][2] for key in image_keys]
+            sizes += [cosets[key][1] for key in image_keys]
         if "alexander_components" in check_ids:
             blocks = np.stack([cosets[key][0] for key in image_keys])
             ok = (adj == blocks).all(axis=(1, 2))
-            for i, key in enumerate(keys):
-                if key not in strong:
-                    _, part, order = cosets[image_keys[i]]
-                    strong[key] = _components_are_cosets(g, adj[i], part, order)
-                ok[i] &= strong[key]
 
             def block_cell(i):
-                cells = np.argwhere(adj[i] != blocks[i])
-                cell = tuple(int(v) for v in cells[0]) if cells.size else None
-                return {"block_mismatch": cell, "t": _auto_desc(autos[start + i])}
+                cell = np.argwhere(adj[i] != blocks[i])[0]
+                return {"block_mismatch": tuple(int(v) for v in cell),
+                        "t": _auto_desc(autos[start + i])}
 
             checks["alexander_components"] = (ok, check_alexander_components, block_cell)
         if "regularity" in check_ids:
@@ -488,7 +465,6 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
     big_n = G.commutator_subgroup_with(g, h)
     if not G.is_normal(g, big_n):
         failures.append({"not_normal": list(big_n.members)})
-    part = G.cosets(g, big_n, side="left")
     # row x of the reachability closure is the forward orbit of x
     orbits = gr._reachability(graph.matrix())
     cosets = np.zeros_like(orbits)
@@ -498,13 +474,9 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
         x = int(bad[0])
         failures.append({"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[x]).tolist(),
                                             "coset": np.flatnonzero(cosets[x]).tolist()}})
-    comps = gr.strongly_connected_components(graph)
-    if comps.as_sets() != part.as_sets():
-        failures.append({"components_vs_cosets": {
-            "components": [list(c) for c in comps.components],
-            "cosets": [list(b) for b in part.blocks]}})
     else:
-        base, *others = comps.components
+        # every orbit is its coset, so the cosets are the strong components
+        base, *others = G.cosets(g, big_n, side="left").blocks
         for j, comp in enumerate(others, start=1):
             if not _translation_iso_ok(graph, g, base, comp):
                 failures.append({"translation_not_isomorphism": (0, j)})

@@ -252,7 +252,10 @@ class TestDiameterOracle:
         for q in quandles:
             graph = gr.build_cayley_graph(q)
             for comp in gr.strongly_connected_components(graph).components:
-                assert gr.component_diameter(graph, comp) == bfs_diameter(graph, comp)
+                diameter = gr.component_diameter(graph, comp)
+                assert diameter == bfs_diameter(graph, comp)
+                # analyze reads completeness off the diameter
+                assert (diameter <= 1) == gr.is_complete(gr.induced_subgraph(graph, comp))
 
     def test_random_strongly_connected_digraphs(self):
         rng = np.random.default_rng(11)

@@ -74,129 +74,10 @@ class TestAxiomScan:
             Q.verify_quandle_axioms(np.array([[0, 5], [1, 1]]))
 
 
-def _z4xz4_stack():
-    g = G.make_abelian([4, 4])
-    autos = G.enumerate_automorphisms(g)
-    return g, Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
-
-
-def _planted(table, kind):
-    """A table of the order of `table` that breaks exactly one axiom."""
-    n = table.shape[0]
-    idx = np.arange(n)
-    if kind == "idempotency":
-        # x |> y = x + 1: columns are one bijection, an automorphism of itself
-        return np.repeat(((idx + 1) % n)[:, None], n, axis=1)
-    if kind == "repeated_column_entry":
-        # x |> y = y: idempotent and self-distributive, columns constant
-        return np.repeat(idx[None, :], n, axis=0)
-    # column 9 composed with the swap of two elements it does not fix
-    bad = table.copy()
-    a, b = [int(v) for v in np.nonzero(idx != 9)[0][:2]]
-    col = bad[:, 9].copy()
-    bad[:, 9] = np.where(col == a, b, np.where(col == b, a, col))
-    return bad
-
-
-def _scan_spy(monkeypatch):
-    """Route _stacked_scan through a recorder; returns the list of the
-    verdict arrays it gave."""
-    real, seen = Q._stacked_scan, []
-
-    def spy(rhd):
-        seen.append(real(rhd))
-        return seen[-1]
-
-    monkeypatch.setattr(Q, "_stacked_scan", spy)
-    return seen
-
-
-def _no_scan(rhd):
-    raise AssertionError(f"stacked scan entered for {len(rhd)} tables")
-
-
 class TestStackedAxiomScan:
-    def test_valid_stack(self, monkeypatch):
-        g, stack = _z4xz4_stack()
-        assert stack.shape == (96, 16, 16)
-        monkeypatch.setattr(Q, "_stacked_scan", _no_scan)
-        assert Q.axioms_hold(stack, g).all()
-
-    @pytest.mark.parametrize("kind", ["idempotency", "repeated_column_entry",
-                                      "distributivity"])
-    def test_planted_tables_agree_with_scan(self, kind, monkeypatch):
-        g, stack = _z4xz4_stack()
-        stack = stack[:40].copy()
-        # slabs of 7 rows (table, x): 640 rows end in a partial slab of 3
-        monkeypatch.setattr(Q, "_ASSOC_CHUNK_CELLS", 7 * 16 * 16)
-        for at in (17, 39):        # mid-stack, and in the last, partial slab
-            planted = stack.copy()
-            planted[at] = _planted(stack[at], kind)
-            reports = [Q.verify_quandle_axioms(t) for t in planted]
-            r = reports[at]
-            broken = [not r.idempotent, not r.right_invertible, not r.self_distributive]
-            assert broken == [kind == "idempotency", kind == "repeated_column_entry",
-                              kind == "distributivity"]
-            want = np.array([r.ok for r in reports])
-            assert list(np.nonzero(~want)[0]) == [at]
-            assert (Q.axioms_hold(planted, g) == want).all()
-            # the scan itself, on the whole stack
-            dist = [r.self_distributive for r in reports]
-            assert Q._stacked_scan(planted).tolist() == dist
-
-    def test_every_small_table_agrees_with_scan(self, monkeypatch):
-        # every idempotent table of order 3, and every order-4 table whose
-        # columns are bijections fixing the diagonal
-        idx3 = np.arange(3)
-        order3 = []
-        for vals in itertools.product(range(3), repeat=6):
-            t = np.diag(idx3)
-            t[~np.eye(3, dtype=bool)] = vals
-            order3.append(t)
-        fixing = [[p for p in itertools.permutations(range(4)) if p[y] == y]
-                  for y in range(4)]
-        order4 = [np.array(cols).T for cols in itertools.product(*fixing)]
-        monkeypatch.setattr(Q, "_ASSOC_CHUNK_CELLS", 5 * 4 * 4)   # ragged slabs
-        scanned = _scan_spy(monkeypatch)
-        for tables, groups in ((order3, [G.make_cyclic(3)]),
-                               (order4, [G.make_cyclic(4), G.make_abelian([2, 2])])):
-            stack = np.stack(tables)
-            want = np.array([Q.verify_quandle_axioms(t).ok for t in stack])
-            assert 0 < want.sum() < len(stack)
-            for g in groups:
-                scanned.clear()
-                assert (Q.axioms_hold(stack, g) == want).all(), g.label
-                # some quandles are settled by the proof, some only by the scan
-                by_scan = int(scanned[0].sum())
-                assert 0 < by_scan < want.sum(), g.label
-                # one table at a time: its last row (x = n - 1) ends the last slab
-                assert [bool(Q.axioms_hold(t[None], g)[0]) for t in stack] == want.tolist()
-
-    def test_non_homogeneous_quandle_falls_back_to_scan(self, monkeypatch):
-        # R3 on {0, 1, 2} beside the one-point trivial quandle {3}: a valid
-        # quandle, but x -> x + 1 in Z4 moves 3 into R3, so no right
-        # multiplication is an automorphism and only the scan settles it
-        table = np.full((4, 4), 3)
-        table[:3, :3] = Q.dihedral_quandle(3).rhd
-        table[:3, 3] = [0, 1, 2]
-        assert Q.verify_quandle_axioms(table).ok
-        scanned = _scan_spy(monkeypatch)
-        assert Q.axioms_hold(table[None], G.make_cyclic(4)).tolist() == [True]
-        assert [v.tolist() for v in scanned] == [[True]]
-
-    def test_generalized_alexander_tables_need_no_scan(self, abelian_sweep,
-                                                       registry_groups, monkeypatch):
-        # every automorphism of every abelian type of order <= 16 and of the
-        # registry groups, inner and outer
-        monkeypatch.setattr(Q, "_stacked_scan", _no_scan)
-        sweeps = abelian_sweep + [(g, G.enumerate_automorphisms(g, cap=24))
-                                  for g in registry_groups]
-        assert len(sweeps) == 34
-        for g, autos in sweeps:
-            maps = np.stack([t.mapping for t in autos])
-            for start in range(0, len(maps), 1024):
-                stack = Q.alexander_tables(g, maps[start:start + 1024])
-                assert Q.axioms_hold(stack, g).all(), g.label
+    """alexander_tables, the stacked tables sweep_alexander builds without
+    an axiom scan: each equals its family constructor's table, which
+    TestFamilyConstructorsMatchTheAxiomScan puts through the scan."""
 
     def test_alexander_tables_match_constructors(self, registry_groups):
         g = G.make_abelian([2, 4])
@@ -525,11 +406,15 @@ class TestFamilyConstructorsMatchTheAxiomScan:
             for q in (Q.conjugation_quandle(g), Q.core_quandle(g)):
                 assert Q.verify_quandle_axioms(q.rhd).ok, q.label
 
-    def test_every_automorphism_up_to_order_16(self, built_groups, abelian_sweep):
-        # the abelian types include Z1-Z16 and every abelian group built
+    def test_every_automorphism_up_to_order_16(self, built_groups, abelian_sweep,
+                                               registry_groups):
+        # the abelian types include Z1-Z16 and every abelian group built;
+        # S4 and the registry's D2 complete the groups a default sweep covers
         cases = list(abelian_sweep) + [(g, G.enumerate_automorphisms(g)) for g in built_groups
                                        if g.order <= 16 and not g.is_abelian()]
-        assert len(cases) == 25 + 7           # and D3-D8, S3
+        cases += [(g, G.enumerate_automorphisms(g, cap=24)) for g in registry_groups
+                  if g.label in ("S4", "D2")]
+        assert len(cases) == 25 + 7 + 2       # and D3-D8, S3, then S4, D2
         for g, autos in cases:
             for t in autos:
                 q = Q.generalized_alexander_quandle(g, t)

@@ -241,20 +241,25 @@ class TestCheckersExhibitTheirIsomorphisms:
         assert V.check_orbit_coset(g, g.index_of("r")).passed
 
     def test_no_search(self, registry_groups, monkeypatch):
-        calls = []
-        real = V.gr.find_isomorphism
+        calls, scc = [], []
+        real, real_scc = V.gr.find_isomorphism, V.gr.strongly_connected_components
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(V.gr, "find_isomorphism", counted)
+        monkeypatch.setattr(V.gr, "strongly_connected_components",
+                            lambda graph: scc.append(graph) or real_scc(graph))
         for n in range(2, 13):
             assert V.check_dihedral_quandle(n).passed
+        assert len(scc) == 11
+        scc.clear()
+        # orbit_coset reads its components from the orbits, never from Tarjan
         for g in registry_groups:
             for h in range(g.order):
                 assert V.check_orbit_coset(g, h).passed
-        assert calls == []
+        assert calls == [] and scc == []
 
     def test_planted_in_coset_non_edge(self, monkeypatch):
         g = G.make_symmetric(4)
@@ -412,20 +417,6 @@ class TestAbelianSweepMatchesCheckers:
         assert not ok.any()
         assert detail == V.check_generalized_regularity(g, autos[0]).witness
 
-    def test_non_quandle_table_raises(self, monkeypatch):
-        g = G.make_abelian([4, 4])
-        autos = G.enumerate_automorphisms(g)
-        real = Q.alexander_tables
-
-        def tables(group, maps):
-            out = real(group, maps)
-            out[-1, 3, 7] = out[-1, 2, 7]
-            return out
-
-        monkeypatch.setattr(Q, "alexander_tables", tables)
-        with pytest.raises(Q.AxiomViolation, match=r"^Alex\(Z4xZ4\) is not a quandle"):
-            V.sweep_alexander(g, autos, V._SWEPT)
-
     def _check_iso(self, g, autos, pairs):
         """The sweep's alexander_iso verdicts on `pairs` (either way round)
         equal the checker's, and its witness is the checker's for the first
@@ -476,24 +467,6 @@ class TestAbelianSweepMatchesCheckers:
         verdict, witnesses = self._check_iso(g, autos, pairs)
         assert not all(verdict.values())
         assert {w["iso"] for w in witnesses if w is not None} == {True, False}
-
-    def test_strong_components_run_once_per_distinct_matrix(self, monkeypatch):
-        g = G.make_abelian([4, 4])
-        autos = G.enumerate_automorphisms(g)
-        distinct = {V.gr.build_cayley_graph(Q.alexander_quandle(g, t)).matrix().tobytes()
-                    for t in autos}
-        real = V.gr.strongly_connected_components
-        calls = []
-        monkeypatch.setattr(V.gr, "strongly_connected_components",
-                            lambda graph: calls.append(graph) or real(graph))
-        ok, _ = V.sweep_alexander(g, autos, ("alexander_components",))["alexander_components"]
-        assert ok.all() and len(calls) == len(distinct) == 15
-        # one component for every graph is right only where im(id - t) is G
-        monkeypatch.setattr(V.gr, "strongly_connected_components", lambda graph: (
-            V.gr.ComponentDecomposition("strong", (tuple(range(graph.n)),))))
-        ok, _ = V.sweep_alexander(g, autos, ("alexander_components",))["alexander_components"]
-        assert list(ok) == [G.image_id_minus_t(g, t).order == 16 for t in autos]
-        assert 0 < ok.sum() < len(autos)
 
     def test_iso_capped_groups_all_pairs(self, abelian_sweep):
         # the suite skips these groups (over _ISO_PAIR_AUT_CAP automorphisms)
@@ -605,8 +578,6 @@ class TestRegularityInDegrees:
             return out
 
         monkeypatch.setattr(Q, "alexander_tables", tables)
-        monkeypatch.setattr(Q, "axioms_hold",
-                            lambda rhd, g, gens=None: np.ones(len(rhd), dtype=bool))
         ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
         assert np.flatnonzero(~ok).tolist() == [k]
         expected = G.fixed_point_subgroup(g, autos[k]).index()
@@ -670,19 +641,20 @@ class TestRegistrySweepMatchesCheckers:
         # no centralizer in D4 has order 2
         assert [r.passed for r in got] == [False, True, False]
 
-    def test_non_quandle_table_names_the_family(self, registry_groups, monkeypatch):
-        real = Q.alexander_tables
+    def test_sweep_skips_the_axiom_scan(self, registry_groups, monkeypatch):
+        # the sweep's tables are generalized_alexander_quandle's, which
+        # TestFamilyConstructorsMatchTheAxiomScan puts through the scan
+        def refuse(table):
+            raise AssertionError("a sweep table was scanned")
 
-        def tables(group, maps):
-            out = real(group, maps)
-            out[-1, 0, 1] = out[-1, 1, 1]
-            return out
-
-        monkeypatch.setattr(Q, "alexander_tables", tables)
-        for label, family in (("S3", "GAlex"), ("D2", "Alex")):
-            g = next(g for g in registry_groups if g.label == label)
-            with pytest.raises(Q.AxiomViolation, match=rf"^{family}\({label}\) is not"):
-                V.sweep_alexander(g, G.enumerate_automorphisms(g), ("regularity",))
+        monkeypatch.setattr(Q, "verify_quandle_axioms", refuse)
+        g = G.make_abelian([4, 4])
+        results = V.sweep_alexander(g, G.enumerate_automorphisms(g), V._SWEPT)
+        assert all(ok.all() for ok, _ in results.values())
+        s4 = next(g for g in registry_groups if g.label == "S4")
+        ok, _ = V.sweep_alexander(s4, G.enumerate_automorphisms(s4, cap=24),
+                                  ("regularity",))["regularity"]
+        assert ok.all() and ok.size == 24
 
 
 class TestSuiteWiring:
