@@ -17,8 +17,9 @@ AUTOMORPHISM_CAP = 16
 
 # keep the cube scans' scratch arrays below ~16 MB
 _ASSOC_CHUNK_CELLS = 2_000_000
-# generator-image tuples per chunk of the automorphism sweep
-_AUT_CHUNK = 1024
+# cells per chunk of an automorphism family's arrays, in enumeration and
+# in verify's sweep; peak memory grows with it
+_FAMILY_CHUNK_CELLS = 1 << 18
 
 
 def first_mismatch(n: int, lhs, rhs) -> tuple | None:
@@ -481,46 +482,59 @@ def _bfs_recipe(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     return [(w, *first_edge[w]) for layer in layers[1:] for w in layer]
 
 
-def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> list[Automorphism]:
-    """All automorphisms, by a sweep over generator images.
+def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.ndarray:
+    """All automorphisms, as the rows of a (k, n) int64 array of image
+    arrays sorted lexicographically, by a sweep over generator images.
 
     Candidate images are filtered by element order.  The candidate tuples
-    are taken in chunks; each chunk is expanded column by column along a
-    BFS word recipe into a stack of maps, and the bijections that are
-    homomorphisms are kept.  Results are sorted by image tuple, so the
-    order is reproducible.
+    are decoded in chunks of _FAMILY_CHUNK_CELLS // n, and each chunk is
+    expanded along a BFS word recipe into an (n, chunk) array, one row per
+    element and one column per tuple.  A column is kept when it is a
+    bijection and passes the d n generator edges phi(x s_j) = phi(x) phi(s_j)
+    for every x and greedy generator s_j.
+
+    The edges suffice.  phi(s_j) is the tuple's image of s_j, because s_j is
+    reached from the identity in the first BFS layer.  By induction on the
+    length of a positive word w in the generators, phi(x w) = phi(x) phi(w):
+    phi(x w s_j) = phi(x w) phi(s_j) = phi(x) phi(w) phi(s_j) = phi(x) phi(w s_j),
+    the last step being the edge at w.  In a finite group every element is
+    such a word, so phi is a homomorphism.
     """
     if g.order > cap:
         raise ValueError(
             f"automorphism enumeration capped at order <= {cap} (got {g.order})"
         )
+    n = g.order
     gens = _greedy_generators(g)
     if not gens:  # trivial group
-        return [identity_automorphism(g)]
-    n = g.order
+        return np.arange(n, dtype=np.int64)[None, :]
     recipe = _bfs_recipe(g, gens)
     orders = [g.element_order(x) for x in range(n)]
-    candidates = [[x for x in range(n) if orders[x] == orders[gen]] for gen in gens]
-    # the homomorphism test holds rows * n * n cells at once
-    rows = min(_AUT_CHUNK, max(1, _ASSOC_CHUNK_CELLS // (n * n)))
-    tuples = itertools.product(*candidates)
+    candidates = [np.array([x for x in range(n) if orders[x] == orders[gen]]) for gen in gens]
+    sizes = [c.size for c in candidates]
+    total = math.prod(sizes)
+    flat = g.mul.ravel()
+    right = g.mul[:, gens]      # right[x, j] = x s_j
+    per = max(1, _FAMILY_CHUNK_CELLS // n)
     found = []
-    while chunk := list(itertools.islice(tuples, rows)):
-        images = np.array(chunk, dtype=np.int64)
-        k = len(images)
-        phi = np.empty((k, n), dtype=np.int64)
-        phi[:, g.identity] = g.identity
+    for start in range(0, total, per):
+        # tuple numbers in itertools.product order -> their generator images
+        digits = np.unravel_index(np.arange(start, min(start + per, total)), sizes)
+        images = np.stack([c[d] for c, d in zip(candidates, digits)])
+        phi = np.empty((n, images.shape[1]), dtype=np.int64)
+        phi[g.identity] = g.identity
         for elem, parent, slot in recipe:
-            phi[:, elem] = g.mul[phi[:, parent], images[:, slot]]
-        seen = np.zeros((k, n), dtype=bool)
-        seen[np.arange(k)[:, None], phi] = True
-        phi = phi[seen.all(axis=1)]
-        hom = (phi[:, g.mul] == g.mul[phi[:, :, None], phi[:, None, :]]).all(axis=(1, 2))
-        found.append(phi[hom])
+            phi[elem] = np.take(flat, phi[parent] * n + images[slot])
+        seen = np.zeros(phi.shape, dtype=bool)
+        seen[phi, np.arange(phi.shape[1])] = True
+        bijective = seen.all(axis=0)
+        phi, images = phi[:, bijective], images[:, bijective]
+        hom = np.ones(phi.shape[1], dtype=bool)
+        for j in range(len(gens)):
+            hom &= (phi[right[:, j]] == np.take(flat, phi * n + images[j])).all(axis=0)
+        found.append(phi[:, hom].T)
     found = np.concatenate(found)
-    found = found[np.lexsort(found.T[::-1])]
-    # the sweep above checked every row, so they are not checked again
-    return [Automorphism._of_checked(g, p) for p in found]
+    return found[np.lexsort(found.T[::-1])]
 
 
 def fixed_point_subgroup(g: FiniteGroup, phi: Automorphism) -> "Subgroup":

@@ -283,19 +283,27 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
     )
 
 
-def alexander_tables(g: FiniteGroup, maps) -> np.ndarray:
-    """Stacked generalized Alexander tables rhd[k, x, y] = phi_k(x y^-1) y,
+def alexander_adjacency(g: FiniteGroup, maps) -> np.ndarray:
+    """Stacked Cayley adjacency matrices adj[k, x, v], True when v = x |> y
+    for some y in the generalized Alexander quandle x |> y = phi_k(x y^-1) y,
     one per row of the (k, n) stack of automorphism image arrays.  On an
-    abelian group this is t_k(x) + y - t_k(y).  Each is the table
-    generalized_alexander_quandle builds, a quandle for every automorphism
+    abelian group the table is t_k(x) + y - t_k(y).
+
+    Row x is D x, where D = {phi(z) z^-1 : z in G}: put z = x y^-1, so that
+    y = z^-1 x and phi(x y^-1) y = phi(z) z^-1 x, and z runs over G as y
+    does.  So one n-cell scatter per automorphism gives the mask of D, and
+    one gather gives adj[k, x, v] = D_k[v x^-1].  The tables are
+    generalized_alexander_quandle's, a quandle for every automorphism
     (Joyce 1982, as in the Quandle docstring), so none is scanned.
     alexander_quandle and generalized_alexander_quandle keep their own
     copies of the formula, so the per-instance checkers do not share code
     with the stacked sweep."""
+    maps = np.asarray(maps, dtype=np.int64)
     idx = np.arange(g.order)
-    xyinv = g.mul[idx[:, None], g.inv[idx][None, :]]
-    # np.take keeps the (k, n, n) gather C-contiguous; maps[:, xyinv] would not
-    return g.mul[np.take(np.asarray(maps, dtype=np.int64), xyinv, axis=1), idx]
+    d = np.zeros(maps.shape, dtype=bool)
+    d[np.arange(len(maps))[:, None], g.mul[maps, g.inv]] = True
+    vx = g.mul[idx[None, :], g.inv[idx][:, None]]     # vx[x, v] = v x^-1
+    return np.take(d, vx, axis=1)
 
 
 def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:

@@ -7,8 +7,9 @@ A checker never assumes what it is checking; a failed comparison comes
 back as a report with a concrete witness.
 
 The suite sweeps the generalized Alexander quandles of whole families of
-automorphisms as stacked arrays (sweep_alexander): every automorphism of
-each abelian group, and the inner automorphisms of each registry group.
+automorphisms, each family one array of image rows (sweep_alexander):
+every automorphism of each abelian group, and the inner automorphisms of
+each registry group.
 Like the family constructors, the sweep takes its tables to be quandles,
 as phi(x y^-1) y is for every automorphism, and does not scan them again.
 The per-instance checkers are the sweep's reference and give its witnesses.
@@ -43,8 +44,6 @@ CHECK_IDS = (
 
 # unordered automorphism pairs are swept only below this Aut-group size
 _ISO_PAIR_AUT_CAP = 100
-# automorphisms per array chunk of sweep_alexander; peak memory grows with it
-_SWEEP_CHUNK = 64
 # the checks sweep_alexander can run, in suite order
 _SWEPT = ("alexander_components", "alexander_iso", "regularity")
 
@@ -294,10 +293,19 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
 # -- batched sweeps over the automorphisms of an abelian group ----------------
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a 2-D array, as dict keys."""
-    buf, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-    return [buf[i:i + width] for i in range(0, len(buf), width)]
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D bool array, in order of first appearance:
+    the index of each one's first row, and for every row the position of
+    its distinct row in that order."""
+    packed = np.packbits(rows, axis=1)
+    order = np.lexsort(packed.T)        # stable: each run of equal rows starts at its first
+    run = np.ones(len(rows), dtype=bool)
+    run[1:] = (packed[order[1:]] != packed[order[:-1]]).any(axis=1)
+    label = np.empty(len(rows), dtype=np.intp)
+    label[order] = np.cumsum(run) - 1
+    first = order[run]
+    appear = np.argsort(first)
+    return first[appear], np.argsort(appear)[label]
 
 
 def _block_matrix(part: G.CosetPartition, n: int) -> np.ndarray:
@@ -330,17 +338,17 @@ def _iso_classes(matrices: dict) -> dict:
     return class_of
 
 
-def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
+def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
     """alexander_components, alexander_iso and regularity over the
-    generalized Alexander quandles of a list of automorphisms,
-    _SWEEP_CHUNK automorphisms at a time.  alexander_components and
+    generalized Alexander quandles of a family of automorphisms, the rows
+    of the (k, n) image array maps.  alexander_components and
     alexander_iso need an abelian group; regularity takes any group.
-    alexander_iso gives one verdict per pair, so keep autos short for it.
+    alexander_iso gives one verdict per pair, so keep the family small for it.
 
-    Per chunk, one gather builds the stacked tables phi(x y^-1) y (on an
-    abelian group t(x) + y - t(y)) and one scatter gives the adjacency
-    matrices.  The tables are generalized_alexander_quandle's, quandles
-    for every automorphism, so their axioms are not scanned.
+    The adjacency matrices come from quandles.alexander_adjacency, as many
+    automorphisms at a time as fit in groups._FAMILY_CHUNK_CELLS cells.
+    Their tables are generalized_alexander_quandle's, quandles for every
+    automorphism, so their axioms are not scanned.
     alexander_components: each matrix equals the block matrix of the left
     cosets of im(id - t).  That makes the graph the disjoint union of the
     complete digraphs on those cosets, so it fixes the strong components,
@@ -349,9 +357,9 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
     classes (_iso_classes), and each pair i <= j, in row-major order, is
     isomorphic when its graphs share a class; that verdict must agree with
     whether |im(id - t)| is equal, which the classes never read.
-    regularity: every in- and out-degree is [G : Fix(phi)].  The
-    predictions come from image_id_minus_t, cosets and fixed_point_subgroup,
-    once per distinct image or fixed-point set.
+    regularity: every in- and out-degree, counted from the matrix, is
+    [G : Fix(phi)].  The predictions come from image_id_minus_t, cosets and
+    fixed_point_subgroup, once per distinct image or fixed-point set.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the witness for the first failure: the
@@ -361,77 +369,73 @@ def sweep_alexander(g: G.FiniteGroup, autos: list, check_ids) -> dict:
     """
     n = g.order
     idx = np.arange(n)
-    maps = np.stack([t.mapping for t in autos])
-    cosets: dict[bytes, tuple] = {}    # image mask -> (block matrix, |image|)
-    index: dict[bytes, int] = {}       # fixed-point mask -> [G : Fix(phi)]
-    matrices: dict[bytes, np.ndarray] = {}   # distinct adjacency matrices, in order
-    adj_keys, sizes = [], []           # per automorphism: its matrix and |image|
-    verdicts = {tid: [] for tid in check_ids if tid != "alexander_iso"}
+    k = len(maps)
+    auto = lambda i: G.Automorphism._of_checked(g, maps[i])
+    if "alexander_components" in check_ids or "alexander_iso" in check_ids:
+        image = np.zeros((k, n), dtype=bool)
+        image[np.arange(k)[:, None], g.mul[idx, g.inv[maps]]] = True
+        firsts, image_of = _distinct_rows(image)
+        subs = [G.image_id_minus_t(g, auto(i)) for i in firsts]
+        sizes = np.array([sub.order for sub in subs])[image_of]
+        blocks = np.stack([_block_matrix(G.cosets(g, sub, side="left"), n) for sub in subs])
+    if "regularity" in check_ids:
+        firsts, fixed_of = _distinct_rows(maps == idx)
+        index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
+        expected = index[fixed_of]
+    verdicts = {tid: np.ones(k, dtype=bool) for tid in check_ids if tid != "alexander_iso"}
     witness: dict = {}
-    for start in range(0, len(autos), _SWEEP_CHUNK):
-        maps_k = maps[start:start + _SWEEP_CHUNK]
-        k = len(maps_k)
-        rows = np.arange(k)
-        adj = np.zeros((k, n, n), dtype=bool)
-        adj[rows[:, None, None], idx[:, None], Q.alexander_tables(g, maps_k)] = True
-        keys = _row_keys(adj.reshape(k, -1))
+    matrices: dict[bytes, np.ndarray] = {}   # distinct adjacency matrices, in order
+    adj_keys: list[bytes] = []         # per automorphism: its matrix
+    rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
+    for start in range(0, k, rows):
+        part = slice(start, start + rows)
+        adj = Q.alexander_adjacency(g, maps[part])
         checks = {}
-        if "alexander_components" in check_ids or "alexander_iso" in check_ids:
-            image = np.zeros((k, n), dtype=bool)
-            image[rows[:, None], g.mul[idx, g.inv[maps_k]]] = True
-            image_keys = _row_keys(image)
-            for i, key in enumerate(image_keys):
-                if key not in cosets:
-                    sub = G.image_id_minus_t(g, autos[start + i])
-                    cosets[key] = (_block_matrix(G.cosets(g, sub, side="left"), n), sub.order)
         if "alexander_iso" in check_ids:
+            keys = [m.tobytes() for m in adj]
             matrices.update(zip(keys, adj))    # a repeated key keeps its first place
             adj_keys += keys
-            sizes += [cosets[key][1] for key in image_keys]
         if "alexander_components" in check_ids:
-            blocks = np.stack([cosets[key][0] for key in image_keys])
-            ok = (adj == blocks).all(axis=(1, 2))
+            want = blocks[image_of[part]]
 
             def block_cell(i):
-                cell = np.argwhere(adj[i] != blocks[i])[0]
+                cell = np.argwhere(adj[i] != want[i])[0]
                 return {"block_mismatch": tuple(int(v) for v in cell),
-                        "t": _auto_desc(autos[start + i])}
+                        "t": maps[start + i].tolist()}
 
-            checks["alexander_components"] = (ok, check_alexander_components, block_cell)
+            checks["alexander_components"] = ((adj == want).all(axis=(1, 2)),
+                                              check_alexander_components, block_cell)
         if "regularity" in check_ids:
-            fixed_keys = _row_keys(maps_k == idx)
-            for i, key in enumerate(fixed_keys):
-                if key not in index:
-                    index[key] = G.fixed_point_subgroup(g, autos[start + i]).index()
-            expected = np.array([index[key] for key in fixed_keys])
-            outs, ins = adj.sum(axis=2), adj.sum(axis=1)
-            wrong = (outs != expected[:, None]) | (ins != expected[:, None])
+            # uint8 counts are exact up to 255, and einsum adds them fastest
+            cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
+            outs, ins = np.einsum("kxv->kx", cells), np.einsum("kxv->kv", cells)
+            degree = expected[part, None]
+            wrong = (outs != degree) | (ins != degree)
 
             def bad_vertex(i):
                 v = int(np.argmax(wrong[i]))
                 return {"vertex": v, "degree": (int(outs[i, v]), int(ins[i, v])),
-                        "expected": int(expected[i]), "phi": _auto_desc(autos[start + i])}
+                        "expected": int(degree[i, 0]), "phi": maps[start + i].tolist()}
 
             checks["regularity"] = (~wrong.any(axis=1), check_generalized_regularity,
                                     bad_vertex)
         for tid, (ok, checker, own_witness) in checks.items():
-            verdicts[tid].append(ok)
+            verdicts[tid][part] = ok
             if tid not in witness and not ok.all():
                 i = int(np.argmin(ok))
-                report = checker(g, autos[start + i])
+                report = checker(g, auto(start + i))
                 witness[tid] = own_witness(i) if report.passed else report.witness
-    out = {tid: (np.concatenate(v), witness.get(tid)) for tid, v in verdicts.items()}
+    out = {tid: (ok, witness.get(tid)) for tid, ok in verdicts.items()}
     if "alexander_iso" in check_ids:
         class_of = _iso_classes(matrices)
         cls = np.array([class_of[key] for key in adj_keys])
-        size = np.array(sizes)
-        first, second = np.triu_indices(len(autos))
-        ok = (cls[first] == cls[second]) == (size[first] == size[second])
+        first, second = np.triu_indices(k)
+        ok = (cls[first] == cls[second]) == (sizes[first] == sizes[second])
         p = int(np.argmin(ok))          # the first failing pair, read only on a failure
         a, b = int(first[p]), int(second[p])
         out["alexander_iso"] = (ok, None if ok.all() else {
-            "iso": bool(cls[a] == cls[b]), "image_sizes": (sizes[a], sizes[b]),
-            "t1": _auto_desc(autos[a]), "t2": _auto_desc(autos[b])})
+            "iso": bool(cls[a] == cls[b]), "image_sizes": (int(sizes[a]), int(sizes[b])),
+            "t1": maps[a].tolist(), "t2": maps[b].tolist()})
     return out
 
 
@@ -656,12 +660,12 @@ def _abelian_groups(config: SuiteConfig):
         yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
 
 
-def _sweep_reports(g: G.FiniteGroup, autos: list, check_ids, instance=None) -> dict:
+def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instance=None) -> dict:
     """sweep_alexander as one merged report per check id, which share its
     time.  The instance is `instance`, else the group with its count of
     automorphisms (or pairs, for alexander_iso)."""
     start = time.perf_counter()
-    results = sweep_alexander(g, autos, check_ids)
+    results = sweep_alexander(g, maps, check_ids)
     share = (time.perf_counter() - start) / len(check_ids)
     out = {}
     for tid, (ok, detail) in results.items():
@@ -722,14 +726,14 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     # their places in the suite order
     swept = tuple(c for c in _SWEPT if config.wants(c))
     merged: dict[str, list] = {tid: [] for tid in swept}
-    for g, autos in _abelian_groups(config) if swept else []:
+    for g, maps in _abelian_groups(config) if swept else []:
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept
-                     if c != "alexander_iso" or len(autos) <= _ISO_PAIR_AUT_CAP)
-        for tid, report in (_sweep_reports(g, autos, tids) if tids else {}).items():
+                     if c != "alexander_iso" or len(maps) <= _ISO_PAIR_AUT_CAP)
+        for tid, report in (_sweep_reports(g, maps, tids) if tids else {}).items():
             merged[tid].append(report)
     for g in registry if config.wants("regularity") else []:
-        inner = [G.inner_automorphism(g, h) for h in range(g.order)]
+        inner = g.mul[g.mul, g.inv[:, None]]      # inner[h, x] = h x h^-1
         merged["regularity"].append(_sweep_reports(
             g, inner, ("regularity",), f"{g.label} (inner, all h)")["regularity"])
     for tid in swept:

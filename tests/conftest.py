@@ -9,8 +9,10 @@ REGISTRY = ("S3", "S4", "D2", "D3", "D4", "D5", "D6", "D7", "D8")
 @pytest.fixture(scope="session")
 def abelian_sweep():
     """Every abelian isomorphism type of order <= 16 with its full
-    automorphism group.  Computed once; the Z2^4 case dominates."""
-    return [(g, G.enumerate_automorphisms(g)) for g in G.abelian_group_types(16)]
+    automorphism group, each row of the image array wrapped once.
+    Computed once; the Z2^4 case dominates."""
+    return [(g, [G.Automorphism._of_checked(g, row) for row in G.enumerate_automorphisms(g)])
+            for g in G.abelian_group_types(16)]
 
 
 @pytest.fixture(scope="session")

@@ -136,14 +136,20 @@ class TestAutomorphisms:
         """Totients for cyclic groups, GL(k, p) orders for elementary
         abelian ones, and the standard values in between."""
         g = G.make_abelian(factors)
-        autos = G.enumerate_automorphisms(g)
-        assert len(autos) == count
-        keys = {a.key() for a in autos}
+        maps = G.enumerate_automorphisms(g)
+        assert len(maps) == count
+        assert maps.shape == (count, g.order) and maps.dtype == np.int64
+        assert maps.flags["C_CONTIGUOUS"]
+        keys = set(map(tuple, maps.tolist()))
         assert len(keys) == count
+
+    def test_trivial_group(self):
+        maps = G.enumerate_automorphisms(G.make_cyclic(1))
+        assert maps.shape == (1, 1) and maps.dtype == np.int64
 
     def test_automorphism_group_closed(self):
         g = G.make_abelian([2, 4])
-        autos = G.enumerate_automorphisms(g)
+        autos = [G.Automorphism._of_checked(g, row) for row in G.enumerate_automorphisms(g)]
         keys = {a.key() for a in autos}
         for a in autos:
             assert a.inverse().key() in keys
@@ -468,21 +474,33 @@ class TestBatchedAutomorphismsMatchLoop:
         small = [g for g in registry_groups if g.order <= 16]
         assert len(small) == 8                    # every registry group but S4
         for g in small:
-            got = [a.key() for a in G.enumerate_automorphisms(g)]
+            got = list(map(tuple, G.enumerate_automorphisms(g).tolist()))
+            assert got == _loop_enumerate_automorphisms(g), g.label
+
+    def test_nonabelian_order_24(self, registry_groups):
+        # against the full n^2 homomorphism test: S4 on three greedy
+        # involutions, and S3xZ4 on generators of orders 4, 2 and 2
+        s4 = next(g for g in registry_groups if g.label == "S4")
+        s3z4 = G.make_direct_product(G.make_symmetric(3), G.make_cyclic(4))
+        assert [s4.element_order(s) for s in G._greedy_generators(s4)] == [2, 2, 2]
+        assert [s3z4.element_order(s) for s in G._greedy_generators(s3z4)] == [4, 2, 2]
+        for g in (s4, s3z4):
+            got = list(map(tuple, G.enumerate_automorphisms(g, cap=24).tolist()))
             assert got == _loop_enumerate_automorphisms(g), g.label
 
     def test_small_chunks_keep_the_list(self, monkeypatch):
-        # Z3xZ3 has 8 * 8 candidate tuples; chunks of 5 leave a partial last one
+        # Z3xZ3 has 8 * 8 candidate tuples; 45 cells hold 5 columns of 9
+        # images, so the last chunk is a partial one of 4
         g = G.make_abelian([3, 3])
-        monkeypatch.setattr(G, "_AUT_CHUNK", 5)
-        got = [a.key() for a in G.enumerate_automorphisms(g)]
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 45)
+        got = list(map(tuple, G.enumerate_automorphisms(g).tolist()))
         assert len(got) == 48
         assert got == _loop_enumerate_automorphisms(g)
 
     def test_results_are_automorphisms(self):
         g = G.make_abelian([2, 4])
-        for a in G.enumerate_automorphisms(g):
-            assert G.Automorphism(g, a.mapping) == a
+        for row in G.enumerate_automorphisms(g):
+            assert G.Automorphism(g, row) == G.Automorphism._of_checked(g, row)
 
 
 class TestAbelianTypes:

@@ -74,27 +74,38 @@ class TestAxiomScan:
             Q.verify_quandle_axioms(np.array([[0, 5], [1, 1]]))
 
 
-class TestStackedAxiomScan:
-    """alexander_tables, the stacked tables sweep_alexander builds without
-    an axiom scan: each equals its family constructor's table, which
-    TestFamilyConstructorsMatchTheAxiomScan puts through the scan."""
+def _scatter(table):
+    """The Cayley adjacency matrix of an operation table: m[x, x |> y]."""
+    n = len(table)
+    m = np.zeros((n, n), dtype=bool)
+    m[np.arange(n)[:, None], table] = True
+    return m
 
-    def test_alexander_tables_match_constructors(self, registry_groups):
-        g = G.make_abelian([2, 4])
-        autos = G.enumerate_automorphisms(g)
-        stack = Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
-        for table, t in zip(stack, autos):
-            assert (table == Q.alexander_quandle(g, t).rhd).all()
-            assert (table == Q.generalized_alexander_quandle(g, t).rhd).all()
+
+class TestStackedAdjacency:
+    """alexander_adjacency, the stacked matrices sweep_alexander builds
+    from the set {phi(z) z^-1} without a table: each is the scatter of its
+    family constructor's table, which TestFamilyConstructorsMatchTheAxiomScan
+    puts through the scan."""
+
+    def test_alexander_adjacency_matches_constructors(self, abelian_sweep, registry_groups):
+        # every automorphism of the 25 abelian types of order <= 16, Z2^4 included
+        for g, autos in abelian_sweep:
+            stack = Q.alexander_adjacency(g, np.stack([t.mapping for t in autos]))
+            for m, t in zip(stack, autos):
+                assert (m == _scatter(Q.alexander_quandle(g, t).rhd)).all(), g.label
+                assert (m == _scatter(Q.generalized_alexander_quandle(g, t).rhd)).all()
         # the generalized table phi(x y^-1) y on nonabelian groups, every
         # automorphism, inner and outer
         for g in registry_groups:
-            autos = G.enumerate_automorphisms(g, cap=24)
-            stack = Q.alexander_tables(g, np.stack([t.mapping for t in autos]))
-            assert stack.shape == (len(autos), g.order, g.order)
+            maps = G.enumerate_automorphisms(g, cap=24)
+            stack = Q.alexander_adjacency(g, maps)
+            assert stack.shape == (len(maps), g.order, g.order)
+            assert stack.dtype == bool
             assert stack.flags["C_CONTIGUOUS"], g.label
-            for table, phi in zip(stack, autos):
-                assert (table == Q.generalized_alexander_quandle(g, phi).rhd).all(), g.label
+            for m, row in zip(stack, maps):
+                phi = G.Automorphism._of_checked(g, row)
+                assert (m == _scatter(Q.generalized_alexander_quandle(g, phi).rhd)).all(), g.label
 
 
 def _cube_witnesses(stack):
@@ -410,10 +421,11 @@ class TestFamilyConstructorsMatchTheAxiomScan:
                                                registry_groups):
         # the abelian types include Z1-Z16 and every abelian group built;
         # S4 and the registry's D2 complete the groups a default sweep covers
-        cases = list(abelian_sweep) + [(g, G.enumerate_automorphisms(g)) for g in built_groups
+        wrap = lambda g, cap=16: [G.Automorphism._of_checked(g, row)
+                                  for row in G.enumerate_automorphisms(g, cap=cap)]
+        cases = list(abelian_sweep) + [(g, wrap(g)) for g in built_groups
                                        if g.order <= 16 and not g.is_abelian()]
-        cases += [(g, G.enumerate_automorphisms(g, cap=24)) for g in registry_groups
-                  if g.label in ("S4", "D2")]
+        cases += [(g, wrap(g, 24)) for g in registry_groups if g.label in ("S4", "D2")]
         assert len(cases) == 25 + 7 + 2       # and D3-D8, S3, then S4, D2
         for g, autos in cases:
             for t in autos:

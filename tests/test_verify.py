@@ -8,6 +8,24 @@ from quandle_cayley import quandles as Q
 from quandle_cayley import verify as V
 
 
+def _autos(g, cap=G.AUTOMORPHISM_CAP):
+    """enumerate_automorphisms' rows, each wrapped for the per-instance checkers."""
+    return [G.Automorphism._of_checked(g, row) for row in G.enumerate_automorphisms(g, cap=cap)]
+
+
+def _maps(autos):
+    """The image array sweep_alexander takes, one row per automorphism."""
+    return np.stack([t.mapping for t in autos])
+
+
+def _scatter(table):
+    """The Cayley adjacency matrix of an operation table: m[x, x |> y]."""
+    n = len(table)
+    m = np.zeros((n, n), dtype=bool)
+    m[np.arange(n)[:, None], table] = True
+    return m
+
+
 class TestIndividualCheckers:
     def test_axioms_pass(self):
         r = V.check_axioms("R5", Q.dihedral_quandle(5).rhd)
@@ -63,7 +81,7 @@ class TestIndividualCheckers:
 
     def test_alexander_iso_both_directions(self):
         g = G.make_abelian([8])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
         for i in range(len(autos)):
             for j in range(len(autos)):
                 assert V.check_alexander_iso_corollary(g, autos[i], autos[j]).passed
@@ -282,6 +300,31 @@ class TestCheckersExhibitTheirIsomorphisms:
         assert not r.passed
         assert r.witness == {"translation_not_isomorphism": (0, 1)}
 
+    def test_planted_in_coset_edge_names_the_first_coset(self, monkeypatch):
+        # D6 with h = r: four cosets of <[r, x]> = <r^2>, each a directed
+        # 3-cycle with loops.  An extra edge inside the first coset keeps
+        # every forward orbit, so only the translations from that coset
+        # fail, and the witness is the first pair, (0, 1); translating from
+        # the last coset instead would give (0, 3)
+        g = G.make_dihedral(6)
+        h = g.index_of("r")
+        q = Q.generalized_alexander_quandle(g, G.inner_automorphism(g, h))
+        blocks = G.cosets(g, G.commutator_subgroup_with(g, h), side="left").blocks
+        assert len(blocks) == 4 and g.identity in blocks[0]
+        real = V.gr.build_cayley_graph
+        u = g.identity
+        w = next(x for x in blocks[0] if not real(q).matrix()[u, x])
+
+        def planted(quandle):
+            m = real(quandle).matrix().copy()
+            m[u, w] = True
+            return V.gr.DirectedGraph._of_matrix(m, names=quandle.element_names)
+
+        monkeypatch.setattr(V.gr, "build_cayley_graph", planted)
+        r = V.check_orbit_coset(g, h)
+        assert not r.passed
+        assert r.witness == {"translation_not_isomorphism": (0, 1)}
+
     def test_planted_cross_coset_edge_names_the_first_orbit(self, monkeypatch):
         g = G.make_symmetric(4)
         h = g.index_of("(12)")
@@ -308,6 +351,24 @@ class TestCheckersExhibitTheirIsomorphisms:
         assert r.witness == {"orbit_mismatch": {"x": x, "orbit": orbits[x], "coset": cosets[x]}}
 
 
+class TestDistinctRows:
+    def test_matches_a_dict_of_row_bytes(self):
+        # first-appearance order, against a loop keyed by each row's bytes;
+        # widths up to 130 need up to three packed 64-bit words per row
+        rng = np.random.default_rng(5)
+        for k, n, p in ((1, 1, 0.5), (9, 3, 0.5), (400, 16, 0.9), (300, 70, 0.99),
+                        (300, 130, 0.995)):
+            rows = rng.random((k, n)) < p
+            rows[k // 2] = rows[0]
+            first, of = {}, []
+            for i, row in enumerate(rows):
+                of.append(first.setdefault(row.tobytes(), len(first)))
+            got_first, got_of = V._distinct_rows(rows)
+            want_first = [of.index(j) for j in range(len(first))]
+            assert got_first.tolist() == want_first, (k, n)
+            assert got_of.tolist() == of, (k, n)
+
+
 def _verdicts(g, autos, check):
     return [check(g, t).passed for t in autos]
 
@@ -325,7 +386,7 @@ class TestAbelianSweepMatchesCheckers:
     which stay their reference."""
 
     def _check(self, g, autos):
-        result = V.sweep_alexander(g, autos, ("alexander_components", "regularity"))
+        result = V.sweep_alexander(g, _maps(autos), ("alexander_components", "regularity"))
         ok03, w03 = result["alexander_components"]
         ok05, w05 = result["regularity"]
         assert list(ok03) == _verdicts(g, autos, V.check_alexander_components), g.label
@@ -364,26 +425,28 @@ class TestAbelianSweepMatchesCheckers:
                 assert w05 == V.check_generalized_regularity(g, first).witness
 
     def test_chunk_edges(self, monkeypatch):
-        # Z4xZ4 has 96 automorphisms: chunks of 7 end in a partial chunk of 5
+        # Z4xZ4 has 96 automorphisms: 7 matrices of 16 x 16 cells per chunk
+        # end in a partial chunk of 5
         g = G.make_abelian([4, 4])
-        autos = G.enumerate_automorphisms(g)
-        monkeypatch.setattr(V, "_SWEEP_CHUNK", 7)
+        autos = _autos(g)
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 7 * 16 * 16)
         self._check(g, autos)
 
     def test_planted_fault_names_the_third_automorphism(self, monkeypatch):
         g = G.make_abelian([4, 4])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
         planted = {autos[2].key(), autos[69].key()}
-        real = Q.alexander_tables
+        real = Q.alexander_adjacency
+        trivial = _scatter(Q.trivial_quandle(g.order).rhd)
 
-        def tables(group, maps):
+        def adjacency(group, maps):
             out = real(group, maps)
             for row, m in enumerate(maps):
                 if group.label == "Z4xZ4" and tuple(int(v) for v in m) in planted:
-                    out[row] = np.arange(group.order)[:, None]   # trivial quandle
+                    out[row] = trivial
             return out
 
-        monkeypatch.setattr(Q, "alexander_tables", tables)
+        monkeypatch.setattr(Q, "alexander_adjacency", adjacency)
         cfg = V.SuiteConfig(checks=("alexander_components", "regularity"),
                             nonabelian_registry=())
         reports = V.run_suite(cfg)
@@ -406,14 +469,14 @@ class TestAbelianSweepMatchesCheckers:
 
     def test_checker_witness_comes_first(self, monkeypatch):
         g = G.make_abelian([3, 3])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
 
         class FakeSub:
             def index(self):
                 return 99
 
         monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda a, b: FakeSub())
-        ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+        ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
         assert not ok.any()
         assert detail == V.check_generalized_regularity(g, autos[0]).witness
 
@@ -422,7 +485,7 @@ class TestAbelianSweepMatchesCheckers:
         equal the checker's, and its witness is the checker's for the first
         failing pair i <= j in row-major order.  Returns every verdict of
         the sweep, keyed by pair, and the checker's witnesses on `pairs`."""
-        ok, detail = V.sweep_alexander(g, autos, ("alexander_iso",))["alexander_iso"]
+        ok, detail = V.sweep_alexander(g, _maps(autos), ("alexander_iso",))["alexander_iso"]
         every = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
         assert len(ok) == len(every)
         verdict = dict(zip(every, ok.tolist()))
@@ -438,7 +501,7 @@ class TestAbelianSweepMatchesCheckers:
 
     def test_iso_all_z3xz3_pairs(self):
         g = G.make_abelian([3, 3])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
         pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
         assert len(pairs) == 1176
         verdict, witnesses = self._check_iso(g, autos, pairs)
@@ -447,7 +510,7 @@ class TestAbelianSweepMatchesCheckers:
 
     def test_iso_seeded_z4xz4_sample(self):
         g = G.make_abelian([4, 4])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
         rng = np.random.default_rng(3)
         pairs = [tuple(int(v) for v in rng.integers(0, len(autos), 2)) for _ in range(300)]
         self._check_iso(g, autos, pairs)
@@ -457,7 +520,7 @@ class TestAbelianSweepMatchesCheckers:
         # reads one size per distinct image): pairs that are isomorphic with
         # unequal sizes, and non-isomorphic with equal sizes, both fail
         g = G.make_abelian([2, 4])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
         real = G.image_id_minus_t
         wrong = {real(g, autos[1]).members, real(g, autos[5]).members}
         monkeypatch.setattr(V.G, "image_id_minus_t", lambda group, t: (
@@ -483,13 +546,13 @@ class TestAbelianSweepMatchesCheckers:
 
 def _z4xz4_iso_pairs():
     g = G.make_abelian([4, 4])
-    autos = G.enumerate_automorphisms(g)
+    autos = _autos(g)
     pairs = [(i, j) for i in range(len(autos)) for j in range(i, len(autos))]
     return g, autos, pairs
 
 
 def _iso_sweep(g, autos):
-    return V.sweep_alexander(g, autos, ("alexander_iso",))["alexander_iso"]
+    return V.sweep_alexander(g, _maps(autos), ("alexander_iso",))["alexander_iso"]
 
 
 class TestIsoClassesCatchSabotage:
@@ -560,7 +623,7 @@ class TestRegularityInDegrees:
 
     def _plant(self):
         g = G.make_abelian([4, 4])
-        autos = G.enumerate_automorphisms(g)
+        autos = _autos(g)
         k = next(k for k, t in enumerate(autos)
                  if 1 < G.fixed_point_subgroup(g, t).index() < g.order)
         table, a, b = _in_degree_plant(g, autos[k])
@@ -568,17 +631,17 @@ class TestRegularityInDegrees:
 
     def test_sweep_fails_the_planted_automorphism(self, monkeypatch):
         g, autos, k, table, a, b = self._plant()
-        real = Q.alexander_tables
+        real = Q.alexander_adjacency
 
-        def tables(group, maps):
+        def adjacency(group, maps):
             out = real(group, maps)
             for row, m in enumerate(maps):
                 if tuple(int(v) for v in m) == autos[k].key():
-                    out[row] = table
+                    out[row] = _scatter(table)
             return out
 
-        monkeypatch.setattr(Q, "alexander_tables", tables)
-        ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+        monkeypatch.setattr(Q, "alexander_adjacency", adjacency)
+        ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
         assert np.flatnonzero(~ok).tolist() == [k]
         expected = G.fixed_point_subgroup(g, autos[k]).index()
         out, inn = detail["degree"]
@@ -605,8 +668,8 @@ class TestRegistrySweepMatchesCheckers:
     def test_every_inner_and_outer_automorphism(self, registry_groups):
         for g in registry_groups:
             inner = [G.inner_automorphism(g, h) for h in range(g.order)]
-            for autos in (inner, G.enumerate_automorphisms(g, cap=24)):
-                ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+            for autos in (inner, _autos(g, cap=24)):
+                ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
                 assert list(ok) == _verdicts(g, autos, V.check_generalized_regularity)
                 assert ok.all() and detail is None, g.label
 
@@ -615,12 +678,28 @@ class TestRegistrySweepMatchesCheckers:
         monkeypatch.setattr(V.G, "fixed_point_subgroup",
                             _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
         g = next(g for g in registry_groups if g.label == "D4")
-        autos = G.enumerate_automorphisms(g)
-        ok, detail = V.sweep_alexander(g, autos, ("regularity",))["regularity"]
+        autos = _autos(g)
+        ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
         assert list(ok) == _verdicts(g, autos, V.check_generalized_regularity)
         assert 0 < ok.sum() < len(autos)
         first = autos[int(np.argmin(ok))]
         assert detail == V.check_generalized_regularity(g, first).witness
+
+    def test_suite_sweeps_conjugation_by_each_h(self, monkeypatch):
+        # row h of the inner family the suite builds in one gather is
+        # inner_automorphism(g, h), x -> h x h^-1
+        real = V.sweep_alexander
+        swept = []
+        monkeypatch.setattr(V, "sweep_alexander", lambda g, maps, ids: (
+            swept.append((g, maps)) or real(g, maps, ids)))
+        cfg = V.SuiteConfig(checks=("regularity",), abelian_order_cap=1,
+                            nonabelian_registry=("S3", "D4", "D5"))
+        V.run_suite(cfg)
+        inner = [(g, maps) for g, maps in swept if not g.is_abelian()]
+        assert [g.label for g, _ in inner] == ["S3", "D4", "D5"]
+        for g, maps in inner:
+            want = np.stack([G.inner_automorphism(g, h).mapping for h in range(g.order)])
+            assert maps.dtype == np.int64 and (maps == want).all(), g.label
 
     def test_suite_report_equals_merged_checkers(self, monkeypatch):
         # the report the per-instance loop gave: checker reports merged
