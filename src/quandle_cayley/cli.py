@@ -3,8 +3,9 @@
 Every subcommand is a thin wrapper over the library: specs are parsed,
 objects are built, results are printed.  No algebra or graph logic lives
 here.  Exit codes: 0 success, 1 domain failure (axiom violation, failed
-check, non-isomorphic pair), 2 usage or parse error.  Output for a fixed
-command line is byte-identical across runs.
+check, non-isomorphic pair), 2 usage or parse error, or an input too
+large for memory.  Output for a fixed command line is byte-identical
+across runs.
 """
 from __future__ import annotations
 
@@ -247,11 +248,10 @@ def main(argv=None) -> int:
     except Q.AxiomViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except specs.SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # spec parse and JSON errors are ValueErrors too; an empty message
+        # (a bare MemoryError) shows the exception's name
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

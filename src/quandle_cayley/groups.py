@@ -6,6 +6,7 @@ works on plain indices so it stays cheap and deterministic.
 """
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -100,10 +101,31 @@ def _generating_set(op: np.ndarray, limit: int | None = None) -> np.ndarray:
     return np.array(gens, dtype=np.intp)
 
 
-def _as_table(table, what: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what} must be a square table, got shape {arr.shape}")
+def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
+    """Untrusted data as an int64 array with `ndim` sides of one length
+    n >= 1 (a square table, or for ndim 1 an image list), every entry an
+    integer in 0..n-1.  Nothing is rounded: float entries are refused, and
+    so are bools, which numpy reads as 0 and 1 inside a list of ints
+    (np.asarray([0, True]) is int64)."""
+    kind = "a square table" if ndim == 2 else "a list"
+    if isinstance(values, np.ndarray):
+        arr = values.astype(np.int64, copy=False) if values.dtype.kind in "iu" else None
+    else:
+        try:
+            rows = list(values)
+            flat = rows if ndim == 1 else list(itertools.chain.from_iterable(rows))
+            # array("q") takes the Python and numpy integers, bools among them
+            arr = np.frombuffer(array.array("q", flat), dtype=np.int64)
+            if ndim == 2 and all(len(row) == len(rows) for row in rows):
+                arr = arr.reshape(len(rows), len(rows))
+        except (TypeError, OverflowError):
+            arr = None
+        if arr is not None and any(type(flat[i]) is bool for i in np.flatnonzero(arr <= 1)):
+            arr = None
+    if arr is None:
+        raise ValueError(f"{what} must be {kind} of integers")
+    if arr.ndim != ndim or len(set(arr.shape)) != 1:
+        raise ValueError(f"{what} must be {kind}, got shape {arr.shape}")
     n = arr.shape[0]
     if n == 0:
         raise ValueError(f"{what} must not be empty")
@@ -121,7 +143,7 @@ class FiniteGroup:
     """
 
     def __init__(self, mul, label: str = "G", element_names=None):
-        self._init(_as_table(mul, "multiplication table"), label, element_names)
+        self._init(as_index_array(mul, "multiplication table"), label, element_names)
         self._check_latin()
         self._check_associative()
 
@@ -357,11 +379,9 @@ class Automorphism:
 
     def __init__(self, group: FiniteGroup, mapping):
         self.group = group
-        arr = np.asarray(mapping, dtype=np.int64)
+        arr = as_index_array(mapping, "automorphism image list", ndim=1)
         if arr.shape != (group.order,):
             raise ValueError("automorphism image list has wrong length")
-        if arr.min() < 0 or arr.max() >= group.order:
-            raise ValueError("automorphism images out of range")
         if not (np.sort(arr) == np.arange(group.order)).all():
             raise ValueError("automorphism must be a bijection")
         lhs = arr[group.mul]

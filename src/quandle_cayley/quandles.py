@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (Automorphism, FiniteGroup, _generating_set, breadth_first,
-                     first_mismatch)
+from .groups import (Automorphism, FiniteGroup, _generating_set, as_index_array,
+                     breadth_first, first_mismatch)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -43,21 +43,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return self.idempotent and self.right_invertible and self.self_distributive
-
-
-def _coerce_table(table) -> np.ndarray:
-    arr = np.asarray(table)
-    if arr.dtype == object or arr.ndim != 2:
-        raise ValueError("operation table must be a rectangular array of integers")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"operation table must be square, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("operation table must not be empty")
-    arr = arr.astype(np.int64, copy=False)
-    n = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError(f"table entries must lie in 0..{n - 1}")
-    return arr
 
 
 def _full_scan(rhd: np.ndarray) -> tuple | None:
@@ -112,7 +97,7 @@ def verify_quandle_axioms(table) -> AxiomReport:
     tables with a repeated column entry.  Either way the witness is the
     lexicographically first failing triple.
     """
-    rhd = _coerce_table(table)
+    rhd = as_index_array(table, "operation table")
     n = rhd.shape[0]
     idx = np.arange(n)
 
@@ -173,7 +158,7 @@ class Quandle:
     """
 
     def __init__(self, rhd, label: str = "Q", element_names=None, provenance=None):
-        table = _coerce_table(rhd)
+        table = as_index_array(rhd, "operation table")
         report = verify_quandle_axioms(table)
         if not report.ok:
             raise AxiomViolation(report, label)
@@ -424,11 +409,14 @@ def quandle_from_json(obj: dict) -> Quandle:
     for key in ("order", "names", "rhd"):
         if key not in obj:
             raise ValueError(f"quandle JSON missing key {key!r}")
-    n = int(obj["order"])
+    n = obj["order"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"order must be a positive integer, got {n!r}")
     flat = list(obj["rhd"])
     if len(flat) != n * n:
         raise ValueError(f"rhd must hold {n * n} entries, got {len(flat)}")
-    table = np.array(flat, dtype=np.int64).reshape(n, n)
+    # entries are type-checked here, and the table's range by Quandle
+    table = as_index_array(flat, "rhd", ndim=1).reshape(n, n)
     names = [str(s) for s in obj["names"]]
     prov = obj.get("provenance") or {"family": "raw"}
     label = str(prov.get("label", prov.get("family", "raw")))

@@ -12,14 +12,22 @@ every automorphism of each abelian group, and the inner automorphisms of
 each registry group.
 Like the family constructors, the sweep takes its tables to be quandles,
 as phi(x y^-1) y is for every automorphism, and does not scan them again.
-The per-instance checkers are the sweep's reference and give its witnesses.
+The per-instance checkers stay the tests' reference for the sweep, and
+the sweep reports its failures in their witness form.
+
+Four claims say that a Cayley graph is the disjoint union of the complete
+digraphs on a predicted partition: the conjugacy classes (conjugation),
+the parity classes (dihedral, takasaki) and the cosets of im(id - t)
+(alexander_components).  Each is one comparison of the adjacency matrix
+with the partition's block matrix (_block_mismatch), whose witness is the
+first differing cell.
 """
 from __future__ import annotations
 
 import importlib.resources
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -101,8 +109,23 @@ def _merge(tid: str, instance: str, reports: list[VerificationReport]) -> Verifi
                    sum(r.elapsed for r in reports))
 
 
-def _partition_sets(blocks) -> set:
-    return {frozenset(int(v) for v in b) for b in blocks}
+def _block_matrix(blocks, n: int) -> np.ndarray:
+    """m[x, y] is True exactly when x and y share a block; the blocks
+    partition range(n)."""
+    label = np.empty(n, dtype=np.int64)
+    for b, blk in enumerate(blocks):
+        label[list(blk)] = b
+    return label[:, None] == label[None, :]
+
+
+def _block_mismatch(m: np.ndarray, blocks, **detail) -> list[dict]:
+    """No failure when the adjacency matrix m is the block matrix of
+    `blocks`, else one: the first differing cell, plus `detail`.  Equality
+    makes the graph the disjoint union of the complete digraphs on the
+    blocks, which fixes its strong components, their count, their
+    completeness and the graph's symmetry."""
+    bad = np.argwhere(m != _block_matrix(blocks, len(m)))
+    return [{"block_mismatch": tuple(int(v) for v in bad[0]), **detail}] if bad.size else []
 
 
 # -- individual checkers -----------------------------------------------------
@@ -159,52 +182,26 @@ def check_trivial_edgeless(n: int) -> VerificationReport:
 
 
 def check_conjugation_components(g: G.FiniteGroup) -> VerificationReport:
-    """Conj(g): symmetric graph whose components are the conjugacy classes,
-    each inducing a complete subgraph."""
+    """Conj(g): the disjoint union of the complete digraphs on the
+    conjugacy classes."""
     start = time.perf_counter()
-    failures = []
     graph = gr.build_cayley_graph(Q.conjugation_quandle(g))
-    if not gr.is_symmetric(graph):
-        m = graph.matrix()
-        u, v = np.argwhere(m != m.T)[0]
-        failures.append({"asymmetric_edge": (int(u), int(v))})
-    comps = gr.strongly_connected_components(graph)
-    classes = G.conjugacy_classes(g)
-    if comps.as_sets() != _partition_sets(classes):
-        failures.append({
-            "components": [list(c) for c in comps.components],
-            "conjugacy_classes": [list(c) for c in classes],
-        })
-    for comp in comps.components:
-        if not gr.is_complete(gr.induced_subgraph(graph, comp)):
-            failures.append({"incomplete_component": list(comp)})
-            break
+    failures = _block_mismatch(graph.matrix(), G.conjugacy_classes(g))
     return _report("conjugation", f"Conj({g.label})", start, failures)
 
 
 def check_dihedral_quandle(n: int) -> VerificationReport:
     """R_n: K_n for odd n; two K_{n/2} on the parity classes for even n."""
     start = time.perf_counter()
-    failures = []
     graph = gr.build_cayley_graph(Q.dihedral_quandle(n))
-    comps = gr.strongly_connected_components(graph)
-    if n % 2 == 1:
-        expected = {frozenset(range(n))}
-    else:
-        expected = {frozenset(range(0, n, 2)), frozenset(range(1, n, 2))}
-    if comps.as_sets() != expected:
-        failures.append({"components": [list(c) for c in comps.components]})
-    for comp in comps.components:
-        # a complete component's matrix is complete_graph's: they are isomorphic
-        if not gr.is_complete(gr.induced_subgraph(graph, comp)):
-            failures.append({"incomplete_component": list(comp)})
-    return _report("dihedral", f"n={n}", start, failures)
+    blocks = [range(n)] if n % 2 else [range(0, n, 2), range(1, n, 2)]
+    return _report("dihedral", f"n={n}", start, _block_mismatch(graph.matrix(), blocks))
 
 
 def check_takasaki_window(w: int) -> VerificationReport:
     """Window [-w, w] of the integer quandle: the edge predicate matches
-    direct solvability of c = 2b - a, and parity classes are the complete
-    components."""
+    direct solvability of c = 2b - a, and the graph is the disjoint union
+    of the complete digraphs on the parity classes."""
     start = time.perf_counter()
     vals = np.arange(-w, w + 1)
     b = np.arange(-3 * w, 3 * w + 1)
@@ -212,49 +209,20 @@ def check_takasaki_window(w: int) -> VerificationReport:
     direct = (2 * b - vals[:, None, None] == vals[None, :, None]).any(axis=2)
     mismatch = np.argwhere(direct != gr.takasaki_z_edge(vals[:, None], vals[None, :]))
     failures = [{"edge_mismatch": (a, c)} for a, c in (mismatch - w).tolist()]
-    graph = gr.takasaki_z_window(w)
-    if not gr.is_symmetric(graph):
-        failures.append({"not_symmetric": w})
-    comps = gr.strongly_connected_components(graph)
-    values = list(range(-w, w + 1))
-    evens = frozenset(i for i, v in enumerate(values) if v % 2 == 0)
-    odds = frozenset(i for i, v in enumerate(values) if v % 2 != 0)
-    expected = {s for s in (evens, odds) if s}
-    if comps.as_sets() != expected:
-        failures.append({"components": [list(c) for c in comps.components]})
-    for comp in comps.components:
-        if not gr.is_complete(gr.induced_subgraph(graph, comp)):
-            failures.append({"incomplete_component": list(comp)})
+    parity = [np.flatnonzero(vals % 2 == r) for r in (0, 1)]
+    failures += _block_mismatch(gr.takasaki_z_window(w).matrix(), parity)
     return _report("takasaki", f"w={w}", start, failures)
 
 
-def _auto_desc(t: G.Automorphism) -> list[int]:
-    return [int(v) for v in t.mapping]
-
-
 def check_alexander_components(g: G.FiniteGroup, t: G.Automorphism) -> VerificationReport:
-    """A_t(g): components are the cosets of im(id - t), all complete, and
-    the count is |g| divided by the image size."""
+    """A_t(g): the disjoint union of the complete digraphs on the left
+    cosets of im(id - t), which fixes the components, their completeness
+    and their count |g| / |im(id - t)|."""
     start = time.perf_counter()
-    failures = []
     graph = gr.build_cayley_graph(Q.alexander_quandle(g, t))
-    image = G.image_id_minus_t(g, t)
-    part = G.cosets(g, image, side="left")
-    comps = gr.strongly_connected_components(graph)
-    if comps.as_sets() != part.as_sets():
-        failures.append({"components_vs_cosets": {
-            "components": [list(c) for c in comps.components],
-            "cosets": [list(b) for b in part.blocks],
-            "t": _auto_desc(t),
-        }})
-    if comps.count != g.order // image.order:
-        failures.append({"component_count": comps.count,
-                         "expected": g.order // image.order, "t": _auto_desc(t)})
-    for comp in comps.components:
-        if not gr.is_complete(gr.induced_subgraph(graph, comp)):
-            failures.append({"incomplete_component": list(comp), "t": _auto_desc(t)})
-            break
-    return _report("alexander_components", f"{g.label}", start, failures)
+    part = G.cosets(g, G.image_id_minus_t(g, t), side="left")
+    return _report("alexander_components", f"{g.label}", start,
+                   _block_mismatch(graph.matrix(), part.blocks, t=t.mapping.tolist()))
 
 
 def check_alexander_iso_corollary(g: G.FiniteGroup, t1: G.Automorphism,
@@ -270,7 +238,7 @@ def check_alexander_iso_corollary(g: G.FiniteGroup, t1: G.Automorphism,
     iso = gr.is_isomorphic(ga, gb)
     if iso != (size1 == size2):
         failures.append({"iso": iso, "image_sizes": (size1, size2),
-                         "t1": _auto_desc(t1), "t2": _auto_desc(t2)})
+                         "t1": t1.mapping.tolist(), "t2": t2.mapping.tolist()})
     return _report("alexander_iso", f"{g.label}", start, failures)
 
 
@@ -285,7 +253,7 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
     for v, (o, i) in enumerate(degs):
         if o != expected or i != expected:
             failures.append({"vertex": v, "degree": (o, i), "expected": expected,
-                             "phi": _auto_desc(phi)})
+                             "phi": phi.mapping.tolist()})
             break
     return _report("regularity", f"{g.label}", start, failures)
 
@@ -306,14 +274,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = order[run]
     appear = np.argsort(first)
     return first[appear], np.argsort(appear)[label]
-
-
-def _block_matrix(part: G.CosetPartition, n: int) -> np.ndarray:
-    """m[x, y] is True exactly when x and y share a block."""
-    label = np.empty(n, dtype=np.int64)
-    for b, blk in enumerate(part.blocks):
-        label[list(blk)] = b
-    return label[:, None] == label[None, :]
 
 
 def _iso_classes(matrices: dict) -> dict:
@@ -362,10 +322,10 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
     fixed_point_subgroup, once per distinct image or fixed-point set.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
-    pair for alexander_iso) and the witness for the first failure: the
-    per-instance checker's witness, or, when that checker passes it, the
-    first cell or vertex where the sweep's own comparison failed; for
-    alexander_iso, the failing pair's verdict, image sizes and maps.
+    pair for alexander_iso) and the witness for the first failure, in the
+    per-instance checker's form: the first cell or vertex where the
+    comparison failed, or for alexander_iso the failing pair's verdict,
+    image sizes and maps.
     """
     n = g.order
     idx = np.arange(n)
@@ -377,7 +337,8 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
         firsts, image_of = _distinct_rows(image)
         subs = [G.image_id_minus_t(g, auto(i)) for i in firsts]
         sizes = np.array([sub.order for sub in subs])[image_of]
-        blocks = np.stack([_block_matrix(G.cosets(g, sub, side="left"), n) for sub in subs])
+        parts = [G.cosets(g, sub, side="left").blocks for sub in subs]
+        blocks = np.stack([_block_matrix(blks, n) for blks in parts])
     if "regularity" in check_ids:
         firsts, fixed_of = _distinct_rows(maps == idx)
         index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
@@ -396,15 +357,12 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
             matrices.update(zip(keys, adj))    # a repeated key keeps its first place
             adj_keys += keys
         if "alexander_components" in check_ids:
-            want = blocks[image_of[part]]
-
             def block_cell(i):
-                cell = np.argwhere(adj[i] != want[i])[0]
-                return {"block_mismatch": tuple(int(v) for v in cell),
-                        "t": maps[start + i].tolist()}
+                return _block_mismatch(adj[i], parts[image_of[start + i]],
+                                       t=maps[start + i].tolist())[0]
 
-            checks["alexander_components"] = ((adj == want).all(axis=(1, 2)),
-                                              check_alexander_components, block_cell)
+            checks["alexander_components"] = (
+                (adj == blocks[image_of[part]]).all(axis=(1, 2)), block_cell)
         if "regularity" in check_ids:
             # uint8 counts are exact up to 255, and einsum adds them fastest
             cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
@@ -417,14 +375,11 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
                 return {"vertex": v, "degree": (int(outs[i, v]), int(ins[i, v])),
                         "expected": int(degree[i, 0]), "phi": maps[start + i].tolist()}
 
-            checks["regularity"] = (~wrong.any(axis=1), check_generalized_regularity,
-                                    bad_vertex)
-        for tid, (ok, checker, own_witness) in checks.items():
+            checks["regularity"] = (~wrong.any(axis=1), bad_vertex)
+        for tid, (ok, own_witness) in checks.items():
             verdicts[tid][part] = ok
             if tid not in witness and not ok.all():
-                i = int(np.argmin(ok))
-                report = checker(g, auto(start + i))
-                witness[tid] = own_witness(i) if report.passed else report.witness
+                witness[tid] = own_witness(int(np.argmin(ok)))
     out = {tid: (ok, witness.get(tid)) for tid, ok in verdicts.items()}
     if "alexander_iso" in check_ids:
         class_of = _iso_classes(matrices)
@@ -471,8 +426,8 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
         failures.append({"not_normal": list(big_n.members)})
     # row x of the reachability closure is the forward orbit of x
     orbits = gr._reachability(graph.matrix())
-    cosets = np.zeros_like(orbits)
-    cosets[np.arange(g.order)[:, None], g.mul[:, list(big_n.members)]] = True
+    blocks = G.cosets(g, big_n, side="left").blocks
+    cosets = _block_matrix(blocks, g.order)
     bad = np.flatnonzero((orbits != cosets).any(axis=1))
     if bad.size:
         x = int(bad[0])
@@ -480,7 +435,7 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
                                             "coset": np.flatnonzero(cosets[x]).tolist()}})
     else:
         # every orbit is its coset, so the cosets are the strong components
-        base, *others = G.cosets(g, big_n, side="left").blocks
+        base, *others = blocks
         for j, comp in enumerate(others, start=1):
             if not _translation_iso_ok(graph, g, base, comp):
                 failures.append({"translation_not_isomorphism": (0, j)})
@@ -592,6 +547,10 @@ def check_s4_example() -> VerificationReport:
 # -- the suite ---------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class SuiteConfig:
     """What the suite sweeps.  The JSON form uses the same field names."""
@@ -604,14 +563,14 @@ class SuiteConfig:
     extra_quandles: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not isinstance(self.abelian_order_cap, int) or self.abelian_order_cap < 1:
+        if not _is_int(self.abelian_order_cap) or self.abelian_order_cap < 1:
             raise ValueError("abelian_order_cap must be a positive integer")
         self.nonabelian_registry = tuple(str(s) for s in self.nonabelian_registry)
-        rng = tuple(int(v) for v in self.dihedral_range)
-        if len(rng) != 2 or rng[0] < 1 or rng[1] < rng[0]:
+        rng = tuple(self.dihedral_range)
+        if len(rng) != 2 or not all(map(_is_int, rng)) or rng[0] < 1 or rng[1] < rng[0]:
             raise ValueError("dihedral_range must be [lo, hi] with 1 <= lo <= hi")
-        self.dihedral_range = rng
-        if not isinstance(self.takasaki_window, int) or self.takasaki_window < 0:
+        self.dihedral_range = tuple(map(int, rng))
+        if not _is_int(self.takasaki_window) or self.takasaki_window < 0:
             raise ValueError("takasaki_window must be a non-negative integer")
         if self.checks is not None:
             checks = tuple(str(c) for c in self.checks)
@@ -619,11 +578,9 @@ class SuiteConfig:
             if unknown:
                 raise ValueError(f"unknown check ids: {', '.join(unknown)}")
             self.checks = checks
-        try:
-            self.extra_quandles = tuple((str(lbl), [list(map(int, row)) for row in tbl])
-                                        for lbl, tbl in self.extra_quandles)
-        except TypeError:
-            raise ValueError("extra_quandles tables must be lists of integer rows") from None
+        self.extra_quandles = tuple(
+            (str(lbl), G.as_index_array(tbl, f"extra_quandles table {lbl!r}").tolist())
+            for lbl, tbl in self.extra_quandles)
 
     @staticmethod
     def from_json(obj) -> "SuiteConfig":
@@ -631,25 +588,19 @@ class SuiteConfig:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("suite config must be a JSON object")
-        allowed = {"abelian_order_cap", "nonabelian_registry", "dihedral_range",
-                   "takasaki_window", "checks", "extra_quandles"}
-        unknown = set(obj) - allowed
+        unknown = set(obj) - {f.name for f in fields(SuiteConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kwargs = {}
-        for key in allowed & set(obj):
-            value = obj[key]
-            if key == "extra_quandles":
-                if not isinstance(value, list) or not all(
-                        isinstance(item, dict) and "label" in item and "rhd" in item
-                        for item in value):
-                    raise ValueError("extra_quandles must be a list of objects "
-                                     "with 'label' and 'rhd'")
-                value = tuple((item["label"], item["rhd"]) for item in value)
-            elif key in ("nonabelian_registry", "dihedral_range", "checks"):
-                value = tuple(value) if value is not None else None
-            kwargs[key] = value
-        return SuiteConfig(**kwargs)
+        kwargs = dict(obj)
+        items = kwargs.get("extra_quandles", [])
+        if not isinstance(items, list) or not all(
+                isinstance(item, dict) and "label" in item and "rhd" in item for item in items):
+            raise ValueError("extra_quandles must be a list of objects with 'label' and 'rhd'")
+        kwargs["extra_quandles"] = tuple((item["label"], item["rhd"]) for item in items)
+        try:
+            return SuiteConfig(**kwargs)
+        except TypeError as exc:        # a scalar where a list belongs, or null
+            raise ValueError(f"suite config value of the wrong type: {exc}") from None
 
     def wants(self, check_id: str) -> bool:
         return self.checks is None or check_id in self.checks

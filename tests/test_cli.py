@@ -56,6 +56,35 @@ class TestBuild:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("rhd", [[0.9, 0.2, 1.7, 1.0], [0, True, 0, 1]])
+    def test_raw_non_integer_entries_exit_2(self, capsys, tmp_path, rhd):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"order": 2, "names": ["a", "b"], "rhd": rhd}))
+        code, out, err = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path))
+        assert (code, out) == (2, "")
+        assert "integers" in err
+
+    def test_perm_non_integer_images_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--family", "gen_alexander",
+                             "--group", "Z3", "--phi", "perm:[0.2,2.5,1.1]")
+        assert (code, out) == (2, "")
+        assert "integers" in err
+
+    @pytest.mark.parametrize("exc, err", [
+        (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
+        (MemoryError(), "error: MemoryError\n"),      # no message: the name stands in
+    ])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, exc, err):
+        # an input too large to allocate is a usage error, not a domain failure
+        from quandle_cayley import quandles
+
+        def refuse(n):
+            raise exc
+
+        monkeypatch.setattr(quandles, "dihedral_quandle", refuse)
+        got = run(capsys, "analyze", "--family", "dihedral", "--n", "1000000")
+        assert got == (2, "", err)
+
     def test_bad_group_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "build", "--family", "conj", "--group", "Q8")
         assert code == 2

@@ -42,6 +42,33 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             G.FiniteGroup(np.array(sub))
 
+    @pytest.mark.parametrize("table", [
+        [[0.4, 1.6], [1.2, 0.0]],           # numpy would truncate these to Z2
+        [[0, 1], [1, 0.0]],
+        [[False, True], [True, False]],
+        [[0, True], [1, 0]],                # numpy reads this as int64
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[False, True], [True, False]]),
+        [["0", "1"], ["1", "0"]],
+    ])
+    def test_rejects_non_integer_entries(self, table):
+        with pytest.raises(ValueError, match="integers"):
+            G.FiniteGroup(table)
+
+    # [[0], [1, 1, 0]] holds 2 x 2 entries, but in ragged rows
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0], [1, 1, 0]], [0, 1], [],
+                                       [[0, 2], [2, 0]]])
+    def test_rejects_ragged_empty_or_out_of_range_tables(self, table):
+        with pytest.raises(ValueError):
+            G.FiniteGroup(table)
+
+    def test_takes_integer_lists_and_arrays(self):
+        for table in ([[0, 1], [1, 0]], ((0, 1), (1, 0)), [np.array([0, 1]), np.array([1, 0])],
+                      np.array([[0, 1], [1, 0]], dtype=np.uint8)):
+            assert G.FiniteGroup(table).mul.dtype == np.int64
+        g = G.make_cyclic(2)
+        assert G.Automorphism(g, [np.int64(0), np.int64(1)]).is_identity()
+
     def test_rejects_non_latin_table(self):
         with pytest.raises(ValueError):
             G.FiniteGroup(np.array([[0, 0], [1, 1]]))

@@ -18,6 +18,14 @@ class TestAxiomScan:
         assert report.ok
         assert report.idempotent and report.right_invertible and report.self_distributive
 
+    @pytest.mark.parametrize("table", [[[0.0, 0.0], [1.0, 1.0]], [[0, 0], [True, 1]],
+                                       np.array([[0.0, 0.0], [1.0, 1.0]])])
+    def test_rejects_non_integer_tables(self, table):
+        with pytest.raises(ValueError, match="integers"):
+            Q.verify_quandle_axioms(table)
+        with pytest.raises(ValueError, match="integers"):
+            Q.Quandle(table)
+
     def test_idempotency_witness(self):
         report = Q.verify_quandle_axioms(np.array([[1, 0], [1, 0]]))
         assert not report.idempotent
@@ -500,6 +508,19 @@ class TestSerialization:
         obj["rhd"][0] = 1
         with pytest.raises(Q.AxiomViolation):
             Q.quandle_from_json(obj)
+
+    @pytest.mark.parametrize("rhd", [[0.9, 0.2, 1.7, 1.0], [0, 1.0, 0, 1],
+                                     [0, True, 0, 1], [False, 0, 1, 1]])
+    def test_rejects_non_integer_entries(self, rhd):
+        # the first truncates to the trivial quandle of order 2, the others
+        # read as quandles too
+        with pytest.raises(ValueError, match="integers"):
+            Q.quandle_from_json({"order": 2, "names": ["a", "b"], "rhd": rhd})
+
+    @pytest.mark.parametrize("order", [2.0, True, 0, "2"])
+    def test_rejects_a_non_integer_order(self, order):
+        with pytest.raises(ValueError):
+            Q.quandle_from_json({"order": order, "names": ["a", "b"], "rhd": [0, 0, 1, 1]})
 
     def test_rejects_malformed_object(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,14 @@ class TestAutomorphismSpecs:
         with pytest.raises(ValueError):
             specs.resolve_automorphism(g, bad)
 
+    @pytest.mark.parametrize("bad", ["perm:[0.2,2.5,1.1]", "perm:[0,2.0,1]",
+                                     "perm:[0,true,2]", 'perm:[0,"2",1]'])
+    def test_perm_rejects_non_integer_images(self, bad):
+        # numpy would read the first as [0, 2, 1] and the third as [0, 1, 2]
+        g = specs.group_from_string("Z3")
+        with pytest.raises(ValueError, match="integers"):
+            specs.resolve_automorphism(g, bad)
+
     def test_neg_needs_abelian(self):
         g = specs.group_from_string("S3")
         with pytest.raises(ValueError):

@@ -146,6 +146,35 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             V.SuiteConfig.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("key, value", [
+        ("abelian_order_cap", True), ("abelian_order_cap", 4.0),
+        ("takasaki_window", True), ("takasaki_window", False), ("takasaki_window", 2.5),
+        ("dihedral_range", [2, 5.5]), ("dihedral_range", [True, 4]),
+    ])
+    def test_rejects_bools_and_floats(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            V.SuiteConfig.from_json({key: value})
+
+    @pytest.mark.parametrize("obj", [{"dihedral_range": 5}, {"checks": 5},
+                                     {"nonabelian_registry": None}])
+    def test_rejects_scalars_where_lists_belong(self, obj):
+        with pytest.raises(ValueError, match="wrong type"):
+            V.SuiteConfig.from_json(obj)
+
+    @pytest.mark.parametrize("rhd", [[[0.5]], [[True]], [[0, 0], [1, 1.0]]])
+    def test_rejects_non_integer_extra_tables(self, rhd):
+        # int() would read [[0.5]] as the trivial quandle [[0]]
+        with pytest.raises(ValueError, match="integers"):
+            V.SuiteConfig.from_json({"extra_quandles": [{"label": "x", "rhd": rhd}]})
+
+    def test_json_keys_are_the_fields(self):
+        import dataclasses
+        names = [f.name for f in dataclasses.fields(V.SuiteConfig)]
+        defaults = V.SuiteConfig()
+        cfg = V.SuiteConfig.from_json({name: getattr(defaults, name) for name in names
+                                       if name != "extra_quandles"})
+        assert cfg == defaults
+
     def test_extra_quandles_from_json(self):
         obj = {"checks": ["axioms"],
                "extra_quandles": [{"label": "inline", "rhd": [[0, 0], [1, 1]]}]}
@@ -220,7 +249,9 @@ class TestCheckersCatchSabotage:
             return [tuple(sorted(classes[0] + classes[1]))] + classes[2:]
 
         monkeypatch.setattr(V.G, "conjugacy_classes", wrong)
-        assert not V.check_conjugation_components(g).passed
+        r = V.check_conjugation_components(g)
+        # the identity's row is the first to miss a predicted edge
+        assert r.witness == {"block_mismatch": (0, real(g)[1][0])}
 
     def test_alexander_checker_sees_wrong_image(self, monkeypatch):
         g = G.make_abelian([4, 4])
@@ -230,7 +261,10 @@ class TestCheckersCatchSabotage:
             return G.subgroup_generated(group, [])
 
         monkeypatch.setattr(V.G, "image_id_minus_t", wrong)
-        assert not V.check_alexander_components(g, t).passed
+        r = V.check_alexander_components(g, t)
+        out = V.gr.build_cayley_graph(Q.alexander_quandle(g, t)).adj[0]
+        assert r.witness == {"block_mismatch": (0, min(set(out) - {0})),
+                             "t": [int(v) for v in t.mapping]}
 
     def test_regularity_checker_sees_wrong_index(self, monkeypatch):
         g = G.make_symmetric(3)
@@ -242,6 +276,44 @@ class TestCheckersCatchSabotage:
 
         monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda a, b: FakeSub())
         assert not V.check_generalized_regularity(g, phi).passed
+
+    @staticmethod
+    def _plant(monkeypatch, builder, cells):
+        """builder's graphs with each (u, v) of `cells` flipped."""
+        real = getattr(V.gr, builder)
+
+        def planted(*args):
+            graph = real(*args)
+            m = graph.matrix().copy()
+            for u, v in cells:
+                m[u, v] = not m[u, v]
+            return V.gr.DirectedGraph._of_matrix(m, names=graph.names)
+
+        monkeypatch.setattr(V.gr, builder, planted)
+
+    @pytest.mark.parametrize("n, cells, cell", [
+        (6, [(2, 4)], (2, 4)),              # a missing edge inside the evens
+        (6, [(3, 0)], (3, 0)),              # an extra edge from the odds to the evens
+        (6, [(4, 0), (1, 2)], (1, 2)),      # one of each: the first in row-major order
+        (7, [(5, 3)], (5, 3)),              # odd n: one block, a missing edge
+    ])
+    def test_dihedral_checker_names_the_planted_cell(self, monkeypatch, n, cells, cell):
+        assert V.check_dihedral_quandle(n).passed
+        self._plant(monkeypatch, "build_cayley_graph", cells)
+        r = V.check_dihedral_quandle(n)
+        assert not r.passed and r.witness == {"block_mismatch": cell}
+
+    @pytest.mark.parametrize("cells, cell", [
+        ([(0, 2)], (0, 2)),                 # -3 -> -1 goes: both odd
+        ([(4, 1)], (4, 1)),                 # 1 -> -2 appears: parities differ
+        ([(5, 1), (4, 5)], (4, 5)),         # one of each: the first in row-major order
+    ])
+    def test_takasaki_checker_names_the_planted_cell(self, monkeypatch, cells, cell):
+        # window [-3, 3]: vertex i is the integer i - 3, and the edge
+        # predicate is untouched, so the block comparison alone fails
+        self._plant(monkeypatch, "takasaki_z_window", cells)
+        r = V.check_takasaki_window(3)
+        assert not r.passed and r.witness == {"block_mismatch": cell}
 
 
 class TestCheckersExhibitTheirIsomorphisms:
@@ -271,6 +343,11 @@ class TestCheckersExhibitTheirIsomorphisms:
                             lambda graph: scc.append(graph) or real_scc(graph))
         for n in range(2, 13):
             assert V.check_dihedral_quandle(n).passed
+        assert scc == []
+        # the spy is live: dihedral_inner's components are directed cycles,
+        # not complete, so it still runs Tarjan
+        for m in range(2, 13):
+            assert V.check_dihedral_inner_example(m).passed
         assert len(scc) == 11
         scc.clear()
         # orbit_coset reads its components from the orbits, never from Tarjan
@@ -278,6 +355,27 @@ class TestCheckersExhibitTheirIsomorphisms:
             for h in range(g.order):
                 assert V.check_orbit_coset(g, h).passed
         assert calls == [] and scc == []
+
+    def test_block_checkers_search_no_components(self, registry_groups, monkeypatch):
+        # the four complete-blocks claims are one matrix comparison each
+        calls = []
+        for name in ("strongly_connected_components", "induced_subgraph", "is_complete"):
+            real = getattr(V.gr, name)
+            monkeypatch.setattr(V.gr, name, lambda *args, real=real, name=name: (
+                calls.append(name) or real(*args)))
+        for g in registry_groups:
+            assert V.check_conjugation_components(g).passed
+        for n in range(1, 13):
+            assert V.check_dihedral_quandle(n).passed
+            assert V.check_takasaki_window(n).passed
+        g = G.make_abelian([4, 4])
+        for t in _autos(g)[:10]:
+            assert V.check_alexander_components(g, t).passed
+        assert calls == []
+        # the spies are live: s4_example's components are not complete
+        assert V.check_s4_example().passed
+        assert set(calls) == {"strongly_connected_components", "induced_subgraph",
+                              "is_complete"}
 
     def test_planted_in_coset_non_edge(self, monkeypatch):
         g = G.make_symmetric(4)
@@ -457,9 +555,8 @@ class TestAbelianSweepMatchesCheckers:
         third = [int(v) for v in autos[2].mapping]
         image = G.image_id_minus_t(g, autos[2])
         c03, c05 = (r.witness for r in failing)
-        # the checkers build their own tables and pass t, so the witnesses
-        # come from the sweep's comparisons: the identity-only row 0 misses
-        # the edge to the least non-zero member of im(id - t)
+        # the witnesses come from the sweep's comparisons: the identity-only
+        # row 0 misses the edge to the least non-zero member of im(id - t)
         assert c03 == {"sub_instance": "Z4xZ4", "failed": 2, "of": 96,
                        "detail": {"block_mismatch": (0, image.members[1]), "t": third}}
         assert c05 == {"sub_instance": "Z4xZ4", "failed": 2, "of": 96,
