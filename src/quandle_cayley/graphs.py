@@ -239,8 +239,9 @@ def _reach_powers(m: np.ndarray):
     float32 0/1 matrices: B^t holds the pairs joined by a path of length
     <= t.  The last one is the first B^t with t >= k - 1 for k vertices,
     the reflexive-transitive closure, since no shortest path is longer.
+    A stack of matrices, m[..., k, k], is squared as one batch.
     """
-    k = m.shape[0]
+    k = m.shape[-1]
     p = (m | np.eye(k, dtype=bool)).astype(np.float32)
     yield p
     steps = 1
@@ -252,7 +253,8 @@ def _reach_powers(m: np.ndarray):
 
 def _reachability(m: np.ndarray) -> np.ndarray:
     """Bool matrix whose row x marks every vertex reachable from x, x itself
-    included: the first of _reach_powers that squaring leaves unchanged."""
+    included: the first of _reach_powers that squaring leaves unchanged.
+    For a stack of matrices, the first that leaves every one unchanged."""
     last = None
     for p in _reach_powers(m):
         if last is not None and (p == last).all():

@@ -466,10 +466,17 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
     The group must have order n^2 with the make_abelian([n, n]) index layout
     (element (x, y) at index x*n + y).  The matrix [[a, b], [c, d]] sends
     (x, y) to (a x + b y, c x + d y) mod n, and must be invertible mod n.
+    The entries must be integers: floats are not rounded, and bools, which
+    are ints to Python, are refused.
     """
-    mat = [[int(v) for v in row] for row in rows]
-    if len(mat) != 2 or any(len(r) != 2 for r in mat):
+    sequence = (list, tuple, np.ndarray)
+    if (not isinstance(rows, sequence) or len(rows) != 2
+            or any(not isinstance(r, sequence) or len(r) != 2 for r in rows)):
         raise ValueError("matrix automorphism expects a 2x2 matrix")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for r in rows for v in r):
+        raise ValueError("matrix automorphism entries must be integers")
+    mat = [[int(v) for v in r] for r in rows]
     n = int(round(g.order ** 0.5))
     if n * n != g.order:
         raise ValueError(f"{g.label} is not a product of two equal cyclic groups")
@@ -504,7 +511,7 @@ def _bfs_recipe(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
 
 def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.ndarray:
     """All automorphisms, as the rows of a (k, n) int64 array of image
-    arrays sorted lexicographically, by a sweep over generator images.
+    arrays in lexicographic order, by a sweep over generator images.
 
     Candidate images are filtered by element order.  The candidate tuples
     are decoded in chunks of _FAMILY_CHUNK_CELLS // n, and each chunk is
@@ -519,6 +526,15 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
     phi(x w s_j) = phi(x w) phi(s_j) = phi(x) phi(w) phi(s_j) = phi(x) phi(w s_j),
     the last step being the edge at w.  In a finite group every element is
     such a word, so phi is a homomorphism.
+
+    The rows come out in lexicographic order without a sort.  Take two kept
+    tuples that first differ at generator j.  The greedy rule picked gens[j]
+    as the least element outside <gens[:j]>, so every element below gens[j]
+    lies in <gens[:j]>, where the two maps agree.  So the rows first differ
+    at element gens[j], in the order of the two images of gens[j].  Those
+    are candidates, which ascend, so the rows are in the order of the
+    tuples, and the tuples are decoded in itertools.product order.  The
+    working arrays are int32, since n^2 is far below 2^31.
     """
     if g.order > cap:
         raise ValueError(
@@ -530,10 +546,11 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
         return np.arange(n, dtype=np.int64)[None, :]
     recipe = _bfs_recipe(g, gens)
     orders = [g.element_order(x) for x in range(n)]
-    candidates = [np.array([x for x in range(n) if orders[x] == orders[gen]]) for gen in gens]
+    candidates = [np.array([x for x in range(n) if orders[x] == orders[gen]], dtype=np.int32)
+                  for gen in gens]
     sizes = [c.size for c in candidates]
     total = math.prod(sizes)
-    flat = g.mul.ravel()
+    flat = g.mul.ravel().astype(np.int32)
     right = g.mul[:, gens]      # right[x, j] = x s_j
     per = max(1, _FAMILY_CHUNK_CELLS // n)
     found = []
@@ -541,7 +558,7 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
         # tuple numbers in itertools.product order -> their generator images
         digits = np.unravel_index(np.arange(start, min(start + per, total)), sizes)
         images = np.stack([c[d] for c, d in zip(candidates, digits)])
-        phi = np.empty((n, images.shape[1]), dtype=np.int64)
+        phi = np.empty((n, images.shape[1]), dtype=np.int32)
         phi[g.identity] = g.identity
         for elem, parent, slot in recipe:
             phi[elem] = np.take(flat, phi[parent] * n + images[slot])
@@ -553,8 +570,7 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
         for j in range(len(gens)):
             hom &= (phi[right[:, j]] == np.take(flat, phi * n + images[j])).all(axis=0)
         found.append(phi[:, hom].T)
-    found = np.concatenate(found)
-    return found[np.lexsort(found.T[::-1])]
+    return np.concatenate(found).astype(np.int64)
 
 
 def fixed_point_subgroup(g: FiniteGroup, phi: Automorphism) -> "Subgroup":

@@ -268,27 +268,34 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
     )
 
 
+def difference_sets(g: FiniteGroup, maps) -> np.ndarray:
+    """Masks d[k, v] of the sets D_k = {phi_k(z) z^-1 : z in G}, one per row
+    of the (k, n) stack of automorphism image arrays: one n-cell scatter
+    each."""
+    maps = np.asarray(maps, dtype=np.int64)
+    d = np.zeros(maps.shape, dtype=bool)
+    d[np.arange(len(maps))[:, None], g.mul[maps, g.inv]] = True
+    return d
+
+
 def alexander_adjacency(g: FiniteGroup, maps) -> np.ndarray:
     """Stacked Cayley adjacency matrices adj[k, x, v], True when v = x |> y
     for some y in the generalized Alexander quandle x |> y = phi_k(x y^-1) y,
     one per row of the (k, n) stack of automorphism image arrays.  On an
     abelian group the table is t_k(x) + y - t_k(y).
 
-    Row x is D x, where D = {phi(z) z^-1 : z in G}: put z = x y^-1, so that
-    y = z^-1 x and phi(x y^-1) y = phi(z) z^-1 x, and z runs over G as y
-    does.  So one n-cell scatter per automorphism gives the mask of D, and
-    one gather gives adj[k, x, v] = D_k[v x^-1].  The tables are
+    Row x is D x, where D = {phi(z) z^-1 : z in G} (difference_sets): put
+    z = x y^-1, so that y = z^-1 x and phi(x y^-1) y = phi(z) z^-1 x, and z
+    runs over G as y does.  So the matrix depends on D alone, and one
+    gather gives adj[k, x, v] = D_k[v x^-1].  The tables are
     generalized_alexander_quandle's, a quandle for every automorphism
     (Joyce 1982, as in the Quandle docstring), so none is scanned.
     alexander_quandle and generalized_alexander_quandle keep their own
     copies of the formula, so the per-instance checkers do not share code
     with the stacked sweep."""
-    maps = np.asarray(maps, dtype=np.int64)
     idx = np.arange(g.order)
-    d = np.zeros(maps.shape, dtype=bool)
-    d[np.arange(len(maps))[:, None], g.mul[maps, g.inv]] = True
     vx = g.mul[idx[None, :], g.inv[idx][:, None]]     # vx[x, v] = v x^-1
-    return np.take(d, vx, axis=1)
+    return np.take(difference_sets(g, maps), vx, axis=1)
 
 
 def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:

@@ -9,7 +9,11 @@ back as a report with a concrete witness.
 The suite sweeps the generalized Alexander quandles of whole families of
 automorphisms, each family one array of image rows (sweep_alexander):
 every automorphism of each abelian group, and the inner automorphisms of
-each registry group.
+each registry group (regularity and orbit_coset).
+A Cayley graph of phi(x y^-1) y depends only on the set
+D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
+D and gives each automorphism its own verdict from its D's matrix and its
+own prediction.
 Like the family constructors, the sweep takes its tables to be quandles,
 as phi(x y^-1) y is for every automorphism, and does not scan them again.
 The per-instance checkers stay the tests' reference for the sweep, and
@@ -52,7 +56,8 @@ CHECK_IDS = (
 
 # unordered automorphism pairs are swept only below this Aut-group size
 _ISO_PAIR_AUT_CAP = 100
-# the checks sweep_alexander can run, in suite order
+# the checks sweep_alexander runs over any family, in suite order; its
+# fourth, orbit_coset, takes the inner family only
 _SWEPT = ("alexander_components", "alexander_iso", "regularity")
 
 
@@ -100,13 +105,6 @@ def _merged(tid: str, instance: str, of: int, failed: int, first,
         witness=witness,
         elapsed=elapsed,
     )
-
-
-def _merge(tid: str, instance: str, reports: list[VerificationReport]) -> VerificationReport:
-    bad = [r for r in reports if not r.passed]
-    first = (bad[0].instance, bad[0].witness) if bad else None
-    return _merged(tid, instance, len(reports), len(bad), first,
-                   sum(r.elapsed for r in reports))
 
 
 def _block_matrix(blocks, n: int) -> np.ndarray:
@@ -258,14 +256,19 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
     return _report("regularity", f"{g.label}", start, failures)
 
 
-# -- batched sweeps over the automorphisms of an abelian group ----------------
+# -- batched sweeps over families of automorphisms ----------------------------
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D bool array, in order of first appearance:
     the index of each one's first row, and for every row the position of
     its distinct row in that order."""
-    packed = np.packbits(rows, axis=1)
+    # packbits runs far faster on a flat array than along an axis, so the
+    # rows are padded to whole bytes and packed as one
+    k, n = rows.shape
+    padded = np.zeros((k, -(-n // 8) * 8), dtype=bool)
+    padded[:, :n] = rows
+    packed = np.packbits(padded.ravel()).reshape(k, -1)
     order = np.lexsort(packed.T)        # stable: each run of equal rows starts at its first
     run = np.ones(len(rows), dtype=bool)
     run[1:] = (packed[order[1:]] != packed[order[:-1]]).any(axis=1)
@@ -276,40 +279,78 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[appear], np.argsort(appear)[label]
 
 
-def _iso_classes(matrices: dict) -> dict:
-    """Isomorphism class id per distinct adjacency matrix (bytes -> int).
+def _iso_classes(matrices: list) -> np.ndarray:
+    """Isomorphism class id of each adjacency matrix in a list of distinct
+    ones.
 
     The matrices, in order, are searched against the class representatives
     in turn; a mapping counts only if it carries every edge and non-edge
     onto the representative's, and an unmatched matrix starts a new class.
     """
     reps: list[gr.DirectedGraph] = []
-    class_of: dict[bytes, int] = {}
-    for key, m in matrices.items():
+    class_of = np.empty(len(matrices), dtype=np.intp)
+    for i, m in enumerate(matrices):
         graph = gr.DirectedGraph._of_matrix(m)
         for c, rep in enumerate(reps):
             p = gr.find_isomorphism(graph, rep)
             if p is not None and (m == rep.matrix()[np.ix_(p, p)]).all():
-                class_of[key] = c
+                class_of[i] = c
                 break
         else:
-            class_of[key] = len(reps)
+            class_of[i] = len(reps)
             reps.append(graph)
     return class_of
 
 
-def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
-    """alexander_components, alexander_iso and regularity over the
-    generalized Alexander quandles of a family of automorphisms, the rows
-    of the (k, n) image array maps.  alexander_components and
-    alexander_iso need an abelian group; regularity takes any group.
-    alexander_iso gives one verdict per pair, so keep the family small for it.
+def _pairs(d_of: np.ndarray, pred_of: np.ndarray) -> tuple:
+    """The distinct (difference-set class, prediction class) pairs of a
+    family, sorted by difference-set class: each pair's first
+    automorphism, its two classes, and for every automorphism its pair."""
+    key = d_of * (int(pred_of.max()) + 1) + pred_of
+    _, first, pair_of = np.unique(key, return_index=True, return_inverse=True)
+    return first, d_of[first], pred_of[first], pair_of.ravel()
 
-    The adjacency matrices come from quandles.alexander_adjacency, as many
-    automorphisms at a time as fit in groups._FAMILY_CHUNK_CELLS cells.
-    Their tables are generalized_alexander_quandle's, quandles for every
-    automorphism, so their axioms are not scanned.
-    alexander_components: each matrix equals the block matrix of the left
+
+def _coset_translations(g: G.FiniteGroup, blocks) -> tuple:
+    """The coset translations check_orbit_coset tests, from block 0 to
+    each block j >= 1 of the left cosets of a normal N: block 0 as an
+    array, and in row j - 1 its image under x -> x u^-1 v_j (u and v_j the
+    least members of blocks 0 and j).  That image is u N u^-1 v_j = v_j N,
+    block j, since N is normal."""
+    base = np.array(blocks[0])
+    shift = g.mul[g.inv[base[0]], [blk[0] for blk in blocks[1:]]]
+    return base, g.mul[base[None, :], shift[:, None]]
+
+
+def _translations_ok(adj: np.ndarray, base, image) -> np.ndarray:
+    """ok[r, j - 1]: translation j of _coset_translations carries every
+    edge and non-edge of block 0 in matrix adj[r] to its image,
+    m[x s, y s] == m[x, y], in one gather."""
+    moved = adj[:, image[:, :, None], image[:, None, :]]
+    here = adj[:, base[:, None], base[None, :]]
+    return (moved == here[:, None]).all(axis=(2, 3))
+
+
+def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
+    """alexander_components, alexander_iso, regularity and orbit_coset over
+    the generalized Alexander quandles of a family of automorphisms, the
+    rows of the (k, n) image array maps.  alexander_components and
+    alexander_iso need an abelian group; regularity takes any group.
+    alexander_iso gives one verdict per pair, so keep the family small for
+    it.  orbit_coset reads row h as conjugation by h, so maps must be the
+    inner family g.mul[g.mul, g.inv[:, None]].
+
+    Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
+    (quandles.alexander_adjacency), so the matrix depends on the mask of D
+    alone.  The family's D masks are deduped (_distinct_rows), and
+    quandles.alexander_adjacency builds one matrix per distinct D (67 for
+    the 20,160 automorphisms of Z2^4), as many at a time as fit in
+    groups._FAMILY_CHUNK_CELLS cells.  Their tables are
+    generalized_alexander_quandle's, quandles for every automorphism, so
+    their axioms are not scanned.  Each automorphism still gets its own
+    verdict: its D class's matrix against its own prediction, evaluated
+    once per distinct pair of D class and prediction class.
+    alexander_components: the matrix equals the block matrix of the left
     cosets of im(id - t).  That makes the graph the disjoint union of the
     complete digraphs on those cosets, so it fixes the strong components,
     their count |G| / |im(id - t)| and their completeness.
@@ -318,72 +359,127 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
     isomorphic when its graphs share a class; that verdict must agree with
     whether |im(id - t)| is equal, which the classes never read.
     regularity: every in- and out-degree, counted from the matrix, is
-    [G : Fix(phi)].  The predictions come from image_id_minus_t, cosets and
-    fixed_point_subgroup, once per distinct image or fixed-point set.
+    [G : Fix(phi)].  The predictions come from image_id_minus_t and cosets
+    once per D class (the image {x t(x)^-1} is the set of inverses of D),
+    and from fixed_point_subgroup once per distinct fixed-point set.
+    orbit_coset: for the twist by h, N = <[h, x]> is normal, the
+    reachability closure of the matrix (forward orbits) is the block matrix
+    of the left cosets of N, and right multiplication by u^-1 v carries
+    coset 0 onto each other coset, edges and non-edges alike.  For the
+    inner family D is the set of commutators [h, z], so N comes from
+    commutator_subgroup_with once per D class, and normality, cosets and
+    translations once per distinct N.  A non-normal N fails by itself, so
+    the translations matter only for a normal N, where each carries coset 0
+    onto its target coset.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the witness for the first failure, in the
     per-instance checker's form: the first cell or vertex where the
-    comparison failed, or for alexander_iso the failing pair's verdict,
-    image sizes and maps.
+    comparison failed, or for orbit_coset the first of normality, orbits
+    and translations to fail, or for alexander_iso the failing pair's
+    verdict, image sizes and maps.
     """
     n = g.order
-    idx = np.arange(n)
     k = len(maps)
     auto = lambda i: G.Automorphism._of_checked(g, maps[i])
+    d_first, d_of = _distinct_rows(Q.difference_sets(g, maps))
+    tests = {}         # check id -> (prediction class per automorphism, test)
     if "alexander_components" in check_ids or "alexander_iso" in check_ids:
-        image = np.zeros((k, n), dtype=bool)
-        image[np.arange(k)[:, None], g.mul[idx, g.inv[maps]]] = True
-        firsts, image_of = _distinct_rows(image)
-        subs = [G.image_id_minus_t(g, auto(i)) for i in firsts]
-        sizes = np.array([sub.order for sub in subs])[image_of]
+        # {x t(x)^-1} is the set of inverses of D, so automorphisms share
+        # their image set exactly when they share D
+        subs = [G.image_id_minus_t(g, auto(i)) for i in d_first]
+        sizes = np.array([sub.order for sub in subs])[d_of]
+    if "alexander_components" in check_ids:
         parts = [G.cosets(g, sub, side="left").blocks for sub in subs]
         blocks = np.stack([_block_matrix(blks, n) for blks in parts])
-    if "regularity" in check_ids:
-        firsts, fixed_of = _distinct_rows(maps == idx)
-        index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
-        expected = index[fixed_of]
-    verdicts = {tid: np.ones(k, dtype=bool) for tid in check_ids if tid != "alexander_iso"}
-    witness: dict = {}
-    matrices: dict[bytes, np.ndarray] = {}   # distinct adjacency matrices, in order
-    adj_keys: list[bytes] = []         # per automorphism: its matrix
-    rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
-    for start in range(0, k, rows):
-        part = slice(start, start + rows)
-        adj = Q.alexander_adjacency(g, maps[part])
-        checks = {}
-        if "alexander_iso" in check_ids:
-            keys = [m.tobytes() for m in adj]
-            matrices.update(zip(keys, adj))    # a repeated key keeps its first place
-            adj_keys += keys
-        if "alexander_components" in check_ids:
-            def block_cell(i):
-                return _block_mismatch(adj[i], parts[image_of[start + i]],
-                                       t=maps[start + i].tolist())[0]
 
-            checks["alexander_components"] = (
-                (adj == blocks[image_of[part]]).all(axis=(1, 2)), block_cell)
-        if "regularity" in check_ids:
+        def components(adj, ld, pq):
+            def witness(p, i):
+                return _block_mismatch(adj[ld[p]], parts[pq[p]], t=maps[i].tolist())[0]
+
+            return (adj[ld] == blocks[pq]).all(axis=(1, 2)), witness
+
+        tests["alexander_components"] = (d_of, components)
+    if "regularity" in check_ids:
+        firsts, fixed_of = _distinct_rows(maps == np.arange(n))
+        index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
+
+        def regularity(adj, ld, pq):
             # uint8 counts are exact up to 255, and einsum adds them fastest
             cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
-            outs, ins = np.einsum("kxv->kx", cells), np.einsum("kxv->kv", cells)
-            degree = expected[part, None]
+            outs, ins = np.einsum("kxv->kx", cells)[ld], np.einsum("kxv->kv", cells)[ld]
+            degree = index[pq, None]
             wrong = (outs != degree) | (ins != degree)
 
-            def bad_vertex(i):
-                v = int(np.argmax(wrong[i]))
-                return {"vertex": v, "degree": (int(outs[i, v]), int(ins[i, v])),
-                        "expected": int(degree[i, 0]), "phi": maps[start + i].tolist()}
+            def witness(p, i):
+                v = int(np.argmax(wrong[p]))
+                return {"vertex": v, "degree": (int(outs[p, v]), int(ins[p, v])),
+                        "expected": int(degree[p, 0]), "phi": maps[i].tolist()}
 
-            checks["regularity"] = (~wrong.any(axis=1), bad_vertex)
-        for tid, (ok, own_witness) in checks.items():
+            return ~wrong.any(axis=1), witness
+
+        tests["regularity"] = (fixed_of, regularity)
+    if "orbit_coset" in check_ids:
+        if maps.shape != (n, n) or (maps != g.mul[g.mul, g.inv[:, None]]).any():
+            raise ValueError("orbit_coset sweeps the inner family only")
+        subgroups = [G.commutator_subgroup_with(g, int(h)) for h in d_first]
+        distinct: dict = {}    # members -> (index, subgroup) of each distinct N
+        n_of = np.array([distinct.setdefault(sub.members, (len(distinct), sub))[0]
+                         for sub in subgroups])
+        n_subs = [sub for _, sub in distinct.values()]
+        normal = np.array([G.is_normal(g, sub) for sub in n_subs])
+        coset_blocks = [G.cosets(g, sub, side="left").blocks for sub in n_subs]
+        coset_mats = np.stack([_block_matrix(blks, n) for blks in coset_blocks])
+        shifts = [_coset_translations(g, blks) for blks in coset_blocks]
+
+        def orbit_coset(adj, ld, pq):
+            nq = n_of[pq]
+            # row x of the reachability closure is the forward orbit of x
+            orbits = gr._reachability(adj)[ld]
+            stray = (orbits != coset_mats[nq]).any(axis=2)
+            moves = np.ones(len(ld), dtype=bool)
+            for j in np.unique(nq):
+                rows = np.flatnonzero(nq == j)
+                moves[rows] = _translations_ok(adj[ld[rows]], *shifts[j]).all(axis=1)
+
+            def witness(p, i):
+                j = nq[p]
+                if not normal[j]:
+                    return {"not_normal": list(n_subs[j].members)}
+                if stray[p].any():
+                    x = int(np.argmax(stray[p]))
+                    return {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[p, x]).tolist(),
+                                               "coset": np.flatnonzero(coset_mats[j, x]).tolist()}}
+                ok = _translations_ok(adj[ld[p]][None], *shifts[j])[0]
+                return {"translation_not_isomorphism": (0, int(np.argmin(ok)) + 1)}
+
+            return normal[nq] & ~stray.any(axis=1) & moves, witness
+
+        tests["orbit_coset"] = (d_of, orbit_coset)
+    pairs = {tid: _pairs(d_of, of) for tid, (of, _) in tests.items()}
+    verdicts = {tid: np.ones(len(pairs[tid][0]), dtype=bool) for tid in tests}
+    witness: dict = {}                 # check id -> (automorphism, witness)
+    matrices = []                      # per D class, for alexander_iso
+    rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
+    for c0 in range(0, len(d_first), rows):
+        adj = Q.alexander_adjacency(g, maps[d_first[c0:c0 + rows]])
+        if "alexander_iso" in check_ids:
+            matrices.extend(adj)
+        for tid, (_, test) in tests.items():
+            first, pd, pq, _ = pairs[tid]
+            part = slice(*np.searchsorted(pd, [c0, c0 + rows]))
+            ok, own_witness = test(adj, pd[part] - c0, pq[part])
             verdicts[tid][part] = ok
-            if tid not in witness and not ok.all():
-                witness[tid] = own_witness(int(np.argmin(ok)))
-    out = {tid: (ok, witness.get(tid)) for tid, ok in verdicts.items()}
+            if not ok.all():
+                # the pair's first automorphism is the earliest with its verdict
+                p = int(np.argmin(np.where(ok, k, first[part])))
+                i = int(first[part][p])
+                if tid not in witness or i < witness[tid][0]:
+                    witness[tid] = (i, own_witness(p, i))
+    out = {tid: (verdicts[tid][pairs[tid][3]], witness.get(tid, (0, None))[1])
+           for tid in check_ids if tid != "alexander_iso"}
     if "alexander_iso" in check_ids:
-        class_of = _iso_classes(matrices)
-        cls = np.array([class_of[key] for key in adj_keys])
+        cls = _iso_classes(matrices)[d_of]
         first, second = np.triu_indices(k)
         ok = (cls[first] == cls[second]) == (sizes[first] == sizes[second])
         p = int(np.argmin(ok))          # the first failing pair, read only on a failure
@@ -611,18 +707,23 @@ def _abelian_groups(config: SuiteConfig):
         yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
 
 
-def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instance=None) -> dict:
+def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None) -> dict:
     """sweep_alexander as one merged report per check id, which share its
-    time.  The instance is `instance`, else the group with its count of
-    automorphisms (or pairs, for alexander_iso)."""
+    time.  The instance is instances[check id], else the group with its
+    count of automorphisms (or pairs, for alexander_iso).  The failing
+    sub-instance is the group, or for orbit_coset the group and h."""
     start = time.perf_counter()
     results = sweep_alexander(g, maps, check_ids)
     share = (time.perf_counter() - start) / len(check_ids)
     out = {}
     for tid, (ok, detail) in results.items():
         unit = "pairs" if tid == "alexander_iso" else "automorphisms"
-        out[tid] = _merged(tid, instance or f"{g.label} ({ok.size} {unit})", ok.size,
-                           int(np.count_nonzero(~ok)), (g.label, detail), share)
+        instance = (instances or {}).get(tid, f"{g.label} ({ok.size} {unit})")
+        sub = g.label
+        if tid == "orbit_coset":
+            sub = f"({g.label}, h={g.name(int(np.argmin(ok)))})"
+        out[tid] = _merged(tid, instance, ok.size, int(np.count_nonzero(~ok)),
+                           (sub, detail), share)
     return out
 
 
@@ -673,27 +774,25 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
             reports.append(check_takasaki_window(w))
 
     # one sweep per abelian group serves all three swept checks, and one
-    # per registry group the inner twists' regularity; the reports keep
-    # their places in the suite order
+    # per registry group the inner twists' regularity and orbit_coset; the
+    # reports keep their places in the suite order
     swept = tuple(c for c in _SWEPT if config.wants(c))
-    merged: dict[str, list] = {tid: [] for tid in swept}
+    inner_tids = tuple(c for c in ("regularity", "orbit_coset") if config.wants(c))
+    merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
     for g, maps in _abelian_groups(config) if swept else []:
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept
                      if c != "alexander_iso" or len(maps) <= _ISO_PAIR_AUT_CAP)
         for tid, report in (_sweep_reports(g, maps, tids) if tids else {}).items():
             merged[tid].append(report)
-    for g in registry if config.wants("regularity") else []:
+    for g in registry if inner_tids else []:
         inner = g.mul[g.mul, g.inv[:, None]]      # inner[h, x] = h x h^-1
-        merged["regularity"].append(_sweep_reports(
-            g, inner, ("regularity",), f"{g.label} (inner, all h)")["regularity"])
-    for tid in swept:
+        instances = {"regularity": f"{g.label} (inner, all h)",
+                     "orbit_coset": f"{g.label} (all h)"}
+        for tid, report in _sweep_reports(g, inner, inner_tids, instances).items():
+            merged[tid].append(report)
+    for tid in merged:
         reports.extend(merged[tid])
-
-    if config.wants("orbit_coset"):
-        for g in registry:
-            subs = [check_orbit_coset(g, h) for h in range(g.order)]
-            reports.append(_merge("orbit_coset", f"{g.label} (all h)", subs))
 
     if config.wants("dihedral_inner"):
         for m in range(max(2, lo), hi + 1):

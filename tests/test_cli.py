@@ -70,6 +70,15 @@ class TestBuild:
         assert (code, out) == (2, "")
         assert "integers" in err
 
+    @pytest.mark.parametrize("matrix", ["[[1.5,0],[0,1]]", "[[1,0],[0,true]]",
+                                        '[[1,"0"],[0,1]]', "[[1,0],[null,1]]"])
+    def test_matrix_non_integer_entries_exit_2(self, capsys, matrix):
+        # a float, a bool, a string, null: no entry is rounded or read as 0 or 1
+        code, out, err = run(capsys, "analyze", "--family", "alexander",
+                             "--group", "Z3xZ3", "--phi", f"matrix:{matrix}")
+        assert (code, out) == (2, "")
+        assert err == "error: matrix automorphism entries must be integers\n"
+
     @pytest.mark.parametrize("exc, err", [
         (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
         (MemoryError(), "error: MemoryError\n"),      # no message: the name stands in

@@ -296,6 +296,19 @@ class TestDiameterOracle:
                 seen = {v for layer in G.breadth_first([s], g.adj.__getitem__) for v in layer}
                 assert np.flatnonzero(reach[s]).tolist() == sorted(seen)
 
+    def test_stacked_reachability_matches_each_matrix(self):
+        # one batch of squarings over matrices that need different numbers
+        # of them: a long path, a short cycle and random sparse graphs
+        rng = np.random.default_rng(17)
+        n = 40
+        stack = [gr.DirectedGraph(n, [(i, i + 1) for i in range(n - 1)]).matrix(),
+                 gr.DirectedGraph(n, [(i, (i + 1) % 3) for i in range(3)]).matrix()]
+        stack += [random_digraph(rng, n, p).matrix() for p in (0.0, 0.03, 0.1)]
+        reach = gr._reachability(np.stack(stack))
+        assert reach.shape == (len(stack), n, n) and reach.dtype == bool
+        for r, m in zip(reach, stack):
+            assert (r == gr._reachability(m)).all()
+
 
 class TestPredicates:
     def test_symmetry(self):

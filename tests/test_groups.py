@@ -530,6 +530,53 @@ class TestBatchedAutomorphismsMatchLoop:
             assert G.Automorphism(g, row) == G.Automorphism._of_checked(g, row)
 
 
+def _strictly_increasing(rows):
+    """Every row below the first is lexicographically greater than the one
+    before it."""
+    before, after = rows[:-1], rows[1:]
+    differ = before != after
+    col = differ.argmax(axis=1)
+    at = np.arange(len(before))
+    return bool(differ.any(axis=1).all() and (before[at, col] < after[at, col]).all())
+
+
+class TestEnumerationOrder:
+    """enumerate_automorphisms returns its rows in lexicographic order
+    without sorting them; its docstring proves it from the prefix property
+    of the greedy generators."""
+
+    @staticmethod
+    def _groups(abelian_sweep, registry_groups):
+        s3z4 = G.make_direct_product(G.make_symmetric(3), G.make_cyclic(4))
+        return ([(g, 16) for g, _ in abelian_sweep] + [(g, 24) for g in registry_groups]
+                + [(s3z4, 27), (G.make_abelian([3, 3, 3]), 27)])
+
+    def test_rows_strictly_increase(self, abelian_sweep, registry_groups):
+        for g, cap in self._groups(abelian_sweep, registry_groups):
+            maps = G.enumerate_automorphisms(g, cap=cap)
+            assert len(maps) == 1 or _strictly_increasing(maps), g.label
+
+    def test_rows_equal_the_loop_at_order_27(self):
+        # 11,232 automorphisms of Z3^3, |GL(3, 3)|
+        g = G.make_abelian([3, 3, 3])
+        got = list(map(tuple, G.enumerate_automorphisms(g, cap=27).tolist()))
+        assert len(got) == 11232
+        assert got == _loop_enumerate_automorphisms(g)
+
+    def test_greedy_prefix_property(self, abelian_sweep, registry_groups):
+        # every element below gens[j] lies in <gens[:j]>
+        s4 = G.make_symmetric(4)
+        perm = np.random.default_rng(0).permutation(24)
+        back = np.argsort(perm)
+        moved = G.FiniteGroup(perm[s4.mul[back][:, back]], label="S4'")
+        groups = [g for g, _ in self._groups(abelian_sweep, registry_groups)] + [moved]
+        for g in groups:
+            gens = G._greedy_generators(g)
+            for j, gen in enumerate(gens):
+                below = G.subgroup_generated(g, gens[:j]).member_set()
+                assert set(range(gen)) <= below, (g.label, j)
+
+
 class TestAbelianTypes:
     def test_count_up_to_16(self):
         types = G.abelian_group_types(16)

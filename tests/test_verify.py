@@ -471,6 +471,20 @@ def _verdicts(g, autos, check):
     return [check(g, t).passed for t in autos]
 
 
+def _strip(reports):
+    return [(r.theorem_id, r.instance, r.passed, r.witness) for r in reports]
+
+
+def _merged_checkers(tid, instance, reports):
+    """The merged report a loop over per-instance checker reports gives,
+    stripped as _strip does: the first failure's instance and witness, and
+    the counts."""
+    bad = [r for r in reports if not r.passed]
+    witness = {"sub_instance": bad[0].instance, "detail": bad[0].witness,
+               "failed": len(bad), "of": len(reports)} if bad else None
+    return (tid, instance, not bad, witness)
+
+
 def _wrong_for_order(real, order, wrong):
     """real(group, t), except wrong(group) where real's subgroup has `order`."""
     def patched(group, t):
@@ -522,6 +536,49 @@ class TestAbelianSweepMatchesCheckers:
                 first = autos[int(np.argmin(ok05))]
                 assert w05 == V.check_generalized_regularity(g, first).witness
 
+    def test_failures_in_one_matrix_chunks(self, abelian_sweep, monkeypatch):
+        # one difference set per chunk: the first failing automorphism's
+        # chunk need not be the first chunk with a failure
+        trivial = lambda group: G.Subgroup(group, [group.identity])
+        monkeypatch.setattr(V.G, "image_id_minus_t",
+                            _wrong_for_order(G.image_id_minus_t, 4, trivial))
+        monkeypatch.setattr(V.G, "fixed_point_subgroup",
+                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 1)
+        for g, autos in abelian_sweep:
+            if g.label in ("Z4xZ4", "Z2xZ6", "Z2xZ2xZ2"):
+                ok03, w03, ok05, w05 = self._check(g, autos)
+                assert w03 == V.check_alexander_components(g, autos[int(np.argmin(ok03))]).witness
+                assert w05 == V.check_generalized_regularity(g, autos[int(np.argmin(ok05))]).witness
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_verdicts_split_within_a_difference_set(self, monkeypatch, cells):
+        # a wrong index for one fixed-point subgroup, Fix(autos[32]) on
+        # Z2xZ2xZ4: other automorphisms with a failing difference set, and
+        # so the same graph, have other fixed points and keep passing.  A
+        # later failing automorphism has a difference set that appears
+        # first, so the witness is not the first failing difference set's
+        # first failure, whether the sets share a chunk or each has its own
+        g = G.make_abelian([2, 2, 4])
+        autos = _autos(g)
+        if cells is not None:
+            monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", cells)
+        order = {}                 # difference sets in order of first appearance
+        d_of = [order.setdefault(d.tobytes(), len(order))
+                for d in Q.difference_sets(g, _maps(autos))]
+        real = G.fixed_point_subgroup
+        fixes = [real(g, t).members for t in autos]
+        failing = [i for i, f in enumerate(fixes) if f == fixes[32]]
+        assert failing[0] == 32 and min(d_of[i] for i in failing) < d_of[32]
+        monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda group, t: (
+            G.Subgroup(group, [group.identity]) if real(group, t).members == fixes[32]
+            else real(group, t)))
+        ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
+        assert np.flatnonzero(~ok).tolist() == failing
+        assert any(d_of[i] == d_of[32] for i in np.flatnonzero(ok))
+        assert list(ok) == _verdicts(g, autos, V.check_generalized_regularity)
+        assert detail == V.check_generalized_regularity(g, autos[32]).witness
+
     def test_chunk_edges(self, monkeypatch):
         # Z4xZ4 has 96 automorphisms: 7 matrices of 16 x 16 cells per chunk
         # end in a partial chunk of 5
@@ -531,20 +588,29 @@ class TestAbelianSweepMatchesCheckers:
         self._check(g, autos)
 
     def test_planted_fault_names_the_third_automorphism(self, monkeypatch):
+        # the trivial graph in place of the matrices of two difference sets,
+        # those of the 3rd and 70th automorphisms: the sweep builds one
+        # matrix per distinct D, so every automorphism with either D fails
         g = G.make_abelian([4, 4])
         autos = _autos(g)
-        planted = {autos[2].key(), autos[69].key()}
+        dsets = Q.difference_sets(g, _maps(autos))
+        planted = {dsets[2].tobytes(), dsets[69].tobytes()}
+        sharing = [i for i, d in enumerate(dsets) if d.tobytes() in planted]
+        assert sharing[0] == 2 and len(sharing) == 11
         real = Q.alexander_adjacency
         trivial = _scatter(Q.trivial_quandle(g.order).rhd)
 
         def adjacency(group, maps):
             out = real(group, maps)
-            for row, m in enumerate(maps):
-                if group.label == "Z4xZ4" and tuple(int(v) for v in m) in planted:
+            for row, d in enumerate(Q.difference_sets(group, maps)):
+                if group.label == "Z4xZ4" and d.tobytes() in planted:
                     out[row] = trivial
             return out
 
         monkeypatch.setattr(Q, "alexander_adjacency", adjacency)
+        ok = V.sweep_alexander(g, _maps(autos), ("alexander_components", "regularity"))
+        for tid in ("alexander_components", "regularity"):
+            assert np.flatnonzero(~ok[tid][0]).tolist() == sharing, tid
         cfg = V.SuiteConfig(checks=("alexander_components", "regularity"),
                             nonabelian_registry=())
         reports = V.run_suite(cfg)
@@ -557,12 +623,34 @@ class TestAbelianSweepMatchesCheckers:
         c03, c05 = (r.witness for r in failing)
         # the witnesses come from the sweep's comparisons: the identity-only
         # row 0 misses the edge to the least non-zero member of im(id - t)
-        assert c03 == {"sub_instance": "Z4xZ4", "failed": 2, "of": 96,
+        assert c03 == {"sub_instance": "Z4xZ4", "failed": 11, "of": 96,
                        "detail": {"block_mismatch": (0, image.members[1]), "t": third}}
-        assert c05 == {"sub_instance": "Z4xZ4", "failed": 2, "of": 96,
+        assert c05 == {"sub_instance": "Z4xZ4", "failed": 11, "of": 96,
                        "detail": {"vertex": 0, "degree": (1, 1),
                                   "expected": G.fixed_point_subgroup(g, autos[2]).index(),
                                   "phi": third}}
+        # and they are the checkers' own witnesses on the planted graph
+        monkeypatch.setattr(V.gr, "build_cayley_graph", lambda q: V.gr.DirectedGraph._of_matrix(
+            trivial, names=q.element_names))
+        assert c03["detail"] == V.check_alexander_components(g, autos[2]).witness
+        assert c05["detail"] == V.check_generalized_regularity(g, autos[2]).witness
+
+    @pytest.mark.parametrize("factors, distinct", [([2, 2, 2, 2], 67), ([4, 4], 15)])
+    def test_one_matrix_per_difference_set(self, monkeypatch, factors, distinct):
+        # Z2^4: 20,160 automorphisms, one D per subgroup; Z4xZ4: 96
+        g = G.make_abelian(factors)
+        maps = G.enumerate_automorphisms(g)
+        assert len(np.unique(Q.difference_sets(g, maps), axis=0)) == distinct
+        real = Q.alexander_adjacency
+        built = []
+        monkeypatch.setattr(Q, "alexander_adjacency", lambda group, rows: (
+            built.append(len(rows)) or real(group, rows)))
+        tids = ("alexander_components", "regularity")
+        if len(maps) <= V._ISO_PAIR_AUT_CAP:
+            tids += ("alexander_iso",)
+        results = V.sweep_alexander(g, maps, tids)
+        assert all(ok.all() for ok, _ in results.values())
+        assert sum(built) == distinct
 
     def test_checker_witness_comes_first(self, monkeypatch):
         g = G.make_abelian([3, 3])
@@ -727,22 +815,27 @@ class TestRegularityInDegrees:
         return g, autos, k, table, a, b
 
     def test_sweep_fails_the_planted_automorphism(self, monkeypatch):
+        # planted on the matrix of autos[k]'s difference set D, so exactly
+        # the automorphisms with that D fail; autos[k] is the first of them
         g, autos, k, table, a, b = self._plant()
+        dsets = Q.difference_sets(g, _maps(autos))
+        sharing = [i for i, d in enumerate(dsets) if (d == dsets[k]).all()]
+        assert sharing[0] == k and len(sharing) > 1
         real = Q.alexander_adjacency
 
         def adjacency(group, maps):
             out = real(group, maps)
-            for row, m in enumerate(maps):
-                if tuple(int(v) for v in m) == autos[k].key():
+            for row, d in enumerate(Q.difference_sets(group, maps)):
+                if (d == dsets[k]).all():
                     out[row] = _scatter(table)
             return out
 
         monkeypatch.setattr(Q, "alexander_adjacency", adjacency)
         ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
-        assert np.flatnonzero(~ok).tolist() == [k]
+        assert np.flatnonzero(~ok).tolist() == sharing
         expected = G.fixed_point_subgroup(g, autos[k]).index()
         out, inn = detail["degree"]
-        assert detail["vertex"] == min(a, b)
+        assert detail["vertex"] == min(a, b) and detail["phi"] == autos[k].mapping.tolist()
         assert out == expected and inn != expected
 
     def test_checker_fails_the_planted_degrees(self, monkeypatch):
@@ -811,9 +904,8 @@ class TestRegistrySweepMatchesCheckers:
             g = V.specs.group_from_string(label)
             subs = [V.check_generalized_regularity(g, G.inner_automorphism(g, h))
                     for h in range(g.order)]
-            want.append(V._merge("regularity", f"{label} (inner, all h)", subs))
-        strip = lambda rs: [(r.theorem_id, r.instance, r.passed, r.witness) for r in rs]
-        assert strip(got) == strip(want)
+            want.append(_merged_checkers("regularity", f"{label} (inner, all h)", subs))
+        assert _strip(got) == want
         # no centralizer in D4 has order 2
         assert [r.passed for r in got] == [False, True, False]
 
@@ -831,6 +923,135 @@ class TestRegistrySweepMatchesCheckers:
         ok, _ = V.sweep_alexander(s4, G.enumerate_automorphisms(s4, cap=24),
                                   ("regularity",))["regularity"]
         assert ok.all() and ok.size == 24
+
+
+def _inner(g):
+    """The inner family the suite sweeps: row h is x -> h x h^-1."""
+    return g.mul[g.mul, g.inv[:, None]]
+
+
+class TestStackedOrbitCoset:
+    """orbit_coset as one sweep over the inner family, against
+    check_orbit_coset, which stays its reference."""
+
+    def _check(self, g):
+        ok, detail = V.sweep_alexander(g, _inner(g), ("orbit_coset",))["orbit_coset"]
+        checks = [V.check_orbit_coset(g, h) for h in range(g.order)]
+        assert ok.tolist() == [r.passed for r in checks], g.label
+        bad = [r.witness for r in checks if not r.passed]
+        assert detail == (bad[0] if bad else None), g.label
+        return ok
+
+    def test_verdicts_match_the_checker(self, registry_groups):
+        extra = [V.specs.group_from_string(s) for s in ("S3xS3", "D4xZ2", "D16")]
+        for g in list(registry_groups) + extra:
+            assert self._check(g).all()
+
+    def test_inner_family_only(self):
+        g = G.make_symmetric(3)
+        with pytest.raises(ValueError, match="inner family"):
+            V.sweep_alexander(g, G.enumerate_automorphisms(g)[::-1], ("orbit_coset",))
+
+    @staticmethod
+    def _in_coset_cell(g, h, coset):
+        """A non-edge inside coset `coset` of <[h, x]>, or where that coset
+        is complete an edge of it: flipping it keeps every forward orbit,
+        so only the translations touching that coset fail."""
+        blocks = G.cosets(g, G.commutator_subgroup_with(g, h), side="left").blocks
+        assert len(blocks) >= 3 and len(blocks[coset]) >= 3
+        m = Q.alexander_adjacency(g, _inner(g)[[h]])[0]
+        cells = [(u, w) for u in blocks[coset] for w in blocks[coset] if u != w]
+        return next(((u, w) for u, w in cells if not m[u, w]), cells[0])
+
+    @staticmethod
+    def _plant(monkeypatch, g, h, cell):
+        """Flip one cell of the matrix of the difference set of h, both
+        where the sweep builds its matrices and where the checker builds its
+        graph.  Returns the h that share the difference set."""
+        dsets = Q.difference_sets(g, _inner(g))
+
+        def plant(m):
+            m = m.copy()
+            m[cell] = not m[cell]
+            return m
+
+        real, real_graph = Q.alexander_adjacency, V.gr.build_cayley_graph
+
+        def adjacency(group, maps):
+            out = real(group, maps)
+            for row, d in enumerate(Q.difference_sets(group, maps)):
+                if group.label == g.label and (d == dsets[h]).all():
+                    out[row] = plant(out[row])
+            return out
+
+        def graph(q):
+            m = real_graph(q).matrix()
+            hit = q.provenance.get("group") == g.label and (m[g.identity] == dsets[h]).all()
+            return V.gr.DirectedGraph._of_matrix(plant(m) if hit else m, names=q.element_names)
+
+        monkeypatch.setattr(Q, "alexander_adjacency", adjacency)
+        monkeypatch.setattr(V.gr, "build_cayley_graph", graph)
+        return [x for x in range(g.order) if (dsets[x] == dsets[h]).all()]
+
+    @pytest.mark.parametrize("coset, pair", [(0, (0, 1)), (2, (0, 2))])
+    def test_planted_in_coset_fault(self, monkeypatch, coset, pair):
+        # D6 with h = r: four cosets of <[r, x]> = <r^2>.  A fault in coset
+        # 0 fails every translation from it, the first being (0, 1); one in
+        # coset 2 fails only (0, 2).  Translating from any other coset
+        # would name other pairs
+        g = G.make_dihedral(6)
+        h = g.index_of("r")
+        sharing = self._plant(monkeypatch, g, h, self._in_coset_cell(g, h, coset))
+        assert sharing == [h, g.index_of("r^4")]
+        ok = self._check(g)
+        assert np.flatnonzero(~ok).tolist() == sharing
+        assert V.check_orbit_coset(g, h).witness == {"translation_not_isomorphism": pair}
+        cfg = V.SuiteConfig(checks=("orbit_coset",), nonabelian_registry=("D6",))
+        (report,) = V.run_suite(cfg)
+        checks = [V.check_orbit_coset(g, x) for x in range(g.order)]
+        assert _strip([report]) == [_merged_checkers("orbit_coset", "D6 (all h)", checks)]
+        assert report.witness["sub_instance"] == "(D6, h=r)"
+
+    def test_planted_cross_coset_edge(self, monkeypatch):
+        # S4 with h = (12): an edge out of the coset of 5 merges two orbits
+        g = G.make_symmetric(4)
+        h = g.index_of("(12)")
+        members = G.commutator_subgroup_with(g, h).member_set()
+        v = min(x for x in range(g.order) if int(g.mul[g.inv[5], x]) not in members)
+        sharing = self._plant(monkeypatch, g, h, (5, v))
+        ok = self._check(g)
+        assert np.flatnonzero(~ok).tolist() == sharing
+        assert "orbit_mismatch" in V.check_orbit_coset(g, h).witness
+
+    def test_wrong_subgroup_is_not_normal(self, monkeypatch):
+        # <(12)> in place of <[h, x]> = A4 for every h with that subgroup
+        g = G.make_symmetric(4)
+        real = G.commutator_subgroup_with
+        a4 = real(g, g.index_of("(12)")).members
+        wrong = G.subgroup_generated(g, [g.index_of("(12)")])
+        monkeypatch.setattr(V.G, "commutator_subgroup_with", lambda group, h: (
+            wrong if real(group, h).members == a4 else real(group, h)))
+        ok = self._check(g)
+        assert np.flatnonzero(~ok).tolist() == [
+            x for x in range(g.order) if real(g, x).members == a4]
+        assert V.check_orbit_coset(g, g.index_of("(12)")).witness == {
+            "not_normal": list(wrong.members)}
+
+    def test_chunk_edges(self, monkeypatch):
+        # D6's inner family has 4 difference sets: chunks of 3 matrices of
+        # 12 x 12 cells end in a partial chunk of 1, and the planted fault
+        # sits in the last one
+        g = G.make_dihedral(6)
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 3 * 12 * 12)
+        built = []
+        real = Q.alexander_adjacency
+        monkeypatch.setattr(Q, "alexander_adjacency", lambda group, maps: (
+            built.append(len(maps)) or real(group, maps)))
+        assert self._check(g).all() and built == [3, 1]
+        s = g.index_of("s")
+        sharing = self._plant(monkeypatch, g, s, self._in_coset_cell(g, s, 2))
+        assert sharing == list(range(6, 12))
+        assert np.flatnonzero(~self._check(g)).tolist() == sharing
 
 
 class TestSuiteWiring:
