@@ -516,16 +516,28 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
     Candidate images are filtered by element order.  The candidate tuples
     are decoded in chunks of _FAMILY_CHUNK_CELLS // n, and each chunk is
     expanded along a BFS word recipe into an (n, chunk) array, one row per
-    element and one column per tuple.  A column is kept when it is a
-    bijection and passes the d n generator edges phi(x s_j) = phi(x) phi(s_j)
-    for every x and greedy generator s_j.
+    element and one column per tuple.  A column is kept when no
+    non-identity element maps to the identity, and then when it passes the
+    d n generator edges phi(x s_j) = phi(x) phi(s_j) for every x and
+    greedy generator s_j.  The n - 1 edges (parent, slot) of the recipe
+    hold by construction, phi(elem) = phi(parent) phi(s_slot), so only the
+    others are tested.
 
-    The edges suffice.  phi(s_j) is the tuple's image of s_j, because s_j is
-    reached from the identity in the first BFS layer.  By induction on the
-    length of a positive word w in the generators, phi(x w) = phi(x) phi(w):
+    The edges make phi a homomorphism.  phi(s_j) is the tuple's image of
+    s_j, because s_j is reached from the identity in the first BFS layer.
+    By induction on the length of a positive word w in the generators,
+    phi(x w) = phi(x) phi(w):
     phi(x w s_j) = phi(x w) phi(s_j) = phi(x) phi(w) phi(s_j) = phi(x) phi(w s_j),
     the last step being the edge at w.  In a finite group every element is
     such a word, so phi is a homomorphism.
+
+    The kernel test makes it bijective.  A homomorphism with trivial
+    kernel is injective, as phi(x) = phi(y) gives phi(x y^-1) = e and so
+    x = y, and an injective map of a finite set onto itself is a bijection.
+    So a kept column is an automorphism.  Conversely an automorphism maps
+    only the identity to the identity and respects every edge, so each one
+    is kept.  The kernel test is the cheaper of the two, so it runs first
+    and thins the columns the edges see.
 
     The rows come out in lexicographic order without a sort.  Take two kept
     tuples that first differ at generator j.  The greedy rule picked gens[j]
@@ -552,6 +564,11 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
     total = math.prod(sizes)
     flat = g.mul.ravel().astype(np.int32)
     right = g.mul[:, gens]      # right[x, j] = x s_j
+    others = np.flatnonzero(np.arange(n) != g.identity)
+    built = {(parent, slot) for _, parent, slot in recipe}
+    # the edges phi(x s_j) = phi(x) phi(s_j) the recipe does not make true
+    edges = [np.array([x for x in range(n) if (x, j) not in built], dtype=np.intp)
+             for j in range(len(gens))]
     per = max(1, _FAMILY_CHUNK_CELLS // n)
     found = []
     for start in range(0, total, per):
@@ -562,13 +579,11 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
         phi[g.identity] = g.identity
         for elem, parent, slot in recipe:
             phi[elem] = np.take(flat, phi[parent] * n + images[slot])
-        seen = np.zeros(phi.shape, dtype=bool)
-        seen[phi, np.arange(phi.shape[1])] = True
-        bijective = seen.all(axis=0)
-        phi, images = phi[:, bijective], images[:, bijective]
+        trivial_kernel = (phi[others] != g.identity).all(axis=0)
+        phi, images = phi[:, trivial_kernel], images[:, trivial_kernel]
         hom = np.ones(phi.shape[1], dtype=bool)
-        for j in range(len(gens)):
-            hom &= (phi[right[:, j]] == np.take(flat, phi * n + images[j])).all(axis=0)
+        for j, xs in enumerate(edges):
+            hom &= (phi[right[xs, j]] == np.take(flat, phi[xs] * n + images[j])).all(axis=0)
         found.append(phi[:, hom].T)
     return np.concatenate(found).astype(np.int64)
 

@@ -24,7 +24,8 @@ digraphs on a predicted partition: the conjugacy classes (conjugation),
 the parity classes (dihedral, takasaki) and the cosets of im(id - t)
 (alexander_components).  Each is one comparison of the adjacency matrix
 with the partition's block matrix (_block_mismatch), whose witness is the
-first differing cell.
+first differing cell.  dihedral_inner is likewise one comparison, with its
+predicted matrix of directed cycles (_cell_mismatch).
 """
 from __future__ import annotations
 
@@ -89,6 +90,23 @@ def _report(tid: str, instance: str, start: float, failures: list) -> Verificati
     )
 
 
+class _Clock:
+    """Splits a sweep's time among its check ids.  Each lap, from the
+    previous charge (or the clock's start) to this one, goes in equal
+    shares to the ids charged, so the ids' totals sum to the time from
+    the start to the last charge."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.spent: dict = {}
+
+    def charge(self, *tids) -> None:
+        now = time.perf_counter()
+        for tid in tids:
+            self.spent[tid] = self.spent.get(tid, 0.0) + (now - self.last) / len(tids)
+        self.last = now
+
+
 def _merged(tid: str, instance: str, of: int, failed: int, first,
             elapsed: float) -> VerificationReport:
     """One report for `of` sub-instances, `failed` of which failed; `first`
@@ -116,14 +134,20 @@ def _block_matrix(blocks, n: int) -> np.ndarray:
     return label[:, None] == label[None, :]
 
 
+def _cell_mismatch(m: np.ndarray, want: np.ndarray, key: str, **detail) -> list[dict]:
+    """No failure when the matrices m and want are equal, else one: the
+    first differing cell in row-major order under `key`, plus `detail`."""
+    bad = np.argwhere(m != want)
+    return [{key: tuple(int(v) for v in bad[0]), **detail}] if bad.size else []
+
+
 def _block_mismatch(m: np.ndarray, blocks, **detail) -> list[dict]:
     """No failure when the adjacency matrix m is the block matrix of
     `blocks`, else one: the first differing cell, plus `detail`.  Equality
     makes the graph the disjoint union of the complete digraphs on the
     blocks, which fixes its strong components, their count, their
     completeness and the graph's symmetry."""
-    bad = np.argwhere(m != _block_matrix(blocks, len(m)))
-    return [{"block_mismatch": tuple(int(v) for v in bad[0]), **detail}] if bad.size else []
+    return _cell_mismatch(m, _block_matrix(blocks, len(m)), "block_mismatch", **detail)
 
 
 # -- individual checkers -----------------------------------------------------
@@ -331,7 +355,8 @@ def _translations_ok(adj: np.ndarray, base, image) -> np.ndarray:
     return (moved == here[:, None]).all(axis=(2, 3))
 
 
-def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
+def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
+                    clock: _Clock | None = None) -> dict:
     """alexander_components, alexander_iso, regularity and orbit_coset over
     the generalized Alexander quandles of a family of automorphisms, the
     rows of the (k, n) image array maps.  alexander_components and
@@ -378,17 +403,24 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
     comparison failed, or for orbit_coset the first of normality, orbits
     and translations to fail, or for alexander_iso the failing pair's
     verdict, image sizes and maps.
+
+    A clock, when given, is charged each check's own predictions and
+    tests, and an equal share of the steps the checks share: the
+    difference sets, their dedupe and the adjacency chunks.
     """
     n = g.order
     k = len(maps)
+    clock = clock or _Clock()
     auto = lambda i: G.Automorphism._of_checked(g, maps[i])
     d_first, d_of = _distinct_rows(Q.difference_sets(g, maps))
+    clock.charge(*check_ids)
     tests = {}         # check id -> (prediction class per automorphism, test)
     if "alexander_components" in check_ids or "alexander_iso" in check_ids:
         # {x t(x)^-1} is the set of inverses of D, so automorphisms share
         # their image set exactly when they share D
         subs = [G.image_id_minus_t(g, auto(i)) for i in d_first]
         sizes = np.array([sub.order for sub in subs])[d_of]
+        clock.charge(*(c for c in ("alexander_components", "alexander_iso") if c in check_ids))
     if "alexander_components" in check_ids:
         parts = [G.cosets(g, sub, side="left").blocks for sub in subs]
         blocks = np.stack([_block_matrix(blks, n) for blks in parts])
@@ -400,6 +432,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
             return (adj[ld] == blocks[pq]).all(axis=(1, 2)), witness
 
         tests["alexander_components"] = (d_of, components)
+        clock.charge("alexander_components")
     if "regularity" in check_ids:
         firsts, fixed_of = _distinct_rows(maps == np.arange(n))
         index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
@@ -419,6 +452,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
             return ~wrong.any(axis=1), witness
 
         tests["regularity"] = (fixed_of, regularity)
+        clock.charge("regularity")
     if "orbit_coset" in check_ids:
         if maps.shape != (n, n) or (maps != g.mul[g.mul, g.inv[:, None]]).any():
             raise ValueError("orbit_coset sweeps the inner family only")
@@ -456,6 +490,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
             return normal[nq] & ~stray.any(axis=1) & moves, witness
 
         tests["orbit_coset"] = (d_of, orbit_coset)
+        clock.charge("orbit_coset")
     pairs = {tid: _pairs(d_of, of) for tid, (of, _) in tests.items()}
     verdicts = {tid: np.ones(len(pairs[tid][0]), dtype=bool) for tid in tests}
     witness: dict = {}                 # check id -> (automorphism, witness)
@@ -465,6 +500,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
         adj = Q.alexander_adjacency(g, maps[d_first[c0:c0 + rows]])
         if "alexander_iso" in check_ids:
             matrices.extend(adj)
+        clock.charge(*check_ids)
         for tid, (_, test) in tests.items():
             first, pd, pq, _ = pairs[tid]
             part = slice(*np.searchsorted(pd, [c0, c0 + rows]))
@@ -476,8 +512,10 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
                 i = int(first[part][p])
                 if tid not in witness or i < witness[tid][0]:
                     witness[tid] = (i, own_witness(p, i))
+            clock.charge(tid)
     out = {tid: (verdicts[tid][pairs[tid][3]], witness.get(tid, (0, None))[1])
            for tid in check_ids if tid != "alexander_iso"}
+    clock.charge(*check_ids)
     if "alexander_iso" in check_ids:
         cls = _iso_classes(matrices)[d_of]
         first, second = np.triu_indices(k)
@@ -487,6 +525,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids) -> dict:
         out["alexander_iso"] = (ok, None if ok.all() else {
             "iso": bool(cls[a] == cls[b]), "image_sizes": (int(sizes[a]), int(sizes[b])),
             "t1": maps[a].tolist(), "t2": maps[b].tolist()})
+        clock.charge("alexander_iso")
     return out
 
 
@@ -539,45 +578,35 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
     return _report("orbit_coset", f"({g.label}, h={g.name(h)})", start, failures)
 
 
+def _dihedral_inner_matrix(m: int) -> np.ndarray:
+    """The predicted Cayley matrix of D_m twisted by r: a loop at every
+    vertex and i -> (i + 2) mod m inside each coset of <r>, the rotations
+    0..m-1 and the reflections m..2m-1."""
+    v = np.arange(2 * m)
+    pred = np.eye(2 * m, dtype=bool)
+    pred[v, v - v % m + (v + 2) % m] = True
+    return pred
+
+
 def check_dihedral_inner_example(m: int) -> VerificationReport:
-    """The inner twist of D_m by r: one non-loop out-edge per vertex, two
-    steps of rotation; components are directed cycles (four of length m/2
-    for even m, two of length m for odd m); diameters follow; the graph is
-    symmetric only in the degenerate cases m = 2 and m = 4 where the cycles
-    have length at most 2."""
+    """The inner twist of D_m by r: one comparison of the Cayley matrix
+    with the predicted one (_dihedral_inner_matrix), whose witness is the
+    first differing cell.
+
+    Equality fixes the rest.  Off the loops the graph is the permutation
+    i -> i + 2 mod m inside each coset of <r>, so its strong components
+    are that permutation's cycles: for even m four directed cycles of
+    length m/2 (two parity classes per coset), for odd m two of length m
+    (2 is a unit mod m).  A directed cycle of length L with its loops has
+    diameter L - 1.  The edge i -> i + 2 has its reverse exactly when
+    i + 4 = i mod m, so the graph is symmetric exactly when m divides 4."""
     start = time.perf_counter()
     if m < 2:
         raise ValueError("dihedral example needs m >= 2")
-    failures = []
     g = G.make_dihedral(m)
     phi = G.inner_automorphism(g, g.index_of("r"))
     graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
-    for i in range(m):
-        rot_target = (i + 2) % m
-        expected_rot = {i, rot_target}
-        if set(graph.adj[i]) != expected_rot:
-            failures.append({"rotation_row": i, "out": list(graph.adj[i])})
-            break
-        expected_ref = {m + i, m + rot_target}
-        if set(graph.adj[m + i]) != expected_ref:
-            failures.append({"reflection_row": i, "out": list(graph.adj[m + i])})
-            break
-    comps = gr.strongly_connected_components(graph)
-    cycle_len = m // 2 if m % 2 == 0 else m
-    expected_count = (2 * m) // cycle_len
-    if comps.count != expected_count or set(comps.sizes()) != {cycle_len}:
-        failures.append({"components": comps.sizes(),
-                         "expected": (expected_count, cycle_len)})
-    else:
-        want_diam = cycle_len - 1
-        for comp in comps.components:
-            if gr.component_diameter(graph, comp) != want_diam:
-                failures.append({"diameter_component": list(comp),
-                                 "expected": want_diam})
-                break
-    symmetric = gr.is_symmetric(graph)
-    if symmetric != (m in (2, 4)):
-        failures.append({"symmetric": symmetric, "m": m})
+    failures = _cell_mismatch(graph.matrix(), _dihedral_inner_matrix(m), "cell_mismatch")
     return _report("dihedral_inner", f"m={m}", start, failures)
 
 
@@ -703,18 +732,24 @@ class SuiteConfig:
 
 
 def _abelian_groups(config: SuiteConfig):
+    """Each abelian group type with its automorphisms, and a clock started
+    before their enumeration, so its sweep's reports include it."""
     for g in G.abelian_group_types(config.abelian_order_cap):
-        yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
+        clock = _Clock()
+        yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap), clock
 
 
-def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None) -> dict:
-    """sweep_alexander as one merged report per check id, which share its
-    time.  The instance is instances[check id], else the group with its
-    count of automorphisms (or pairs, for alexander_iso).  The failing
-    sub-instance is the group, or for orbit_coset the group and h."""
-    start = time.perf_counter()
-    results = sweep_alexander(g, maps, check_ids)
-    share = (time.perf_counter() - start) / len(check_ids)
+def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None,
+                   clock: _Clock | None = None) -> dict:
+    """sweep_alexander as one merged report per check id, each timed by
+    its share of the clock (started here unless given): its own
+    predictions and tests, and an equal share of the rest.  The instance
+    is instances[check id], else the group with its count of automorphisms
+    (or pairs, for alexander_iso).  The failing sub-instance is the group,
+    or for orbit_coset the group and h."""
+    clock = clock or _Clock()
+    results = sweep_alexander(g, maps, check_ids, clock)
+    clock.charge(*check_ids)
     out = {}
     for tid, (ok, detail) in results.items():
         unit = "pairs" if tid == "alexander_iso" else "automorphisms"
@@ -723,7 +758,7 @@ def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None
         if tid == "orbit_coset":
             sub = f"({g.label}, h={g.name(int(np.argmin(ok)))})"
         out[tid] = _merged(tid, instance, ok.size, int(np.count_nonzero(~ok)),
-                           (sub, detail), share)
+                           (sub, detail), clock.spent[tid])
     return out
 
 
@@ -779,11 +814,11 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     swept = tuple(c for c in _SWEPT if config.wants(c))
     inner_tids = tuple(c for c in ("regularity", "orbit_coset") if config.wants(c))
     merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
-    for g, maps in _abelian_groups(config) if swept else []:
+    for g, maps, clock in _abelian_groups(config) if swept else []:
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept
                      if c != "alexander_iso" or len(maps) <= _ISO_PAIR_AUT_CAP)
-        for tid, report in (_sweep_reports(g, maps, tids) if tids else {}).items():
+        for tid, report in (_sweep_reports(g, maps, tids, clock=clock) if tids else {}).items():
             merged[tid].append(report)
     for g in registry if inner_tids else []:
         inner = g.mul[g.mul, g.inv[:, None]]      # inner[h, x] = h x h^-1

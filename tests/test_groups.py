@@ -524,6 +524,18 @@ class TestBatchedAutomorphismsMatchLoop:
         assert len(got) == 48
         assert got == _loop_enumerate_automorphisms(g)
 
+    def test_relabelled_groups(self):
+        # the kernel test must find the identity's row wherever it is: S4
+        # and Z2xZ2xZ4 relabelled so that the identity is not 0
+        for base, seed, cap in ((G.make_symmetric(4), 0, 24), (G.make_abelian([2, 2, 4]), 1, 16)):
+            perm = np.random.default_rng(seed).permutation(base.order)
+            back = np.argsort(perm)
+            moved = G.FiniteGroup(perm[base.mul[back][:, back]], label=base.label + "'")
+            assert moved.identity != 0
+            got = list(map(tuple, G.enumerate_automorphisms(moved, cap=cap).tolist()))
+            assert got == _loop_enumerate_automorphisms(moved), moved.label
+            assert len(got) == len(G.enumerate_automorphisms(base, cap=cap)), moved.label
+
     def test_results_are_automorphisms(self):
         g = G.make_abelian([2, 4])
         for row in G.enumerate_automorphisms(g):

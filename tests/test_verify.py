@@ -315,6 +315,55 @@ class TestCheckersCatchSabotage:
         r = V.check_takasaki_window(3)
         assert not r.passed and r.witness == {"block_mismatch": cell}
 
+    @pytest.mark.parametrize("m, cells, cell", [
+        (6, [(1, 3)], (1, 3)),              # the rotation edge 1 -> 3 goes
+        (6, [(9, 7)], (9, 7)),              # the reverse of the reflection edge 7 -> 9
+        (6, [(4, 4)], (4, 4)),              # a missing loop
+        (6, [(8, 10), (2, 0)], (2, 0)),     # two faults: the first in row-major order
+        (7, [(5, 0)], (5, 0)),              # the wrapping rotation edge 5 -> 0 goes
+        (7, [(9, 7)], (9, 7)),              # the reverse of the reflection edge 7 -> 9
+        (7, [(10, 10)], (10, 10)),          # a missing loop
+    ])
+    def test_dihedral_inner_checker_names_the_planted_cell(self, monkeypatch, m, cells, cell):
+        assert V.check_dihedral_inner_example(m).passed
+        # each planted cell is a predicted edge that goes, or a reverse edge
+        # that appears: i -> i + 2 inside a coset of <r>, or its reverse
+        for u, v in cells:
+            on_cycle = u // m == v // m and (u + 2) % m in (v % m, (v + 4) % m)
+            assert on_cycle or u == v, (u, v)
+        self._plant(monkeypatch, "build_cayley_graph", cells)
+        r = V.check_dihedral_inner_example(m)
+        assert not r.passed and r.witness == {"cell_mismatch": cell}
+
+
+class TestDihedralInnerPrediction:
+    """check_dihedral_inner_example compares the graph with one predicted
+    matrix and infers components, diameters and symmetry from equality;
+    here those inferences are computed on the prediction itself."""
+
+    @staticmethod
+    def _predicted(m):
+        # a loop at every vertex, and i -> i + 2 mod m among the rotations
+        # 0..m-1 and among the reflections m..2m-1
+        pred = np.eye(2 * m, dtype=bool)
+        for i in range(m):
+            pred[i, (i + 2) % m] = True
+            pred[m + i, m + (i + 2) % m] = True
+        return pred
+
+    def test_prediction_fixes_components_diameters_and_symmetry(self):
+        for m in range(2, 51):
+            pred = self._predicted(m)
+            assert (V._dihedral_inner_matrix(m) == pred).all(), m
+            graph = V.gr.DirectedGraph._of_matrix(pred)
+            comps = V.gr.strongly_connected_components(graph)
+            length = m // 2 if m % 2 == 0 else m
+            assert comps.count == (4 if m % 2 == 0 else 2), m
+            assert set(comps.sizes()) == {length}, m
+            for comp in comps.components:
+                assert V.gr.component_diameter(graph, comp) == length - 1, (m, comp)
+            assert V.gr.is_symmetric(graph) == (m in (2, 4)), m
+
 
 class TestCheckersExhibitTheirIsomorphisms:
     """check_dihedral_quandle and check_orbit_coset settle isomorphism
@@ -331,8 +380,9 @@ class TestCheckersExhibitTheirIsomorphisms:
         assert V.check_orbit_coset(g, g.index_of("r")).passed
 
     def test_no_search(self, registry_groups, monkeypatch):
-        calls, scc = [], []
+        calls, scc, diameters = [], [], []
         real, real_scc = V.gr.find_isomorphism, V.gr.strongly_connected_components
+        real_diameter = V.gr.component_diameter
 
         def counted(*args, **kwargs):
             calls.append(args)
@@ -341,14 +391,18 @@ class TestCheckersExhibitTheirIsomorphisms:
         monkeypatch.setattr(V.gr, "find_isomorphism", counted)
         monkeypatch.setattr(V.gr, "strongly_connected_components",
                             lambda graph: scc.append(graph) or real_scc(graph))
+        monkeypatch.setattr(V.gr, "component_diameter", lambda graph, comp: (
+            diameters.append(comp) or real_diameter(graph, comp)))
         for n in range(2, 13):
             assert V.check_dihedral_quandle(n).passed
-        assert scc == []
-        # the spy is live: dihedral_inner's components are directed cycles,
-        # not complete, so it still runs Tarjan
+        # dihedral_inner compares the graph with its predicted cycle matrix
         for m in range(2, 13):
             assert V.check_dihedral_inner_example(m).passed
-        assert len(scc) == 11
+        assert scc == [] and diameters == []
+        # the spy is live: s4_example's components are not complete, so it
+        # still runs Tarjan
+        assert V.check_s4_example().passed
+        assert len(scc) == 1
         scc.clear()
         # orbit_coset reads its components from the orbits, never from Tarjan
         for g in registry_groups:
@@ -880,8 +934,8 @@ class TestRegistrySweepMatchesCheckers:
         # inner_automorphism(g, h), x -> h x h^-1
         real = V.sweep_alexander
         swept = []
-        monkeypatch.setattr(V, "sweep_alexander", lambda g, maps, ids: (
-            swept.append((g, maps)) or real(g, maps, ids)))
+        monkeypatch.setattr(V, "sweep_alexander", lambda g, maps, ids, clock: (
+            swept.append((g, maps)) or real(g, maps, ids, clock)))
         cfg = V.SuiteConfig(checks=("regularity",), abelian_order_cap=1,
                             nonabelian_registry=("S3", "D4", "D5"))
         V.run_suite(cfg)
@@ -1071,8 +1125,8 @@ class TestSuiteWiring:
     def test_one_sweep_per_group_and_no_pairs_above_the_cap(self, monkeypatch):
         real = V.sweep_alexander
         calls = []
-        monkeypatch.setattr(V, "sweep_alexander", lambda g, autos, ids: (
-            calls.append((g.label, len(autos), ids)) or real(g, autos, ids)))
+        monkeypatch.setattr(V, "sweep_alexander", lambda g, autos, ids, clock: (
+            calls.append((g.label, len(autos), ids)) or real(g, autos, ids, clock)))
         cfg = V.SuiteConfig(abelian_order_cap=8, nonabelian_registry=("S3",),
                             checks=("alexander_components", "alexander_iso", "regularity"))
         reports = V.run_suite(cfg)
@@ -1085,6 +1139,57 @@ class TestSuiteWiring:
         assert ("Z2xZ2xZ2", 168, ("alexander_components", "regularity")) in abelian
         iso = [r.instance for r in reports if r.theorem_id == "alexander_iso"]
         assert len(iso) == 10 and "Z8 (10 pairs)" in iso
+
+
+class TestSweepTiming:
+    """A sweep's reports split its time: each check id its own predictions
+    and tests, plus an equal share of the shared steps."""
+
+    def test_elapsed_sums_to_the_measured_total(self):
+        g = G.make_abelian([2, 4])
+        maps = G.enumerate_automorphisms(g)
+        tids = ("alexander_components", "alexander_iso", "regularity")
+        before = V.time.perf_counter()
+        clock = V._Clock()
+        reports = V._sweep_reports(g, maps, tids, clock=clock)
+        after = V.time.perf_counter()
+        assert set(reports) == set(clock.spent) == set(tids)
+        total = sum(r.elapsed for r in reports.values())
+        assert total == pytest.approx(clock.last - clock.start, rel=1e-9, abs=1e-12)
+        assert 0 < total <= after - before
+
+    def test_own_predictions_are_charged_to_their_check(self, monkeypatch):
+        real = G.fixed_point_subgroup
+
+        def slow(group, phi):
+            V.time.sleep(0.02)
+            return real(group, phi)
+
+        monkeypatch.setattr(V.G, "fixed_point_subgroup", slow)
+        g = G.make_abelian([4])
+        reports = V._sweep_reports(g, G.enumerate_automorphisms(g),
+                                   ("alexander_components", "regularity"))
+        # Z4 has two automorphisms with different fixed-point sets
+        gap = reports["regularity"].elapsed - reports["alexander_components"].elapsed
+        assert gap >= 0.03
+
+    def test_enumeration_is_timed_with_its_sweep(self, monkeypatch):
+        real = G.enumerate_automorphisms
+
+        def slow(group, cap):
+            if group.label == "Z2xZ2":
+                V.time.sleep(0.05)
+            return real(group, cap=cap)
+
+        monkeypatch.setattr(V.G, "enumerate_automorphisms", slow)
+        cfg = V.SuiteConfig(abelian_order_cap=4, checks=("alexander_components", "regularity"))
+        reports = V.run_suite(cfg)
+        assert all(r.passed for r in reports)
+        spent = {}
+        for r in reports:
+            group = r.instance.split(" ")[0]
+            spent[group] = spent.get(group, 0.0) + r.elapsed
+        assert spent["Z2xZ2"] >= 0.05
 
 
 class TestTakasakiScan:
