@@ -37,9 +37,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_quandle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   choices=("trivial", "conj", "core", "dihedral",
-                            "alexander", "gen_alexander", "raw"))
+    p.add_argument("--family", required=True, choices=specs._FAMILIES)
     p.add_argument("--n", type=int, help="size for trivial/dihedral")
     p.add_argument("--group", metavar="SPEC",
                    help="group spec: Zn, Dm, Sn, or products like Z4xZ4")

@@ -280,9 +280,7 @@ def make_abelian(factors) -> FiniteGroup:
     """Direct sum of cyclic groups Z_d for d in factors, with flat tuple names."""
     factors = [int(d) for d in factors]
     if not factors:
-        g = make_cyclic(1)
-        g.label = "Z1"
-        return g
+        return make_cyclic(1)
     if any(d < 1 for d in factors):
         raise ValueError("cyclic factors must be >= 1")
     if len(factors) == 1:
@@ -771,5 +769,5 @@ def abelian_group_types(max_order: int) -> list[FiniteGroup]:
     groups = []
     for m in range(1, max_order + 1):
         for chain in sorted(_invariant_chains(m)):
-            groups.append(make_abelian(chain) if chain else make_cyclic(1))
+            groups.append(make_abelian(chain))
     return groups

@@ -12,8 +12,9 @@ every automorphism of each abelian group, and the inner automorphisms of
 each registry group (regularity and orbit_coset).
 A Cayley graph of phi(x y^-1) y depends only on the set
 D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
-D and gives each automorphism its own verdict from its D's matrix and its
-own prediction.
+D.  alexander_components and orbit_coset predict from D alone and give
+one verdict per D class; regularity's [G : Fix(phi)] can differ inside a
+class, so each automorphism is judged by its class's degrees.
 Like the family constructors, the sweep takes its tables to be quandles,
 as phi(x y^-1) y is for every automorphism, and does not scan them again.
 The per-instance checkers stay the tests' reference for the sweep, and
@@ -105,24 +106,6 @@ class _Clock:
         for tid in tids:
             self.spent[tid] = self.spent.get(tid, 0.0) + (now - self.last) / len(tids)
         self.last = now
-
-
-def _merged(tid: str, instance: str, of: int, failed: int, first,
-            elapsed: float) -> VerificationReport:
-    """One report for `of` sub-instances, `failed` of which failed; `first`
-    is the (sub_instance, witness) of the first failure, read only when
-    one failed."""
-    witness = None
-    if failed:
-        witness = {"sub_instance": first[0], "detail": first[1],
-                   "failed": failed, "of": of}
-    return VerificationReport(
-        theorem_id=tid,
-        instance=instance,
-        passed=not failed,
-        witness=witness,
-        elapsed=elapsed,
-    )
 
 
 def _block_matrix(blocks, n: int) -> np.ndarray:
@@ -326,15 +309,6 @@ def _iso_classes(matrices: list) -> np.ndarray:
     return class_of
 
 
-def _pairs(d_of: np.ndarray, pred_of: np.ndarray) -> tuple:
-    """The distinct (difference-set class, prediction class) pairs of a
-    family, sorted by difference-set class: each pair's first
-    automorphism, its two classes, and for every automorphism its pair."""
-    key = d_of * (int(pred_of.max()) + 1) + pred_of
-    _, first, pair_of = np.unique(key, return_index=True, return_inverse=True)
-    return first, d_of[first], pred_of[first], pair_of.ravel()
-
-
 def _coset_translations(g: G.FiniteGroup, blocks) -> tuple:
     """The coset translations check_orbit_coset tests, from block 0 to
     each block j >= 1 of the left cosets of a normal N: block 0 as an
@@ -368,34 +342,40 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
     (quandles.alexander_adjacency), so the matrix depends on the mask of D
     alone.  The family's D masks are deduped (_distinct_rows), and
-    quandles.alexander_adjacency builds one matrix per distinct D (67 for
+    quandles.alexander_adjacency builds one matrix per D class (67 for
     the 20,160 automorphisms of Z2^4), as many at a time as fit in
     groups._FAMILY_CHUNK_CELLS cells.  Their tables are
     generalized_alexander_quandle's, quandles for every automorphism, so
-    their axioms are not scanned.  Each automorphism still gets its own
-    verdict: its D class's matrix against its own prediction, evaluated
-    once per distinct pair of D class and prediction class.
+    their axioms are not scanned.
     alexander_components: the matrix equals the block matrix of the left
     cosets of im(id - t).  That makes the graph the disjoint union of the
     complete digraphs on those cosets, so it fixes the strong components,
-    their count |G| / |im(id - t)| and their completeness.
+    their count |G| / |im(id - t)| and their completeness.  The image
+    {x t(x)^-1} is the set of inverses of D, so image_id_minus_t and
+    cosets run once per D class, and the verdict is one per D class.
     alexander_iso: the distinct matrices are sorted into isomorphism
     classes (_iso_classes), and each pair i <= j, in row-major order, is
     isomorphic when its graphs share a class; that verdict must agree with
     whether |im(id - t)| is equal, which the classes never read.
-    regularity: every in- and out-degree, counted from the matrix, is
-    [G : Fix(phi)].  The predictions come from image_id_minus_t and cosets
-    once per D class (the image {x t(x)^-1} is the set of inverses of D),
-    and from fixed_point_subgroup once per distinct fixed-point set.
+    regularity: every in- and out-degree is [G : Fix(phi)], which
+    fixed_point_subgroup gives once per distinct fixed-point set.  Fix(phi)
+    can differ inside a D class, so the loop keeps each class's out- and
+    in-degrees, and each automorphism passes when its class's common
+    degree is its own index.
     orbit_coset: for the twist by h, N = <[h, x]> is normal, the
     reachability closure of the matrix (forward orbits) is the block matrix
     of the left cosets of N, and right multiplication by u^-1 v carries
     coset 0 onto each other coset, edges and non-edges alike.  For the
     inner family D is the set of commutators [h, z], so N comes from
-    commutator_subgroup_with once per D class, and normality, cosets and
-    translations once per distinct N.  A non-normal N fails by itself, so
-    the translations matter only for a normal N, where each carries coset 0
-    onto its target coset.
+    commutator_subgroup_with once per D class, normality, cosets and
+    translations once per distinct N, and the verdict is one per D class.
+    A non-normal N fails by itself, so the translations matter only for a
+    normal N, where each carries coset 0 onto its target coset.
+
+    The D classes are numbered in order of first appearance and the chunks
+    run in class order, so the first failing class the loop meets holds
+    the first failing automorphism, its first member d_first[c].  A per-D
+    check builds its witness there, once, from the chunk's matrix.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the witness for the first failure, in the
@@ -414,44 +394,21 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     auto = lambda i: G.Automorphism._of_checked(g, maps[i])
     d_first, d_of = _distinct_rows(Q.difference_sets(g, maps))
     clock.charge(*check_ids)
-    tests = {}         # check id -> (prediction class per automorphism, test)
+    ok_d = {tid: np.ones(len(d_first), dtype=bool)         # per D class
+            for tid in check_ids if tid in ("alexander_components", "orbit_coset")}
+    witness: dict = {}                 # per D check: its first failing automorphism's
     if "alexander_components" in check_ids or "alexander_iso" in check_ids:
-        # {x t(x)^-1} is the set of inverses of D, so automorphisms share
-        # their image set exactly when they share D
         subs = [G.image_id_minus_t(g, auto(i)) for i in d_first]
         sizes = np.array([sub.order for sub in subs])[d_of]
         clock.charge(*(c for c in ("alexander_components", "alexander_iso") if c in check_ids))
     if "alexander_components" in check_ids:
         parts = [G.cosets(g, sub, side="left").blocks for sub in subs]
         blocks = np.stack([_block_matrix(blks, n) for blks in parts])
-
-        def components(adj, ld, pq):
-            def witness(p, i):
-                return _block_mismatch(adj[ld[p]], parts[pq[p]], t=maps[i].tolist())[0]
-
-            return (adj[ld] == blocks[pq]).all(axis=(1, 2)), witness
-
-        tests["alexander_components"] = (d_of, components)
         clock.charge("alexander_components")
     if "regularity" in check_ids:
         firsts, fixed_of = _distinct_rows(maps == np.arange(n))
         index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
-
-        def regularity(adj, ld, pq):
-            # uint8 counts are exact up to 255, and einsum adds them fastest
-            cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
-            outs, ins = np.einsum("kxv->kx", cells)[ld], np.einsum("kxv->kv", cells)[ld]
-            degree = index[pq, None]
-            wrong = (outs != degree) | (ins != degree)
-
-            def witness(p, i):
-                v = int(np.argmax(wrong[p]))
-                return {"vertex": v, "degree": (int(outs[p, v]), int(ins[p, v])),
-                        "expected": int(degree[p, 0]), "phi": maps[i].tolist()}
-
-            return ~wrong.any(axis=1), witness
-
-        tests["regularity"] = (fixed_of, regularity)
+        degrees = np.empty((len(d_first), 2, n), dtype=np.intp)   # out, in
         clock.charge("regularity")
     if "orbit_coset" in check_ids:
         if maps.shape != (n, n) or (maps != g.mul[g.mul, g.inv[:, None]]).any():
@@ -465,57 +422,68 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
         coset_blocks = [G.cosets(g, sub, side="left").blocks for sub in n_subs]
         coset_mats = np.stack([_block_matrix(blks, n) for blks in coset_blocks])
         shifts = [_coset_translations(g, blks) for blks in coset_blocks]
-
-        def orbit_coset(adj, ld, pq):
-            nq = n_of[pq]
-            # row x of the reachability closure is the forward orbit of x
-            orbits = gr._reachability(adj)[ld]
-            stray = (orbits != coset_mats[nq]).any(axis=2)
-            moves = np.ones(len(ld), dtype=bool)
-            for j in np.unique(nq):
-                rows = np.flatnonzero(nq == j)
-                moves[rows] = _translations_ok(adj[ld[rows]], *shifts[j]).all(axis=1)
-
-            def witness(p, i):
-                j = nq[p]
-                if not normal[j]:
-                    return {"not_normal": list(n_subs[j].members)}
-                if stray[p].any():
-                    x = int(np.argmax(stray[p]))
-                    return {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[p, x]).tolist(),
-                                               "coset": np.flatnonzero(coset_mats[j, x]).tolist()}}
-                ok = _translations_ok(adj[ld[p]][None], *shifts[j])[0]
-                return {"translation_not_isomorphism": (0, int(np.argmin(ok)) + 1)}
-
-            return normal[nq] & ~stray.any(axis=1) & moves, witness
-
-        tests["orbit_coset"] = (d_of, orbit_coset)
         clock.charge("orbit_coset")
-    pairs = {tid: _pairs(d_of, of) for tid, (of, _) in tests.items()}
-    verdicts = {tid: np.ones(len(pairs[tid][0]), dtype=bool) for tid in tests}
-    witness: dict = {}                 # check id -> (automorphism, witness)
     matrices = []                      # per D class, for alexander_iso
     rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
     for c0 in range(0, len(d_first), rows):
         adj = Q.alexander_adjacency(g, maps[d_first[c0:c0 + rows]])
+        part = slice(c0, c0 + len(adj))
         if "alexander_iso" in check_ids:
             matrices.extend(adj)
         clock.charge(*check_ids)
-        for tid, (_, test) in tests.items():
-            first, pd, pq, _ = pairs[tid]
-            part = slice(*np.searchsorted(pd, [c0, c0 + rows]))
-            ok, own_witness = test(adj, pd[part] - c0, pq[part])
-            verdicts[tid][part] = ok
-            if not ok.all():
-                # the pair's first automorphism is the earliest with its verdict
-                p = int(np.argmin(np.where(ok, k, first[part])))
-                i = int(first[part][p])
-                if tid not in witness or i < witness[tid][0]:
-                    witness[tid] = (i, own_witness(p, i))
-            clock.charge(tid)
-    out = {tid: (verdicts[tid][pairs[tid][3]], witness.get(tid, (0, None))[1])
-           for tid in check_ids if tid != "alexander_iso"}
+        if "alexander_components" in check_ids:
+            ok = ok_d["alexander_components"][part] = (adj == blocks[part]).all(axis=(1, 2))
+            if not ok.all() and "alexander_components" not in witness:
+                c = int(np.argmin(ok))
+                witness["alexander_components"] = _block_mismatch(
+                    adj[c], parts[c0 + c], t=maps[d_first[c0 + c]].tolist())[0]
+            clock.charge("alexander_components")
+        if "regularity" in check_ids:
+            # uint8 counts are exact up to 255, and einsum adds them fastest
+            cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
+            degrees[part, 0] = np.einsum("kxv->kx", cells)
+            degrees[part, 1] = np.einsum("kxv->kv", cells)
+            clock.charge("regularity")
+        if "orbit_coset" in check_ids:
+            nq = n_of[part]
+            # row x of the reachability closure is the forward orbit of x
+            orbits = gr._reachability(adj)
+            stray = (orbits != coset_mats[nq]).any(axis=2)
+            moves = np.ones(len(adj), dtype=bool)
+            for j in np.unique(nq):
+                at = np.flatnonzero(nq == j)
+                moves[at] = _translations_ok(adj[at], *shifts[j]).all(axis=1)
+            ok = ok_d["orbit_coset"][part] = normal[nq] & ~stray.any(axis=1) & moves
+            if not ok.all() and "orbit_coset" not in witness:
+                c = int(np.argmin(ok))
+                j = nq[c]
+                if not normal[j]:
+                    found = {"not_normal": list(n_subs[j].members)}
+                elif stray[c].any():
+                    x = int(np.argmax(stray[c]))
+                    found = {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
+                                                "coset": np.flatnonzero(coset_mats[j, x]).tolist()}}
+                else:
+                    moved = _translations_ok(adj[c][None], *shifts[j])[0]
+                    found = {"translation_not_isomorphism": (0, int(np.argmin(moved)) + 1)}
+                witness["orbit_coset"] = found
+            clock.charge("orbit_coset")
+    out = {tid: (ok[d_of], witness.get(tid)) for tid, ok in ok_d.items()}
     clock.charge(*check_ids)
+    if "regularity" in check_ids:
+        # a class's common degree, or 0, which no index is, when it is not regular
+        common = np.where((degrees == degrees[:, :1, :1]).all(axis=(1, 2)), degrees[:, 0, 0], 0)
+        expected = index[fixed_of]
+        ok = common[d_of] == expected
+        detail = None
+        if not ok.all():
+            i = int(np.argmin(ok))
+            outs, ins = degrees[d_of[i]]
+            v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
+            detail = {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
+                      "expected": int(expected[i]), "phi": maps[i].tolist()}
+        out["regularity"] = (ok, detail)
+        clock.charge("regularity")
     if "alexander_iso" in check_ids:
         cls = _iso_classes(matrices)[d_of]
         first, second = np.triu_indices(k)
@@ -731,22 +699,15 @@ class SuiteConfig:
         return self.checks is None or check_id in self.checks
 
 
-def _abelian_groups(config: SuiteConfig):
-    """Each abelian group type with its automorphisms, and a clock started
-    before their enumeration, so its sweep's reports include it."""
-    for g in G.abelian_group_types(config.abelian_order_cap):
-        clock = _Clock()
-        yield g, G.enumerate_automorphisms(g, cap=config.abelian_order_cap), clock
-
-
 def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None,
                    clock: _Clock | None = None) -> dict:
     """sweep_alexander as one merged report per check id, each timed by
     its share of the clock (started here unless given): its own
     predictions and tests, and an equal share of the rest.  The instance
     is instances[check id], else the group with its count of automorphisms
-    (or pairs, for alexander_iso).  The failing sub-instance is the group,
-    or for orbit_coset the group and h."""
+    (or pairs, for alexander_iso).  A failing report's witness is the
+    first failure's sub-instance (the group, or for orbit_coset the group
+    and h) and detail, with the counts failed and of."""
     clock = clock or _Clock()
     results = sweep_alexander(g, maps, check_ids, clock)
     clock.charge(*check_ids)
@@ -754,11 +715,14 @@ def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None
     for tid, (ok, detail) in results.items():
         unit = "pairs" if tid == "alexander_iso" else "automorphisms"
         instance = (instances or {}).get(tid, f"{g.label} ({ok.size} {unit})")
-        sub = g.label
-        if tid == "orbit_coset":
-            sub = f"({g.label}, h={g.name(int(np.argmin(ok)))})"
-        out[tid] = _merged(tid, instance, ok.size, int(np.count_nonzero(~ok)),
-                           (sub, detail), clock.spent[tid])
+        failed = int(np.count_nonzero(~ok))
+        witness = None
+        if failed:
+            sub = g.label
+            if tid == "orbit_coset":
+                sub = f"({g.label}, h={g.name(int(np.argmin(ok)))})"
+            witness = {"sub_instance": sub, "detail": detail, "failed": failed, "of": ok.size}
+        out[tid] = VerificationReport(tid, instance, not failed, witness, clock.spent[tid])
     return out
 
 
@@ -814,7 +778,9 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     swept = tuple(c for c in _SWEPT if config.wants(c))
     inner_tids = tuple(c for c in ("regularity", "orbit_coset") if config.wants(c))
     merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
-    for g, maps, clock in _abelian_groups(config) if swept else []:
+    for g in G.abelian_group_types(config.abelian_order_cap) if swept else []:
+        clock = _Clock()        # started first, so the sweep's reports include the enumeration
+        maps = G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept
                      if c != "alexander_iso" or len(maps) <= _ISO_PAIR_AUT_CAP)

@@ -1108,6 +1108,71 @@ class TestStackedOrbitCoset:
         assert np.flatnonzero(~self._check(g)).tolist() == sharing
 
 
+class TestFirstFailingClass:
+    """Faults planted on two difference sets whose packed masks sort in the
+    opposite order to their first appearance, one matrix per chunk: the
+    witness is the first failing automorphism's, so the sweep must visit
+    the difference sets in order of first appearance."""
+
+    @staticmethod
+    def _mask_rank(dsets, rows):
+        """The rank of each of `rows` among their packed difference-set
+        masks, in the order a sort of the packed bytes gives."""
+        packed = np.packbits(dsets[rows], axis=1)
+        return np.argsort(np.lexsort(packed.T)).tolist()
+
+    def test_alexander_components(self, monkeypatch):
+        g = G.make_abelian([4, 4])
+        autos = _autos(g)
+        dsets = Q.difference_sets(g, _maps(autos))
+        early, late = 4, 33           # the first automorphisms with their difference sets
+        assert self._mask_rank(dsets, [early, late]) == [1, 0]
+        planted = {dsets[early].tobytes(), dsets[late].tobytes()}
+        sharing = [i for i, d in enumerate(dsets) if d.tobytes() in planted]
+        assert sharing[0] == early and late in sharing
+        real = Q.alexander_adjacency
+        trivial = _scatter(Q.trivial_quandle(g.order).rhd)
+
+        def adjacency(group, maps):
+            out = real(group, maps)
+            for row, d in enumerate(Q.difference_sets(group, maps)):
+                if d.tobytes() in planted:
+                    out[row] = trivial
+            return out
+
+        monkeypatch.setattr(Q, "alexander_adjacency", adjacency)
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", g.order * g.order)
+        tids = ("alexander_components", "regularity")
+        results = V.sweep_alexander(g, _maps(autos), tids)
+        for tid in tids:
+            assert np.flatnonzero(~results[tid][0]).tolist() == sharing, tid
+        monkeypatch.setattr(V.gr, "build_cayley_graph", lambda q: V.gr.DirectedGraph._of_matrix(
+            trivial, names=q.element_names))
+        assert results["alexander_components"][1] == \
+            V.check_alexander_components(g, autos[early]).witness
+        assert results["regularity"][1] == \
+            V.check_generalized_regularity(g, autos[early]).witness
+
+    def test_orbit_coset(self, monkeypatch):
+        # D6 with h = r and h = r^2, both with four cosets of <r^2>: a fault
+        # in coset 0 of r's matrix fails translation (0, 1), one in coset 2
+        # of r^2's fails only (0, 2)
+        g = G.make_dihedral(6)
+        early, late = g.index_of("r"), g.index_of("r^2")
+        dsets = Q.difference_sets(g, _inner(g))
+        assert self._mask_rank(dsets, [early, late]) == [1, 0]
+        plant = TestStackedOrbitCoset._plant
+        cell = TestStackedOrbitCoset._in_coset_cell
+        sharing = plant(monkeypatch, g, early, cell(g, early, 0))
+        sharing += plant(monkeypatch, g, late, cell(g, late, 2))
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", g.order * g.order)
+        ok = TestStackedOrbitCoset()._check(g)
+        assert np.flatnonzero(~ok).tolist() == sorted(sharing) == [
+            g.index_of(x) for x in ("r", "r^2", "r^4", "r^5")]
+        assert V.check_orbit_coset(g, early).witness == {"translation_not_isomorphism": (0, 1)}
+        assert V.check_orbit_coset(g, late).witness == {"translation_not_isomorphism": (0, 2)}
+
+
 class TestSuiteWiring:
     def test_registry_groups_built_once(self, monkeypatch):
         real = V.specs.group_from_string
