@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import breadth_first
+from .groups import _is_integer, breadth_first
 from .quandles import Quandle
 
 ISOMORPHISM_CAP = 64
@@ -29,19 +29,18 @@ def _rows(m: np.ndarray) -> tuple:
 class DirectedGraph:
     """Immutable digraph on 0..n-1, stored as its boolean adjacency matrix.
 
-    The constructor takes an edge list (duplicates collapse) and rejects
-    edges that leave 0..n-1.
+    The constructor takes an edge list (duplicates collapse) and rejects a
+    vertex count or an endpoint that is not an integer (floats are not
+    rounded, bools refused) and edges that leave 0..n-1.
     """
 
     def __init__(self, n: int, edges, names=None):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        n = int(n)
+        if not _is_integer(n) or n < 0:
+            raise ValueError(f"vertex count must be an integer >= 0, got {n!r}")
         m = np.zeros((n, n), dtype=bool)
         for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
+            if not (_is_integer(u) and _is_integer(v) and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r}, {v!r}) must join integers in 0..{n - 1}")
             m[u, v] = True
         self._init(m, names)
 
@@ -195,26 +194,21 @@ def _tarjan(adj, n: int) -> list[list[int]]:
     return comps
 
 
+def _decomposition(kind: str, comps: list) -> ComponentDecomposition:
+    """Sorted components, ordered by their least vertex."""
+    return ComponentDecomposition(kind=kind, components=tuple(
+        tuple(c) for c in sorted(comps, key=lambda c: c[0])))
+
+
 def strongly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
     """Maximal sets with directed paths both ways between every pair."""
-    comps = _tarjan(g.adj, g.n)
-    comps.sort(key=lambda c: c[0])
-    return ComponentDecomposition(kind="strong",
-                                  components=tuple(tuple(c) for c in comps))
+    return _decomposition("strong", _tarjan(g.adj, g.n))
 
 
 def weakly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
-    """Components of the symmetrized graph."""
-    nbrs = _rows(g.matrix() | g.matrix().T)
-    seen = np.zeros(g.n, dtype=bool)
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = sorted(v for layer in breadth_first([s], nbrs.__getitem__) for v in layer)
-        seen[comp] = True
-        comps.append(tuple(comp))
-    return ComponentDecomposition(kind="weak", components=tuple(comps))
+    """Components of the symmetrized graph: those are its strong components,
+    since every edge of a symmetric digraph runs both ways."""
+    return _decomposition("weak", _tarjan(_rows(g.matrix() | g.matrix().T), g.n))
 
 
 def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
@@ -414,7 +408,7 @@ def graph_from_json(obj) -> DirectedGraph:
     for key in ("n", "edges"):
         if key not in obj:
             raise ValueError(f"graph JSON missing key {key!r}")
-    return DirectedGraph(int(obj["n"]), [tuple(e) for e in obj["edges"]],
+    return DirectedGraph(obj["n"], [tuple(e) for e in obj["edges"]],
                          names=obj.get("names"))
 
 

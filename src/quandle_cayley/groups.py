@@ -7,6 +7,7 @@ works on plain indices so it stays cheap and deterministic.
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -99,6 +100,11 @@ def _generating_set(op: np.ndarray, limit: int | None = None) -> np.ndarray:
             inside |= fresh
             new = np.flatnonzero(fresh)
     return np.array(gens, dtype=np.intp)
+
+
+def _is_integer(v) -> bool:
+    """A Python or numpy integer, but not a bool, which is an int to Python."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
@@ -277,30 +283,18 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def make_abelian(factors) -> FiniteGroup:
-    """Direct sum of cyclic groups Z_d for d in factors, with flat tuple names."""
-    factors = [int(d) for d in factors]
-    if not factors:
-        return make_cyclic(1)
+    """Direct sum of cyclic groups Z_d for d in factors: make_direct_product
+    folded over make_cyclic(d), so (c1, ..., ck) sits at its mixed-radix
+    index and the label is Zd1x...xZdk.  Two or more factors get the flat
+    names "(c1,...,ck)"; one factor is make_cyclic(d), and none is Z1."""
+    factors = [int(d) for d in factors] or [1]
     if any(d < 1 for d in factors):
         raise ValueError("cyclic factors must be >= 1")
+    group = functools.reduce(make_direct_product, map(make_cyclic, factors))
     if len(factors) == 1:
-        return make_cyclic(factors[0])
-    n = 1
-    for d in factors:
-        n *= d
-    coords = np.empty((n, len(factors)), dtype=np.int64)
-    rem = np.arange(n)
-    for j in range(len(factors) - 1, -1, -1):
-        coords[:, j] = rem % factors[j]
-        rem //= factors[j]
-    # componentwise addition, re-encoded in the same mixed radix
-    summed = (coords[:, None, :] + coords[None, :, :]) % np.array(factors)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for j, d in enumerate(factors):
-        mul = mul * d + summed[:, :, j]
-    names = ["(" + ",".join(str(c) for c in row) + ")" for row in coords]
-    label = "x".join(f"Z{d}" for d in factors)
-    return FiniteGroup._of_checked(mul, label, names)
+        return group
+    names = ["(" + ",".join(map(str, c)) + ")" for c in itertools.product(*map(range, factors))]
+    return FiniteGroup._of_checked(group.mul, group.label, names)
 
 
 def make_dihedral(m: int) -> FiniteGroup:
@@ -471,8 +465,7 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
     if (not isinstance(rows, sequence) or len(rows) != 2
             or any(not isinstance(r, sequence) or len(r) != 2 for r in rows)):
         raise ValueError("matrix automorphism expects a 2x2 matrix")
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for r in rows for v in r):
+    if not all(_is_integer(v) for r in rows for v in r):
         raise ValueError("matrix automorphism entries must be integers")
     mat = [[int(v) for v in r] for r in rows]
     n = int(round(g.order ** 0.5))
@@ -590,8 +583,7 @@ def fixed_point_subgroup(g: FiniteGroup, phi: Automorphism) -> "Subgroup":
     """Elements with phi(x) = x; always a subgroup."""
     if phi.group is not g:
         raise ValueError("automorphism belongs to a different group")
-    members = np.nonzero(phi.mapping == np.arange(g.order))[0]
-    return Subgroup(g, members)
+    return Subgroup._of_checked(g, np.flatnonzero(phi.mapping == np.arange(g.order)))
 
 
 def image_id_minus_t(g: FiniteGroup, t: Automorphism) -> "Subgroup":
@@ -606,7 +598,7 @@ def image_id_minus_t(g: FiniteGroup, t: Automorphism) -> "Subgroup":
         raise ValueError("automorphism belongs to a different group")
     idx = np.arange(g.order)
     values = g.mul[idx, g.inv[t.mapping]]
-    return Subgroup(g, np.unique(values))
+    return Subgroup._of_checked(g, np.unique(values))
 
 
 # -- subgroups, cosets, classes --------------------------------------------
@@ -631,7 +623,8 @@ def _blocks_by_label(labels: np.ndarray) -> tuple:
 
 
 class Subgroup:
-    """A subgroup of a parent group, stored as a sorted member tuple."""
+    """A subgroup of a parent group, stored as a sorted member tuple.  The
+    constructor checks range, identity, closure and inverses."""
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
@@ -652,6 +645,15 @@ class Subgroup:
         if not inside[parent.inv[arr]].all():
             raise ValueError("not closed under inverses")
         self.members = tuple(arr.tolist())
+
+    @classmethod
+    def _of_checked(cls, parent: FiniteGroup, members) -> "Subgroup":
+        """Wrap the ascending, distinct members of a set this module derived
+        as a subgroup (a fixed-point set, an image of id - t, a closure)."""
+        s = cls.__new__(cls)
+        s.parent = parent
+        s.members = tuple(np.asarray(members, dtype=np.int64).tolist())
+        return s
 
     @property
     def order(self) -> int:
@@ -690,14 +692,15 @@ class CosetPartition:
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
-    """Closure of a generating set under multiplication (breadth-first)."""
+    """Closure of a generating set under multiplication (breadth-first),
+    a subgroup because in a finite group such a closure is one."""
     gens = [int(x) for x in gens]
     for x in gens:
         if not 0 <= x < g.order:
             raise ValueError("generator out of range")
     layers = breadth_first([g.identity], lambda u: g.mul[u, gens].tolist())
     # gens themselves are reachable (identity * gen), so closure has them all
-    return Subgroup(g, sorted(v for layer in layers for v in layer))
+    return Subgroup._of_checked(g, sorted(v for layer in layers for v in layer))
 
 
 def cosets(g: FiniteGroup, s: Subgroup, side: str = "left") -> CosetPartition:

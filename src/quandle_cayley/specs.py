@@ -15,6 +15,7 @@ compact one-line form used by the CLI is  family:args , e.g.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -71,21 +72,9 @@ def build_group(spec: GroupSpec) -> G.FiniteGroup:
     """Evaluate a parsed group spec to a concrete group."""
     if all(kind == "Z" for kind, _ in spec.atoms):
         # all-cyclic products get flat tuple names
-        if len(spec.atoms) == 1:
-            return G.make_cyclic(spec.atoms[0][1])
         return G.make_abelian([n for _, n in spec.atoms])
-    built = []
-    for kind, n in spec.atoms:
-        if kind == "Z":
-            built.append(G.make_cyclic(n))
-        elif kind == "D":
-            built.append(G.make_dihedral(n))
-        else:
-            built.append(G.make_symmetric(n))
-    acc = built[0]
-    for nxt in built[1:]:
-        acc = G.make_direct_product(acc, nxt)
-    return acc
+    make = {"Z": G.make_cyclic, "D": G.make_dihedral, "S": G.make_symmetric}
+    return functools.reduce(G.make_direct_product, [make[kind](n) for kind, n in spec.atoms])
 
 
 def group_from_string(text: str) -> G.FiniteGroup:

@@ -10,16 +10,25 @@ from quandle_cayley import groups as G
 from quandle_cayley import quandles as Q
 
 
-def scc_partition_scipy(graph: gr.DirectedGraph) -> set:
-    """Independent strong-component partition via scipy."""
+def scc_partition_scipy(graph: gr.DirectedGraph, connection: str = "strong") -> set:
+    """Independent strong (or, with connection="weak", weak) component
+    partition via scipy."""
     if graph.n == 0:
         return set()
     m = sp.csr_matrix(graph.matrix().astype(np.int8))
-    _, labels = connected_components(m, directed=True, connection="strong")
+    _, labels = connected_components(m, directed=True, connection=connection)
     blocks = {}
     for v, lab in enumerate(labels):
         blocks.setdefault(lab, set()).add(v)
     return {frozenset(b) for b in blocks.values()}
+
+
+def assert_weak_matches_scipy(graph: gr.DirectedGraph, context) -> None:
+    """The weak components equal scipy's, and come sorted, in the order of
+    their least vertices."""
+    weak = gr.weakly_connected_components(graph)
+    assert weak.as_sets() == scc_partition_scipy(graph, connection="weak"), context
+    assert weak.components == tuple(sorted(tuple(sorted(c)) for c in weak.components)), context
 
 
 def random_digraph(rng, n: int, p: float) -> gr.DirectedGraph:
@@ -66,6 +75,33 @@ class TestDirectedGraph:
     def test_rejects_negative_vertex(self):
         with pytest.raises(ValueError):
             gr.DirectedGraph(2, [(-1, 0)])
+
+    @pytest.mark.parametrize("n, edges", [
+        (2.9, [(0, 1)]),
+        (True, [(0, 0)]),
+        ("2", [(0, 1)]),
+        (2, [(0.7, 1)]),
+        (2, [(0, 1.0)]),
+        (2, [(True, 0)]),
+        (2, [(0, np.True_)]),
+    ])
+    def test_rejects_non_integer_count_or_endpoint(self, n, edges):
+        with pytest.raises(ValueError, match="integer"):
+            gr.DirectedGraph(n, edges)
+
+    def test_accepts_numpy_integers(self):
+        g = gr.DirectedGraph(np.int64(3), [(np.int32(0), np.uint8(2)), (np.int64(2), 1)])
+        assert g.n == 3
+        assert g.edges() == [(0, 2), (2, 1)]
+
+    def test_from_json_refuses_truncation(self):
+        # int() would have read this as a 2-vertex graph with edges (0, 1), (1, 0)
+        for obj in ({"n": 2.9, "edges": [[0, 1]]},
+                    {"n": 2, "edges": [[0.7, 1]]},
+                    {"n": 2, "edges": [[True, 0]]},
+                    '{"n": 2, "edges": [[0, 1.0]]}'):
+            with pytest.raises(ValueError, match="integer"):
+                gr.graph_from_json(obj)
 
     def test_from_json_rejects_three_element_edge(self):
         with pytest.raises(ValueError):
@@ -150,6 +186,7 @@ class TestComponents:
             graph = gr.build_cayley_graph(q)
             ours = gr.strongly_connected_components(graph).as_sets()
             assert ours == scc_partition_scipy(graph), q.label
+            assert_weak_matches_scipy(graph, q.label)
 
     def test_matches_scipy_on_random_digraphs(self):
         rng = np.random.default_rng(20240817)
@@ -159,6 +196,7 @@ class TestComponents:
             graph = random_digraph(rng, n, p)
             ours = gr.strongly_connected_components(graph).as_sets()
             assert ours == scc_partition_scipy(graph), f"trial {trial}, n={n}, p={p}"
+            assert_weak_matches_scipy(graph, f"trial {trial}, n={n}, p={p}")
 
     def test_deep_path_no_recursion_limit(self):
         # iterative traversal must survive paths much longer than the
@@ -176,6 +214,7 @@ class TestComponents:
         comps = gr.strongly_connected_components(graph)
         assert comps.components == tuple((v,) for v in range(n))
         assert comps.as_sets() == scc_partition_scipy(graph)
+        assert gr.weakly_connected_components(graph).components == (tuple(range(n)),)
 
     def test_core_d192_matches_scipy(self):
         graph = gr.build_cayley_graph(Q.core_quandle(G.make_dihedral(192)))

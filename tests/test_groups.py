@@ -243,6 +243,64 @@ class TestTrustedConstructorsMatchTheFullCheck:
                 assert G.Automorphism(g, a.mapping) == a, g.label
 
 
+    def test_make_abelian_matches_the_mixed_radix_formula(self):
+        chains = [c for m in range(1, 32) for c in G._invariant_chains(m)]
+        for factors in chains + [[2, 3, 5], [4, 2], [1, 3], []]:
+            n = int(np.prod(factors, dtype=np.int64))
+            coords = np.empty((n, len(factors)), dtype=np.int64)
+            rem = np.arange(n)
+            for j in range(len(factors) - 1, -1, -1):
+                coords[:, j] = rem % factors[j]
+                rem //= factors[j]
+
+            def encode(c):
+                # componentwise result re-encoded in the same mixed radix
+                out = np.zeros(c.shape[:-1], dtype=np.int64)
+                for j, d in enumerate(factors):
+                    out = out * d + c[..., j] % d
+                return out
+
+            g = G.make_abelian(factors)
+            assert (g.mul == encode(coords[:, None, :] + coords[None, :, :])).all(), factors
+            if len(factors) >= 2:
+                names = ["(" + ",".join(str(c) for c in row) + ")" for row in coords]
+            else:
+                names = [str(i) for i in range(n)]
+            assert g.element_names == names, factors
+            assert g.label == ("x".join(f"Z{d}" for d in factors) or "Z1"), factors
+            assert g.identity == 0, factors
+            assert (g.inv == encode(-coords)).all(), factors
+
+    def test_full_check_accepts_every_derived_subgroup(self, built_groups):
+        for g in built_groups:
+            autos = [G.identity_automorphism(g)]
+            autos += [G.inner_automorphism(g, h) for h in range(g.order)]
+            derived = [G.commutator_subgroup_with(g, h) for h in range(g.order)]
+            if g.is_abelian():
+                autos.append(G.negation_automorphism(g))
+                if g.order <= 12:
+                    autos += [G.Automorphism._of_checked(g, row)
+                              for row in G.enumerate_automorphisms(g)]
+                derived += [G.image_id_minus_t(g, a) for a in autos]
+            derived += [G.fixed_point_subgroup(g, a) for a in autos]
+            for s in derived:
+                assert G.Subgroup(g, s.members).members == s.members, g.label
+
+    def test_derived_subgroups_skip_the_full_check(self, monkeypatch):
+        def refuse(self, parent, members):
+            raise AssertionError("a derived subgroup was re-checked")
+
+        z2z4, s3 = G.make_abelian([2, 4]), G.make_symmetric(3)
+        neg = G.negation_automorphism(z2z4)
+        monkeypatch.setattr(G.Subgroup, "__init__", refuse)
+        assert G.fixed_point_subgroup(z2z4, neg).members == (0, 2, 4, 6)
+        assert G.image_id_minus_t(z2z4, neg).members == (0, 2)
+        assert G.subgroup_generated(s3, [s3.index_of("(12)")]).order == 2
+        assert G.commutator_subgroup_with(s3, s3.index_of("(12)")).order == 3
+        with pytest.raises(AssertionError, match="re-checked"):
+            G.Subgroup(s3, [s3.identity])
+
+
 class TestSubgroupsAndClasses:
     def test_subgroup_generated(self):
         g = G.make_cyclic(6)
