@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import _is_integer, breadth_first
+from .groups import as_integer, breadth_first
 from .quandles import Quandle
 
 ISOMORPHISM_CAP = 64
@@ -29,19 +29,16 @@ def _rows(m: np.ndarray) -> tuple:
 class DirectedGraph:
     """Immutable digraph on 0..n-1, stored as its boolean adjacency matrix.
 
-    The constructor takes an edge list (duplicates collapse) and rejects a
-    vertex count or an endpoint that is not an integer (floats are not
-    rounded, bools refused) and edges that leave 0..n-1.
+    The constructor takes an edge list (duplicates collapse); the vertex
+    count and every endpoint pass as_integer, so floats are not rounded,
+    bools are refused and no edge leaves 0..n-1.
     """
 
     def __init__(self, n: int, edges, names=None):
-        if not _is_integer(n) or n < 0:
-            raise ValueError(f"vertex count must be an integer >= 0, got {n!r}")
+        n = as_integer(n, "vertex count")
         m = np.zeros((n, n), dtype=bool)
         for u, v in edges:
-            if not (_is_integer(u) and _is_integer(v) and 0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u!r}, {v!r}) must join integers in 0..{n - 1}")
-            m[u, v] = True
+            m[as_integer(u, "edge endpoint", 0, n), as_integer(v, "edge endpoint", 0, n)] = True
         self._init(m, names)
 
     @classmethod
@@ -114,9 +111,8 @@ def build_cayley_graph(q: Quandle) -> DirectedGraph:
 
 
 def complete_graph(n: int, names=None) -> DirectedGraph:
-    """All ordered pairs, loops included."""
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    """All ordered pairs, loops included, on n >= 1 vertices."""
+    n = as_integer(n, "complete graph n", lo=1)
     return DirectedGraph._of_matrix(np.ones((n, n), dtype=bool), names=names)
 
 
@@ -212,13 +208,10 @@ def weakly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
 
 
 def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
-    """Subgraph on the given vertices, relabeled densely in sorted order."""
-    verts = sorted({int(v) for v in vertices})
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    """Subgraph on the given vertex indices, relabeled densely in sorted order."""
+    verts = sorted({as_integer(v, "vertex", 0, g.n) for v in vertices})
     c = np.array(verts, dtype=np.intp)
-    return DirectedGraph._of_matrix(g.matrix()[np.ix_(c, c)],
+    return DirectedGraph._of_matrix(g.matrix().take(c, axis=0).take(c, axis=1),
                                     names=[g.names[v] for v in verts])
 
 
@@ -303,7 +296,10 @@ def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph,
 
     Vertices are classed by (out-degree, in-degree, loop) and matched class
     against class; the search order walks g1 by connectivity so partial
-    mappings get contradicted early.  Returns the vertex mapping or None.
+    mappings get contradicted early.  A candidate image w of v is tested
+    against all placed vertices at once: w's row and column of g2's matrix,
+    read at their images, must equal v's row and column of g1's matrix.
+    Returns the vertex mapping or None.
     """
     if g1.n > cap or g2.n > cap:
         raise ValueError(f"isomorphism search capped at {cap} vertices")
@@ -330,35 +326,27 @@ def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph,
         order += reached
 
     m1, m2 = g1.matrix(), g2.matrix()
-    mapping = [-1] * g1.n
-    used = [False] * g2.n
-
-    def consistent(v: int, w: int, upto: int) -> bool:
-        for k in range(upto):
-            u = order[k]
-            mu = mapping[u]
-            if m1[v, u] != m2[w, mu] or m1[u, v] != m2[mu, w]:
-                return False
-        return True
+    order = np.array(order, dtype=np.intp)
+    mapping = np.full(g1.n, -1, dtype=np.intp)
+    used = np.zeros(g2.n, dtype=bool)
 
     def backtrack(k: int) -> bool:
         if k == len(order):
             return True
-        v = order[k]
+        v, done = order[k], order[:k]
+        image = mapping[done]
+        out_v, in_v = m1[v, done], m1[done, v]
         for w in by_sig.get(sig1[v], ()):
-            if used[w] or not consistent(v, w, k):
+            if used[w] or (m2[w, image] != out_v).any() or (m2[image, w] != in_v).any():
                 continue
             mapping[v] = w
             used[w] = True
             if backtrack(k + 1):
                 return True
-            mapping[v] = -1
             used[w] = False
         return False
 
-    if backtrack(0):
-        return list(mapping)
-    return None
+    return mapping.tolist() if backtrack(0) else None
 
 
 def is_isomorphic(g1: DirectedGraph, g2: DirectedGraph,
@@ -425,12 +413,11 @@ def takasaki_z_edge(a: int, c: int) -> bool:
 
 
 def takasaki_z_window(w: int) -> DirectedGraph:
-    """The induced edge relation on the integer window [-w, w].
+    """The induced edge relation on the integer window [-w, w], w >= 0.
 
     Vertex i stands for the integer i - w; names are the integers.
     """
-    if w < 0:
-        raise ValueError("window radius must be >= 0")
+    w = as_integer(w, "window radius w")
     values = np.arange(-w, w + 1)
     m = takasaki_z_edge(values[:, None], values[None, :])
     return DirectedGraph._of_matrix(m, names=[str(v) for v in values.tolist()])

@@ -107,6 +107,20 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def as_integer(value, what: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """An untrusted count or element index as an int, the scalar counterpart
+    of as_index_array: a Python or numpy integer, not a bool, in lo..hi-1
+    (None: unbounded).  Nothing is rounded; anything else raises one
+    ValueError, "<what> must be an integer in lo..hi-1, got <value>"."""
+    if _is_integer(value) and (lo is None or value >= lo) and (hi is None or value < hi):
+        return int(value)
+    if hi is None:
+        allowed = "" if lo is None else f" >= {lo}"
+    else:
+        allowed = f" < {hi}" if lo is None else f" in {lo}..{hi - 1}"
+    raise ValueError(f"{what} must be an integer{allowed}, got {value!r}")
+
+
 def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
     """Untrusted data as an int64 array with `ndim` sides of one length
     n >= 1 (a square table, or for ndim 1 an image list), every entry an
@@ -259,9 +273,8 @@ class FiniteGroup:
 
 
 def make_cyclic(n: int) -> FiniteGroup:
-    """Integers mod n under addition."""
-    if n < 1:
-        raise ValueError("cyclic group needs n >= 1")
+    """Integers mod n under addition, n >= 1."""
+    n = as_integer(n, "cyclic group n", lo=1)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup._of_checked(mul, f"Z{n}", [str(i) for i in range(n)])
@@ -287,9 +300,7 @@ def make_abelian(factors) -> FiniteGroup:
     folded over make_cyclic(d), so (c1, ..., ck) sits at its mixed-radix
     index and the label is Zd1x...xZdk.  Two or more factors get the flat
     names "(c1,...,ck)"; one factor is make_cyclic(d), and none is Z1."""
-    factors = [int(d) for d in factors] or [1]
-    if any(d < 1 for d in factors):
-        raise ValueError("cyclic factors must be >= 1")
+    factors = [as_integer(d, "cyclic factor", lo=1) for d in factors] or [1]
     group = functools.reduce(make_direct_product, map(make_cyclic, factors))
     if len(factors) == 1:
         return group
@@ -298,13 +309,12 @@ def make_abelian(factors) -> FiniteGroup:
 
 
 def make_dihedral(m: int) -> FiniteGroup:
-    """Symmetries of a regular m-gon: m rotations r^i, m reflections r^i s.
+    """Symmetries of a regular m-gon, m >= 1: m rotations r^i, m reflections r^i s.
 
     Index layout: 0..m-1 are r^i, m..2m-1 are r^i s.  Relations:
     r^m = s^2 = e and s r s = r^-1.
     """
-    if m < 1:
-        raise ValueError("dihedral group needs m >= 1")
+    m = as_integer(m, "dihedral group m", lo=1)
     n = 2 * m
     mul = np.empty((n, n), dtype=np.int64)
     i = np.arange(m)
@@ -339,13 +349,12 @@ def _perm_cycle_name(p) -> str:
 
 
 def make_symmetric(n: int, cap: int = SYMMETRIC_CAP) -> FiniteGroup:
-    """All permutations of {1..n} under composition (apply right factor first).
+    """All permutations of {1..n}, 1 <= n <= cap, under composition (right factor first).
 
     Elements are listed in lexicographic order of their image tuples, so the
     identity comes first.  Names use cycle notation, e.g. "(12)(34)".
     """
-    if n < 1:
-        raise ValueError("symmetric group needs n >= 1")
+    n = as_integer(n, "symmetric group n", lo=1)
     if n > cap:
         raise ValueError(f"symmetric group capped at n <= {cap} (got {n})")
     perms = list(itertools.permutations(range(n)))
@@ -439,9 +448,8 @@ def identity_automorphism(g: FiniteGroup) -> Automorphism:
 
 
 def inner_automorphism(g: FiniteGroup, h: int) -> Automorphism:
-    """Conjugation x -> h x h^-1."""
-    if not 0 <= h < g.order:
-        raise ValueError("conjugating element out of range")
+    """Conjugation x -> h x h^-1, for an element index h of g."""
+    h = as_integer(h, "conjugating element", 0, g.order)
     return Automorphism._of_checked(g, g.mul[g.mul[h, :], g.inv[h]])
 
 
@@ -624,15 +632,13 @@ def _blocks_by_label(labels: np.ndarray) -> tuple:
 
 class Subgroup:
     """A subgroup of a parent group, stored as a sorted member tuple.  The
-    constructor checks range, identity, closure and inverses."""
+    constructor checks range (as_integer), identity, closure and inverses."""
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
-        arr = np.unique(np.asarray(members, dtype=np.int64).ravel())
+        arr = np.unique([as_integer(x, "subgroup member", 0, parent.order) for x in members])
         if not arr.size:
             raise ValueError("subgroup cannot be empty")
-        if arr[0] < 0 or arr[-1] >= parent.order:
-            raise ValueError("subgroup members out of range")
         inside = _mask(parent.order, arr)
         if not inside[parent.identity]:
             raise ValueError("subgroup must contain the identity")
@@ -692,12 +698,9 @@ class CosetPartition:
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
-    """Closure of a generating set under multiplication (breadth-first),
+    """Closure of a set of element indices under multiplication (breadth-first),
     a subgroup because in a finite group such a closure is one."""
-    gens = [int(x) for x in gens]
-    for x in gens:
-        if not 0 <= x < g.order:
-            raise ValueError("generator out of range")
+    gens = [as_integer(x, "generator", 0, g.order) for x in gens]
     layers = breadth_first([g.identity], lambda u: g.mul[u, gens].tolist())
     # gens themselves are reachable (identity * gen), so closure has them all
     return Subgroup._of_checked(g, sorted(v for layer in layers for v in layer))
@@ -728,12 +731,11 @@ def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
 
 
 def commutator_subgroup_with(g: FiniteGroup, h: int) -> Subgroup:
-    """Subgroup generated by all [h, x] = h x h^-1 x^-1."""
-    if not 0 <= h < g.order:
-        raise ValueError("element out of range")
+    """Subgroup generated by all [h, x] = h x h^-1 x^-1, h an element index."""
+    h = as_integer(h, "element h", 0, g.order)
     idx = np.arange(g.order)
     comms = g.mul[g.mul[g.mul[h, idx], g.inv[h]], g.inv[idx]]
-    return subgroup_generated(g, np.unique(comms))
+    return subgroup_generated(g, np.unique(comms).tolist())
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple]:
@@ -765,10 +767,9 @@ def abelian_group_types(max_order: int) -> list[FiniteGroup]:
     """One group per isomorphism type of abelian group of order <= max_order.
 
     Types are the invariant-factor chains d1 | d2 | ... | dk; each is built
-    as the corresponding product of cyclic groups.
+    as the corresponding product of cyclic groups; max_order must be >= 1.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    max_order = as_integer(max_order, "max_order", lo=1)
     groups = []
     for m in range(1, max_order + 1):
         for chain in sorted(_invariant_chains(m)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (Automorphism, FiniteGroup, _generating_set, as_index_array,
-                     breadth_first, first_mismatch)
+                     as_integer, breadth_first, first_mismatch)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -206,9 +206,8 @@ class Quandle:
 
 
 def trivial_quandle(n: int) -> Quandle:
-    """x |> y = x for all y."""
-    if n < 1:
-        raise ValueError("trivial quandle needs n >= 1")
+    """x |> y = x for all y, on n >= 1 elements."""
+    n = as_integer(n, "trivial quandle n", lo=1)
     rhd = np.repeat(np.arange(n)[:, None], n, axis=1)
     return Quandle._of_checked(rhd, f"T{n}", provenance={"family": "trivial", "n": n})
 
@@ -240,9 +239,8 @@ def core_quandle(g: FiniteGroup) -> Quandle:
 
 
 def dihedral_quandle(n: int) -> Quandle:
-    """Residues mod n with a |> b = 2b - a."""
-    if n < 1:
-        raise ValueError("dihedral quandle needs n >= 1")
+    """Residues mod n with a |> b = 2b - a, for n >= 1."""
+    n = as_integer(n, "dihedral quandle n", lo=1)
     idx = np.arange(n)
     rhd = (2 * idx[None, :] - idx[:, None]) % n
     return Quandle._of_checked(rhd, f"R{n}", provenance={"family": "dihedral", "n": n})
@@ -382,9 +380,8 @@ def inner_group(q: Quandle, cap: int = INNER_GROUP_CAP,
 
 
 def forward_orbit(q: Quandle, x: int) -> tuple:
-    """All elements reachable from x by repeatedly applying |> (any operand)."""
-    if not 0 <= x < q.order:
-        raise ValueError("element out of range")
+    """All elements reachable from element x by repeatedly applying |> (any operand)."""
+    x = as_integer(x, "element x", 0, q.order)
     layers = breadth_first([x], lambda u: q.rhd[u].tolist())
     return tuple(sorted(v for layer in layers for v in layer))
 
@@ -410,15 +407,13 @@ def quandle_to_json(q: Quandle) -> dict:
 
 
 def quandle_from_json(obj: dict) -> Quandle:
-    """Rebuild a quandle from its dict form (table is re-verified)."""
+    """Rebuild a quandle from its dict form (order >= 1, table re-verified)."""
     if not isinstance(obj, dict):
         raise ValueError("quandle JSON must be an object")
     for key in ("order", "names", "rhd"):
         if key not in obj:
             raise ValueError(f"quandle JSON missing key {key!r}")
-    n = obj["order"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"order must be a positive integer, got {n!r}")
+    n = as_integer(obj["order"], "order", lo=1)
     flat = list(obj["rhd"])
     if len(flat) != n * n:
         raise ValueError(f"rhd must hold {n * n} entries, got {len(flat)}")

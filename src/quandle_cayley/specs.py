@@ -135,14 +135,14 @@ class QuandleSpec:
 
 def make_quandle_spec(family: str, n=None, group=None, automorphism=None,
                       raw_path=None) -> QuandleSpec:
-    """Validate the family/parameter combination before building anything."""
+    """Validate the family and its parameters (n >= 1) before building anything."""
     if family not in _FAMILIES:
         raise SpecParseError(str(family), 0,
                              f"unknown family (expected one of {', '.join(_FAMILIES)})")
     if family in ("trivial", "dihedral"):
         if n is None:
             raise SpecParseError(family, 0, f"{family} needs --n")
-        return QuandleSpec(family=family, n=int(n))
+        return QuandleSpec(family=family, n=G.as_integer(n, f"{family} --n", lo=1))
     if family == "raw":
         if not raw_path:
             raise SpecParseError(family, 0, "raw needs --raw-path")

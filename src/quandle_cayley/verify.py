@@ -553,7 +553,7 @@ def _dihedral_inner_matrix(m: int) -> np.ndarray:
 
 
 def check_dihedral_inner_example(m: int) -> VerificationReport:
-    """The inner twist of D_m by r: one comparison of the Cayley matrix
+    """The inner twist of D_m by r, m >= 2: one comparison of the Cayley matrix
     with the predicted one (_dihedral_inner_matrix), whose witness is the
     first differing cell.
 
@@ -565,8 +565,7 @@ def check_dihedral_inner_example(m: int) -> VerificationReport:
     diameter L - 1.  The edge i -> i + 2 has its reverse exactly when
     i + 4 = i mod m, so the graph is symmetric exactly when m divides 4."""
     start = time.perf_counter()
-    if m < 2:
-        raise ValueError("dihedral example needs m >= 2")
+    m = G.as_integer(m, "dihedral example m", lo=2)
     g = G.make_dihedral(m)
     phi = G.inner_automorphism(g, g.index_of("r"))
     graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
@@ -636,13 +635,10 @@ def check_s4_example() -> VerificationReport:
 # -- the suite ---------------------------------------------------------------
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass
 class SuiteConfig:
-    """What the suite sweeps.  The JSON form uses the same field names."""
+    """What the suite sweeps; the integer fields pass groups.as_integer.
+    The JSON form uses the same field names."""
 
     abelian_order_cap: int = 16
     nonabelian_registry: tuple = ("S3", "S4", "D2", "D3", "D4", "D5", "D6", "D7", "D8")
@@ -652,15 +648,14 @@ class SuiteConfig:
     extra_quandles: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not _is_int(self.abelian_order_cap) or self.abelian_order_cap < 1:
-            raise ValueError("abelian_order_cap must be a positive integer")
+        self.abelian_order_cap = G.as_integer(self.abelian_order_cap, "abelian_order_cap", lo=1)
         self.nonabelian_registry = tuple(str(s) for s in self.nonabelian_registry)
         rng = tuple(self.dihedral_range)
-        if len(rng) != 2 or not all(map(_is_int, rng)) or rng[0] < 1 or rng[1] < rng[0]:
+        if len(rng) != 2:
             raise ValueError("dihedral_range must be [lo, hi] with 1 <= lo <= hi")
-        self.dihedral_range = tuple(map(int, rng))
-        if not _is_int(self.takasaki_window) or self.takasaki_window < 0:
-            raise ValueError("takasaki_window must be a non-negative integer")
+        lo = G.as_integer(rng[0], "dihedral_range lo", lo=1)
+        self.dihedral_range = (lo, G.as_integer(rng[1], "dihedral_range hi", lo=lo))
+        self.takasaki_window = G.as_integer(self.takasaki_window, "takasaki_window")
         if self.checks is not None:
             checks = tuple(str(c) for c in self.checks)
             unknown = [c for c in checks if c not in CHECK_IDS]

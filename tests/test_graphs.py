@@ -379,6 +379,131 @@ class TestPredicates:
             assert gr.is_complete(gr.induced_subgraph(graph, comp))
 
 
+def _loop_find_isomorphism(g1, g2, cap=gr.ISOMORPHISM_CAP):
+    """find_isomorphism as it was with a per-vertex consistency loop: the
+    same signature classes and search order, each candidate tested against
+    the placed vertices one at a time."""
+    if g1.n > cap or g2.n > cap:
+        raise ValueError(f"isomorphism search capped at {cap} vertices")
+    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+        return None
+    sig1, sig2 = gr._signatures(g1), gr._signatures(g2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    by_sig = {}
+    for v, s in enumerate(sig2):
+        by_sig.setdefault(s, []).append(v)
+    order = []
+    placed = np.zeros(g1.n, dtype=bool)
+    sym1 = gr._rows(g1.matrix() | g1.matrix().T)
+    rarity = {v: len(by_sig[sig1[v]]) for v in range(g1.n)}
+    while len(order) < g1.n:
+        pool = np.flatnonzero(~placed).tolist()
+        seed = min(pool, key=lambda v: (rarity[v], v))
+        reached = [v for layer in G.breadth_first([seed], sym1.__getitem__) for v in layer]
+        placed[reached] = True
+        order += reached
+    m1, m2 = g1.matrix(), g2.matrix()
+    mapping = [-1] * g1.n
+    used = [False] * g2.n
+
+    def consistent(v, w, upto):
+        for k in range(upto):
+            u = order[k]
+            mu = mapping[u]
+            if m1[v, u] != m2[w, mu] or m1[u, v] != m2[mu, w]:
+                return False
+        return True
+
+    def backtrack(k):
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in by_sig.get(sig1[v], ()):
+            if used[w] or not consistent(v, w, k):
+                continue
+            mapping[v] = w
+            used[w] = True
+            if backtrack(k + 1):
+                return True
+            mapping[v] = -1
+            used[w] = False
+        return False
+
+    return list(mapping) if backtrack(0) else None
+
+
+def _relabelled(graph, rng):
+    perm = rng.permutation(graph.n)
+    m = np.zeros_like(graph.matrix())
+    m[np.ix_(perm, perm)] = graph.matrix()
+    return gr.DirectedGraph._of_matrix(m)
+
+
+def _edge_swapped(graph, rng):
+    """graph with u1 -> v1, u2 -> v2 replaced by u1 -> v2, u2 -> v1 for a
+    random pair of non-loop edges, which keeps every vertex's signature."""
+    m = graph.matrix().copy()
+    edges = [(u, v) for u, v in graph.edges() if u != v]
+    while True:
+        (u1, v1), (u2, v2) = (edges[i] for i in rng.choice(len(edges), 2, replace=False))
+        if len({u1, v1, u2, v2}) == 4 and not m[u1, v2] and not m[u2, v1]:
+            m[u1, v1] = m[u2, v2] = False
+            m[u1, v2] = m[u2, v1] = True
+            return gr.DirectedGraph._of_matrix(m)
+
+
+class TestIsomorphismMatchesTheLoop:
+    """find_isomorphism returns the mapping (or None) that the per-vertex
+    loop returned, on every search of a default verify pass and on
+    relabelled and edge-swapped quandle graphs."""
+
+    def test_default_pass_searches(self, monkeypatch):
+        from quandle_cayley import verify as V
+        real, pairs = gr.find_isomorphism, []
+
+        def record(g1, g2, cap=gr.ISOMORPHISM_CAP):
+            pairs.append((g1, g2))
+            return real(g1, g2, cap)
+
+        monkeypatch.setattr(gr, "find_isomorphism", record)
+        V.run_suite()
+        assert len(pairs) > 100
+        found = 0
+        for g1, g2 in pairs:
+            mapping = real(g1, g2)
+            assert mapping == _loop_find_isomorphism(g1, g2)
+            found += mapping is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelled_quandle_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        z8, s4 = G.make_abelian([8, 8]), G.make_symmetric(4)
+        for q in (Q.conjugation_quandle(s4), Q.core_quandle(G.make_dihedral(16)),
+                  Q.dihedral_quandle(49), Q.conjugation_quandle(G.make_dihedral(16)),
+                  Q.generalized_alexander_quandle(s4, G.inner_automorphism(s4, 1)),
+                  Q.alexander_quandle(z8, G.matrix_automorphism(z8, [[1, 1], [1, 2]]))):
+            graph = gr.build_cayley_graph(q)
+            assert 24 <= graph.n <= 64
+            other = _relabelled(graph, rng)
+            mapping = gr.find_isomorphism(graph, other)
+            assert mapping is not None and mapping == _loop_find_isomorphism(graph, other), q.label
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_swapped_small_graphs(self, seed):
+        # a swap keeps every signature but not the isomorphism type, so the
+        # search runs to exhaustion; that is only cheap on small graphs
+        rng = np.random.default_rng(seed)
+        for q in (Q.dihedral_quandle(6), Q.conjugation_quandle(G.make_symmetric(3)),
+                  Q.core_quandle(G.make_dihedral(4)), Q.dihedral_quandle(10),
+                  Q.conjugation_quandle(G.make_dihedral(5))):
+            graph = gr.build_cayley_graph(q)
+            other = _relabelled(_edge_swapped(graph, rng), rng)
+            assert gr.find_isomorphism(graph, other) is None
+            assert _loop_find_isomorphism(graph, other) is None, q.label
+
+
 class TestIsomorphism:
     def shuffle(self, graph: gr.DirectedGraph, rng) -> gr.DirectedGraph:
         perm = rng.permutation(graph.n)

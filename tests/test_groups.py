@@ -314,6 +314,15 @@ class TestSubgroupsAndClasses:
         with pytest.raises(ValueError):
             G.Subgroup(g, [0, 2])  # not closed: misses 4
 
+    @pytest.mark.parametrize("order, members", [
+        (6, [0, 3.7]), (6, [0, 3.0]), (2, [0, True]), (2, [np.True_, 0]), (6, [0, "3"]),
+        (6, [0, 6]), (6, [-1, 0]),
+    ])
+    def test_subgroup_refuses_non_integer_or_out_of_range_members(self, order, members):
+        # int() read [0, 3.7] as <3> = (0, 3) and [0, True] as Z2 itself
+        with pytest.raises(ValueError, match=r"^subgroup member must be an integer in 0\.\."):
+            G.Subgroup(G.make_cyclic(order), members)
+
     def test_cosets(self):
         g = G.make_cyclic(6)
         h = G.subgroup_generated(g, [3])
