@@ -595,18 +595,11 @@ def fixed_point_subgroup(g: FiniteGroup, phi: Automorphism) -> "Subgroup":
 
 
 def image_id_minus_t(g: FiniteGroup, t: Automorphism) -> "Subgroup":
-    """Image of x -> x - t(x) on an abelian group (written additively).
-
-    In table terms this is { x * t(x)^-1 }, which is a subgroup exactly
-    because the group is abelian and t is an endomorphism.
-    """
+    """Image of x -> x - t(x) on an abelian group (written additively):
+    the set { x * t(x)^-1 }, already a subgroup, that twist_subgroup closes."""
     if not g.is_abelian():
         raise ValueError("image of (id - t) needs an abelian group")
-    if t.group is not g:
-        raise ValueError("automorphism belongs to a different group")
-    idx = np.arange(g.order)
-    values = g.mul[idx, g.inv[t.mapping]]
-    return Subgroup._of_checked(g, np.unique(values))
+    return twist_subgroup(g, t)
 
 
 # -- subgroups, cosets, classes --------------------------------------------
@@ -730,12 +723,19 @@ def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
     return bool(_mask(g.order, mem)[conj].all())
 
 
+def twist_subgroup(g: FiniteGroup, phi: Automorphism) -> Subgroup:
+    """N_phi = <phi(y)^-1 y : y in g>: im(id - t) on an abelian group, and
+    <[h, x]> for conjugation by h, whose phi(y)^-1 y is [h, y^-1]."""
+    if phi.group is not g:
+        raise ValueError("automorphism belongs to a different group")
+    twists = g.mul[g.inv[phi.mapping], np.arange(g.order)]
+    return subgroup_generated(g, np.unique(twists).tolist())
+
+
 def commutator_subgroup_with(g: FiniteGroup, h: int) -> Subgroup:
     """Subgroup generated by all [h, x] = h x h^-1 x^-1, h an element index."""
     h = as_integer(h, "element h", 0, g.order)
-    idx = np.arange(g.order)
-    comms = g.mul[g.mul[g.mul[h, idx], g.inv[h]], g.inv[idx]]
-    return subgroup_generated(g, np.unique(comms).tolist())
+    return twist_subgroup(g, inner_automorphism(g, h))
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple]:

@@ -111,7 +111,11 @@ def resolve_automorphism(g: G.FiniteGroup, text: str) -> G.Automorphism:
     raise SpecParseError(text, 0, "expected inner:<name>, matrix:[[..]], perm:[..], or neg")
 
 
-_FAMILIES = ("trivial", "conj", "core", "dihedral", "alexander", "gen_alexander", "raw")
+# the flags each family takes; make_quandle_spec refuses any other
+_TAKES = {"trivial": ("--n",), "conj": ("--group",), "core": ("--group",),
+          "dihedral": ("--n",), "alexander": ("--group", "--phi"),
+          "gen_alexander": ("--group", "--phi"), "raw": ("--raw-path",)}
+_FAMILIES = tuple(_TAKES)
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,15 @@ class QuandleSpec:
 
 def make_quandle_spec(family: str, n=None, group=None, automorphism=None,
                       raw_path=None) -> QuandleSpec:
-    """Validate the family and its parameters (n >= 1) before building anything."""
+    """Validate the family and its parameters (n >= 1) before building
+    anything; a parameter the family does not take is refused."""
     if family not in _FAMILIES:
         raise SpecParseError(str(family), 0,
                              f"unknown family (expected one of {', '.join(_FAMILIES)})")
+    given = {"--n": n, "--group": group, "--phi": automorphism, "--raw-path": raw_path}
+    for flag, value in given.items():
+        if value is not None and flag not in _TAKES[family]:
+            raise SpecParseError(family, 0, f"{family} takes no {flag}")
     if family in ("trivial", "dihedral"):
         if n is None:
             raise SpecParseError(family, 0, f"{family} needs --n")

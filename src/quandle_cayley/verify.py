@@ -12,9 +12,11 @@ every automorphism of each abelian group, and the inner automorphisms of
 each registry group (regularity and orbit_coset).
 A Cayley graph of phi(x y^-1) y depends only on the set
 D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
-D.  alexander_components and orbit_coset predict from D alone and give
-one verdict per D class; regularity's [G : Fix(phi)] can differ inside a
-class, so each automorphism is judged by its class's degrees.
+D.  The coset checks predict from one subgroup, N = <phi(y)^-1 y> = <D>:
+im(id - t) in the paper's abelian theorems, <[h, x]> in its inner one.
+alexander_components and orbit_coset give one verdict per D class;
+regularity's [G : Fix(phi)] can differ inside a class, so each
+automorphism is judged by its class's degrees.
 Like the family constructors, the sweep takes its tables to be quandles,
 as phi(x y^-1) y is for every automorphism, and does not scan them again.
 The per-instance checkers stay the tests' reference for the sweep, and
@@ -329,7 +331,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     """alexander_components, alexander_iso, regularity and orbit_coset over
     the generalized Alexander quandles of a family of automorphisms, the
     rows of the (k, n) image array maps.  alexander_components and
-    alexander_iso need an abelian group; regularity takes any group.
+    alexander_iso are abelian theorems; regularity takes any group.
     alexander_iso gives one verdict per pair, so keep the family small for
     it.  orbit_coset reads row h as conjugation by h, so maps must be the
     inner family g.mul[g.mul, g.inv[:, None]].
@@ -342,29 +344,28 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     groups._FAMILY_CHUNK_CELLS cells.  Their tables are
     generalized_alexander_quandle's, quandles for every automorphism, so
     their axioms are not scanned.
-    alexander_components: the matrix equals the block matrix of the left
-    cosets of im(id - t).  That makes the graph the disjoint union of the
-    complete digraphs on those cosets, so it fixes the strong components,
-    their count |G| / |im(id - t)| and their completeness.  The image
-    {x t(x)^-1} is the set of inverses of D, so image_id_minus_t and
-    cosets run once per D class, and the verdict is one per D class.
+    alexander_components, alexander_iso and orbit_coset read one
+    prediction, N = <phi(y)^-1 y> (groups.twist_subgroup), closed from
+    those elements without the D mask; N = <D>, so it is found once per D
+    class, and the block matrix of its left cosets once per distinct N.
+    alexander_components: the matrix equals the coset block matrix, so the
+    graph is the disjoint union of the complete digraphs on the cosets,
+    which fixes its strong components, their count |G| / |N| and their
+    completeness.
     alexander_iso: the distinct matrices are sorted into isomorphism
     classes (_iso_classes), and each pair i <= j, in row-major order, is
     isomorphic when its graphs share a class; that verdict must agree with
-    whether |im(id - t)| is equal, which the classes never read.
+    whether |N| is equal, which the classes never read.
     regularity: every in- and out-degree is [G : Fix(phi)], which
     fixed_point_subgroup gives once per distinct fixed-point set.  Fix(phi)
     can differ inside a D class, so the loop keeps each class's out- and
     in-degrees, and each automorphism passes when its class's common
     degree is its own index.
-    orbit_coset: for the twist by h, N = <[h, x]> is normal, the
-    reachability closure of the matrix (forward orbits) is the block matrix
-    of the left cosets of N, and right multiplication by u^-1 v carries
-    coset 0 onto each other coset, edges and non-edges alike.  For the
-    inner family D is the set of commutators [h, z], so N comes from
-    commutator_subgroup_with once per D class, normality, cosets and
-    translations once per distinct N, and the verdict is one per D class.
-    A non-normal N fails by itself, so the translations matter only for a
+    orbit_coset: N is normal, the reachability closure of the matrix
+    (forward orbits) is the coset block matrix, and right multiplication
+    by u^-1 v carries coset 0 onto each other coset, edges and non-edges
+    alike; normality and translations are found once per distinct N.  A
+    non-normal N fails by itself, so the translations matter only for a
     normal N, where each carries coset 0 onto its target coset.
 
     The D classes are numbered in order of first appearance and the chunks
@@ -392,14 +393,15 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     ok_d = {tid: np.ones(len(d_first), dtype=bool)         # per D class
             for tid in check_ids if tid in ("alexander_components", "orbit_coset")}
     witness: dict = {}                 # per D check: its first failing automorphism's
-    if "alexander_components" in check_ids or "alexander_iso" in check_ids:
-        subs = [G.image_id_minus_t(g, auto(i)) for i in d_first]
-        sizes = np.array([sub.order for sub in subs])[d_of]
-        clock.charge(*(c for c in ("alexander_components", "alexander_iso") if c in check_ids))
-    if "alexander_components" in check_ids:
-        blocks = np.stack([_block_matrix(G.cosets(g, sub, side="left").blocks, n)
-                           for sub in subs])
-        clock.charge("alexander_components")
+    coset_tids = [c for c in check_ids if c != "regularity"]     # the checks that read N
+    if coset_tids:
+        distinct: dict = {}    # members -> (index, subgroup) of each distinct N
+        n_of = np.array([distinct.setdefault(sub.members, (len(distinct), sub))[0]
+                         for sub in (G.twist_subgroup(g, auto(i)) for i in d_first)])
+        n_subs = [sub for _, sub in distinct.values()]
+        coset_blocks = [G.cosets(g, sub, side="left").blocks for sub in n_subs]
+        coset_mats = np.stack([_block_matrix(blks, n) for blks in coset_blocks])
+        clock.charge(*coset_tids)
     if "regularity" in check_ids:
         firsts, fixed_of = _distinct_rows(maps == np.arange(n))
         index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
@@ -408,14 +410,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     if "orbit_coset" in check_ids:
         if maps.shape != (n, n) or (maps != g.mul[g.mul, g.inv[:, None]]).any():
             raise ValueError("orbit_coset sweeps the inner family only")
-        subgroups = [G.commutator_subgroup_with(g, int(h)) for h in d_first]
-        distinct: dict = {}    # members -> (index, subgroup) of each distinct N
-        n_of = np.array([distinct.setdefault(sub.members, (len(distinct), sub))[0]
-                         for sub in subgroups])
-        n_subs = [sub for _, sub in distinct.values()]
         normal = np.array([G.is_normal(g, sub) for sub in n_subs])
-        coset_blocks = [G.cosets(g, sub, side="left").blocks for sub in n_subs]
-        coset_mats = np.stack([_block_matrix(blks, n) for blks in coset_blocks])
         shifts = [_coset_translations(g, blks) for blks in coset_blocks]
         clock.charge("orbit_coset")
     matrices = []                      # per D class, for alexander_iso
@@ -427,12 +422,12 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
             matrices.extend(adj)
         clock.charge(*check_ids)
         if "alexander_components" in check_ids:
-            ok = ok_d["alexander_components"][part] = (adj == blocks[part]).all(axis=(1, 2))
+            want = coset_mats[n_of[part]]
+            ok = ok_d["alexander_components"][part] = (adj == want).all(axis=(1, 2))
             if not ok.all() and "alexander_components" not in witness:
                 c = int(np.argmin(ok))
                 witness["alexander_components"] = _cell_mismatch(
-                    adj[c], blocks[c0 + c], "block_mismatch",
-                    t=maps[d_first[c0 + c]].tolist())[0]
+                    adj[c], want[c], "block_mismatch", t=maps[d_first[c0 + c]].tolist())[0]
             clock.charge("alexander_components")
         if "regularity" in check_ids:
             # uint8 counts are exact up to 255, and einsum adds them fastest
@@ -481,6 +476,7 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
         out["regularity"] = (ok, detail)
         clock.charge("regularity")
     if "alexander_iso" in check_ids:
+        sizes = np.array([sub.order for sub in n_subs])[n_of[d_of]]
         cls = _iso_classes(matrices)[d_of]
         first, second = np.triu_indices(k)
         ok = (cls[first] == cls[second]) == (sizes[first] == sizes[second])

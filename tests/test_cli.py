@@ -56,6 +56,17 @@ class TestBuild:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("argv,stray", [
+        (("build", "--family", "conj", "--group", "S3", "--n", "7"), "conj takes no --n"),
+        (("analyze", "--family", "dihedral", "--n", "5", "--phi", "neg"),
+         "dihedral takes no --phi"),
+    ])
+    def test_stray_flag_exits_2(self, capsys, argv, stray):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith(stray)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("rhd", [[0.9, 0.2, 1.7, 1.0], [0, True, 0, 1]])
     def test_raw_non_integer_entries_exit_2(self, capsys, tmp_path, rhd):
         path = tmp_path / "bad.json"

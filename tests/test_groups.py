@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from quandle_cayley import graphs as gr
 from quandle_cayley import groups as G
 from quandle_cayley import quandles as Q
 from quandle_cayley import specs
@@ -375,6 +376,72 @@ class TestSubgroupsAndClasses:
             for x in cls:
                 for h in range(g.order):
                     assert g.conjugate(x, h) in members
+
+
+def _closure(g, gens):
+    """The subgroup the element indices gens generate, as sorted members:
+    right multiplication by gens from the identity until nothing is new."""
+    mul = g.mul.tolist()
+    seen, todo = {g.identity}, [g.identity]
+    while todo:
+        u = todo.pop()
+        for s in gens:
+            if mul[u][s] not in seen:
+                seen.add(mul[u][s])
+                todo.append(mul[u][s])
+    return tuple(sorted(seen))
+
+
+class TestTwistSubgroup:
+    """twist_subgroup, N_phi = <phi(y)^-1 y>, against the two closed forms
+    it replaced, and the component statement it predicts for every
+    automorphism."""
+
+    def test_abelian_case_is_the_image_of_id_minus_t(self, abelian_sweep):
+        # the image {x t(x)^-1} by np.unique; Z2^4's 20,160 automorphisms
+        # are represented by the first of each of its 67 difference sets
+        checked = 0
+        for g, autos in abelian_sweep:
+            if g.label == "Z2xZ2xZ2xZ2":
+                maps = np.stack([t.mapping for t in autos])
+                _, first = np.unique(Q.difference_sets(g, maps), axis=0, return_index=True)
+                assert len(first) == 67
+                autos = [autos[i] for i in first]
+            for t in autos:
+                image = np.unique(g.mul[np.arange(g.order), g.inv[t.mapping]])
+                assert G.twist_subgroup(g, t).members == tuple(image.tolist()), g.label
+                checked += 1
+        assert checked > 67
+
+    def test_inner_case_is_the_commutator_closure(self, registry_groups):
+        extra = [specs.group_from_string(s) for s in ("S3xS3", "D4xZ2", "D16")]
+        for g in registry_groups + extra:
+            for h in range(g.order):
+                comms = {g.op(g.op(g.op(h, x), g.inverse(h)), g.inverse(x))
+                         for x in range(g.order)}
+                want = _closure(g, sorted(comms))
+                assert G.twist_subgroup(g, G.inner_automorphism(g, h)).members == want, \
+                    (g.label, h)
+
+    def test_components_are_the_cosets_for_every_automorphism(self):
+        # beyond the paper: any automorphism, neither abelian-case nor
+        # inner.  N_phi is normal, and the forward orbits of the twisted
+        # graph are its left cosets: x reaches y exactly when x^-1 y is in N
+        labels = ("S3", "S4", "D4", "D5", "D6", "S3xZ3", "D4xZ2", "S3xS3",
+                  "Z2xZ2xZ2", "Z4xZ4", "Z2xZ2xZ4")
+        swept = 0
+        for g in map(specs.group_from_string, labels):
+            maps = G.enumerate_automorphisms(g, cap=g.order)
+            orbits = gr._reachability(Q.alexander_adjacency(g, maps))
+            left = g.mul[g.inv[:, None], np.arange(g.order)[None, :]]     # x^-1 y
+            for row, orbit in zip(maps, orbits):
+                n_phi = G.twist_subgroup(g, G.Automorphism._of_checked(g, row))
+                assert G.is_normal(g, n_phi), (g.label, row)
+                inside = np.zeros(g.order, dtype=bool)
+                inside[list(n_phi.members)] = True
+                assert (orbit == inside[left]).all(), (g.label, row)
+            swept += len(maps)
+        assert swept == 674
 
 
 # Element-by-element loops that cosets, conjugacy_classes, is_normal and the

@@ -103,6 +103,18 @@ class TestQuandleSpecs:
         with pytest.raises(specs.SpecParseError, match="family"):
             specs.make_quandle_spec("latin")
 
+    @pytest.mark.parametrize("family,kwargs,flag", [
+        ("conj", {"group": "S3", "n": 7}, "--n"),
+        ("dihedral", {"n": 5, "automorphism": "neg"}, "--phi"),
+        ("trivial", {"n": 3, "group": "Z3"}, "--group"),
+        ("alexander", {"group": "Z8", "automorphism": "neg", "raw_path": "q.json"}, "--raw-path"),
+        ("raw", {"raw_path": "q.json", "n": 4}, "--n"),
+    ])
+    def test_stray_parameter_is_refused(self, family, kwargs, flag):
+        # once dropped without a word: conj with --n 7 built Conj(S3)
+        with pytest.raises(specs.SpecParseError, match=f"{family} takes no {flag}$"):
+            specs.make_quandle_spec(family, **kwargs)
+
     @pytest.mark.parametrize("text,order", [
         ("trivial:5", 5),
         ("dihedral:8", 8),

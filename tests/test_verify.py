@@ -574,11 +574,31 @@ class TestAbelianSweepMatchesCheckers:
         ok03, _, ok05, _ = self._check(g, [autos[i] for i in sorted(pick)])
         assert ok03.all() and ok05.all()
 
+    def test_one_prediction_per_difference_set(self, monkeypatch):
+        # the coset checks read twist_subgroup once per D class, and never
+        # the closed forms it replaced
+        def refuse(*args):
+            raise AssertionError("the sweep called a closed form")
+
+        real, calls = G.twist_subgroup, []
+        monkeypatch.setattr(V.G, "image_id_minus_t", refuse)
+        monkeypatch.setattr(V.G, "commutator_subgroup_with", refuse)
+        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, phi: (
+            calls.append(phi.key()) or real(group, phi)))
+        abelian = G.make_abelian([2, 4])
+        s4 = G.make_symmetric(4)
+        for g, maps, tids in ((abelian, G.enumerate_automorphisms(abelian), V._SWEPT),
+                              (s4, s4.mul[s4.mul, s4.inv[:, None]], ("orbit_coset",))):
+            calls.clear()
+            result = V.sweep_alexander(g, maps, tids)
+            assert all(ok.all() for ok, _ in result.values())
+            assert len(calls) == len(np.unique(Q.difference_sets(g, maps), axis=0)), g.label
+
     def test_failures_land_on_the_same_automorphisms(self, abelian_sweep, monkeypatch):
         # wrong predictions for every t with |im(id - t)| = 4 or |Fix(t)| = 2
         trivial = lambda group: G.Subgroup(group, [group.identity])
-        monkeypatch.setattr(V.G, "image_id_minus_t",
-                            _wrong_for_order(G.image_id_minus_t, 4, trivial))
+        monkeypatch.setattr(V.G, "twist_subgroup",
+                            _wrong_for_order(G.twist_subgroup, 4, trivial))
         monkeypatch.setattr(V.G, "fixed_point_subgroup",
                             _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
         for g, autos in abelian_sweep:
@@ -594,8 +614,8 @@ class TestAbelianSweepMatchesCheckers:
         # one difference set per chunk: the first failing automorphism's
         # chunk need not be the first chunk with a failure
         trivial = lambda group: G.Subgroup(group, [group.identity])
-        monkeypatch.setattr(V.G, "image_id_minus_t",
-                            _wrong_for_order(G.image_id_minus_t, 4, trivial))
+        monkeypatch.setattr(V.G, "twist_subgroup",
+                            _wrong_for_order(G.twist_subgroup, 4, trivial))
         monkeypatch.setattr(V.G, "fixed_point_subgroup",
                             _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
         monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 1)
@@ -760,9 +780,9 @@ class TestAbelianSweepMatchesCheckers:
         # unequal sizes, and non-isomorphic with equal sizes, both fail
         g = G.make_abelian([2, 4])
         autos = _autos(g)
-        real = G.image_id_minus_t
+        real = G.twist_subgroup
         wrong = {real(g, autos[1]).members, real(g, autos[5]).members}
-        monkeypatch.setattr(V.G, "image_id_minus_t", lambda group, t: (
+        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, t: (
             G.Subgroup(group, [group.identity]) if real(group, t).members in wrong
             else real(group, t)))
         pairs = [(i, j) for i in range(len(autos)) for j in range(len(autos))]
@@ -1080,14 +1100,14 @@ class TestStackedOrbitCoset:
     def test_wrong_subgroup_is_not_normal(self, monkeypatch):
         # <(12)> in place of <[h, x]> = A4 for every h with that subgroup
         g = G.make_symmetric(4)
-        real = G.commutator_subgroup_with
-        a4 = real(g, g.index_of("(12)")).members
+        real = G.twist_subgroup
+        a4 = G.commutator_subgroup_with(g, g.index_of("(12)")).members
+        sharing = [x for x in range(g.order) if G.commutator_subgroup_with(g, x).members == a4]
         wrong = G.subgroup_generated(g, [g.index_of("(12)")])
-        monkeypatch.setattr(V.G, "commutator_subgroup_with", lambda group, h: (
-            wrong if real(group, h).members == a4 else real(group, h)))
+        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, phi: (
+            wrong if real(group, phi).members == a4 else real(group, phi)))
         ok = self._check(g)
-        assert np.flatnonzero(~ok).tolist() == [
-            x for x in range(g.order) if real(g, x).members == a4]
+        assert np.flatnonzero(~ok).tolist() == sharing
         assert V.check_orbit_coset(g, g.index_of("(12)")).witness == {
             "not_normal": list(wrong.members)}
 
