@@ -10,6 +10,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -61,13 +62,13 @@ def cmd_build(args) -> int:
 
 def _analysis(quandle: Q.Quandle, spec: specs.QuandleSpec) -> tuple:
     graph = gr.build_cayley_graph(quandle)
-    comps = gr.strongly_connected_components(graph)
-    degs = gr.degrees(graph)
-    outs = [o for o, _ in degs]
-    ins = [i for _, i in degs]
+    # the strong components are the forward orbits (see Q._orbit_labels)
+    comps = gr._label_decomposition(Q._orbit_labels(quandle.rhd))
+    outs, ins = zip(*gr.degrees(graph))
     components = []
     for comp in comps.components:
-        diameter = gr.component_diameter(graph, comp)
+        # _matrix_diameter raises unless the block is strongly connected
+        diameter = gr._matrix_diameter(graph.matrix().take(comp, axis=0).take(comp, axis=1))
         components.append({
             "vertices": [graph.names[v] for v in comp],
             "size": len(comp),
@@ -191,7 +192,9 @@ def cmd_isomorphic(args) -> int:
     return 0 if mapping is not None else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quandle-cayley",
         description="Build finite quandles from groups, inspect their directed "

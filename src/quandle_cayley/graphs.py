@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -19,9 +20,12 @@ from .quandles import Quandle
 ISOMORPHISM_CAP = 64
 
 
-def _rows(m: np.ndarray) -> tuple:
-    """Out-neighbours of every vertex of m, as sorted tuples of ints."""
-    cols = np.nonzero(m)[1].tolist()
+def _rows(m: np.ndarray, items=None) -> tuple:
+    """Out-neighbours of every vertex of m, as sorted tuples of ints, or of
+    items[v] when a list of items is given: one gather of references to
+    those items, so no object is built per edge."""
+    cols = np.nonzero(m)[1]
+    cols = (cols if items is None else np.array(items, dtype=object)[cols]).tolist()
     ends = np.cumsum(m.sum(axis=1)).tolist()
     return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
@@ -196,6 +200,15 @@ def _decomposition(kind: str, comps: list) -> ComponentDecomposition:
         tuple(c) for c in sorted(comps, key=lambda c: c[0])))
 
 
+def _label_decomposition(labels: np.ndarray) -> ComponentDecomposition:
+    """Strong components from each vertex's label, the least vertex of its
+    component: one stable argsort keeps each component sorted and orders
+    the components by least vertex, as _decomposition does."""
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return ComponentDecomposition("strong", tuple(tuple(c.tolist()) for c in comps))
+
+
 def strongly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
     """Maximal sets with directed paths both ways between every pair."""
     return _decomposition("strong", _tarjan(g.adj, g.n))
@@ -358,31 +371,34 @@ def is_isomorphic(g1: DirectedGraph, g2: DirectedGraph,
 
 
 def export_graph(g: DirectedGraph, fmt: str) -> str:
-    """Render as 'dot', 'json', or 'adjlist'.  Output is byte-stable."""
+    """Render as 'dot', 'json', or 'adjlist'.  Output is byte-stable.  Each
+    vertex's decimal string is built once and rows are joined from them."""
+    s = [str(v) for v in range(g.n)]
+    rows = _rows(g.matrix(), s)
     if fmt == "dot":
         lines = ["digraph {"]
-        for v in range(g.n):
-            label = g.names[v].replace("\\", "\\\\").replace('"', '\\"')
+        for v, name in zip(s, g.names):
+            label = name.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'    {v} [label="{label}"];')
-        for u, v in g.edges():
-            lines.append(f"    {u} -> {v};")
+        lines += [f"    {u} -> " + f";\n    {u} -> ".join(row) + ";"
+                  for u, row in zip(s, rows) if row]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         # the text of json.dumps({"n", "names", "edges"}, indent=2) + "\n",
         # with the edge list built one adjacency row at a time
-        rows = []
-        for u, nbrs in enumerate(g.adj):
-            if nbrs:
+        edges = []
+        for u, row in zip(s, rows):
+            if row:
                 head = f"    [\n      {u},\n      "
-                rows.append(head + f"\n    ],\n{head}".join(map(str, nbrs)) + "\n    ]")
-        names = ",\n".join("    " + json.dumps(s) for s in g.names)
-        names = f"[\n{names}\n  ]" if g.names else "[]"
-        edges = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+                edges.append(head + f"\n    ],\n{head}".join(row) + "\n    ]")
+        # json.dumps(name) is encode_basestring_ascii(name), without its frames
+        names = ",\n    ".join(map(encode_basestring_ascii, g.names))
+        names = f"[\n    {names}\n  ]" if g.names else "[]"
+        edges = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
         return f'{{\n  "n": {g.n},\n  "names": {names},\n  "edges": {edges}\n}}\n'
     if fmt == "adjlist":
-        lines = [f"{g.names[v]}: " + " ".join(str(w) for w in g.adj[v])
-                 for v in range(g.n)]
+        lines = [f"{name}: " + " ".join(row) for name, row in zip(g.names, rows)]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {fmt!r} (use dot, json, or adjlist)")
 

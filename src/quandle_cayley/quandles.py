@@ -107,7 +107,9 @@ def verify_quandle_axioms(table) -> AxiomReport:
     if not idem_ok:
         idem_wit = int(np.nonzero(diag != idx)[0][0])
 
-    inv_ok = bool((np.sort(rhd, axis=0) == idx[:, None]).all())
+    seen = np.zeros((n, n), dtype=bool)
+    seen[rhd, idx] = True                   # seen[v, y]: some x has x |> y = v
+    inv_ok = bool(seen.all())
     inv_wit = None
     if not inv_ok:
         for y in range(n):
@@ -379,11 +381,32 @@ def inner_group(q: Quandle, cap: int = INNER_GROUP_CAP,
     return PermGroup(q.order, [p for layer in layers for p in layer])
 
 
+def _orbit_labels(rhd: np.ndarray) -> np.ndarray:
+    """Label every element with the least member of its forward orbit.
+
+    Each round lowers every label to the least label in its row, lab[x] =
+    min(lab[x], min_y lab[x |> y]), jumps once, lab = lab[lab], and stops
+    when no label changed.  Every label stays reachable from its element.
+    At the fixpoint a label is at most the label, so at most the index, of
+    every element reachable from it: it is the orbit's least member.  In a
+    right-invertible table each column R_y is a permutation, so x is
+    R_y^k(x |> y) for some k: every edge lies on a cycle, and the forward
+    orbits are the strong components of the Cayley graph.
+    """
+    lab = np.arange(rhd.shape[0])
+    while True:
+        new = np.minimum(lab, np.take(lab, rhd).min(axis=1))
+        new = new[new]
+        if (new == lab).all():
+            return lab
+        lab = new
+
+
 def forward_orbit(q: Quandle, x: int) -> tuple:
     """All elements reachable from element x by repeatedly applying |> (any operand)."""
     x = as_integer(x, "element x", 0, q.order)
-    layers = breadth_first([x], lambda u: q.rhd[u].tolist())
-    return tuple(sorted(v for layer in layers for v in layer))
+    lab = _orbit_labels(q.rhd)
+    return tuple(np.flatnonzero(lab == lab[x]).tolist())
 
 
 def is_involutory(q: Quandle) -> bool:

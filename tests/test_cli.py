@@ -1,9 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quandle_cayley import cli
+from quandle_cayley import graphs as gr
+from quandle_cayley import groups as G
+from quandle_cayley import quandles as Q
 from quandle_cayley.cli import main
 
 
@@ -157,6 +165,87 @@ class TestAnalyze:
         assert code == 0
         assert "components: 1" in out
         assert "0: 0 1 2" in out
+
+
+def _relabelled(q, seed):
+    """q with element x renamed perm[x], names carried along."""
+    perm = np.random.default_rng(seed).permutation(q.order)
+    table = np.empty_like(q.rhd)
+    table[np.ix_(perm, perm)] = perm[q.rhd]
+    names = [None] * q.order
+    for x, name in enumerate(q.element_names):
+        names[perm[x]] = name
+    return Q.Quandle(table, element_names=names)
+
+
+def _alexander(g, matrix):
+    return Q.alexander_quandle(g, G.matrix_automorphism(g, matrix))
+
+
+def _inner_twist(g, name):
+    return Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.index_of(name)))
+
+
+def _tarjan_analysis(q, spec):
+    """The analyze --json report built from Tarjan's components and
+    component_diameter on the whole graph."""
+    graph = gr.build_cayley_graph(q)
+    outs, ins = graph.matrix().sum(axis=1), graph.matrix().sum(axis=0)
+    components = []
+    for comp in gr.strongly_connected_components(graph).components:
+        diameter = gr.component_diameter(graph, comp)
+        components.append({"vertices": [q.element_names[v] for v in comp], "size": len(comp),
+                           "complete": diameter <= 1, "diameter": diameter})
+    return {"spec": spec, "order": q.order, "involutory": Q.is_involutory(q),
+            "edges": int(graph.matrix().sum()), "edgeless": gr.is_edgeless(graph),
+            "symmetric": gr.is_symmetric(graph), "complete": gr.is_complete(graph),
+            "degrees": {"out": [int(outs.min()), int(outs.max())],
+                        "in": [int(ins.min()), int(ins.max())]},
+            "component_count": len(components), "components": components}
+
+
+class TestAnalyzeMatchesTarjan:
+    """analyze reads the strong components from the orbit labels; Tarjan's
+    search on the Cayley graph is the oracle."""
+
+    @pytest.mark.parametrize("build,seed", [
+        (lambda: Q.conjugation_quandle(G.make_symmetric(5)), 1),
+        (lambda: Q.core_quandle(G.make_dihedral(60)), 2),
+        (lambda: _alexander(G.make_abelian([11, 11]), [[1, 1], [0, 1]]), 3),
+        (lambda: Q.dihedral_quandle(128), 4),
+        (lambda: Q.trivial_quandle(200), 5),
+        # components that are not complete: cycles of length 50, and S4's
+        # twist by (12)
+        (lambda: _inner_twist(G.make_dihedral(50), "r"), 6),
+        (lambda: _inner_twist(G.make_symmetric(4), "(12)"), 7),
+    ], ids=["conj_S5", "core_D60", "alex_Z11", "R128", "T200", "twist_D50", "twist_S4"])
+    def test_relabelled(self, capsys, tmp_path, build, seed):
+        q = _relabelled(build(), seed)
+        tarjan = gr.strongly_connected_components(gr.build_cayley_graph(q))
+        assert gr._label_decomposition(Q._orbit_labels(q.rhd)) == tarjan
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(Q.quandle_to_json(q)))
+        code, out, _ = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == _tarjan_analysis(q, f"raw:{path}")
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_carry_no_state(self, capsys):
+        # each call prints what it prints in a fresh process, whatever ran
+        # before it on the shared parser
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for argv in (["analyze", "--family", "dihedral", "--n", "6", "--json"],
+                     ["analyze", "--family", "dihedral", "--n", "6"],
+                     ["verify", "--check", "axioms"],
+                     ["build", "--family", "conj", "--group", "S3", "--n", "7"]):
+            fresh = subprocess.run([sys.executable, "-m", "quandle_cayley.cli", *argv],
+                                   capture_output=True, text=True, env=env, check=False)
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert fresh.returncode == 2 and fresh.stderr.startswith("error: ")
 
 
 class TestVerify:

@@ -56,6 +56,23 @@ def json_reference(g: gr.DirectedGraph) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def dot_reference(g: gr.DirectedGraph) -> str:
+    """The export_graph(fmt="dot") text, one f-string per vertex and edge."""
+    lines = ["digraph {"]
+    for v, name in enumerate(g.names):
+        label = name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'    {v} [label="{label}"];')
+    lines += [f"    {u} -> {v};" for u, v in g.edges()]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def adjlist_reference(g: gr.DirectedGraph) -> str:
+    """The export_graph(fmt="adjlist") text, one str() per edge."""
+    m = g.matrix()
+    return "\n".join(f"{g.names[u]}: " + " ".join(str(v) for v in np.flatnonzero(m[u]))
+                     for u in range(g.n)) + "\n"
+
+
 class TestDirectedGraph:
     def test_dedupes_and_sorts(self):
         g = gr.DirectedGraph(3, [(0, 1), (0, 1), (2, 0), (0, 2)])
@@ -602,6 +619,41 @@ class TestExport:
             '    2 [label="\u00e9"];\n    3 [label="x y"];\n    0 -> 1;\n    1 -> 1;\n'
             '    1 -> 2;\n    2 -> 0;\n    3 -> 3;\n}\n')
         assert gr.export_graph(g, "adjlist") == 'a"b: 1\nc\\d: 1 2\n\u00e9: 0\nx y: 3\n'
+
+    def test_fixed_text_of_short_rows_and_escaped_names(self):
+        # vertex 0 has one out-edge, vertex 1 none; the names need JSON and
+        # dot escapes, and the second cannot be written in ASCII
+        g = gr.DirectedGraph(3, [(0, 2), (2, 0), (2, 2)], names=['q"\\', "\u00e9\t\x01", "x y"])
+        assert gr.export_graph(g, "dot") == (
+            'digraph {\n    0 [label="q\\"\\\\"];\n    1 [label="\u00e9\t\x01"];\n'
+            '    2 [label="x y"];\n    0 -> 2;\n    2 -> 0;\n    2 -> 2;\n}\n')
+        assert gr.export_graph(g, "json") == (
+            '{\n  "n": 3,\n  "names": [\n    "q\\"\\\\",\n    "\\u00e9\\t\\u0001",\n'
+            '    "x y"\n  ],\n  "edges": [\n    [\n      0,\n      2\n    ],\n'
+            '    [\n      2,\n      0\n    ],\n    [\n      2,\n      2\n    ]\n  ]\n}\n')
+        assert gr.export_graph(g, "adjlist") == 'q"\\: 2\n\u00e9\t\x01: \nx y: 0 2\n'
+        one = gr.build_cayley_graph(Q.trivial_quandle(1))
+        assert gr.export_graph(one, "dot") == 'digraph {\n    0 [label="0"];\n    0 -> 0;\n}\n'
+        assert gr.export_graph(one, "json") == (
+            '{\n  "n": 1,\n  "names": [\n    "0"\n  ],\n'
+            '  "edges": [\n    [\n      0,\n      0\n    ]\n  ]\n}\n')
+        assert gr.export_graph(one, "adjlist") == "0: 0\n"
+
+    def test_all_formats_match_the_per_edge_references(self):
+        # rows of one vertex (trivial quandles), empty rows (edge lists),
+        # n = 1 and n = 0, escaped names, and dense quandle graphs
+        rng = np.random.default_rng(22)
+        graphs = [gr.build_cayley_graph(q) for q in (
+            Q.trivial_quandle(1), Q.trivial_quandle(12), Q.dihedral_quandle(8),
+            Q.conjugation_quandle(G.make_symmetric(4)), Q.core_quandle(G.make_dihedral(30)))]
+        graphs += [gr.DirectedGraph(0, []), gr.DirectedGraph(1, []),
+                   gr.DirectedGraph(4, [(0, 1), (3, 3), (1, 0)],
+                                    names=['a"b', "c\\d", "\u00e9\u2603\U0001d11e", "x\x01\ty"])]
+        graphs += [random_digraph(rng, int(rng.integers(1, 30)), p) for p in (0.02, 0.1, 0.5) * 5]
+        for graph in graphs:
+            assert gr.export_graph(graph, "json") == json_reference(graph), graph
+            assert gr.export_graph(graph, "dot") == dot_reference(graph), graph
+            assert gr.export_graph(graph, "adjlist") == adjlist_reference(graph), graph
 
     def test_adjlist(self):
         graph = gr.build_cayley_graph(Q.dihedral_quandle(4))

@@ -44,6 +44,25 @@ class TestAxiomScan:
         assert y == 2
         assert table[x1, y] == table[x2, y]
 
+    def test_repeat_in_the_last_column_of_a_relabelled_core(self):
+        # Core(D96), order 192, relabelled, with 5 |> 191 set to 1 |> 191:
+        # the report the sort-based column check gave for this table
+        table = _relabelled(Q.core_quandle(G.make_dihedral(96)).rhd, 96)
+        table[5, 191] = table[1, 191]
+        assert Q.verify_quandle_axioms(table) == Q.AxiomReport(
+            idempotent=True, right_invertible=False, self_distributive=False,
+            invertibility_witness=(191, 1, 5), distributivity_witness=(0, 5, 191))
+
+    def test_right_invertibility_matches_sorted_columns(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            table = np.array(rng.permuted(np.tile(np.arange(n), (n, 1)).T, axis=0))
+            if rng.random() < 0.5:
+                table[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            bijective = (np.sort(table, axis=0) == np.arange(n)[:, None]).all()
+            assert Q.verify_quandle_axioms(table).right_invertible == bijective, table
+
     def test_distributivity_witness(self):
         # columns fix the diagonal and are bijective; (0|>1)|>2 = 2 but
         # (0|>2)|>(1|>2) = 1
@@ -150,6 +169,17 @@ def _relabelled(table, seed):
     out = np.empty_like(table)
     out[np.ix_(perm, perm)] = perm[table]
     return out
+
+
+def _bfs_orbit(table, x):
+    """The forward orbit of x by a plain breadth-first search over rows."""
+    seen, queue = {x}, [x]
+    for u in queue:
+        for v in table[u].tolist():
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return tuple(sorted(seen))
 
 
 def _column_permutation_tables(n, fix_diagonal):
@@ -479,6 +509,19 @@ class TestTranslationsAndInnerGroup:
         assert Q.inner_group(Q.dihedral_quandle(5), closure_cap=10).order == 10
         with pytest.raises(ValueError, match="safety cap"):
             Q.inner_group(Q.dihedral_quandle(5), closure_cap=9)
+
+    def test_forward_orbit_matches_breadth_first(self, registry_groups):
+        quandles = [Q.trivial_quandle(n) for n in range(1, 9)]
+        quandles += [Q.dihedral_quandle(n) for n in range(2, 21)]
+        quandles += [f(g) for g in registry_groups
+                     for f in (Q.conjugation_quandle, Q.core_quandle)]
+        # orbits that are cycles of i -> i + 2, not complete graphs
+        quandles += [Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.index_of("r")))
+                     for g in map(G.make_dihedral, range(2, 21))]
+        quandles += [Q.Quandle(_relabelled(q.rhd, seed)) for seed, q in enumerate(quandles)]
+        for q in quandles:
+            for x in range(q.order):
+                assert Q.forward_orbit(q, x) == _bfs_orbit(q.rhd, x), (q.label, x)
 
     def test_forward_orbit_dihedral(self):
         q = Q.dihedral_quandle(6)
