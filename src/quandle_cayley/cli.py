@@ -62,13 +62,11 @@ def cmd_build(args) -> int:
 
 def _analysis(quandle: Q.Quandle, spec: specs.QuandleSpec) -> tuple:
     graph = gr.build_cayley_graph(quandle)
-    # the strong components are the forward orbits (see Q._orbit_labels)
-    comps = gr._label_decomposition(Q._orbit_labels(quandle.rhd))
+    comps = gr.orbit_components(quandle)
     outs, ins = zip(*gr.degrees(graph))
     components = []
     for comp in comps.components:
-        # _matrix_diameter raises unless the block is strongly connected
-        diameter = gr._matrix_diameter(graph.matrix().take(comp, axis=0).take(comp, axis=1))
+        diameter = gr.component_diameter(graph, comp)
         components.append({
             "vertices": [graph.names[v] for v in comp],
             "size": len(comp),

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .groups import as_integer, breadth_first
-from .quandles import Quandle
+from .quandles import Quandle, _orbit_labels
 
 ISOMORPHISM_CAP = 64
 
@@ -200,10 +200,11 @@ def _decomposition(kind: str, comps: list) -> ComponentDecomposition:
         tuple(c) for c in sorted(comps, key=lambda c: c[0])))
 
 
-def _label_decomposition(labels: np.ndarray) -> ComponentDecomposition:
-    """Strong components from each vertex's label, the least vertex of its
-    component: one stable argsort keeps each component sorted and orders
-    the components by least vertex, as _decomposition does."""
+def orbit_components(q: Quandle) -> ComponentDecomposition:
+    """Strong components of build_cayley_graph(q), read with no search
+    from q's orbit labels (see quandles._orbit_labels): one stable argsort
+    sorts each and orders them by least vertex, as _decomposition does."""
+    labels = _orbit_labels(q.rhd)
     order = np.argsort(labels, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     return ComponentDecomposition("strong", tuple(tuple(c.tolist()) for c in comps))

@@ -384,22 +384,38 @@ def inner_group(q: Quandle, cap: int = INNER_GROUP_CAP,
 def _orbit_labels(rhd: np.ndarray) -> np.ndarray:
     """Label every element with the least member of its forward orbit.
 
-    Each round lowers every label to the least label in its row, lab[x] =
-    min(lab[x], min_y lab[x |> y]), jumps once, lab = lab[lab], and stops
-    when no label changed.  Every label stays reachable from its element.
-    At the fixpoint a label is at most the label, so at most the index, of
-    every element reachable from it: it is the orbit's least member.  In a
-    right-invertible table each column R_y is a permutation, so x is
+    Each column R_y of a right-invertible table is a permutation, so x is
     R_y^k(x |> y) for some k: every edge lies on a cycle, and the forward
-    orbits are the strong components of the Cayley graph.
+    orbits are the weak components of the Cayley graph.  The labels form
+    stars, each element pointing to the least element of its tree; a
+    round (_hook) merges trees joined by an edge, and a round that changes
+    nothing leaves no edge between trees.  Within two rounds every tree
+    that is not yet an orbit merges with another, so, however the elements
+    are numbered, at most 2 ceil(log2 k) + 1 rounds run when the largest
+    orbit has k elements.
     """
-    lab = np.arange(rhd.shape[0])
+    lab = np.arange(rhd.shape[0], dtype=np.int32)
     while True:
-        new = np.minimum(lab, np.take(lab, rhd).min(axis=1))
-        new = new[new]
+        new = _hook(lab, rhd)
         if (new == lab).all():
             return lab
         lab = new
+
+
+def _hook(lab: np.ndarray, rhd: np.ndarray) -> np.ndarray:
+    """One round of _orbit_labels.  Each root r takes the least root that
+    an edge from its tree reaches, the greatest root that an edge from x
+    reaches takes lab[x], and pointers jump until the trees are stars.  A
+    tree with an edge out of it either reaches a root below r and merges,
+    or its greatest reached root s > r takes r or less: r merges the two,
+    and less leaves the tree a root below r to take next round."""
+    near = np.take(lab, rhd)                      # near[x, y] = root of x |> y
+    new = lab.copy()
+    np.minimum.at(new, lab, near.min(axis=1))
+    np.minimum.at(new, near.max(axis=1), lab)
+    while not (new[new] == new).all():
+        new = new[new]
+    return new
 
 
 def forward_orbit(q: Quandle, x: int) -> tuple:

@@ -218,11 +218,14 @@ class TestAnalyzeMatchesTarjan:
         # twist by (12)
         (lambda: _inner_twist(G.make_dihedral(50), "r"), 6),
         (lambda: _inner_twist(G.make_symmetric(4), "(12)"), 7),
-    ], ids=["conj_S5", "core_D60", "alex_Z11", "R128", "T200", "twist_D50", "twist_S4"])
-    def test_relabelled(self, capsys, tmp_path, build, seed):
-        q = _relabelled(build(), seed)
+        # numbered along its cycles, as gen_alexander:D192:inner:r builds it
+        (lambda: _inner_twist(G.make_dihedral(192), "r"), None),
+    ], ids=["conj_S5", "core_D60", "alex_Z11", "R128", "T200", "twist_D50", "twist_S4",
+            "twist_D192"])
+    def test_report(self, capsys, tmp_path, build, seed):
+        q = build() if seed is None else _relabelled(build(), seed)
         tarjan = gr.strongly_connected_components(gr.build_cayley_graph(q))
-        assert gr._label_decomposition(Q._orbit_labels(q.rhd)) == tarjan
+        assert gr.orbit_components(q) == tarjan
         path = tmp_path / "q.json"
         path.write_text(json.dumps(Q.quandle_to_json(q)))
         code, out, _ = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path), "--json")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -180,6 +181,13 @@ def _bfs_orbit(table, x):
                 seen.add(v)
                 queue.append(v)
     return tuple(sorted(seen))
+
+
+def _twist_by_r(m):
+    """D_m twisted by conjugation with r: its orbits are the cycles of
+    i -> i + 2, not complete graphs."""
+    g = G.make_dihedral(m)
+    return Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.index_of("r")))
 
 
 def _column_permutation_tables(n, fix_diagonal):
@@ -515,13 +523,29 @@ class TestTranslationsAndInnerGroup:
         quandles += [Q.dihedral_quandle(n) for n in range(2, 21)]
         quandles += [f(g) for g in registry_groups
                      for f in (Q.conjugation_quandle, Q.core_quandle)]
-        # orbits that are cycles of i -> i + 2, not complete graphs
-        quandles += [Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.index_of("r")))
-                     for g in map(G.make_dihedral, range(2, 21))]
+        quandles += [_twist_by_r(m) for m in range(2, 21)]
         quandles += [Q.Quandle(_relabelled(q.rhd, seed)) for seed, q in enumerate(quandles)]
         for q in quandles:
             for x in range(q.order):
                 assert Q.forward_orbit(q, x) == _bfs_orbit(q.rhd, x), (q.label, x)
+
+    def test_orbit_label_rounds_stay_logarithmic(self, registry_groups, monkeypatch):
+        # D_m twisted by r, numbered along its cycles i -> i + 2: lowering
+        # each label to the least in its row alone takes about m/2 rounds
+        tables = [_twist_by_r(m).rhd for m in (6, 24, 48, 96, 192)]
+        tables += [f(g).rhd for g in registry_groups
+                   for f in (Q.conjugation_quandle, Q.core_quandle)]
+        tables += [Q.dihedral_quandle(128).rhd, Q.trivial_quandle(200).rhd]
+        tables += [_relabelled(t, seed) for seed, t in enumerate(tables)]
+        rounds, hook = [], Q._hook
+        monkeypatch.setattr(Q, "_hook", lambda lab, rhd: rounds.append(lab) or hook(lab, rhd))
+        for t in tables:
+            rounds.clear()
+            labels = Q._orbit_labels(t)
+            largest = int(np.bincount(labels).max())
+            assert len(rounds) <= 2 * math.ceil(math.log2(largest)) + 1, (len(t), len(rounds))
+            for least in np.unique(labels).tolist():
+                assert tuple(np.flatnonzero(labels == least).tolist()) == _bfs_orbit(t, least)
 
     def test_forward_orbit_dihedral(self):
         q = Q.dihedral_quandle(6)
