@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .groups import as_integer, breadth_first
+from .groups import _block_of, _blocks_by_label, as_integer, breadth_first
 from .quandles import Quandle, _orbit_labels
 
 ISOMORPHISM_CAP = 64
@@ -72,7 +72,8 @@ class DirectedGraph:
         return _rows(self._m)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._m[u, v])
+        n = self.n
+        return bool(self._m[as_integer(u, "vertex", 0, n), as_integer(v, "vertex", 0, n)])
 
     def edges(self) -> list[tuple]:
         return [tuple(e) for e in np.argwhere(self._m).tolist()]
@@ -101,10 +102,7 @@ class ComponentDecomposition:
         return {frozenset(c) for c in self.components}
 
     def component_of(self, v: int) -> tuple:
-        for comp in self.components:
-            if v in comp:
-                return comp
-        raise ValueError(f"vertex {v} not in any component")
+        return _block_of(self.components, v, "vertex")
 
 
 def build_cayley_graph(q: Quandle) -> DirectedGraph:
@@ -145,16 +143,16 @@ def is_complete(g: DirectedGraph) -> bool:
     return bool(g.matrix().all())
 
 
-def _tarjan(adj, n: int) -> list[list[int]]:
+def _tarjan(adj, n: int) -> list[int]:
     """Tarjan's strong components, iteratively: each frame of the work stack
     holds a vertex and the iterator over its out-neighbours, resumed after
-    every child returns.  O(V + E); each component comes back sorted."""
+    every child returns.  O(V + E); returns each vertex's component number."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    comp = [0] * n
+    counter = found = 0
     for root in range(n):
         if index[root] != -1:
             continue
@@ -183,42 +181,32 @@ def _tarjan(adj, n: int) -> list[list[int]]:
                     at = len(stack) - 1
                     while stack[at] != v:
                         at -= 1
-                    comp = stack[at:]
-                    del stack[at:]
-                    for w in comp:
+                    for w in stack[at:]:
                         on_stack[w] = False
-                    comp.sort()
-                    comps.append(comp)
+                        comp[w] = found
+                    del stack[at:]
+                    found += 1
                 elif lv < low[work[-1][0]]:
                     low[work[-1][0]] = lv
-    return comps
-
-
-def _decomposition(kind: str, comps: list) -> ComponentDecomposition:
-    """Sorted components, ordered by their least vertex."""
-    return ComponentDecomposition(kind=kind, components=tuple(
-        tuple(c) for c in sorted(comps, key=lambda c: c[0])))
+    return comp
 
 
 def orbit_components(q: Quandle) -> ComponentDecomposition:
     """Strong components of build_cayley_graph(q), read with no search
-    from q's orbit labels (see quandles._orbit_labels): one stable argsort
-    sorts each and orders them by least vertex, as _decomposition does."""
-    labels = _orbit_labels(q.rhd)
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    return ComponentDecomposition("strong", tuple(tuple(c.tolist()) for c in comps))
+    from q's orbit labels (see quandles._orbit_labels)."""
+    return ComponentDecomposition("strong", _blocks_by_label(_orbit_labels(q.rhd)))
 
 
 def strongly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
     """Maximal sets with directed paths both ways between every pair."""
-    return _decomposition("strong", _tarjan(g.adj, g.n))
+    return ComponentDecomposition("strong", _blocks_by_label(_tarjan(g.adj, g.n)))
 
 
 def weakly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
     """Components of the symmetrized graph: those are its strong components,
     since every edge of a symmetric digraph runs both ways."""
-    return _decomposition("weak", _tarjan(_rows(g.matrix() | g.matrix().T), g.n))
+    return ComponentDecomposition(
+        "weak", _blocks_by_label(_tarjan(_rows(g.matrix() | g.matrix().T), g.n)))
 
 
 def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
@@ -304,8 +292,7 @@ def _signatures(g: DirectedGraph) -> list[tuple]:
     return [(int(outs[v]), int(ins[v]), bool(loops[v])) for v in range(g.n)]
 
 
-def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph,
-                     cap: int = ISOMORPHISM_CAP) -> list[int] | None:
+def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph) -> list[int] | None:
     """Exact directed-graph isomorphism by backtracking.
 
     Vertices are classed by (out-degree, in-degree, loop) and matched class
@@ -315,8 +302,8 @@ def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph,
     read at their images, must equal v's row and column of g1's matrix.
     Returns the vertex mapping or None.
     """
-    if g1.n > cap or g2.n > cap:
-        raise ValueError(f"isomorphism search capped at {cap} vertices")
+    if g1.n > ISOMORPHISM_CAP or g2.n > ISOMORPHISM_CAP:
+        raise ValueError(f"isomorphism search capped at {ISOMORPHISM_CAP} vertices")
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     sig1, sig2 = _signatures(g1), _signatures(g2)
@@ -363,9 +350,8 @@ def find_isomorphism(g1: DirectedGraph, g2: DirectedGraph,
     return mapping.tolist() if backtrack(0) else None
 
 
-def is_isomorphic(g1: DirectedGraph, g2: DirectedGraph,
-                  cap: int = ISOMORPHISM_CAP) -> bool:
-    return find_isomorphism(g1, g2, cap=cap) is not None
+def is_isomorphic(g1: DirectedGraph, g2: DirectedGraph) -> bool:
+    return find_isomorphism(g1, g2) is not None
 
 
 # -- export / import ---------------------------------------------------------

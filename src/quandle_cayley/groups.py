@@ -231,18 +231,21 @@ class FiniteGroup:
 
     # -- basic queries ----------------------------------------------------
 
+    def _element(self, x) -> int:
+        return as_integer(x, "element", 0, self.order)
+
     def op(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
+        return int(self.mul[self._element(x), self._element(y)])
 
     def inverse(self, x: int) -> int:
-        return int(self.inv[x])
+        return int(self.inv[self._element(x)])
 
     def conjugate(self, x: int, by: int) -> int:
         """by^-1 * x * by."""
-        return int(self.mul[self.mul[self.inv[by], x], by])
+        return self.op(self.op(self.inverse(by), x), by)
 
     def element_order(self, x: int) -> int:
-        k, acc = 1, x
+        k, acc = 1, self._element(x)
         while acc != self.identity:
             acc = int(self.mul[acc, x])
             k += 1
@@ -254,7 +257,7 @@ class FiniteGroup:
         return self._abelian
 
     def name(self, x: int) -> str:
-        return self.element_names[x]
+        return self.element_names[self._element(x)]
 
     def index_of(self, name: str) -> int:
         try:
@@ -404,7 +407,7 @@ class Automorphism:
         return a
 
     def __call__(self, x: int) -> int:
-        return int(self.mapping[x])
+        return int(self.mapping[self.group._element(x)])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
@@ -612,15 +615,24 @@ def _mask(n: int, members) -> np.ndarray:
     return inside
 
 
-def _blocks_by_label(labels: np.ndarray) -> tuple:
-    """Group 0..n-1 by integer label: each block sorted, blocks ordered by
-    their minimum."""
+def _blocks_by_label(labels) -> tuple:
+    """Group 0..n-1 by label, given as a list or array of n integers (any
+    integers serve): each block sorted, blocks ordered by their least member."""
     blocks: dict[int, list[int]] = {}
     # x ascends, so every block fills in sorted order and the blocks
     # appear in the order of their least members
-    for x, label in enumerate(labels.tolist()):
+    for x, label in enumerate(np.asarray(labels).tolist()):
         blocks.setdefault(label, []).append(x)
     return tuple(tuple(blk) for blk in blocks.values())
+
+
+def _block_of(blocks: tuple, x, what: str) -> tuple:
+    """The block of a partition that holds x, an integer index >= 0."""
+    x = as_integer(x, what)
+    for blk in blocks:
+        if x in blk:
+            return blk
+    raise ValueError(f"{what} {x} not in any block")
 
 
 class Subgroup:
@@ -665,7 +677,7 @@ class Subgroup:
         return frozenset(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return int(x) in self.member_set()
+        return _is_integer(x) and int(x) in self.member_set()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -681,10 +693,7 @@ class CosetPartition:
     blocks: tuple = field(default_factory=tuple)
 
     def block_of(self, x: int) -> tuple:
-        for blk in self.blocks:
-            if x in blk:
-                return blk
-        raise ValueError(f"element {x} not in any block")
+        return _block_of(self.blocks, x, "element")
 
     def as_sets(self) -> set:
         return {frozenset(b) for b in self.blocks}

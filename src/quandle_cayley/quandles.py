@@ -186,10 +186,11 @@ class Quandle:
         self.provenance = dict(provenance) if provenance else {"family": "raw"}
 
     def op(self, x: int, y: int) -> int:
-        return int(self.rhd[x, y])
+        n = self.order
+        return int(self.rhd[as_integer(x, "element", 0, n), as_integer(y, "element", 0, n)])
 
     def name(self, x: int) -> str:
-        return self.element_names[x]
+        return self.element_names[as_integer(x, "element", 0, self.order)]
 
     def index_of(self, name: str) -> int:
         try:

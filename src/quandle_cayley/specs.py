@@ -81,6 +81,14 @@ def group_from_string(text: str) -> G.FiniteGroup:
     return build_group(parse_group_spec(text))
 
 
+def _json_argument(text: str, prefix: str, what: str):
+    """The JSON value after prefix; a syntax error names its position in text."""
+    try:
+        return json.loads(text[len(prefix):])
+    except json.JSONDecodeError as exc:
+        raise SpecParseError(text, len(prefix) + exc.pos, f"{what} is not valid JSON") from None
+
+
 def resolve_automorphism(g: G.FiniteGroup, text: str) -> G.Automorphism:
     """Evaluate an automorphism spec against a concrete group."""
     if not text:
@@ -93,29 +101,26 @@ def resolve_automorphism(g: G.FiniteGroup, text: str) -> G.Automorphism:
             raise SpecParseError(text, len("inner:"), "missing element name")
         return G.inner_automorphism(g, g.index_of(name))
     if text.startswith("matrix:"):
-        body = text[len("matrix:"):]
-        try:
-            rows = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise SpecParseError(text, len("matrix:") + exc.pos, "matrix is not valid JSON") from None
-        return G.matrix_automorphism(g, rows)
+        return G.matrix_automorphism(g, _json_argument(text, "matrix:", "matrix"))
     if text.startswith("perm:"):
-        body = text[len("perm:"):]
-        try:
-            images = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise SpecParseError(text, len("perm:") + exc.pos, "image list is not valid JSON") from None
+        images = _json_argument(text, "perm:", "image list")
         if not isinstance(images, list):
             raise SpecParseError(text, len("perm:"), "image list must be a JSON array")
         return G.Automorphism(g, images)
     raise SpecParseError(text, 0, "expected inner:<name>, matrix:[[..]], perm:[..], or neg")
 
 
-# the flags each family takes; make_quandle_spec refuses any other
-_TAKES = {"trivial": ("--n",), "conj": ("--group",), "core": ("--group",),
-          "dihedral": ("--n",), "alexander": ("--group", "--phi"),
-          "gen_alexander": ("--group", "--phi"), "raw": ("--raw-path",)}
+# the parameters each family takes, in the order of its compact form;
+# make_quandle_spec refuses any other
+_TAKES = {"trivial": ("n",), "conj": ("group",), "core": ("group",),
+          "dihedral": ("n",), "alexander": ("group", "automorphism"),
+          "gen_alexander": ("group", "automorphism"), "raw": ("raw_path",)}
 _FAMILIES = tuple(_TAKES)
+_FLAGS = {"n": "--n", "group": "--group", "automorphism": "--phi", "raw_path": "--raw-path"}
+# what a compact string lacks when its family's parameters are not all there
+_LACKS = {("n",): "an integer size", ("group",): "a group spec",
+          ("group", "automorphism"): "group and automorphism specs",
+          ("raw_path",): "a file path"}
 
 
 @dataclass(frozen=True)
@@ -127,14 +132,9 @@ class QuandleSpec:
     raw_path: str | None = None
 
     def describe(self) -> str:
-        if self.family in ("trivial", "dihedral"):
-            return f"{self.family}:{self.n}"
-        if self.family == "raw":
-            return f"raw:{self.raw_path}"
-        base = f"{self.family}:{self.group.canonical()}"
-        if self.automorphism:
-            base += f":{self.automorphism}"
-        return base
+        return ":".join([self.family] + [
+            self.group.canonical() if param == "group" else str(getattr(self, param))
+            for param in _TAKES[self.family]])
 
 
 def make_quandle_spec(family: str, n=None, group=None, automorphism=None,
@@ -144,51 +144,36 @@ def make_quandle_spec(family: str, n=None, group=None, automorphism=None,
     if family not in _FAMILIES:
         raise SpecParseError(str(family), 0,
                              f"unknown family (expected one of {', '.join(_FAMILIES)})")
-    given = {"--n": n, "--group": group, "--phi": automorphism, "--raw-path": raw_path}
-    for flag, value in given.items():
-        if value is not None and flag not in _TAKES[family]:
-            raise SpecParseError(family, 0, f"{family} takes no {flag}")
-    if family in ("trivial", "dihedral"):
-        if n is None:
-            raise SpecParseError(family, 0, f"{family} needs --n")
-        return QuandleSpec(family=family, n=G.as_integer(n, f"{family} --n", lo=1))
-    if family == "raw":
-        if not raw_path:
-            raise SpecParseError(family, 0, "raw needs --raw-path")
-        return QuandleSpec(family=family, raw_path=str(raw_path))
-    if group is None:
-        raise SpecParseError(family, 0, f"{family} needs --group")
-    gspec = group if isinstance(group, GroupSpec) else parse_group_spec(str(group))
-    if family in ("alexander", "gen_alexander"):
-        if not automorphism:
-            raise SpecParseError(family, 0, f"{family} needs --phi")
-        return QuandleSpec(family=family, group=gspec, automorphism=str(automorphism))
-    return QuandleSpec(family=family, group=gspec)
+    given = {"n": n, "group": group, "automorphism": automorphism, "raw_path": raw_path}
+    for param, value in given.items():
+        if value is not None and param not in _TAKES[family]:
+            raise SpecParseError(family, 0, f"{family} takes no {_FLAGS[param]}")
+    for param in _TAKES[family]:
+        value = given[param]
+        if value is None or (param in ("automorphism", "raw_path") and not value):
+            raise SpecParseError(family, 0, f"{family} needs {_FLAGS[param]}")
+        if param == "n":
+            given[param] = G.as_integer(value, f"{family} --n", lo=1)
+        elif param == "group":
+            given[param] = value if isinstance(value, GroupSpec) else parse_group_spec(str(value))
+        else:
+            given[param] = str(value)
+    return QuandleSpec(family, **given)
 
 
 def parse_quandle_string(text: str) -> QuandleSpec:
-    """Compact form: family[:arg[:automorphism-spec]]."""
-    head, sep, rest = text.partition(":")
-    if head in ("trivial", "dihedral"):
-        if not sep or not rest.isdigit():
-            raise SpecParseError(text, len(head) + 1, f"{head} needs an integer size")
-        return make_quandle_spec(head, n=int(rest))
-    if head == "raw":
-        if not sep or not rest:
-            raise SpecParseError(text, len(head) + 1, "raw needs a file path")
-        return make_quandle_spec(head, raw_path=rest)
-    if head in ("conj", "core"):
-        if not sep or not rest:
-            raise SpecParseError(text, len(head) + 1, f"{head} needs a group spec")
-        return make_quandle_spec(head, group=rest)
-    if head in ("alexander", "gen_alexander"):
-        gtext, sep2, auto = rest.partition(":")
-        if not sep or not gtext or not sep2 or not auto:
-            raise SpecParseError(text, len(head) + 1,
-                                 f"{head} needs group and automorphism specs")
-        return make_quandle_spec(head, group=gtext, automorphism=auto)
-    raise SpecParseError(text, 0,
-                         f"unknown family (expected one of {', '.join(_FAMILIES)})")
+    """Compact form: family:param[:param], the family's parameters in order;
+    the last keeps its colons (an automorphism spec, a file path)."""
+    head, _, rest = text.partition(":")
+    if head not in _FAMILIES:
+        raise SpecParseError(text, 0,
+                             f"unknown family (expected one of {', '.join(_FAMILIES)})")
+    takes = _TAKES[head]
+    parts = rest.split(":", len(takes) - 1)
+    if len(parts) < len(takes) or not all(parts) or ("n" in takes and not rest.isdigit()):
+        raise SpecParseError(text, len(head) + 1, f"{head} needs {_LACKS[takes]}")
+    return make_quandle_spec(head, **{param: int(part) if param == "n" else part
+                                      for param, part in zip(takes, parts)})
 
 
 def build_quandle(spec: QuandleSpec) -> Q.Quandle:

@@ -36,6 +36,10 @@ def random_digraph(rng, n: int, p: float) -> gr.DirectedGraph:
     return gr.DirectedGraph(n, ((u, v) for u, v in np.argwhere(m)))
 
 
+def _inner_twist(g, name):
+    return Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.index_of(name)))
+
+
 def bfs_diameter(g: gr.DirectedGraph, component) -> int:
     """The per-source breadth-first diameter that component_diameter
     replaced, kept as its oracle."""
@@ -259,6 +263,35 @@ class TestComponents:
                                     (10, 11, 12, 13, 14), (15, 16, 17))
         assert comps.as_sets() == scc_partition_scipy(graph)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_by_label_takes_any_integers(self, seed):
+        # labels that are not least members, negative ones among them
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(-5, 12, size=40).tolist()
+        want = sorted(tuple(x for x in range(40) if labels[x] == lab) for lab in set(labels))
+        assert G._blocks_by_label(labels) == tuple(want)
+        assert G._blocks_by_label(np.array(labels)) == tuple(want)
+        assert G._blocks_by_label([7, 3, 7, 3, 9]) == ((0, 2), (1, 3), (4,))
+
+    @pytest.mark.parametrize("build,seed", [
+        (lambda: Q.trivial_quandle(64), 1),
+        (lambda: Q.conjugation_quandle(G.make_symmetric(5)), None),
+        (lambda: Q.conjugation_quandle(G.make_symmetric(5)), 2),
+        (lambda: _inner_twist(G.make_dihedral(50), "r"), 3),
+    ], ids=["T64", "conj_S5", "conj_S5_relabelled", "twist_D50_relabelled"])
+    def test_orbits_and_tarjan_match_scipy(self, build, seed):
+        q = build()
+        if seed is not None:
+            perm = np.random.default_rng(seed).permutation(q.order)
+            table = np.empty_like(q.rhd)
+            table[np.ix_(perm, perm)] = perm[q.rhd]
+            q = Q.Quandle(table)
+        graph = gr.build_cayley_graph(q)
+        want = tuple(sorted(tuple(sorted(b)) for b in scc_partition_scipy(graph)))
+        assert gr.orbit_components(q).components == want
+        assert gr.strongly_connected_components(graph).components == want
+        assert gr.weakly_connected_components(graph).components == want
+
     def test_induced_subgraph(self):
         graph = gr.build_cayley_graph(Q.dihedral_quandle(4))
         sub = gr.induced_subgraph(graph, [1, 3])
@@ -479,9 +512,9 @@ class TestIsomorphismMatchesTheLoop:
         from quandle_cayley import verify as V
         real, pairs = gr.find_isomorphism, []
 
-        def record(g1, g2, cap=gr.ISOMORPHISM_CAP):
+        def record(g1, g2):
             pairs.append((g1, g2))
-            return real(g1, g2, cap)
+            return real(g1, g2)
 
         monkeypatch.setattr(gr, "find_isomorphism", record)
         V.run_suite()

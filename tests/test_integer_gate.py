@@ -12,6 +12,8 @@ from quandle_cayley import verify as V
 
 Z4, Z6, S3 = G.make_cyclic(4), G.make_cyclic(6), G.make_symmetric(3)
 R4, K3 = Q.dihedral_quandle(4), gr.complete_graph(3)
+NEG6, ORBITS4 = G.negation_automorphism(Z6), gr.orbit_components(R4)
+COSETS6 = G.cosets(Z6, G.subgroup_generated(Z6, [3]))
 
 
 def _trivial_json(order):
@@ -49,6 +51,22 @@ GATES = {
     "SuiteConfig takasaki_window": (lambda v: V.SuiteConfig(takasaki_window=v), 0, None),
     "check_dihedral_inner_example": (V.check_dihedral_inner_example, 2, None),
     "make_quandle_spec": (lambda v: specs.make_quandle_spec("dihedral", n=v), 1, None),
+    "FiniteGroup.op x": (lambda v: Z6.op(v, 2), 0, 6),
+    "FiniteGroup.op y": (lambda v: Z6.op(2, v), 0, 6),
+    "FiniteGroup.inverse": (Z6.inverse, 0, 6),
+    "FiniteGroup.conjugate x": (lambda v: S3.conjugate(v, 1), 0, 6),
+    "FiniteGroup.conjugate by": (lambda v: S3.conjugate(1, v), 0, 6),
+    "FiniteGroup.element_order": (Z6.element_order, 0, 6),
+    "FiniteGroup.name": (Z6.name, 0, 6),
+    "Automorphism call": (NEG6, 0, 6),
+    "Quandle.op x": (lambda v: R4.op(v, 0), 0, 4),
+    "Quandle.op y": (lambda v: R4.op(0, v), 0, 4),
+    "Quandle.name": (R4.name, 0, 4),
+    "DirectedGraph.has_edge u": (lambda v: K3.has_edge(v, 0), 0, 3),
+    "DirectedGraph.has_edge v": (lambda v: K3.has_edge(0, v), 0, 3),
+    # an index >= 0 that no block holds raises "not in any block"
+    "component_of": (ORBITS4.component_of, 0, None),
+    "block_of": (COSETS6.block_of, 0, None),
 }
 
 
@@ -93,6 +111,22 @@ def test_gate_accepts(name, value):
 def test_truncations_and_index_errors_are_refused(call):
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ORBITS4.component_of(4), "vertex 4 not in any block"),
+    (lambda: COSETS6.block_of(6), "element 6 not in any block"),
+])
+def test_index_no_block_holds(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_subgroup_holds_only_integers():
+    # 2.9 was read as 2
+    sub = G.subgroup_generated(Z6, [2])
+    assert [x in sub for x in (2, np.int64(4), 2.9, 2.0, True, "2", None)] == [
+        True, True, False, False, False, False, False]
 
 
 @pytest.mark.parametrize("lo, hi, value, message", [

@@ -162,3 +162,87 @@ class TestQuandleSpecs:
         spec = specs.parse_quandle_string("alexander:S3:perm:[0,1,2,3,4,5]")
         with pytest.raises(ValueError, match="abelian"):
             specs.build_quandle(spec)
+
+
+FAMILIES = "trivial, conj, core, dihedral, alexander, gen_alexander, raw"
+
+
+class TestSpecMessages:
+    """One table states what each family takes; the messages below are
+    those the per-family branches gave, written out by hand."""
+
+    @pytest.mark.parametrize("kwargs,reason", [
+        ({"family": "trivial"}, "trivial needs --n"),
+        ({"family": "dihedral"}, "dihedral needs --n"),
+        ({"family": "conj"}, "conj needs --group"),
+        ({"family": "gen_alexander"}, "gen_alexander needs --group"),
+        ({"family": "alexander", "group": "Z8"}, "alexander needs --phi"),
+        ({"family": "alexander", "group": "Z8", "automorphism": ""}, "alexander needs --phi"),
+        ({"family": "raw"}, "raw needs --raw-path"),
+        ({"family": "raw", "raw_path": ""}, "raw needs --raw-path"),
+        ({"family": "trivial", "n": 3, "group": "Z3"}, "trivial takes no --group"),
+        ({"family": "core", "group": "S3", "n": 7}, "core takes no --n"),
+        ({"family": "dihedral", "n": 5, "automorphism": "neg"}, "dihedral takes no --phi"),
+        ({"family": "gen_alexander", "group": "Z8", "automorphism": "neg", "raw_path": "q"},
+         "gen_alexander takes no --raw-path"),
+        ({"family": "latin"}, f"unknown family (expected one of {FAMILIES})"),
+    ])
+    def test_flag_form(self, kwargs, reason):
+        with pytest.raises(specs.SpecParseError) as info:
+            specs.make_quandle_spec(**kwargs)
+        family = kwargs["family"]
+        assert str(info.value) == f"bad spec {family!r} at position 0: {reason}"
+        assert info.value.pos == 0
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"family": "dihedral", "n": 0}, "dihedral --n must be an integer >= 1, got 0"),
+        ({"family": "conj", "group": ""}, "bad spec '' at position 0: empty group spec"),
+        # the group is read before the missing automorphism is noticed
+        ({"family": "alexander", "group": ""}, "bad spec '' at position 0: empty group spec"),
+    ])
+    def test_flag_values(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            specs.make_quandle_spec(**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,pos,reason", [
+        ("trivial:x", 8, "trivial needs an integer size"),
+        ("trivial", 8, "trivial needs an integer size"),
+        ("dihedral:5:3", 9, "dihedral needs an integer size"),
+        ("conj", 5, "conj needs a group spec"),
+        ("core:", 5, "core needs a group spec"),
+        ("alexander::neg", 10, "alexander needs group and automorphism specs"),
+        ("alexander:Z8", 10, "alexander needs group and automorphism specs"),
+        ("gen_alexander:S4:", 14, "gen_alexander needs group and automorphism specs"),
+        ("raw", 4, "raw needs a file path"),
+        ("raw:", 4, "raw needs a file path"),
+        ("mystery:3", 0, f"unknown family (expected one of {FAMILIES})"),
+        ("conj:S3:x", 2, "expected 'x' between factors"),
+    ])
+    def test_compact_form(self, text, pos, reason):
+        with pytest.raises(specs.SpecParseError) as info:
+            specs.parse_quandle_string(text)
+        assert str(info.value).endswith(f" at position {pos}: {reason}")
+        assert info.value.pos == pos
+
+    @pytest.mark.parametrize("text,described", [
+        ("raw:a:b", "raw:a:b"),
+        ("dihedral:07", "dihedral:7"),
+        ("core:Z2xZ2", "core:Z2xZ2"),
+        ("gen_alexander:S4:inner:(12)", "gen_alexander:S4:inner:(12)"),
+        ("alexander:Z4xZ4:matrix:[[1,1],[0,1]]", "alexander:Z4xZ4:matrix:[[1,1],[0,1]]"),
+    ])
+    def test_compact_form_describes(self, text, described):
+        assert specs.parse_quandle_string(text).describe() == described
+
+    @pytest.mark.parametrize("text,pos,reason", [
+        ("matrix:[[1,1],[0,1]", 19, "matrix is not valid JSON"),
+        ("perm:{1}", 6, "image list is not valid JSON"),
+        ("perm:[0,1", 9, "image list is not valid JSON"),
+        ("perm:{}", 5, "image list must be a JSON array"),
+    ])
+    def test_bad_json_argument(self, text, pos, reason):
+        g = specs.group_from_string("Z4xZ4")
+        with pytest.raises(specs.SpecParseError) as info:
+            specs.resolve_automorphism(g, text)
+        assert str(info.value) == f"bad spec {text!r} at position {pos}: {reason}"

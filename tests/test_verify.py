@@ -844,10 +844,10 @@ class TestIsoClassesCatchSabotage:
     def test_missed_isomorphisms_fail(self, monkeypatch):
         real = V.gr.find_isomorphism
 
-        def search(g1, g2, cap=64):
+        def search(g1, g2):
             if g1.matrix().tobytes() != g2.matrix().tobytes():
                 return None
-            return real(g1, g2, cap)
+            return real(g1, g2)
 
         self._fails_on_distinct_equal_size_pairs(monkeypatch, search)
 
@@ -858,7 +858,7 @@ class TestIsoClassesCatchSabotage:
         real = V.gr.find_isomorphism
         calls = []
         monkeypatch.setattr(V.gr, "find_isomorphism",
-                            lambda g1, g2, cap=64: calls.append(1) or real(g1, g2, cap))
+                            lambda g1, g2: calls.append(1) or real(g1, g2))
         ok, detail = _iso_sweep(g, autos)
         assert len(ok) == len(pairs) and ok.all() and detail is None
         assert 0 < len(calls) <= 15 * 5
