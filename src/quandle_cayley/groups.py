@@ -7,6 +7,7 @@ works on plain indices so it stays cheap and deterministic.
 from __future__ import annotations
 
 import array
+import collections
 import functools
 import itertools
 import math
@@ -191,6 +192,7 @@ class FiniteGroup:
         self.identity = self._find_identity()
         self.inv = self._find_inverses()
         self._abelian: bool | None = None
+        self._orders: np.ndarray | None = None
 
     # -- validation ------------------------------------------------------
 
@@ -513,7 +515,15 @@ def _bfs_recipe(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
 
 def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.ndarray:
     """All automorphisms, as the rows of a (k, n) int64 array of image
-    arrays in lexicographic order, by a sweep over generator images.
+    arrays in lexicographic order: the chunks of _automorphism_chunks,
+    concatenated."""
+    return np.concatenate(list(_automorphism_chunks(g, cap)))
+
+
+def _automorphism_chunks(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP):
+    """The rows enumerate_automorphisms returns, yielded as a stream of
+    (rows, n) int64 chunks in the same order, by a sweep over generator
+    images, so a sweep over a large family never holds it whole.
 
     Candidate images are filtered by element order.  The candidate tuples
     are decoded in chunks of _FAMILY_CHUNK_CELLS // n, and each chunk is
@@ -523,7 +533,7 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
     d n generator edges phi(x s_j) = phi(x) phi(s_j) for every x and
     greedy generator s_j.  The n - 1 edges (parent, slot) of the recipe
     hold by construction, phi(elem) = phi(parent) phi(s_slot), so only the
-    others are tested.
+    others are tested.  A chunk that keeps no column yields nothing.
 
     The edges make phi a homomorphism.  phi(s_j) is the tuple's image of
     s_j, because s_j is reached from the identity in the first BFS layer.
@@ -557,37 +567,109 @@ def enumerate_automorphisms(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> np.n
     n = g.order
     gens = _greedy_generators(g)
     if not gens:  # trivial group
-        return np.arange(n, dtype=np.int64)[None, :]
+        yield np.arange(n, dtype=np.int64)[None, :]
+        return
     recipe = _bfs_recipe(g, gens)
-    orders = [g.element_order(x) for x in range(n)]
-    candidates = [np.array([x for x in range(n) if orders[x] == orders[gen]], dtype=np.int32)
-                  for gen in gens]
+    orders = _element_orders(g)
+    candidates = [np.flatnonzero(orders == orders[gen]).astype(np.int32) for gen in gens]
     sizes = [c.size for c in candidates]
     total = math.prod(sizes)
-    flat = g.mul.ravel().astype(np.int32)
-    right = g.mul[:, gens]      # right[x, j] = x s_j
-    others = np.flatnonzero(np.arange(n) != g.identity)
     built = {(parent, slot) for _, parent, slot in recipe}
     # the edges phi(x s_j) = phi(x) phi(s_j) the recipe does not make true
     edges = [np.array([x for x in range(n) if (x, j) not in built], dtype=np.intp)
              for j in range(len(gens))]
+    law = (candidates, g.mul.ravel().astype(np.int32), g.mul[:, gens], recipe, edges)
     per = max(1, _FAMILY_CHUNK_CELLS // n)
-    found = []
     for start in range(0, total, per):
-        # tuple numbers in itertools.product order -> their generator images
-        digits = np.unravel_index(np.arange(start, min(start + per, total)), sizes)
-        images = np.stack([c[d] for c, d in zip(candidates, digits)])
-        phi = np.empty((n, images.shape[1]), dtype=np.int32)
-        phi[g.identity] = g.identity
-        for elem, parent, slot in recipe:
-            phi[elem] = np.take(flat, phi[parent] * n + images[slot])
-        trivial_kernel = (phi[others] != g.identity).all(axis=0)
-        phi, images = phi[:, trivial_kernel], images[:, trivial_kernel]
-        hom = np.ones(phi.shape[1], dtype=bool)
-        for j, xs in enumerate(edges):
-            hom &= (phi[right[xs, j]] == np.take(flat, phi[xs] * n + images[j])).all(axis=0)
-        found.append(phi[:, hom].T)
-    return np.concatenate(found).astype(np.int64)
+        rows = _kept_rows(g, law, start, min(start + per, total))
+        if len(rows):
+            yield rows
+        # the consumer holds the chunk now; drop this frame's hold on it
+        # before the next one is decoded
+        del rows
+
+
+def _kept_rows(g: FiniteGroup, law: tuple, start: int, stop: int) -> np.ndarray:
+    """The automorphisms among candidate tuples start..stop-1, as int64
+    rows (_automorphism_chunks).  A helper of its own, so that the chunk's
+    working arrays are gone once it returns and the suspended generator
+    holds only what it yields."""
+    candidates, flat, right, recipe, edges = law
+    n = g.order
+    # tuple numbers in itertools.product order -> their generator images
+    digits = np.unravel_index(np.arange(start, stop), [c.size for c in candidates])
+    images = np.stack([c[d] for c, d in zip(candidates, digits)])
+    del digits
+    phi = np.empty((n, images.shape[1]), dtype=np.int32)
+    phi[g.identity] = g.identity
+    for elem, parent, slot in recipe:
+        phi[elem] = np.take(flat, phi[parent] * n + images[slot])
+    # the identity is the only element sent to the identity; uint8 counts
+    # are exact up to 255
+    hits = (phi == g.identity).sum(axis=0, dtype=np.uint8 if n < 256 else np.intp)
+    trivial_kernel = hits == 1
+    phi, images = phi[:, trivial_kernel], images[:, trivial_kernel]
+    hom = np.ones(phi.shape[1], dtype=bool)
+    for j, xs in enumerate(edges):
+        hom &= (phi[right[xs, j]] == np.take(flat, phi[xs] * n + images[j])).all(axis=0)
+    return phi[:, hom].T.astype(np.int64)
+
+
+def _element_orders(g: FiniteGroup) -> np.ndarray:
+    """The order of every element, as a read-only array found once per group."""
+    if g._orders is None:
+        mul, orders = g.mul.tolist(), []
+        for x in range(g.order):
+            k, power = 1, x
+            while power != g.identity:
+                power, k = mul[power][x], k + 1
+            orders.append(k)
+        g._orders = np.array(orders)
+        g._orders.flags.writeable = False
+    return g._orders
+
+
+def _abelian_automorphism_count(g: FiniteGroup) -> int:
+    """|Aut(g)| for a finite abelian group, by the closed form of Hillar and
+    Rhea ("Automorphisms of finite abelian groups", Amer. Math. Monthly
+    114, 2007), independent of enumerate_automorphisms.
+
+    Aut(g) is the product of the Sylow subgroups' automorphism groups.
+    Each Sylow p-subgroup's type e_1 <= ... <= e_m is read from g: the
+    elements of order dividing p^i number p^(sum_j min(e_j, i)), so the
+    step from i - 1 to i counts the e_j >= i.  With d_k the last and c_k
+    the first position holding the value e_k, that subgroup has
+    prod_k (p^d_k - p^(k-1)) * prod_k p^(e_k (m - d_k)) * prod_k p^((e_k - 1)(m - c_k + 1))
+    automorphisms (positions 1-based)."""
+    if not g.is_abelian():
+        raise ValueError("the automorphism count formula needs an abelian group")
+    tally = collections.Counter(_element_orders(g).tolist())
+    count, rest, p = 1, g.order, 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        while rest % p == 0:
+            rest //= p
+        # at_least[i - 1] = how many e_j >= i, from the p^i-torsion sizes p^logs[i]
+        at_least, logs = [], [0]
+        while True:
+            size = sum(c for o, c in tally.items() if p ** len(logs) % o == 0)
+            log = 0
+            while p ** log < size:
+                log += 1
+            if log == logs[-1]:
+                break
+            at_least.append(log - logs[-1])
+            logs.append(log)
+        e = sorted(sum(1 for r in at_least if r > j) for j in range(at_least[0]))
+        m = len(e)
+        for k, v in enumerate(e, start=1):
+            first = e.index(v) + 1                      # c_k
+            last = m - e[::-1].index(v)                 # d_k
+            count *= (p ** last - p ** (k - 1)) * p ** (v * (m - last))
+            count *= p ** ((v - 1) * (m - first + 1))
+    return count
 
 
 def fixed_point_subgroup(g: FiniteGroup, phi: Automorphism) -> "Subgroup":
@@ -673,8 +755,12 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
+    @functools.cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)      # members never change, so once
+
     def member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return self._member_set
 
     def __contains__(self, x: int) -> bool:
         return _is_integer(x) and int(x) in self.member_set()

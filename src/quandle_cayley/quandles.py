@@ -274,9 +274,16 @@ def difference_sets(g: FiniteGroup, maps) -> np.ndarray:
     of the (k, n) stack of automorphism image arrays: one n-cell scatter
     each."""
     maps = np.asarray(maps, dtype=np.int64)
-    d = np.zeros(maps.shape, dtype=bool)
-    d[np.arange(len(maps))[:, None], g.mul[maps, g.inv]] = True
-    return d
+    k, n = maps.shape
+    # cells[k, z]: the flat index of phi_k(z) z^-1 in row k of d; one flat
+    # gather and one flat scatter run far faster than their 2-D forms
+    cells = maps * n
+    cells += g.inv
+    cells = g.mul.ravel()[cells]
+    cells += np.arange(0, k * n, n)[:, None]
+    d = np.zeros(k * n, dtype=bool)
+    d[cells.ravel()] = True
+    return d.reshape(k, n)
 
 
 def alexander_adjacency(g: FiniteGroup, maps) -> np.ndarray:

@@ -164,14 +164,15 @@ def make_quandle_spec(family: str, n=None, group=None, automorphism=None,
 def parse_quandle_string(text: str) -> QuandleSpec:
     """Compact form: family:param[:param], the family's parameters in order;
     the last keeps its colons (an automorphism spec, a file path)."""
-    head, _, rest = text.partition(":")
+    head, colon, rest = text.partition(":")
     if head not in _FAMILIES:
         raise SpecParseError(text, 0,
                              f"unknown family (expected one of {', '.join(_FAMILIES)})")
     takes = _TAKES[head]
     parts = rest.split(":", len(takes) - 1)
     if len(parts) < len(takes) or not all(parts) or ("n" in takes and not rest.isdigit()):
-        raise SpecParseError(text, len(head) + 1, f"{head} needs {_LACKS[takes]}")
+        # just past the colon, or at the end of a head with none
+        raise SpecParseError(text, len(head) + len(colon), f"{head} needs {_LACKS[takes]}")
     return make_quandle_spec(head, **{param: int(part) if param == "n" else part
                                       for param, part in zip(takes, parts)})
 

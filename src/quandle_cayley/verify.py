@@ -7,8 +7,9 @@ A checker never assumes what it is checking; a failed comparison comes
 back as a report with a concrete witness.
 
 The suite sweeps the generalized Alexander quandles of whole families of
-automorphisms, each family one array of image rows (sweep_alexander):
-every automorphism of each abelian group, and the inner automorphisms of
+automorphisms, each family an array of image rows or a stream of row
+chunks (sweep_alexander): every automorphism of each abelian group, its
+count checked against a closed form, and the inner automorphisms of
 each registry group (regularity and orbit_coset).
 A Cayley graph of phi(x y^-1) y depends only on the set
 D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
@@ -268,15 +269,23 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the index of each one's first row, and for every row the position of
     its distinct row in that order."""
     # packbits runs far faster on a flat array than along an axis, so the
-    # rows are padded to whole bytes and packed as one
+    # rows are padded to whole 64-bit words, packed as one and read as one
+    # key per word; a single word sorts as one key
     k, n = rows.shape
-    padded = np.zeros((k, -(-n // 8) * 8), dtype=bool)
+    width = -(-n // 64) * 64
+    padded = np.zeros((k, width), dtype=bool)
     padded[:, :n] = rows
-    packed = np.packbits(padded.ravel()).reshape(k, -1)
-    order = np.lexsort(packed.T)        # stable: each run of equal rows starts at its first
-    run = np.ones(len(rows), dtype=bool)
-    run[1:] = (packed[order[1:]] != packed[order[:-1]]).any(axis=1)
-    label = np.empty(len(rows), dtype=np.intp)
+    keys = np.packbits(padded.ravel()).view(np.uint64).reshape(k, -1)
+    run = np.ones(k, dtype=bool)
+    if keys.shape[1] == 1:
+        keys = keys[:, 0]
+        order = np.argsort(keys, kind="stable")   # each run of equal rows starts at its first
+        ordered = keys[order]
+        run[1:] = ordered[1:] != ordered[:-1]
+    else:
+        order = np.lexsort(keys.T)                # stable, likewise
+        run[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    label = np.empty(k, dtype=np.intp)
     label[order] = np.cumsum(run) - 1
     first = order[run]
     appear = np.argsort(first)
@@ -326,24 +335,71 @@ def _translations_ok(adj: np.ndarray, base, image) -> np.ndarray:
     return (moved == here[:, None]).all(axis=(2, 3))
 
 
-def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
+class _ClassTable:
+    """Numbers the distinct rows of a stream of 2-D bool chunks in order of
+    first appearance over the whole stream.  The first chunk's numbering is
+    the stream's; from the second chunk on, rows are looked up in a table
+    keyed by their packed bytes, so a one-chunk stream builds none."""
+
+    def __init__(self):
+        self.count = 0                  # classes met so far
+        self.ids: dict | None = None    # packed row -> class id, from the second chunk
+        self.firsts = None              # the first chunk and its distinct rows, until then
+
+    def number(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The class id of each row of this chunk (int32 from the second
+        chunk on), and the row index of the first member of each class the
+        chunk is the first to meet, in id order."""
+        first, of = _distinct_rows(rows)
+        if not self.count:
+            self.count, self.firsts = len(first), (rows, first)
+            return of, first
+        if self.ids is None:
+            rows0, first0 = self.firsts
+            self.ids = {key.tobytes(): i for i, key in enumerate(np.packbits(rows0[first0], axis=1))}
+            self.firsts = None
+        # the chunk's classes in their order of first appearance, so the
+        # ids the stream has not met are handed out in that order too
+        ids = np.array([self.ids.setdefault(key.tobytes(), len(self.ids))
+                        for key in np.packbits(rows[first], axis=1)], dtype=np.int32)
+        new = first[ids >= self.count]
+        self.count = len(self.ids)
+        return ids[of], new
+
+
+def _joined(parts: list, dtype=None) -> np.ndarray:
+    """The arrays in parts end to end: the only one as it is, else
+    concatenated (as dtype, when given)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, dtype=dtype)
+
+
+def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
                     clock: _Clock | None = None) -> dict:
     """alexander_components, alexander_iso, regularity and orbit_coset over
-    the generalized Alexander quandles of a family of automorphisms, the
-    rows of the (k, n) image array maps.  alexander_components and
-    alexander_iso are abelian theorems; regularity takes any group.
-    alexander_iso gives one verdict per pair, so keep the family small for
-    it.  orbit_coset reads row h as conjugation by h, so maps must be the
-    inner family g.mul[g.mul, g.inv[:, None]].
+    the generalized Alexander quandles of a family of automorphisms: the
+    rows of the (k, n) image array maps, or of the chunks of such rows an
+    iterable maps yields in turn (groups._automorphism_chunks), so a large
+    family is read as a stream and never held whole.  alexander_components
+    and alexander_iso are abelian theorems; regularity takes any group.
+    alexander_iso gives one verdict per pair and keeps every row, so keep
+    the family small for it.  orbit_coset reads row h as conjugation by h,
+    so maps must be the inner family g.mul[g.mul, g.inv[:, None]], as one
+    array.
 
     Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
     (quandles.alexander_adjacency), so the matrix depends on the mask of D
-    alone.  The family's D masks are deduped (_distinct_rows), and
-    quandles.alexander_adjacency builds one matrix per D class (67 for
-    the 20,160 automorphisms of Z2^4), as many at a time as fit in
-    groups._FAMILY_CHUNK_CELLS cells.  Their tables are
-    generalized_alexander_quandle's, quandles for every automorphism, so
-    their axioms are not scanned.
+    alone.  Each chunk's D masks are deduped (_distinct_rows), and the
+    classes are numbered in order of first appearance over the whole
+    stream, from a running table keyed by the packed masks (_ClassTable);
+    the fixed-point masks likewise, for regularity.  Per automorphism the
+    sweep keeps its D class id (int32 past the first chunk) and its
+    verdicts; per class, what its first member's row gave, while the chunk
+    holding that row is read.
+    quandles.alexander_adjacency builds one matrix per D class, when the
+    class first appears (67 for the 20,160 automorphisms of Z2^4), as many
+    at a time as fit in groups._FAMILY_CHUNK_CELLS cells.  Their tables
+    are generalized_alexander_quandle's, quandles for every automorphism,
+    so their axioms are not scanned.
     alexander_components, alexander_iso and orbit_coset read one
     prediction, N = <phi(y)^-1 y> (groups.twist_subgroup), closed from
     those elements without the D mask; N = <D>, so it is found once per D
@@ -358,9 +414,11 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     whether |N| is equal, which the classes never read.
     regularity: every in- and out-degree is [G : Fix(phi)], which
     fixed_point_subgroup gives once per distinct fixed-point set.  Fix(phi)
-    can differ inside a D class, so the loop keeps each class's out- and
+    can differ inside a D class, so the sweep keeps each class's out- and
     in-degrees, and each automorphism passes when its class's common
-    degree is its own index.
+    degree is its own index.  Every class a chunk holds has its degrees
+    once that chunk's new classes are built, so each chunk is judged as it
+    is read, and the first failing automorphism's row is at hand.
     orbit_coset: N is normal, the reachability closure of the matrix
     (forward orbits) is the coset block matrix, and right multiplication
     by u^-1 v carries coset 0 onto each other coset, edges and non-edges
@@ -368,10 +426,10 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     non-normal N fails by itself, so the translations matter only for a
     normal N, where each carries coset 0 onto its target coset.
 
-    The D classes are numbered in order of first appearance and the chunks
-    run in class order, so the first failing class the loop meets holds
-    the first failing automorphism, its first member d_first[c].  A per-D
-    check builds its witness there, once, from the chunk's matrix.
+    The D classes are numbered in order of first appearance and are built
+    in class order, so the first failing class the sweep meets holds the
+    first failing automorphism, its first member.  A per-D check builds
+    its witness there, once, from that class's matrix.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the witness for the first failure, in the
@@ -381,110 +439,143 @@ def sweep_alexander(g: G.FiniteGroup, maps: np.ndarray, check_ids,
     verdict, image sizes and maps.
 
     A clock, when given, is charged each check's own predictions and
-    tests, and an equal share of the steps the checks share: the
-    difference sets, their dedupe and the adjacency chunks.
+    tests, and an equal share of the steps the checks share: reading the
+    next chunk (for a stream, enumerating it), the difference sets, their
+    dedupe and the adjacency matrices.
     """
     n = g.order
-    k = len(maps)
     clock = clock or _Clock()
-    auto = lambda i: G.Automorphism._of_checked(g, maps[i])
-    d_first, d_of = _distinct_rows(Q.difference_sets(g, maps))
-    clock.charge(*check_ids)
-    ok_d = {tid: np.ones(len(d_first), dtype=bool)         # per D class
-            for tid in check_ids if tid in ("alexander_components", "orbit_coset")}
-    witness: dict = {}                 # per D check: its first failing automorphism's
+    if "orbit_coset" in check_ids and (
+            not isinstance(maps, np.ndarray) or maps.shape != (n, n)
+            or (maps != g.mul[g.mul, g.inv[:, None]]).any()):
+        raise ValueError("orbit_coset sweeps the inner family only")
+    auto = lambda row: G.Automorphism._of_checked(g, row)
+    d_table, fixed_table = _ClassTable(), _ClassTable()
+    d_ids = []                         # per chunk: each automorphism's D class
+    ok_d = {tid: [] for tid in check_ids            # per block of D classes
+            if tid in ("alexander_components", "orbit_coset")}
+    witness: dict = {}                 # per check: its first failing automorphism's
     coset_tids = [c for c in check_ids if c != "regularity"]     # the checks that read N
-    if coset_tids:
-        distinct: dict = {}    # members -> (index, subgroup) of each distinct N
-        n_of = np.array([distinct.setdefault(sub.members, (len(distinct), sub))[0]
-                         for sub in (G.twist_subgroup(g, auto(i)) for i in d_first)])
-        n_subs = [sub for _, sub in distinct.values()]
-        coset_blocks = [G.cosets(g, sub, side="left").blocks for sub in n_subs]
-        coset_mats = np.stack([_block_matrix(blks, n) for blks in coset_blocks])
-        clock.charge(*coset_tids)
-    if "regularity" in check_ids:
-        firsts, fixed_of = _distinct_rows(maps == np.arange(n))
-        index = np.array([G.fixed_point_subgroup(g, auto(i)).index() for i in firsts])
-        degrees = np.empty((len(d_first), 2, n), dtype=np.intp)   # out, in
-        clock.charge("regularity")
-    if "orbit_coset" in check_ids:
-        if maps.shape != (n, n) or (maps != g.mul[g.mul, g.inv[:, None]]).any():
-            raise ValueError("orbit_coset sweeps the inner family only")
-        normal = np.array([G.is_normal(g, sub) for sub in n_subs])
-        shifts = [_coset_translations(g, blks) for blks in coset_blocks]
-        clock.charge("orbit_coset")
-    matrices = []                      # per D class, for alexander_iso
+    distinct: dict = {}                # members -> (index, subgroup) of each distinct N
+    n_of = []                          # per D class: its N's index
+    n_subs, coset_blocks, block_mats, normal, shifts = [], [], [], [], []   # per distinct N
+    index = []                         # per fixed-point class
+    degrees, commons = [], []          # per block of D classes: out, in; the common degree
+    regular_ok = []                    # per chunk: regularity's verdicts
+    matrices, kept = [], []            # for alexander_iso: per D class; per chunk
     rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
-    for c0 in range(0, len(d_first), rows):
-        adj = Q.alexander_adjacency(g, maps[d_first[c0:c0 + rows]])
-        part = slice(c0, c0 + len(adj))
-        if "alexander_iso" in check_ids:
-            matrices.extend(adj)
-        clock.charge(*check_ids)
-        if "alexander_components" in check_ids:
-            want = coset_mats[n_of[part]]
-            ok = ok_d["alexander_components"][part] = (adj == want).all(axis=(1, 2))
-            if not ok.all() and "alexander_components" not in witness:
-                c = int(np.argmin(ok))
-                witness["alexander_components"] = _cell_mismatch(
-                    adj[c], want[c], "block_mismatch", t=maps[d_first[c0 + c]].tolist())[0]
-            clock.charge("alexander_components")
+    for chunk in ((maps,) if isinstance(maps, np.ndarray) else maps):
+        ids, d_new = d_table.number(Q.difference_sets(g, chunk))
+        d_ids.append(ids)
         if "regularity" in check_ids:
-            # uint8 counts are exact up to 255, and einsum adds them fastest
-            cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
-            degrees[part, 0] = np.einsum("kxv->kx", cells)
-            degrees[part, 1] = np.einsum("kxv->kv", cells)
+            fixed_of, f_new = fixed_table.number(chunk == np.arange(n))
+        if "alexander_iso" in check_ids:
+            kept.append(chunk)
+        clock.charge(*check_ids)
+        base = d_table.count - len(d_new)       # the id of this chunk's first new D class
+        reps = chunk[d_new]            # the first member of each new D class
+        if coset_tids:
+            n_of += [distinct.setdefault(sub.members, (len(distinct), sub))[0]
+                     for sub in (G.twist_subgroup(g, auto(r)) for r in reps)]
+            if len(distinct) > len(n_subs):
+                n_subs = [sub for _, sub in distinct.values()]
+                coset_blocks += [G.cosets(g, sub, side="left").blocks
+                                 for sub in n_subs[len(coset_blocks):]]
+                block_mats += [_block_matrix(blks, n) for blks in coset_blocks[len(block_mats):]]
+                coset_mats = np.stack(block_mats)
+            n_at = np.array(n_of, dtype=np.intp)
+            clock.charge(*coset_tids)
+        if "regularity" in check_ids:
+            index += [G.fixed_point_subgroup(g, auto(r)).index() for r in chunk[f_new]]
             clock.charge("regularity")
         if "orbit_coset" in check_ids:
-            nq = n_of[part]
-            # row x of the reachability closure is the forward orbit of x
-            orbits = gr._reachability(adj)
-            stray = (orbits != coset_mats[nq]).any(axis=2)
-            moves = np.ones(len(adj), dtype=bool)
-            for j in np.unique(nq):
-                at = np.flatnonzero(nq == j)
-                moves[at] = _translations_ok(adj[at], *shifts[j]).all(axis=1)
-            ok = ok_d["orbit_coset"][part] = normal[nq] & ~stray.any(axis=1) & moves
-            if not ok.all() and "orbit_coset" not in witness:
-                c = int(np.argmin(ok))
-                j = nq[c]
-                if not normal[j]:
-                    found = {"not_normal": list(n_subs[j].members)}
-                elif stray[c].any():
-                    x = int(np.argmax(stray[c]))
-                    found = {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
-                                                "coset": np.flatnonzero(coset_mats[j, x]).tolist()}}
-                else:
-                    moved = _translations_ok(adj[c][None], *shifts[j])[0]
-                    found = {"translation_not_isomorphism": (0, int(np.argmin(moved)) + 1)}
-                witness["orbit_coset"] = found
+            normal = np.array([G.is_normal(g, sub) for sub in n_subs])
+            shifts = [_coset_translations(g, blks) for blks in coset_blocks]
             clock.charge("orbit_coset")
-    out = {tid: (ok[d_of], witness.get(tid)) for tid, ok in ok_d.items()}
+        for c0 in range(0, len(reps), rows):
+            adj = Q.alexander_adjacency(g, reps[c0:c0 + rows])
+            part = slice(base + c0, base + c0 + len(adj))
+            if "alexander_iso" in check_ids:
+                matrices.extend(adj)
+            clock.charge(*check_ids)
+            if "alexander_components" in check_ids:
+                want = coset_mats[n_at[part]]
+                ok = (adj == want).all(axis=(1, 2))
+                ok_d["alexander_components"].append(ok)
+                if not ok.all() and "alexander_components" not in witness:
+                    c = int(np.argmin(ok))
+                    witness["alexander_components"] = _cell_mismatch(
+                        adj[c], want[c], "block_mismatch", t=reps[c0 + c].tolist())[0]
+                clock.charge("alexander_components")
+            if "regularity" in check_ids:
+                # uint8 counts are exact up to 255, and einsum adds them fastest
+                cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
+                block = np.empty((len(adj), 2, n), dtype=np.intp)     # out, in
+                block[:, 0] = np.einsum("kxv->kx", cells)
+                block[:, 1] = np.einsum("kxv->kv", cells)
+                degrees.append(block)
+                # a class's common degree, or 0, which no index is, when it is not regular
+                commons.append(np.where((block == block[:, :1, :1]).all(axis=(1, 2)),
+                                        block[:, 0, 0], 0))
+                clock.charge("regularity")
+            if "orbit_coset" in check_ids:
+                nq = n_at[part]
+                # row x of the reachability closure is the forward orbit of x
+                orbits = gr._reachability(adj)
+                stray = (orbits != coset_mats[nq]).any(axis=2)
+                moves = np.ones(len(adj), dtype=bool)
+                for j in np.unique(nq):
+                    at = np.flatnonzero(nq == j)
+                    moves[at] = _translations_ok(adj[at], *shifts[j]).all(axis=1)
+                ok = normal[nq] & ~stray.any(axis=1) & moves
+                ok_d["orbit_coset"].append(ok)
+                if not ok.all() and "orbit_coset" not in witness:
+                    c = int(np.argmin(ok))
+                    j = nq[c]
+                    if not normal[j]:
+                        found = {"not_normal": list(n_subs[j].members)}
+                    elif stray[c].any():
+                        x = int(np.argmax(stray[c]))
+                        found = {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
+                                                    "coset": np.flatnonzero(coset_mats[j, x]).tolist()}}
+                    else:
+                        moved = _translations_ok(adj[c][None], *shifts[j])[0]
+                        found = {"translation_not_isomorphism": (0, int(np.argmin(moved)) + 1)}
+                    witness["orbit_coset"] = found
+                clock.charge("orbit_coset")
+        if "regularity" in check_ids:
+            # every class this chunk holds has its degrees now, so its
+            # automorphisms are judged while their rows are at hand
+            commons = [_joined(commons)]
+            expected = np.array(index, dtype=np.intp)[fixed_of]
+            ok = commons[0][ids] == expected
+            regular_ok.append(ok)
+            if not ok.all() and "regularity" not in witness:
+                i = int(np.argmin(ok))
+                outs, ins = _joined(degrees)[ids[i]]
+                v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
+                witness["regularity"] = {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
+                                         "expected": int(expected[i]), "phi": chunk[i].tolist()}
+            clock.charge("regularity")
+        # a stream decodes its next chunk when the loop asks for it, so this
+        # chunk's rows and matrices are let go first
+        chunk = adj = None
+    d_of = _joined(d_ids, np.int32)
+    out = {tid: (_joined(oks)[d_of], witness.get(tid)) for tid, oks in ok_d.items()}
     clock.charge(*check_ids)
     if "regularity" in check_ids:
-        # a class's common degree, or 0, which no index is, when it is not regular
-        common = np.where((degrees == degrees[:, :1, :1]).all(axis=(1, 2)), degrees[:, 0, 0], 0)
-        expected = index[fixed_of]
-        ok = common[d_of] == expected
-        detail = None
-        if not ok.all():
-            i = int(np.argmin(ok))
-            outs, ins = degrees[d_of[i]]
-            v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
-            detail = {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
-                      "expected": int(expected[i]), "phi": maps[i].tolist()}
-        out["regularity"] = (ok, detail)
-        clock.charge("regularity")
+        out["regularity"] = (_joined(regular_ok), witness.get("regularity"))
     if "alexander_iso" in check_ids:
-        sizes = np.array([sub.order for sub in n_subs])[n_of[d_of]]
+        family = _joined(kept)
+        sizes = np.array([sub.order for sub in n_subs])[n_at[d_of]]
         cls = _iso_classes(matrices)[d_of]
-        first, second = np.triu_indices(k)
+        first, second = np.triu_indices(len(family))
         ok = (cls[first] == cls[second]) == (sizes[first] == sizes[second])
         p = int(np.argmin(ok))          # the first failing pair, read only on a failure
         a, b = int(first[p]), int(second[p])
         out["alexander_iso"] = (ok, None if ok.all() else {
             "iso": bool(cls[a] == cls[b]), "image_sizes": (int(sizes[a]), int(sizes[b])),
-            "t1": maps[a].tolist(), "t2": maps[b].tolist()})
+            "t1": family[a].tolist(), "t2": family[b].tolist()})
         clock.charge("alexander_iso")
     return out
 
@@ -686,37 +777,55 @@ class SuiteConfig:
         return self.checks is None or check_id in self.checks
 
 
-def _sweep_reports(g: G.FiniteGroup, maps: np.ndarray, check_ids, instances=None,
-                   clock: _Clock | None = None) -> dict:
+def _sweep_reports(g: G.FiniteGroup, maps, check_ids, instances=None,
+                   clock: _Clock | None = None, predicted: int | None = None) -> dict:
     """sweep_alexander as one merged report per check id, each timed by
     its share of the clock (started here unless given): its own
     predictions and tests, and an equal share of the rest.  The instance
     is instances[check id], else the group with its count of automorphisms
     (or pairs, for alexander_iso).  A failing report's witness is the
     first failure's sub-instance (the group, or for orbit_coset the group
-    and h) and detail, with the counts failed and of."""
+    and h) and detail, with the counts failed and of.
+
+    With a predicted count of automorphisms, a family of any other size
+    fails every report, with witness {"automorphisms": k, "predicted": p}:
+    the sweep read some automorphism twice, or missed one."""
     clock = clock or _Clock()
     results = sweep_alexander(g, maps, check_ids, clock)
     clock.charge(*check_ids)
+    # the family's size, from any per-automorphism verdicts
+    count = next((ok.size for tid, (ok, _) in results.items() if tid != "alexander_iso"), None)
+    if count is None:
+        count = len(maps)
     out = {}
     for tid, (ok, detail) in results.items():
         unit = "pairs" if tid == "alexander_iso" else "automorphisms"
         instance = (instances or {}).get(tid, f"{g.label} ({ok.size} {unit})")
         failed = int(np.count_nonzero(~ok))
         witness = None
-        if failed:
+        if predicted is not None and count != predicted:
+            witness = {"automorphisms": count, "predicted": predicted}
+        elif failed:
             sub = g.label
             if tid == "orbit_coset":
                 sub = f"({g.label}, h={g.name(int(np.argmin(ok)))})"
             witness = {"sub_instance": sub, "detail": detail, "failed": failed, "of": ok.size}
-        out[tid] = VerificationReport(tid, instance, not failed, witness, clock.spent[tid])
+        out[tid] = VerificationReport(tid, instance, witness is None, witness, clock.spent[tid])
     return out
 
 
 def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     """Run the configured checks over the configured families, in a fixed
     deterministic order.  Big parameter sweeps come back as one merged
-    report per group, with the first failing sub-instance as witness."""
+    report per group, with the first failing sub-instance as witness.
+
+    Each abelian group's |Aut(G)| is predicted first, by a closed form
+    (groups._abelian_automorphism_count).  A group with at most
+    _ISO_PAIR_AUT_CAP automorphisms is enumerated whole and gets pair
+    verdicts; a larger one gets none, and its family is swept as a stream
+    of row chunks (groups._automorphism_chunks), never held whole.  Either
+    way the number swept must equal the prediction, or every swept report
+    of that group fails with witness {"automorphisms": k, "predicted": p}."""
     config = config or SuiteConfig()
     reports: list[VerificationReport] = []
     lo, hi = config.dihedral_range
@@ -766,12 +875,18 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     inner_tids = tuple(c for c in ("regularity", "orbit_coset") if config.wants(c))
     merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
     for g in G.abelian_group_types(config.abelian_order_cap) if swept else []:
+        # predicted before enumerating: no pair verdicts for groups with many
+        # automorphisms (Z2^4: 20,160), whose family is read as a stream
+        predicted = G._abelian_automorphism_count(g)
+        small = predicted <= _ISO_PAIR_AUT_CAP
+        tids = tuple(c for c in swept if c != "alexander_iso" or small)
+        if not tids:
+            continue
         clock = _Clock()        # started first, so the sweep's reports include the enumeration
-        maps = G.enumerate_automorphisms(g, cap=config.abelian_order_cap)
-        # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
-        tids = tuple(c for c in swept
-                     if c != "alexander_iso" or len(maps) <= _ISO_PAIR_AUT_CAP)
-        for tid, report in (_sweep_reports(g, maps, tids, clock=clock) if tids else {}).items():
+        maps = (G.enumerate_automorphisms(g, cap=config.abelian_order_cap) if small
+                else G._automorphism_chunks(g, cap=config.abelian_order_cap))
+        for tid, report in _sweep_reports(g, maps, tids, clock=clock,
+                                          predicted=predicted).items():
             merged[tid].append(report)
     for g in registry if inner_tids else []:
         inner = g.mul[g.mul, g.inv[:, None]]      # inner[h, x] = h x h^-1

@@ -310,6 +310,11 @@ class TestSubgroupsAndClasses:
         gens = [s4.index_of("(12)"), s4.index_of("(1234)")]
         assert G.subgroup_generated(s4, gens).order == 24
 
+    def test_member_set_is_built_once(self):
+        s = G.subgroup_generated(G.make_symmetric(4), [1, 2])
+        assert s.member_set() is s.member_set() == frozenset(s.members)
+        assert all(x in s for x in s.members) and 23 not in s and "1" not in s
+
     def test_subgroup_validation(self):
         g = G.make_cyclic(6)
         with pytest.raises(ValueError):
@@ -721,6 +726,89 @@ class TestEnumerationOrder:
             for j, gen in enumerate(gens):
                 below = G.subgroup_generated(g, gens[:j]).member_set()
                 assert set(range(gen)) <= below, (g.label, j)
+
+
+def _totient(m):
+    return sum(1 for k in range(1, m + 1) if np.gcd(k, m) == 1)
+
+
+class TestAutomorphismCount:
+    """groups._abelian_automorphism_count, the closed form of Hillar and
+    Rhea (Amer. Math. Monthly 114, 2007), against the enumeration it
+    checks and against values written by hand."""
+
+    def test_equals_the_enumeration_up_to_order_31(self):
+        types = G.abelian_group_types(31)
+        assert len(types) == 48
+        for g in types:
+            assert G._abelian_automorphism_count(g) == len(
+                G.enumerate_automorphisms(g, cap=31)), g.label
+
+    @pytest.mark.parametrize("factors, count", [
+        ([4, 4], 96),                    # 6 matrices mod 2, each lifted 16 ways
+        ([2, 2, 2, 4], 21504),
+        ([2, 2, 2, 2, 2], 9999360),      # |GL(5, 2)| = 31 * 30 * 28 * 24 * 16
+        ([1], 1), ([7], 6), ([3, 3], 48), ([2, 2, 2], 168), ([2, 4, 3], 16),
+    ])
+    def test_hand_written_values(self, factors, count):
+        assert G._abelian_automorphism_count(G.make_abelian(factors)) == count
+
+    def test_type_is_read_from_the_table(self):
+        # the same group under a shuffled numbering keeps its count
+        g = G.make_abelian([2, 4, 4])
+        perm = np.random.default_rng(3).permutation(g.order)
+        back = np.argsort(perm)
+        moved = G.FiniteGroup(perm[g.mul[back][:, back]], label="moved")
+        assert G._abelian_automorphism_count(moved) == G._abelian_automorphism_count(g)
+
+    def test_refuses_a_nonabelian_group(self):
+        with pytest.raises(ValueError, match="abelian"):
+            G._abelian_automorphism_count(G.make_symmetric(3))
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_dihedral_counts(self, m):
+        # |Aut(D_m)| = m phi(m): r -> r^a, s -> r^b s with a a unit mod m
+        assert len(G.enumerate_automorphisms(G.make_dihedral(m), cap=24)) == m * _totient(m)
+
+    def test_symmetric_counts(self):
+        assert len(G.enumerate_automorphisms(G.make_symmetric(3))) == 6
+        assert len(G.enumerate_automorphisms(G.make_symmetric(4), cap=24)) == 24
+
+
+class TestAutomorphismChunks:
+    """groups._automorphism_chunks, the stream enumerate_automorphisms
+    concatenates."""
+
+    @staticmethod
+    def _groups():
+        return ([(g, 16) for g in G.abelian_group_types(16)]
+                + [(G.make_symmetric(4), 24), (G.make_dihedral(8), 16)])
+
+    def test_small_chunks_concatenate_to_the_array(self, monkeypatch):
+        whole = {g.label: G.enumerate_automorphisms(g, cap=cap) for g, cap in self._groups()}
+        # 64 candidate tuples per chunk at order 16, 42 at order 24
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 1024)
+        split = []
+        for g, cap in self._groups():
+            chunks = list(G._automorphism_chunks(g, cap=cap))
+            if len(chunks) > 1:
+                split.append(g.label)
+            assert all(c.ndim == 2 and len(c) and c.dtype == np.int64 for c in chunks), g.label
+            assert np.array_equal(np.concatenate(chunks), whole[g.label]), g.label
+            assert np.array_equal(G.enumerate_automorphisms(g, cap=cap), whole[g.label]), g.label
+            # a chunk keeps at most the tuples it decodes
+            assert max(map(len, chunks)) <= 1024 // g.order, g.label
+        assert split == ["Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ4", "Z4xZ4", "S4"]
+
+    def test_z2_4_streams_in_four_chunks(self):
+        # 15^4 = 50,625 candidate tuples at 2^18 // 16 = 16,384 per chunk
+        g = G.make_abelian([2, 2, 2, 2])
+        sizes = [len(c) for c in G._automorphism_chunks(g)]
+        assert len(sizes) == 4 and sum(sizes) == 20160
+
+    def test_the_cap_is_checked(self):
+        with pytest.raises(ValueError, match="capped"):
+            next(G._automorphism_chunks(G.make_abelian([2, 2, 2, 2, 2])))
 
 
 class TestAbelianTypes:

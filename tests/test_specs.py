@@ -207,14 +207,14 @@ class TestSpecMessages:
 
     @pytest.mark.parametrize("text,pos,reason", [
         ("trivial:x", 8, "trivial needs an integer size"),
-        ("trivial", 8, "trivial needs an integer size"),
+        ("trivial", 7, "trivial needs an integer size"),
         ("dihedral:5:3", 9, "dihedral needs an integer size"),
-        ("conj", 5, "conj needs a group spec"),
+        ("conj", 4, "conj needs a group spec"),
         ("core:", 5, "core needs a group spec"),
         ("alexander::neg", 10, "alexander needs group and automorphism specs"),
         ("alexander:Z8", 10, "alexander needs group and automorphism specs"),
         ("gen_alexander:S4:", 14, "gen_alexander needs group and automorphism specs"),
-        ("raw", 4, "raw needs a file path"),
+        ("raw", 3, "raw needs a file path"),
         ("raw:", 4, "raw needs a file path"),
         ("mystery:3", 0, f"unknown family (expected one of {FAMILIES})"),
         ("conj:S3:x", 2, "expected 'x' between factors"),

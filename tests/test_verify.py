@@ -1210,8 +1210,15 @@ class TestSuiteWiring:
     def test_one_sweep_per_group_and_no_pairs_above_the_cap(self, monkeypatch):
         real = V.sweep_alexander
         calls = []
-        monkeypatch.setattr(V, "sweep_alexander", lambda g, autos, ids, clock: (
-            calls.append((g.label, len(autos), ids)) or real(g, autos, ids, clock)))
+
+        def spy(g, autos, ids, clock):
+            # a large family comes as a stream of chunks, so the count is
+            # read from the verdicts: one per automorphism for regularity
+            results = real(g, autos, ids, clock)
+            calls.append((g.label, len(results["regularity"][0]), ids))
+            return results
+
+        monkeypatch.setattr(V, "sweep_alexander", spy)
         cfg = V.SuiteConfig(abelian_order_cap=8, nonabelian_registry=("S3",),
                             checks=("alexander_components", "alexander_iso", "regularity"))
         reports = V.run_suite(cfg)
@@ -1224,6 +1231,149 @@ class TestSuiteWiring:
         assert ("Z2xZ2xZ2", 168, ("alexander_components", "regularity")) in abelian
         iso = [r.instance for r in reports if r.theorem_id == "alexander_iso"]
         assert len(iso) == 10 and "Z8 (10 pairs)" in iso
+
+
+class TestStreamedSweep:
+    """sweep_alexander over a stream of row chunks (groups._automorphism_chunks)
+    against the same sweep over the whole image array."""
+
+    TIDS = ("alexander_components", "regularity")
+
+    @staticmethod
+    def _z2_4(monkeypatch):
+        # 2^14 cells: 1,024 candidate tuples per chunk, 50 chunks for Z2^4
+        g = G.make_abelian([2, 2, 2, 2])
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 1 << 14)
+        chunks = list(G._automorphism_chunks(g))
+        assert len(chunks) >= 10
+        return g, chunks, G.enumerate_automorphisms(g)
+
+    def _both(self, g, chunks, maps):
+        """The merged reports of the streamed and the whole-array sweep,
+        without their times."""
+        streamed = V._sweep_reports(g, iter(chunks), self.TIDS, predicted=len(maps))
+        whole = V._sweep_reports(g, maps, self.TIDS)
+        return ([_strip([streamed[t]]) for t in self.TIDS],
+                [_strip([whole[t]]) for t in self.TIDS])
+
+    def test_z2_4_in_many_chunks_equals_the_array_sweep(self, monkeypatch):
+        g, chunks, maps = self._z2_4(monkeypatch)
+        real, built = Q.alexander_adjacency, []
+        monkeypatch.setattr(Q, "alexander_adjacency", lambda group, rows: (
+            built.append(len(rows)) or real(group, rows)))
+        streamed = V.sweep_alexander(g, iter(chunks), self.TIDS)
+        assert sum(built) == 67         # one matrix per D class over all chunks
+        whole = V.sweep_alexander(g, maps, self.TIDS)
+        for tid in self.TIDS:
+            ok, detail = streamed[tid]
+            assert ok.shape == (20160,) and ok.all() and detail is None, tid
+            assert np.array_equal(ok, whole[tid][0]) and detail == whole[tid][1], tid
+        got, want = self._both(g, chunks, maps)
+        assert got == want
+
+    @staticmethod
+    def _latest_class(masks, later_than):
+        """The mask of the class whose first member comes last, which must
+        lie past row later_than."""
+        order = {}
+        for i, m in enumerate(masks):
+            order.setdefault(m.tobytes(), i)
+        key, first = max(order.items(), key=lambda item: item[1])
+        assert first >= later_than
+        return key, first
+
+    def test_twist_fault_first_met_in_a_later_chunk(self, monkeypatch):
+        g, chunks, maps = self._z2_4(monkeypatch)
+        dsets = Q.difference_sets(g, maps)
+        key, first = self._latest_class(dsets, len(chunks[0]))
+        real = G.twist_subgroup
+        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, phi: (
+            G.Subgroup(group, [group.identity])
+            if Q.difference_sets(group, phi.mapping[None])[0].tobytes() == key
+            else real(group, phi)))
+        got, want = self._both(g, chunks, maps)
+        assert got == want
+        (_, _, passed, witness), = got[0]
+        assert not passed and witness["failed"] == sum(d.tobytes() == key for d in dsets)
+        ok, _ = V.sweep_alexander(g, iter(chunks), self.TIDS)["alexander_components"]
+        assert int(np.argmin(ok)) == first
+        auto = G.Automorphism._of_checked(g, maps[first])
+        assert witness["detail"] == V.check_alexander_components(g, auto).witness
+
+    def test_fixed_fault_first_met_in_a_later_chunk(self, monkeypatch):
+        g, chunks, maps = self._z2_4(monkeypatch)
+        key, first = self._latest_class(maps == np.arange(g.order), len(chunks[0]))
+        real = G.fixed_point_subgroup
+        monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda group, phi: (
+            G.Subgroup(group, [group.identity])
+            if (phi.mapping == np.arange(group.order)).tobytes() == key
+            else real(group, phi)))
+        got, want = self._both(g, chunks, maps)
+        assert got == want
+        (_, _, passed, witness), = got[1]
+        failing = [i for i, row in enumerate(maps == np.arange(g.order)) if row.tobytes() == key]
+        assert not passed and witness["failed"] == len(failing) > 1 and failing[0] == first
+        ok, _ = V.sweep_alexander(g, iter(chunks), self.TIDS)["regularity"]
+        assert np.flatnonzero(~ok).tolist() == failing
+        auto = G.Automorphism._of_checked(g, maps[first])
+        assert witness["detail"] == V.check_generalized_regularity(g, auto).witness
+
+    def test_enumeration_is_a_shared_step_of_the_stream(self, monkeypatch):
+        # the enumeration runs inside the sweep, so its time is shared, and
+        # the reports still sum to the clock's whole time
+        g, chunks, maps = self._z2_4(monkeypatch)
+
+        def slow():
+            for chunk in chunks:
+                V.time.sleep(0.002)
+                yield chunk
+
+        clock = V._Clock()
+        reports = V._sweep_reports(g, slow(), self.TIDS, clock=clock, predicted=len(maps))
+        total = sum(r.elapsed for r in reports.values())
+        assert total == pytest.approx(clock.last - clock.start, rel=1e-9, abs=1e-12)
+        assert min(r.elapsed for r in reports.values()) >= 0.002 * len(chunks) / 2
+
+    def test_orbit_coset_takes_the_inner_array_only(self):
+        g = G.make_symmetric(3)
+        with pytest.raises(ValueError, match="inner family"):
+            V.sweep_alexander(g, iter([_inner(g)]), ("orbit_coset",))
+
+    def test_suite_streams_the_families_above_the_pair_cap(self, monkeypatch):
+        real_sweep, real_enum = V.sweep_alexander, G.enumerate_automorphisms
+        given, enumerated = {}, []
+        monkeypatch.setattr(V, "sweep_alexander", lambda g, maps, ids, clock: (
+            given.setdefault(g.label, isinstance(maps, np.ndarray)) and None
+            or real_sweep(g, maps, ids, clock)))
+        monkeypatch.setattr(V.G, "enumerate_automorphisms", lambda g, cap: (
+            enumerated.append(g.label) or real_enum(g, cap=cap)))
+        cfg = V.SuiteConfig(checks=V._SWEPT, nonabelian_registry=())
+        assert all(r.passed for r in V.run_suite(cfg))
+        streamed = [label for label, array in given.items() if not array]
+        assert streamed == ["Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ4"]
+        assert enumerated == [label for label in given if label not in streamed]
+
+
+class TestAutomorphismCountCheck:
+    """run_suite compares every abelian enumeration with the closed-form
+    count of groups._abelian_automorphism_count."""
+
+    @pytest.mark.parametrize("wrong", [3, 101])
+    def test_a_wrong_prediction_fails_the_group(self, monkeypatch, wrong):
+        # Z4 has 2 automorphisms; a prediction above the pair cap also
+        # drops its pair verdicts and streams its family
+        real = G._abelian_automorphism_count
+        monkeypatch.setattr(V.G, "_abelian_automorphism_count", lambda g: (
+            wrong if g.label == "Z4" else real(g)))
+        cfg = V.SuiteConfig(abelian_order_cap=5, checks=V._SWEPT, nonabelian_registry=())
+        reports = V.run_suite(cfg)
+        failing = [r for r in reports if not r.passed]
+        tids = V._SWEPT if wrong <= V._ISO_PAIR_AUT_CAP else ("alexander_components", "regularity")
+        assert [r.theorem_id for r in failing] == list(tids)
+        assert all(r.instance.startswith("Z4 (") for r in failing)
+        assert all(r.witness == {"automorphisms": 2, "predicted": wrong} for r in failing)
+        # the other five groups of order <= 5 pass all three
+        assert len(reports) - len(failing) == 3 * 5
 
 
 class TestSweepTiming:
