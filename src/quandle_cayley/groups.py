@@ -247,11 +247,7 @@ class FiniteGroup:
         return self.op(self.op(self.inverse(by), x), by)
 
     def element_order(self, x: int) -> int:
-        k, acc = 1, self._element(x)
-        while acc != self.identity:
-            acc = int(self.mul[acc, x])
-            k += 1
-        return k
+        return int(_element_orders(self)[self._element(x)])
 
     def is_abelian(self) -> bool:
         if self._abelian is None:

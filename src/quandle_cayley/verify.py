@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -270,21 +271,15 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its distinct row in that order."""
     # packbits runs far faster on a flat array than along an axis, so the
     # rows are padded to whole 64-bit words, packed as one and read as one
-    # key per word; a single word sorts as one key
+    # key per word
     k, n = rows.shape
     width = -(-n // 64) * 64
     padded = np.zeros((k, width), dtype=bool)
     padded[:, :n] = rows
     keys = np.packbits(padded.ravel()).view(np.uint64).reshape(k, -1)
+    order = np.lexsort(keys.T)        # stable: each run of equal rows starts at its first
     run = np.ones(k, dtype=bool)
-    if keys.shape[1] == 1:
-        keys = keys[:, 0]
-        order = np.argsort(keys, kind="stable")   # each run of equal rows starts at its first
-        ordered = keys[order]
-        run[1:] = ordered[1:] != ordered[:-1]
-    else:
-        order = np.lexsort(keys.T)                # stable, likewise
-        run[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    run[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     label = np.empty(k, dtype=np.intp)
     label[order] = np.cumsum(run) - 1
     first = order[run]
@@ -337,40 +332,23 @@ def _translations_ok(adj: np.ndarray, base, image) -> np.ndarray:
 
 class _ClassTable:
     """Numbers the distinct rows of a stream of 2-D bool chunks in order of
-    first appearance over the whole stream.  The first chunk's numbering is
-    the stream's; from the second chunk on, rows are looked up in a table
-    keyed by their packed bytes, so a one-chunk stream builds none."""
+    first appearance over the whole stream, from a table keyed by their
+    packed bytes."""
 
     def __init__(self):
-        self.count = 0                  # classes met so far
-        self.ids: dict | None = None    # packed row -> class id, from the second chunk
-        self.firsts = None              # the first chunk and its distinct rows, until then
+        self.ids: dict = {}             # packed row -> class id
 
     def number(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The class id of each row of this chunk (int32 from the second
-        chunk on), and the row index of the first member of each class the
-        chunk is the first to meet, in id order."""
+        """The int32 class id of each row of this chunk, and the row index
+        of the first member of each class the chunk is the first to meet,
+        in id order."""
         first, of = _distinct_rows(rows)
-        if not self.count:
-            self.count, self.firsts = len(first), (rows, first)
-            return of, first
-        if self.ids is None:
-            rows0, first0 = self.firsts
-            self.ids = {key.tobytes(): i for i, key in enumerate(np.packbits(rows0[first0], axis=1))}
-            self.firsts = None
+        count = len(self.ids)
         # the chunk's classes in their order of first appearance, so the
         # ids the stream has not met are handed out in that order too
         ids = np.array([self.ids.setdefault(key.tobytes(), len(self.ids))
                         for key in np.packbits(rows[first], axis=1)], dtype=np.int32)
-        new = first[ids >= self.count]
-        self.count = len(self.ids)
-        return ids[of], new
-
-
-def _joined(parts: list, dtype=None) -> np.ndarray:
-    """The arrays in parts end to end: the only one as it is, else
-    concatenated (as dtype, when given)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, dtype=dtype)
+        return ids[of], first[ids >= count]
 
 
 def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
@@ -392,9 +370,8 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     classes are numbered in order of first appearance over the whole
     stream, from a running table keyed by the packed masks (_ClassTable);
     the fixed-point masks likewise, for regularity.  Per automorphism the
-    sweep keeps its D class id (int32 past the first chunk) and its
-    verdicts; per class, what its first member's row gave, while the chunk
-    holding that row is read.
+    sweep keeps its D class id (int32) and its verdicts; per class, what
+    its first member's row gave, while the chunk holding that row is read.
     quandles.alexander_adjacency builds one matrix per D class, when the
     class first appears (67 for the 20,160 automorphisms of Z2^4), as many
     at a time as fit in groups._FAMILY_CHUNK_CELLS cells.  Their tables
@@ -472,7 +449,7 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         if "alexander_iso" in check_ids:
             kept.append(chunk)
         clock.charge(*check_ids)
-        base = d_table.count - len(d_new)       # the id of this chunk's first new D class
+        base = len(d_table.ids) - len(d_new)    # the id of this chunk's first new D class
         reps = chunk[d_new]            # the first member of each new D class
         if coset_tids:
             n_of += [distinct.setdefault(sub.members, (len(distinct), sub))[0]
@@ -546,13 +523,13 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         if "regularity" in check_ids:
             # every class this chunk holds has its degrees now, so its
             # automorphisms are judged while their rows are at hand
-            commons = [_joined(commons)]
+            commons = [np.concatenate(commons)]
             expected = np.array(index, dtype=np.intp)[fixed_of]
             ok = commons[0][ids] == expected
             regular_ok.append(ok)
             if not ok.all() and "regularity" not in witness:
                 i = int(np.argmin(ok))
-                outs, ins = _joined(degrees)[ids[i]]
+                outs, ins = np.concatenate(degrees)[ids[i]]
                 v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
                 witness["regularity"] = {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
                                          "expected": int(expected[i]), "phi": chunk[i].tolist()}
@@ -560,13 +537,13 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         # a stream decodes its next chunk when the loop asks for it, so this
         # chunk's rows and matrices are let go first
         chunk = adj = None
-    d_of = _joined(d_ids, np.int32)
-    out = {tid: (_joined(oks)[d_of], witness.get(tid)) for tid, oks in ok_d.items()}
+    d_of = np.concatenate(d_ids)
+    out = {tid: (np.concatenate(oks)[d_of], witness.get(tid)) for tid, oks in ok_d.items()}
     clock.charge(*check_ids)
     if "regularity" in check_ids:
-        out["regularity"] = (_joined(regular_ok), witness.get("regularity"))
+        out["regularity"] = (np.concatenate(regular_ok), witness.get("regularity"))
     if "alexander_iso" in check_ids:
-        family = _joined(kept)
+        family = np.concatenate(kept)
         sizes = np.array([sub.order for sub in n_subs])[n_at[d_of]]
         cls = _iso_classes(matrices)[d_of]
         first, second = np.triu_indices(len(family))
@@ -793,10 +770,10 @@ def _sweep_reports(g: G.FiniteGroup, maps, check_ids, instances=None,
     clock = clock or _Clock()
     results = sweep_alexander(g, maps, check_ids, clock)
     clock.charge(*check_ids)
-    # the family's size, from any per-automorphism verdicts
-    count = next((ok.size for tid, (ok, _) in results.items() if tid != "alexander_iso"), None)
-    if count is None:
-        count = len(maps)
+    # the family's size k: the count of any per-automorphism verdicts, or
+    # from alexander_iso's k (k + 1) / 2 pairs
+    tid, (ok, _) = next(iter(results.items()))
+    count = ok.size if tid != "alexander_iso" else (math.isqrt(8 * ok.size + 1) - 1) // 2
     out = {}
     for tid, (ok, detail) in results.items():
         unit = "pairs" if tid == "alexander_iso" else "automorphisms"
@@ -820,12 +797,12 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     report per group, with the first failing sub-instance as witness.
 
     Each abelian group's |Aut(G)| is predicted first, by a closed form
-    (groups._abelian_automorphism_count).  A group with at most
-    _ISO_PAIR_AUT_CAP automorphisms is enumerated whole and gets pair
-    verdicts; a larger one gets none, and its family is swept as a stream
-    of row chunks (groups._automorphism_chunks), never held whole.  Either
-    way the number swept must equal the prediction, or every swept report
-    of that group fails with witness {"automorphisms": k, "predicted": p}."""
+    (groups._abelian_automorphism_count): a group with at most
+    _ISO_PAIR_AUT_CAP automorphisms gets pair verdicts, a larger one none.
+    Every family is swept as a stream of row chunks
+    (groups._automorphism_chunks), never held whole, and the number swept
+    must equal the prediction, or every swept report of that group fails
+    with witness {"automorphisms": k, "predicted": p}."""
     config = config or SuiteConfig()
     reports: list[VerificationReport] = []
     lo, hi = config.dihedral_range
@@ -876,15 +853,14 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
     for g in G.abelian_group_types(config.abelian_order_cap) if swept else []:
         # predicted before enumerating: no pair verdicts for groups with many
-        # automorphisms (Z2^4: 20,160), whose family is read as a stream
+        # automorphisms (Z2^4: 20,160)
         predicted = G._abelian_automorphism_count(g)
-        small = predicted <= _ISO_PAIR_AUT_CAP
-        tids = tuple(c for c in swept if c != "alexander_iso" or small)
+        tids = tuple(c for c in swept
+                     if c != "alexander_iso" or predicted <= _ISO_PAIR_AUT_CAP)
         if not tids:
             continue
         clock = _Clock()        # started first, so the sweep's reports include the enumeration
-        maps = (G.enumerate_automorphisms(g, cap=config.abelian_order_cap) if small
-                else G._automorphism_chunks(g, cap=config.abelian_order_cap))
+        maps = G._automorphism_chunks(g, cap=config.abelian_order_cap)
         for tid, report in _sweep_reports(g, maps, tids, clock=clock,
                                           predicted=predicted).items():
             merged[tid].append(report)

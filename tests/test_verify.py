@@ -1339,19 +1339,23 @@ class TestStreamedSweep:
         with pytest.raises(ValueError, match="inner family"):
             V.sweep_alexander(g, iter([_inner(g)]), ("orbit_coset",))
 
-    def test_suite_streams_the_families_above_the_pair_cap(self, monkeypatch):
-        real_sweep, real_enum = V.sweep_alexander, G.enumerate_automorphisms
-        given, enumerated = {}, []
-        monkeypatch.setattr(V, "sweep_alexander", lambda g, maps, ids, clock: (
-            given.setdefault(g.label, isinstance(maps, np.ndarray)) and None
-            or real_sweep(g, maps, ids, clock)))
-        monkeypatch.setattr(V.G, "enumerate_automorphisms", lambda g, cap: (
-            enumerated.append(g.label) or real_enum(g, cap=cap)))
+    def test_suite_streams_every_family_and_drops_pairs_above_the_cap(self, monkeypatch):
+        real = V.sweep_alexander
+        calls = []
+
+        def spy(g, maps, ids, clock):
+            results = real(g, maps, ids, clock)
+            calls.append((g.label, isinstance(maps, np.ndarray),
+                          len(results["regularity"][0]), "alexander_iso" in ids))
+            return results
+
+        monkeypatch.setattr(V, "sweep_alexander", spy)
         cfg = V.SuiteConfig(checks=V._SWEPT, nonabelian_registry=())
         assert all(r.passed for r in V.run_suite(cfg))
-        streamed = [label for label, array in given.items() if not array]
-        assert streamed == ["Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ4"]
-        assert enumerated == [label for label in given if label not in streamed]
+        assert len(calls) == 25 and not any(array for _, array, _, _ in calls)
+        assert all(pairs == (k <= V._ISO_PAIR_AUT_CAP) for _, _, k, pairs in calls)
+        unpaired = [label for label, _, _, pairs in calls if not pairs]
+        assert unpaired == ["Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ4"]
 
 
 class TestAutomorphismCountCheck:
@@ -1374,6 +1378,14 @@ class TestAutomorphismCountCheck:
         assert all(r.witness == {"automorphisms": 2, "predicted": wrong} for r in failing)
         # the other five groups of order <= 5 pass all three
         assert len(reports) - len(failing) == 3 * 5
+
+    def test_the_count_is_read_from_the_pairs_alone(self):
+        # Z2xZ4 has 8 automorphisms, so 36 pairs i <= j
+        g = G.make_abelian([2, 4])
+        good = V._sweep_reports(g, G._automorphism_chunks(g), ("alexander_iso",), predicted=8)
+        assert good["alexander_iso"].passed and good["alexander_iso"].instance == "Z2xZ4 (36 pairs)"
+        bad = V._sweep_reports(g, G._automorphism_chunks(g), ("alexander_iso",), predicted=9)
+        assert bad["alexander_iso"].witness == {"automorphisms": 8, "predicted": 9}
 
 
 class TestSweepTiming:
@@ -1409,14 +1421,15 @@ class TestSweepTiming:
         assert gap >= 0.03
 
     def test_enumeration_is_timed_with_its_sweep(self, monkeypatch):
-        real = G.enumerate_automorphisms
+        # run_suite enumerates each family as a stream of chunks
+        real = G._automorphism_chunks
 
         def slow(group, cap):
             if group.label == "Z2xZ2":
                 V.time.sleep(0.05)
             return real(group, cap=cap)
 
-        monkeypatch.setattr(V.G, "enumerate_automorphisms", slow)
+        monkeypatch.setattr(V.G, "_automorphism_chunks", slow)
         cfg = V.SuiteConfig(abelian_order_cap=4, checks=("alexander_components", "regularity"))
         reports = V.run_suite(cfg)
         assert all(r.passed for r in reports)
