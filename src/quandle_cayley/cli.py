@@ -17,7 +17,6 @@ import sys
 from . import graphs as gr
 from . import quandles as Q
 from . import specs
-from . import verify as V
 
 _EXPORT_FORMATS = ("dot", "json", "adjlist")
 
@@ -142,6 +141,8 @@ def _parse_range(text: str) -> tuple:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as V
+
     cfg_obj = {}
     if args.config:
         with open(args.config) as fh:
@@ -190,6 +191,15 @@ def cmd_isomorphic(args) -> int:
     return 0 if mapping is not None else 1
 
 
+class _CheckIds:
+    """verify's check ids for the --check help, read only when the help
+    is printed, so that other commands do not import verify."""
+
+    def __str__(self) -> str:
+        from .verify import CHECK_IDS
+        return ", ".join(CHECK_IDS)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parse_args leaves it unchanged."""
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--config", metavar="FILE", help="suite config JSON")
     p.add_argument("--check", action="append", metavar="ID[,ID...]",
-                   help=f"restrict to these checks; ids: {', '.join(V.CHECK_IDS)}")
+                   help="restrict to these checks; ids: %(ids)s").ids = _CheckIds()
     p.add_argument("--range", metavar="LO..HI",
                    help="override the dihedral parameter range")
     p.add_argument("--timing", action="store_true",

@@ -209,18 +209,36 @@ def weakly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
         "weak", _blocks_by_label(_tarjan(_rows(g.matrix() | g.matrix().T), g.n)))
 
 
+def _vertex_indices(g: DirectedGraph, vertices) -> np.ndarray:
+    """The distinct vertex indices given, sorted, as an intp array.  They
+    are gated as one array; when the gate fails, the first vertex that is
+    not an integer in 0..n-1 raises as_integer's message."""
+    vertices = list(vertices)
+    try:
+        arr = np.asarray(vertices)
+    except ValueError:                      # a ragged nest of sequences
+        arr = None
+    # numpy reads a bool inside a list of ints as 0 or 1
+    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu"
+            or (arr.size and (arr.min() < 0 or arr.max() >= g.n))
+            or any(type(vertices[i]) is bool for i in np.flatnonzero(arr <= 1))):
+        for v in vertices:
+            as_integer(v, "vertex", 0, g.n)
+    return np.unique(arr.astype(np.intp))
+
+
 def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
     """Subgraph on the given vertex indices, relabeled densely in sorted order."""
-    verts = sorted({as_integer(v, "vertex", 0, g.n) for v in vertices})
-    c = np.array(verts, dtype=np.intp)
+    c = _vertex_indices(g, vertices)
     return DirectedGraph._of_matrix(g.matrix().take(c, axis=0).take(c, axis=1),
-                                    names=[g.names[v] for v in verts])
+                                    names=[g.names[v] for v in c.tolist()])
 
 
 def component_diameter(g: DirectedGraph, component) -> int:
     """Max over ordered pairs of shortest directed path length inside one
     strongly connected component."""
-    return _matrix_diameter(induced_subgraph(g, component).matrix())
+    c = _vertex_indices(g, component)
+    return _matrix_diameter(g.matrix().take(c, axis=0).take(c, axis=1))
 
 
 def _reach_powers(m: np.ndarray):

@@ -13,6 +13,7 @@ Tables are numpy arrays indexed rhd[x, y] = x |> y over elements 0..n-1.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,19 +455,133 @@ def quandle_to_json(q: Quandle) -> dict:
 
 
 def quandle_from_json(obj: dict) -> Quandle:
-    """Rebuild a quandle from its dict form (order >= 1, table re-verified)."""
+    """Rebuild a quandle from its dict form (order >= 1, table re-verified).
+    rhd is a list, or the int64 array loads_quandle_json decodes."""
     if not isinstance(obj, dict):
         raise ValueError("quandle JSON must be an object")
     for key in ("order", "names", "rhd"):
         if key not in obj:
             raise ValueError(f"quandle JSON missing key {key!r}")
     n = as_integer(obj["order"], "order", lo=1)
-    flat = list(obj["rhd"])
+    flat = obj["rhd"]
+    if not isinstance(flat, np.ndarray):
+        flat = _as_list(flat, "rhd must be a list of integers")
     if len(flat) != n * n:
         raise ValueError(f"rhd must hold {n * n} entries, got {len(flat)}")
     # entries are type-checked here, and the table's range by Quandle
     table = as_index_array(flat, "rhd", ndim=1).reshape(n, n)
-    names = [str(s) for s in obj["names"]]
+    names = [str(s) for s in _as_list(obj["names"], "names must be a list")]
     prov = obj.get("provenance") or {"family": "raw"}
+    if not isinstance(prov, dict):
+        raise ValueError("provenance must be an object")
     label = str(prov.get("label", prov.get("family", "raw")))
     return Quandle(table, label=label, element_names=names, provenance=prov)
+
+
+def _as_list(value, message: str) -> list:
+    """list(value), or a ValueError with message when value is not iterable
+    (a number, a bool or null in the JSON)."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ValueError(message) from None
+
+
+# bytes of an rhd list body that _decode_naturals reads at once
+_RHD_CHUNK = 1 << 15
+_JSON_SPACE = " \t\n\r"
+
+
+def loads_quandle_json(text: str):
+    """json.loads(text), except that the rhd list of a quandle file comes
+    back as an int64 array when the file is in the strict subset below.
+
+    The subset: no backslash and no non-ASCII character in text, the
+    string "rhd" exactly once, followed by ':' and '[' (JSON whitespace
+    between), and the body up to the first ']' a comma-separated list of
+    plain decimals (_chunk_naturals).  Removing that body must leave a
+    text json.loads reads as an object whose "rhd" is [], so the key is
+    the top-level one and the rest of the document is json.loads' own.
+    Any other text, and any remainder json.loads refuses, is parsed whole
+    by json.loads, so its result and its errors are exactly json.loads'.
+    """
+    span = _rhd_body(text)
+    if span is not None:
+        start, end = span
+        try:
+            obj = json.loads(text[:start] + text[end:])
+        except (ValueError, RecursionError):
+            obj = None
+        if type(obj) is dict and obj.get("rhd") == []:
+            values = _decode_naturals(text, start, end)
+            if values is not None:
+                obj["rhd"] = values
+                return obj
+    return json.loads(text)
+
+
+def _rhd_body(text: str) -> tuple | None:
+    """(start, end) of the text between the '[' after the one "rhd" key
+    and the first ']' after it, or None when text leaves the subset of
+    loads_quandle_json."""
+    if "\\" in text or not text.isascii() or text.count('"rhd"') != 1:
+        return None
+    at = text.index('"rhd"') + len('"rhd"')
+    for mark in ":[":
+        while at < len(text) and text[at] in _JSON_SPACE:
+            at += 1
+        if not text.startswith(mark, at):
+            return None
+        at += 1
+    end = text.find("]", at)
+    return None if end < 0 else (at, end)
+
+
+def _decode_naturals(text: str, start: int, end: int) -> np.ndarray | None:
+    """The comma-separated decimals of text[start:end] as int64, or None
+    when the body is not such a list.  The body is read in chunks, each
+    cut at the first comma at least _RHD_CHUNK bytes on, so the kernel's
+    temporaries stay a few times the chunk in size."""
+    parts = []
+    while start < end:
+        cut = text.find(",", min(start + _RHD_CHUNK, end), end)
+        cut = end if cut < 0 else cut
+        # a space each side puts every run of digits inside the bytes
+        chunk = (" " + text[start:cut] + " ").encode("ascii")
+        values = _chunk_naturals(np.frombuffer(chunk, np.uint8))
+        if values is None:
+            return None
+        parts.append(values)
+        start = cut + 1
+    # start stops at end, not past it, when the body is empty or ends in a comma
+    return np.concatenate(parts) if start > end else None
+
+
+def _chunk_naturals(b: np.ndarray) -> np.ndarray | None:
+    """The values of the ASCII bytes b when they read
+    ws* D ws* (',' ws* D ws*)*, with ws a JSON whitespace byte and D a
+    decimal of 1 to 18 digits with no sign and no leading zero (so every
+    value fits int64); None otherwise.  b begins and ends with a space."""
+    digit = b - np.uint8(48)                # wraps every byte below '0'
+    isdigit = digit < 10
+    comma = b == 44
+    if not (isdigit | comma | (b == 32) | (b == 10) | (b == 13) | (b == 9)).all():
+        return None
+    # the maximal digit runs, and one comma strictly between each two
+    bounds = np.flatnonzero(isdigit[1:] != isdigit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    commas = np.flatnonzero(comma)
+    if starts.size != commas.size + 1:
+        return None
+    lens = ends - starts
+    width = int(lens.max())
+    if (width > 18 or (ends[:-1] > commas).any() or (commas >= starts[1:]).any()
+            or ((lens > 1) & (digit[starts] == 0)).any()):
+        return None
+    # each run's digits from its last, the k-th from the end scaled by 10^k
+    # in int64 (numpy < 2 would keep a uint8 digit times 100 in uint8)
+    last = ends - 1
+    values = digit[last].astype(np.int64)
+    for k in range(1, width):
+        values += np.multiply(digit[last - k] * (lens > k), 10 ** k, dtype=np.int64)
+    return values

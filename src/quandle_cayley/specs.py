@@ -185,7 +185,8 @@ def build_quandle(spec: QuandleSpec) -> Q.Quandle:
         return Q.dihedral_quandle(spec.n)
     if spec.family == "raw":
         with open(spec.raw_path) as fh:
-            return Q.quandle_from_json(json.load(fh))
+            text = fh.read()
+        return Q.quandle_from_json(Q.loads_quandle_json(text))
     g = build_group(spec.group)
     if spec.family == "conj":
         return Q.conjugation_quandle(g)

@@ -83,6 +83,18 @@ class TestBuild:
         assert (code, out) == (2, "")
         assert "integers" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rhd", 5, "rhd must be a list of integers"),
+        ("names", 5, "names must be a list"),
+        ("provenance", [1], "provenance must be an object"),
+    ])
+    def test_raw_wrongly_typed_field_exits_2(self, capsys, tmp_path, field, value, message):
+        obj = {"order": 2, "names": ["a", "b"], "rhd": [0, 0, 1, 1], field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        got = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path))
+        assert got == (2, "", f"error: {message}\n")
+
     def test_perm_non_integer_images_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--family", "gen_alexander",
                              "--group", "Z3", "--phi", "perm:[0.2,2.5,1.1]")
@@ -249,6 +261,36 @@ class TestParserReuse:
                                    capture_output=True, text=True, env=env, check=False)
             assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert fresh.returncode == 2 and fresh.stderr.startswith("error: ")
+
+
+class TestLazyVerifyImport:
+    def test_only_the_suite_loads_verify(self):
+        # the package and every command but verify run without the verify
+        # module; the suite's names still resolve from the package
+        script = """if True:
+            import sys, quandle_cayley
+            from quandle_cayley import cli
+            loaded = ["quandle_cayley.verify" in sys.modules]
+            cli.main(["analyze", "--family", "dihedral", "--n", "5"])
+            loaded.append("quandle_cayley.verify" in sys.modules)
+            from quandle_cayley import run_suite, SuiteConfig
+            assert run_suite is sys.modules["quandle_cayley.verify"].run_suite
+            assert all(getattr(quandle_cayley, name) is not None
+                       for name in quandle_cayley.__all__)
+            print(loaded)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "[False, False]"
+
+    def test_check_help_lists_the_ids(self, capsys):
+        from quandle_cayley import verify as V
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"ids: {', '.join(V.CHECK_IDS)}" in help_text
 
 
 class TestVerify:

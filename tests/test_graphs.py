@@ -306,6 +306,21 @@ class TestComponents:
         loop = gr.DirectedGraph(1, [(0, 0)])
         assert gr.component_diameter(loop, [0]) == 0
 
+    def test_component_diameter_gates_the_component_as_one_array(self, monkeypatch):
+        cycle = gr.DirectedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+        monkeypatch.setattr(gr, "induced_subgraph", None)   # not on this path
+        for comp in (range(5), [4, 3, 2, 1, 0, 0, 3], np.arange(5, dtype=np.uint8),
+                     (np.int64(v) for v in range(5))):
+            assert gr.component_diameter(cycle, comp) == 4
+        assert gr.component_diameter(cycle, []) == 0
+        # the first vertex the gate refuses is named, as as_integer names it
+        for comp, bad in (([0, 5, 1.5], "5"), ([0, 1.5, 5], "1.5"), ([1, True], "True"),
+                          ([0, [1, 2]], "[1, 2]"), ([0, -1], "-1"), (["0"], "'0'"),
+                          ([2 ** 70], str(2 ** 70)), (np.array([0.0]), repr(np.float64(0.0)))):
+            with pytest.raises(ValueError) as info:
+                gr.component_diameter(cycle, comp)
+            assert str(info.value) == f"vertex must be an integer in 0..4, got {bad}", comp
+
     def test_component_diameter_requires_strong_connectivity(self):
         path = gr.DirectedGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):

@@ -40,6 +40,7 @@ GATES = {
     "DirectedGraph target": (lambda v: gr.DirectedGraph(3, [(0, v)]), 0, 3),
     "complete_graph": (gr.complete_graph, 1, None),
     "induced_subgraph": (lambda v: gr.induced_subgraph(K3, [v]), 0, 3),
+    "component_diameter": (lambda v: gr.component_diameter(K3, [v]), 0, 3),
     "takasaki_z_window": (gr.takasaki_z_window, 0, None),
     "trivial_quandle": (Q.trivial_quandle, 1, None),
     "dihedral_quandle": (Q.dihedral_quandle, 1, None),
