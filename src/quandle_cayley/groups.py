@@ -358,14 +358,12 @@ def make_symmetric(n: int, cap: int = SYMMETRIC_CAP) -> FiniteGroup:
     n = as_integer(n, "symmetric group n", lo=1)
     if n > cap:
         raise ValueError(f"symmetric group capped at n <= {cap} (got {n})")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    mul = np.empty((size, size), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    names = [_perm_cycle_name(p) for p in perms]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    # a permutation's base-n code rises with its lexicographic rank, and
+    # perms[:, perms][i, j] is the composite p_i . p_j
+    code = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    mul = np.searchsorted(perms @ code, perms[:, perms] @ code)
+    names = [_perm_cycle_name(p) for p in perms.tolist()]
     return FiniteGroup._of_checked(mul, f"S{n}", names)
 
 

@@ -28,8 +28,11 @@ digraphs on a predicted partition: the conjugacy classes (conjugation),
 the parity classes (dihedral, takasaki) and the cosets of im(id - t)
 (alexander_components).  Each is one comparison of the adjacency matrix
 with the partition's block matrix (_block_mismatch), whose witness is the
-first differing cell.  dihedral_inner is likewise one comparison, with its
-predicted matrix of directed cycles (_cell_mismatch).
+first differing cell.  dihedral_inner and s4_example are likewise one
+comparison each (_cell_mismatch), with their predicted matrices: directed
+cycles, and the golden A4 block with its translate onto the other coset.
+A graph here is its boolean adjacency matrix; no check searches for
+components.
 """
 from __future__ import annotations
 
@@ -616,6 +619,23 @@ def _dihedral_inner_matrix(m: int) -> np.ndarray:
     return pred
 
 
+def _s4_example_matrix(g: G.FiniteGroup, golden: dict) -> np.ndarray:
+    """The predicted Cayley matrix of S4 (g) twisted by (12): on the golden
+    vertices, A4, a loop at each and both directions of each golden edge;
+    on the other coset, that block's translate under x -> x (12), since
+    (12) lies outside A4 and every right translation keeps the edges:
+    x -> v is an edge exactly when v x^-1 is in D
+    (quandles.alexander_adjacency)."""
+    at = g.index_of
+    base = np.array([at(v) for v in golden["vertices"]])
+    a, b = np.array([[at(u), at(v)] for u, v in golden["undirected_edges"]]).T
+    pred = np.zeros((g.order, g.order), dtype=bool)
+    pred[base, base] = pred[a, b] = pred[b, a] = True
+    moved = g.mul[base, at("(12)")]
+    pred[np.ix_(moved, moved)] = pred[np.ix_(base, base)]
+    return pred
+
+
 def check_dihedral_inner_example(m: int) -> VerificationReport:
     """The inner twist of D_m by r, m >= 2: one comparison of the Cayley matrix
     with the predicted one (_dihedral_inner_matrix), whose witness is the
@@ -637,62 +657,34 @@ def check_dihedral_inner_example(m: int) -> VerificationReport:
     return _report("dihedral_inner", f"m={m}", start, failures)
 
 
-def _load_s4_golden() -> dict:
-    path = importlib.resources.files("quandle_cayley.data").joinpath(
-        "s4_component_edges.json")
-    return json.loads(path.read_text())
-
-
 def check_s4_example() -> VerificationReport:
-    """The inner twist of S4 by (12): fixed subgroup of order four, all
-    degrees six, two components of twelve vertices, the identity component
-    equal to the subgroup generated by the commutators [(12), x], and its
-    induced subgraph equal to the stored golden edge set."""
+    """The inner twist of S4 by (12): its fixed subgroup is
+    {id, (12), (34), (12)(34)}, N = <[(12), x]> is the stored golden vertex
+    set (A4), and the Cayley matrix is one comparison with the predicted
+    one (_s4_example_matrix), whose witness is the first differing cell.
+
+    Equality fixes the rest.  Each golden vertex has five golden neighbours
+    and its loop, and the translate keeps degrees, so every in- and
+    out-degree is six; no edge leaves A4 or its coset, and each block is
+    strongly connected, so the components are the two cosets of twelve;
+    the identity block is the golden edge set; and neither block is
+    complete."""
     start = time.perf_counter()
     failures = []
     g = G.make_symmetric(4)
     h = g.index_of("(12)")
     phi = G.inner_automorphism(g, h)
-    graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
-
     fixed = G.fixed_point_subgroup(g, phi)
     expected_fixed = {g.index_of(s) for s in ("id", "(12)", "(34)", "(12)(34)")}
     if fixed.member_set() != frozenset(expected_fixed):
         failures.append({"fixed_subgroup": [g.name(x) for x in fixed.members]})
-
-    degs = set(gr.degrees(graph))
-    if degs != {(6, 6)}:
-        failures.append({"degrees": sorted(degs)})
-
-    comps = gr.strongly_connected_components(graph)
-    if sorted(comps.sizes()) != [12, 12]:
-        failures.append({"component_sizes": comps.sizes()})
-
+    path = importlib.resources.files("quandle_cayley.data").joinpath("s4_component_edges.json")
+    golden = json.loads(path.read_text())
     big_n = G.commutator_subgroup_with(g, h)
-    ident_comp = comps.component_of(g.identity)
-    if big_n.order != 12 or frozenset(ident_comp) != big_n.member_set():
-        failures.append({"N": [g.name(x) for x in big_n.members],
-                         "identity_component": [g.name(x) for x in ident_comp]})
-
-    golden = _load_s4_golden()
-    sub = gr.induced_subgraph(graph, ident_comp)
-    if sorted(sub.names) != sorted(golden["vertices"]):
-        failures.append({"vertices": sorted(sub.names)})
-    else:
-        expected_directed = set()
-        for a, b in golden["undirected_edges"]:
-            expected_directed.add((a, b))
-            expected_directed.add((b, a))
-        for vname in golden["vertices"]:
-            expected_directed.add((vname, vname))
-        have = {(sub.names[u], sub.names[v]) for u, v in sub.edges()}
-        if have != expected_directed:
-            failures.append({
-                "missing": sorted(expected_directed - have),
-                "extra": sorted(have - expected_directed),
-            })
-        if gr.is_complete(sub):
-            failures.append({"unexpectedly_complete": True})
+    if big_n.member_set() != frozenset(map(g.index_of, golden["vertices"])):
+        failures.append({"N": [g.name(x) for x in big_n.members]})
+    graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
+    failures += _cell_mismatch(graph.matrix(), _s4_example_matrix(g, golden), "cell_mismatch")
     return _report("s4_example", "S4, phi=inner:(12)", start, failures)
 
 
@@ -722,6 +714,8 @@ class SuiteConfig:
         self.takasaki_window = G.as_integer(self.takasaki_window, "takasaki_window")
         if self.checks is not None:
             checks = tuple(str(c) for c in self.checks)
+            if not checks:
+                raise ValueError("checks must name at least one check id")
             unknown = [c for c in checks if c not in CHECK_IDS]
             if unknown:
                 raise ValueError(f"unknown check ids: {', '.join(unknown)}")

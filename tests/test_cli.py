@@ -356,6 +356,22 @@ class TestVerify:
         assert code == 2
         assert "unknown check" in err
 
+    @pytest.mark.parametrize("argv", [("--check", ""), ("--check", ","),
+                                      ("--check", ",", "--check", "")])
+    def test_empty_check_list_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at least one check id" in err
+
+    def test_empty_config_check_list_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"checks": []}))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at least one check id" in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "dihedral", "--range", "a..b")
         assert code == 2

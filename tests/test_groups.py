@@ -99,6 +99,15 @@ class TestFiniteGroup:
         prod = g.op(g.index_of("(12)"), g.index_of("(13)"))
         assert g.name(prod) == "(132)"
 
+    def test_symmetric_table_matches_a_loop(self):
+        # the oracle composes each pair of permutation tuples in turn
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(n)))
+            index = {p: i for i, p in enumerate(perms)}
+            want = [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+            g = G.make_symmetric(n)
+            assert g.mul.dtype == np.int64 and g.mul.tolist() == want, n
+
     def test_symmetric_cap(self):
         with pytest.raises(ValueError):
             G.make_symmetric(7)

@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 
 import numpy as np
@@ -137,6 +138,15 @@ class TestSuiteConfig:
     def test_rejects_unknown_check_ids(self):
         with pytest.raises(ValueError, match="unknown check"):
             V.SuiteConfig(checks=("dihedral", "pentagon"))
+
+    @pytest.mark.parametrize("make", [
+        lambda: V.SuiteConfig(checks=()),
+        lambda: V.SuiteConfig(checks=[]),
+        lambda: V.SuiteConfig.from_json('{"checks": []}'),
+    ])
+    def test_rejects_an_empty_check_list(self, make):
+        with pytest.raises(ValueError, match="at least one check id"):
+            make()
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -335,6 +345,34 @@ class TestCheckersCatchSabotage:
         r = V.check_dihedral_inner_example(m)
         assert not r.passed and r.witness == {"cell_mismatch": cell}
 
+    @pytest.mark.parametrize("cells, cell", [
+        # the second coset: 1 -> 6 and 9 -> 2 become 1 -> 2 and 9 -> 6, a
+        # swap that keeps every in- and out-degree and both components
+        ([(1, 6), (9, 2), (1, 2), (9, 6)], (1, 2)),
+        # the identity block: 0 -> 12 and 3 -> 15 become 0 -> 15 and 3 -> 12
+        ([(0, 12), (3, 15), (0, 15), (3, 12)], (0, 12)),
+    ])
+    def test_s4_checker_names_the_planted_cell(self, monkeypatch, cells, cell):
+        g = G.make_symmetric(4)
+        assert [g.name(v) for v in (1, 2, 6, 9)] == ["(34)", "(23)", "(12)", "(1234)"]
+        assert V.check_s4_example().passed
+        self._plant(monkeypatch, "build_cayley_graph", cells)
+        phi = G.inner_automorphism(g, g.index_of("(12)"))
+        m = V.gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi)).matrix()
+        assert set(m.sum(axis=0)) == set(m.sum(axis=1)) == {6}
+        r = V.check_s4_example()
+        assert not r.passed and r.witness == {"cell_mismatch": cell}
+
+    def test_s4_checker_sees_wrong_subgroups(self, monkeypatch):
+        trivial = lambda g, *args: G.subgroup_generated(g, [])
+        with monkeypatch.context() as mp:
+            mp.setattr(V.G, "commutator_subgroup_with", trivial)
+            r = V.check_s4_example()
+            assert not r.passed and r.witness == {"N": ["id"]}
+        monkeypatch.setattr(V.G, "fixed_point_subgroup", trivial)
+        r = V.check_s4_example()
+        assert not r.passed and r.witness == {"fixed_subgroup": ["id"]}
+
 
 class TestDihedralInnerPrediction:
     """check_dihedral_inner_example compares the graph with one predicted
@@ -363,6 +401,33 @@ class TestDihedralInnerPrediction:
             for comp in comps.components:
                 assert V.gr.component_diameter(graph, comp) == length - 1, (m, comp)
             assert V.gr.is_symmetric(graph) == (m in (2, 4)), m
+
+
+class TestS4Prediction:
+    """check_s4_example compares the graph with one predicted matrix; here
+    what the comparison fixes is computed on the prediction itself."""
+
+    def test_prediction_fixes_degrees_components_and_golden_block(self):
+        g = G.make_symmetric(4)
+        h = g.index_of("(12)")
+        path = importlib.resources.files("quandle_cayley.data").joinpath(
+            "s4_component_edges.json")
+        golden = json.loads(path.read_text())
+        pred = V._s4_example_matrix(g, golden)
+        real = V.gr.build_cayley_graph(
+            Q.generalized_alexander_quandle(g, G.inner_automorphism(g, h)))
+        assert (real.matrix() == pred).all() and pred.sum() == 144
+        graph = V.gr.DirectedGraph._of_matrix(pred, names=g.element_names)
+        assert set(V.gr.degrees(graph)) == {(6, 6)}
+        comps = V.gr.strongly_connected_components(graph)
+        assert sorted(comps.sizes()) == [12, 12]
+        ident = comps.component_of(g.identity)
+        assert {g.name(v) for v in ident} == set(golden["vertices"])
+        sub = V.gr.induced_subgraph(graph, ident)
+        want = {(v, v) for v in golden["vertices"]}
+        want |= {pair for a, b in golden["undirected_edges"] for pair in ((a, b), (b, a))}
+        assert {(sub.names[u], sub.names[v]) for u, v in sub.edges()} == want
+        assert not V.gr.is_complete(sub)
 
 
 class TestCheckersExhibitTheirIsomorphisms:
@@ -398,11 +463,16 @@ class TestCheckersExhibitTheirIsomorphisms:
         # dihedral_inner compares the graph with its predicted cycle matrix
         for m in range(2, 13):
             assert V.check_dihedral_inner_example(m).passed
-        assert scc == [] and diameters == []
-        # the spy is live: s4_example's components are not complete, so it
-        # still runs Tarjan
+        # s4_example compares the graph with its predicted matrix
         assert V.check_s4_example().passed
-        assert len(scc) == 1
+        assert calls == [] and scc == [] and diameters == []
+        # the spies are live: a direct call to each is seen
+        graph = V.gr.build_cayley_graph(Q.dihedral_quandle(3))
+        V.gr.find_isomorphism(graph, graph)
+        V.gr.strongly_connected_components(graph)
+        V.gr.component_diameter(graph, (0, 1, 2))
+        assert len(calls) == len(scc) == len(diameters) == 1
+        calls.clear()
         scc.clear()
         # orbit_coset reads its components from the orbits, never from Tarjan
         for g in registry_groups:
@@ -425,9 +495,13 @@ class TestCheckersExhibitTheirIsomorphisms:
         g = G.make_abelian([4, 4])
         for t in _autos(g)[:10]:
             assert V.check_alexander_components(g, t).passed
-        assert calls == []
-        # the spies are live: s4_example's components are not complete
+        # and s4_example is one comparison with its predicted matrix
         assert V.check_s4_example().passed
+        assert calls == []
+        # the spies are live: a direct call to each is seen
+        graph = V.gr.build_cayley_graph(Q.dihedral_quandle(3))
+        V.gr.strongly_connected_components(graph)
+        V.gr.is_complete(V.gr.induced_subgraph(graph, (0, 1)))
         assert set(calls) == {"strongly_connected_components", "induced_subgraph",
                               "is_complete"}
 
