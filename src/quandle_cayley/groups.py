@@ -68,38 +68,60 @@ def breadth_first(sources, step, limit: int | None = None) -> list[list]:
     return layers
 
 
-def _generating_set(op: np.ndarray, limit: int | None = None) -> np.ndarray:
+def _generating_set(op: np.ndarray, limit: int | None = None,
+                    classes: np.ndarray | None = None) -> np.ndarray:
     """A generating set for the binary operation table op[x, y], picked
     greedily: each generator is the least element outside the closure, under
     op, of those picked before it.  Stops early once more than `limit`
     generators are picked.
 
+    classes, when given, maps each element y to the least element of its
+    class, an equivalence under which op[:, y] depends only on y's class.
+    The closure then also takes in the whole class of every element that
+    joins it, and needs only one right operand per class.  _reduced_scan
+    puts y and y' in one class when their right translations are equal,
+    and the set of elements whose right translation is an automorphism is
+    closed under both steps.
+
     The closure grows semi-naively: the elements that join it in one round
     are combined with every member, both ways round, so every ordered pair
-    of members is combined once and the whole search costs O(n^2) lookups.
+    of members is combined once and the whole search costs O(n^2) lookups
+    (O(n k) with k classes).
     """
     n = op.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    members = np.empty(n, dtype=np.intp)
-    count = 0
+    outside = np.ones(n, dtype=bool)
+    members = np.empty(n, dtype=np.intp)    # every element inside, as left operands
+    # one element per class inside, as right operands: all members without classes
+    right = members if classes is None else np.empty(n, dtype=np.intp)
+    count = rcount = 0
     gens = []
     for x in range(n):
-        if inside[x]:
+        if not outside[x]:
             continue
         gens.append(x)
         if limit is not None and len(gens) > limit:
             break
-        inside[x] = True
-        new = np.array([x])
-        while new.size:
+        fresh = np.zeros(n, dtype=bool)
+        fresh[x] = True                         # x is the least of its class
+        while True:
+            if classes is not None:
+                fresh = fresh[classes]          # each marked least member takes in its class
+            fresh &= outside
+            new = fresh.nonzero()[0]
+            if not new.size:
+                break
+            outside ^= fresh
             members[count:count + new.size] = new
             count += new.size
+            rnew = new
+            if classes is not None:
+                rnew = new[classes[new] == new]
+                right[rcount:rcount + rnew.size] = rnew
+            rcount += rnew.size
             fresh = np.zeros(n, dtype=bool)
-            fresh[op[new][:, members[:count]]] = True          # new op any
-            fresh[op[members[:count - new.size]][:, new]] = True  # old op new
-            fresh &= ~inside
-            inside |= fresh
-            new = np.flatnonzero(fresh)
+            for prods in (op[new[:, None], right[:rcount]],                 # new op any
+                          op[members[:count - new.size, None], rnew]):      # old op new
+                fresh[prods if classes is None else classes[prods]] = True
     return np.array(gens, dtype=np.intp)
 
 

@@ -56,7 +56,24 @@ def _full_scan(rhd: np.ndarray) -> tuple | None:
     )
 
 
-def _reduced_scan(rhd: np.ndarray) -> tuple | None:
+# cells in one slab of the generator proof's gathers; each cell costs
+# about 20 bytes of scratch
+_PAIR_CHUNK_CELLS = 1 << 15
+
+
+def _columns(rhd: np.ndarray) -> tuple:
+    """(cols, rep) for a gated table: cols[y] = R_y, the right translation
+    x -> x |> y, as one transposed copy (int32 while n^2 fits it), and
+    rep[y] the least y' with R_y' = R_y, or None when the n columns are
+    distinct.  Columns are told apart by their bytes, so rep is exact."""
+    n = rhd.shape[0]
+    cols = np.ascontiguousarray(rhd.T, dtype=np.int32 if n < 46341 else np.int64)
+    least = {}
+    rep = np.array([least.setdefault(col.tobytes(), y) for y, col in enumerate(cols)])
+    return cols, (None if len(least) == n else rep)
+
+
+def _reduced_scan(rhd: np.ndarray, columns: tuple | None = None) -> tuple | None:
     """_full_scan for a right-invertible table, proved on a generating set.
 
     Write R_z for the right translation x -> x |> z.  Self-distributivity
@@ -69,47 +86,74 @@ def _reduced_scan(rhd: np.ndarray) -> tuple | None:
 
         R_y(R_y^-1(w) |> x) = w |> (x |> y),  so  R_{x |> y} = R_y R_x R_y^-1,
 
-    an automorphism whenever R_x is one too.  So if every generator of a
-    |>-generating set lies in S, the closure of the generators, which is Q,
-    lies in S, and the table is self-distributive.  _translation_mismatch
-    checks one R_z in n^2 cells, gathering from an int32 copy of the table
-    made once, so a generating set of g elements costs g n^2 cells instead
-    of n^3.
+    an automorphism whenever R_x is one too.  S also holds every c with
+    R_c = R_s for some s in S.  So if every generator of Q, under |> and
+    under taking in whole classes of equal columns (_columns,
+    groups._generating_set), lies in S, all of Q lies in S, and the table
+    is self-distributive.  On an Alexander quandle of an abelian G, R_y =
+    R_y' exactly when (1 - t)(y - y') = 0, so there are [G : Fix(t)]
+    classes.
 
-    When the check fails, or the set has more than n/2 elements (the
-    trivial quandle needs all n and would run slower than the full scan),
+    At generator z, column y compares R_z R_y with R_{R_z(y)} R_z, n cells
+    that read only the columns y and R_z(y), so one y per distinct pair
+    (class of y, class of R_z(y)) settles all y.  If R_z is an automorphism,
+    R_{R_z(y)} = R_z R_y R_z^-1, so the class of R_z(y) depends only on the
+    class of y: a table where it does not is no quandle.  Otherwise the
+    pairs are the k classes, and their representatives are checked against
+    all generators at once, in slabs of about _PAIR_CHUNK_CELLS cells: k n
+    cells per generator instead of n^2.
+
+    When a class or a pair fails, or the set has more than n/2 elements,
     the full scan runs unchanged on the table as given, so the witness is
-    still the lexicographically first failing triple.
+    still the lexicographically first failing triple.  columns is
+    _columns(rhd), computed here unless given.
     """
     n = rhd.shape[0]
-    r = rhd.astype(np.int32)
-    gens = _generating_set(r, limit=n // 2)
-    if 2 * gens.size <= n and not any(_translation_mismatch(rhd, r, z).any() for z in gens):
-        return None
+    cols, rep = _columns(rhd) if columns is None else columns
+    gens = _generating_set(rhd, limit=n // 2, classes=rep)
+    if 2 * gens.size <= n:
+        ys = np.arange(n)
+        if rep is not None:
+            image = rep[cols[gens]]             # image[i, y]: class of R_z(y), z = gens[i]
+            if (image != image[:, rep]).any():
+                return _full_scan(rhd)
+            ys = (rep == ys).nonzero()[0]
+        step = max(1, _PAIR_CHUNK_CELLS // (gens.size * n))
+        if not any(_translation_mismatch(cols, gens, ys[s:s + step]).any()
+                   for s in range(0, ys.size, step)):
+            return None
     return _full_scan(rhd)
 
 
 def verify_quandle_axioms(table) -> AxiomReport:
     """Exhaustively scan a candidate table against the three quandle axioms.
 
-    Self-distributivity is proved on a generating set for every
+    Right invertibility is checked once per distinct column, and
+    self-distributivity is proved on a generating set for every
     right-invertible table, whatever its order (see _reduced_scan); the
     whole n^3 cube is scanned when that proof does not settle it, and for
     tables with a repeated column entry.  Either way the witness is the
     lexicographically first failing triple.
     """
-    rhd = as_index_array(table, "operation table")
+    return _axiom_report(as_index_array(table, "operation table"))
+
+
+def _axiom_report(rhd: np.ndarray) -> AxiomReport:
+    """verify_quandle_axioms for a table that passed as_index_array."""
     n = rhd.shape[0]
     idx = np.arange(n)
 
-    diag = rhd[idx, idx]
+    diag = rhd.diagonal()
     idem_ok = bool((diag == idx).all())
     idem_wit = None
     if not idem_ok:
         idem_wit = int(np.nonzero(diag != idx)[0][0])
 
-    seen = np.zeros((n, n), dtype=bool)
-    seen[rhd, idx] = True                   # seen[v, y]: some x has x |> y = v
+    columns = _columns(rhd)
+    cols, rep = columns
+    distinct = cols if rep is None else cols[rep == idx]    # one column per class
+    seen = np.zeros(distinct.shape, dtype=bool)
+    seen[np.arange(len(distinct))[:, None], distinct] = True  # seen[c, v]: v in column c
     inv_ok = bool(seen.all())
     inv_wit = None
     if not inv_ok:
@@ -122,7 +166,7 @@ def verify_quandle_axioms(table) -> AxiomReport:
                 inv_wit = (int(y), int(x1), int(x2))
                 break
 
-    dist_wit = _reduced_scan(rhd) if inv_ok else _full_scan(rhd)
+    dist_wit = _reduced_scan(rhd, columns) if inv_ok else _full_scan(rhd)
     dist_ok = dist_wit is None
 
     return AxiomReport(
@@ -329,24 +373,28 @@ def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:
 # -- translations and the inner action --------------------------------------
 
 
-def _translation_mismatch(index: np.ndarray, values: np.ndarray, b: int) -> np.ndarray:
-    """Bool mask of the (x, y) with (x |> y) |> b != (x |> b) |> (y |> b).
+def _translation_mismatch(cols: np.ndarray, zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bool mask m[i, j, x] of (x |> y) |> z != (x |> z) |> (y |> z) for
+    z = zs[i], y = ys[j]: where R_z R_y and R_{R_z(y)} R_z differ.
 
-    index and values hold the same table.  index is read as indices, so it
-    should be intp: np.take casts any other dtype to an n^2 intp copy on
-    every call.  values is gathered from, and int32 halves that traffic.
-    np.take gathers run faster than 2-D fancy indexing."""
-    perm = values[:, b]
-    return np.take(perm, index) != np.take(np.take(values, perm, axis=0), perm, axis=1)
+    cols is the C-contiguous transposed table, cols[y, x] = x |> y, of an
+    integer dtype that holds n^2 (_columns' int32 below n = 46341).  R_z R_y
+    is one gather along the rows R_z; R_w R_z gathers from the flat table
+    at w n + R_z(x)."""
+    n = cols.shape[1]
+    rz = cols[zs]
+    rhs = rz[:, None, :] + rz[:, ys, None] * n
+    return np.take(rz, cols[ys], axis=1) != np.take(cols.ravel(), rhs)
 
 
 def translation_defect(rhd: np.ndarray, b: int) -> tuple | None:
     """First (x, y) where right translation by b fails to be an automorphism,
     i.e. (x |> y) |> b != (x |> b) |> (y |> b); None when it is one."""
-    diff = _translation_mismatch(rhd, rhd, b)
+    n = rhd.shape[0]
+    diff = _translation_mismatch(np.ascontiguousarray(rhd.T), np.array([b]), np.arange(n))[0]
     if not diff.any():
         return None
-    x, y = np.argwhere(diff)[0]
+    x, y = np.argwhere(diff.T)[0]
     return int(x), int(y)
 
 
@@ -456,7 +504,8 @@ def quandle_to_json(q: Quandle) -> dict:
 
 def quandle_from_json(obj: dict) -> Quandle:
     """Rebuild a quandle from its dict form (order >= 1, table re-verified).
-    rhd is a list, or the int64 array loads_quandle_json decodes."""
+    rhd is a list, or the int64 array loads_quandle_json decodes.  The table
+    passes as_index_array once, and the axiom proof reads it as gated."""
     if not isinstance(obj, dict):
         raise ValueError("quandle JSON must be an object")
     for key in ("order", "names", "rhd"):
@@ -468,14 +517,18 @@ def quandle_from_json(obj: dict) -> Quandle:
         flat = _as_list(flat, "rhd must be a list of integers")
     if len(flat) != n * n:
         raise ValueError(f"rhd must hold {n * n} entries, got {len(flat)}")
-    # entries are type-checked here, and the table's range by Quandle
-    table = as_index_array(flat, "rhd", ndim=1).reshape(n, n)
+    rows = (flat.reshape(n, n) if isinstance(flat, np.ndarray)
+            else [flat[i:i + n] for i in range(0, n * n, n)])
+    table = as_index_array(rows, "rhd")
     names = [str(s) for s in _as_list(obj["names"], "names must be a list")]
     prov = obj.get("provenance") or {"family": "raw"}
     if not isinstance(prov, dict):
         raise ValueError("provenance must be an object")
     label = str(prov.get("label", prov.get("family", "raw")))
-    return Quandle(table, label=label, element_names=names, provenance=prov)
+    report = _axiom_report(table)
+    if not report.ok:
+        raise AxiomViolation(report, label)
+    return Quandle._of_checked(table, label, element_names=names, provenance=prov)
 
 
 def _as_list(value, message: str) -> list:

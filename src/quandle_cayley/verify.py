@@ -691,6 +691,15 @@ def check_s4_example() -> VerificationReport:
 # -- the suite ---------------------------------------------------------------
 
 
+def _as_sequence(value, name: str):
+    """A list or tuple field as given; a string, which tuple() would split
+    into characters, or any other value raises one ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"suite config value of the wrong type: {name} must be a list, "
+                         f"got {value!r}")
+    return value
+
+
 @dataclass
 class SuiteConfig:
     """What the suite sweeps; the integer fields pass groups.as_integer.
@@ -705,7 +714,8 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.abelian_order_cap = G.as_integer(self.abelian_order_cap, "abelian_order_cap", lo=1)
-        self.nonabelian_registry = tuple(str(s) for s in self.nonabelian_registry)
+        self.nonabelian_registry = tuple(
+            str(s) for s in _as_sequence(self.nonabelian_registry, "nonabelian_registry"))
         rng = tuple(self.dihedral_range)
         if len(rng) != 2:
             raise ValueError("dihedral_range must be [lo, hi] with 1 <= lo <= hi")
@@ -713,7 +723,7 @@ class SuiteConfig:
         self.dihedral_range = (lo, G.as_integer(rng[1], "dihedral_range hi", lo=lo))
         self.takasaki_window = G.as_integer(self.takasaki_window, "takasaki_window")
         if self.checks is not None:
-            checks = tuple(str(c) for c in self.checks)
+            checks = tuple(str(c) for c in _as_sequence(self.checks, "checks"))
             if not checks:
                 raise ValueError("checks must name at least one check id")
             unknown = [c for c in checks if c not in CHECK_IDS]

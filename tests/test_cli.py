@@ -372,6 +372,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "at least one check id" in err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"checks": "dihedral"}, "checks must be a list, got 'dihedral'"),
+        ({"nonabelian_registry": "S3"}, "nonabelian_registry must be a list, got 'S3'"),
+    ])
+    def test_config_string_for_a_list_exits_2(self, capsys, tmp_path, cfg, message):
+        # a string was split into characters: unknown check ids d, i, h, ...
+        # and a bad spec 'S'
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: suite config value of the wrong type: {message}\n"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "dihedral", "--range", "a..b")
         assert code == 2

@@ -150,14 +150,31 @@ def _cube_witnesses(stack):
             for i in range(k)]
 
 
-def _closure(table, gens):
-    """Naive |>-closure: add every product of members until none is new."""
+def _closure(table, gens, rep=None):
+    """Naive |>-closure: add every product of members, and with rep every
+    element whose class (rep[y], its least member) meets the members,
+    until none is new."""
     members = set(int(g) for g in gens)
     while True:
-        new = {int(table[a, b]) for a in members for b in members} - members
+        new = {int(table[a, b]) for a in members for b in members}
+        if rep is not None:
+            hit = {int(rep[y]) for y in members | new}
+            new |= {y for y in range(len(table)) if int(rep[y]) in hit}
+        new -= members
         if not new:
             return members
         members |= new
+
+
+def _alexander(orders, matrix):
+    g = G.make_abelian(orders)
+    return Q.alexander_quandle(g, G.matrix_automorphism(g, matrix)).rhd
+
+
+def _least_equal_columns(table):
+    """rep[y]: the least y' whose column equals column y, by brute force."""
+    cols = [tuple(c) for c in np.asarray(table).T.tolist()]
+    return np.array([cols.index(c) for c in cols])
 
 
 def _generators_pass(table):
@@ -248,6 +265,86 @@ class TestReducedDistributivityScan:
                 assert g == min(outside)
             assert Q._generating_set(t, limit=1).tolist() == gens[:2]
 
+    def test_generating_set_without_classes_is_unchanged(self):
+        # pinned outputs: the lexicographic order of the automorphism
+        # enumeration rests on the group case
+        z13 = G.make_abelian([13, 13])
+        tables = {
+            "S4": (G.make_symmetric(4).mul, [0, 1, 2, 6]),
+            "Core(D96)": (_relabelled(Q.core_quandle(G.make_dihedral(96)).rhd, 0),
+                          [0, 1, 3, 4]),
+            "Alex(Z13^2)": (_relabelled(Q.alexander_quandle(
+                z13, G.matrix_automorphism(z13, [[1, 0], [3, 1]])).rhd, 1),
+                [0, 1, 2, 3, 4, 5, 7, 8, 10, 14, 16, 19, 33]),
+            "R150": (_relabelled(Q.dihedral_quandle(150).rhd, 2), [0, 1, 2, 3]),
+            "Conj(S5)": (Q.conjugation_quandle(G.make_symmetric(5)).rhd,
+                         [0, 1, 2, 3, 6, 7, 9, 24, 27, 33]),
+        }
+        for label, (t, want) in tables.items():
+            gens = Q._generating_set(t)
+            assert gens.dtype == np.intp and gens.tolist() == want, label
+            assert Q._generating_set(t, limit=3).tolist() == want[:4], label
+            assert (Q._generating_set(t, classes=None) == gens).all(), label
+
+    def test_generating_set_with_classes_is_greedy_and_generates(self):
+        tables = (_column_permutation_tables(3, fix_diagonal=False)
+                  + _column_permutation_tables(4, fix_diagonal=True)
+                  + [_relabelled(Q.core_quandle(G.make_dihedral(12)).rhd, 1),
+                     _relabelled(Q.dihedral_quandle(20).rhd, 2),
+                     Q.trivial_quandle(6).rhd])
+        for t in tables:
+            cols, rep = Q._columns(t)
+            # None when every column is distinct
+            assert (_least_equal_columns(t) == (np.arange(len(t)) if rep is None else rep)).all()
+            assert (cols == t.T).all() and cols.flags["C_CONTIGUOUS"]
+            gens = Q._generating_set(t, classes=rep).tolist()
+            assert _closure(t, gens, rep) == set(range(len(t)))
+            for i, g in enumerate(gens):
+                outside = set(range(len(t))) - _closure(t, gens[:i], rep)
+                assert g == min(outside)
+            assert Q._generating_set(t, limit=1, classes=rep).tolist() == gens[:2]
+            # taking in classes never needs more generators
+            assert len(gens) <= Q._generating_set(t).size
+
+    def test_column_classes_count_the_index_of_fix(self):
+        # R_y = R_y' exactly when (1 - t)(y - y') = 0: [G : Fix(t)] classes
+        for m, matrix, classes in ((16, [[1, 2], [0, 1]], 8), (19, [[1, 0], [1, 1]], 19)):
+            g = G.make_abelian([m, m])
+            t = G.matrix_automorphism(g, matrix)
+            table = _relabelled(Q.alexander_quandle(g, t).rhd, m)
+            _, rep = Q._columns(table)
+            assert len(set(rep.tolist())) == classes
+            assert classes == g.order // len(G.fixed_point_subgroup(g, t).members)
+            assert Q._generating_set(table, classes=rep).size == classes
+            assert Q._generating_set(table).size >= classes
+        # Core(D_m), m even: R_y = R_{y c} for the central involution c
+        _, rep = Q._columns(Q.core_quandle(G.make_dihedral(48)).rhd)
+        assert len(set(rep.tolist())) == 48
+
+    def test_a_generator_that_splits_a_class(self, monkeypatch):
+        # R_z sends two equal columns' elements to unequal columns: no
+        # quandle does that, so the full scan runs before any pair is checked
+        table = _relabelled(Q.dihedral_quandle(40).rhd, 6)
+        n = len(table)
+        _, rep = Q._columns(table)
+        z = int(Q._generating_set(table, classes=rep)[0])
+        y = next(y for y in range(n) if y != z and rep[y] != y)     # y ~ rep[y]
+        r = next(r for r in range(n) if r not in (z, y, rep[y])
+                 and rep[table[r, z]] != rep[table[y, z]])
+        bad = table.copy()
+        bad[[y, r], z] = bad[[r, y], z]         # idempotent, right-invertible
+        _, rep = Q._columns(bad)
+        assert rep[y] == rep[rep[y]] and rep[bad[y, z]] != rep[bad[rep[y], z]]
+        assert 2 * Q._generating_set(bad, classes=rep).size <= n
+        pairs = []
+        kernel = Q._translation_mismatch
+        monkeypatch.setattr(Q, "_translation_mismatch",
+                            lambda cols, zs, ys: pairs.append(len(zs)) or kernel(cols, zs, ys))
+        want = _cube_witnesses(bad[None])[0]
+        assert Q.verify_quandle_axioms(bad) == Q.AxiomReport(
+            True, True, False, distributivity_witness=want)
+        assert pairs == []
+
     @pytest.fixture(scope="class")
     def large_quandles(self):
         z13 = G.make_abelian([13, 13])
@@ -287,21 +384,63 @@ class TestReducedDistributivityScan:
             assert Q.verify_quandle_axioms(bad) == Q.AxiomReport(
                 True, True, False, distributivity_witness=want)
 
-    def test_trivial_quandle_falls_back_to_the_full_scan(self, monkeypatch):
+    def test_trivial_quandle_is_proved_on_one_generator(self, monkeypatch):
         table = Q.trivial_quandle(200).rhd
         calls = []
         full_scan = Q._full_scan
         monkeypatch.setattr(Q, "_full_scan", lambda rhd: calls.append(len(rhd)) or full_scan(rhd))
         assert Q._generating_set(table).size == 200
+        _, rep = Q._columns(table)
+        assert (rep == 0).all()                 # every column is the identity
+        assert Q._generating_set(table, classes=rep).tolist() == [0]
         assert Q.verify_quandle_axioms(table).ok
+        assert calls == []
+        # columns 3 and 5 swap two rows each: R_5 no longer respects |> 3
+        bad = table.copy()
+        bad[[5, 9], 3] = bad[[9, 5], 3]
+        bad[[3, 7], 5] = bad[[7, 3], 5]
+        want = _cube_witnesses(bad[None])[0]
+        assert want is not None
+        assert Q.verify_quandle_axioms(bad) == Q.AxiomReport(
+            True, True, False, distributivity_witness=want)
         assert calls == [200]
+
+    @pytest.mark.parametrize("build", [
+        lambda: Q.core_quandle(G.make_dihedral(12)).rhd,
+        lambda: Q.dihedral_quandle(40).rhd,
+        lambda: _alexander([5, 5], [[2, 0], [0, 1]]),      # Z5^2 / Fix(t) is Alex(Z5, 2)
+    ])
+    def test_a_fault_in_a_class_without_a_generator(self, build):
+        # every column of one class changes the same way, so the classes
+        # stay as they were and the proof reads only one of them
+        table = _relabelled(build(), 5)
+        n = len(table)
+        _, rep = Q._columns(table)
+        gens = set(Q._generating_set(table, classes=rep).tolist())
+        planted = 0
+        for c in sorted(set(rep.tolist())):
+            members = np.flatnonzero(rep == c)
+            if members.size < 2 or gens & set(members.tolist()):
+                continue
+            rows = np.delete(np.arange(n), members)[[0, -1]]
+            bad = table.copy()
+            bad[np.ix_(rows, members)] = bad[np.ix_(rows[::-1], members)]
+            assert (Q._columns(bad)[1] == rep).all()
+            want = _cube_witnesses(bad[None])[0]
+            if want is None:
+                continue
+            assert Q.verify_quandle_axioms(bad) == Q.AxiomReport(
+                True, True, False, distributivity_witness=want)
+            planted += 1
+        assert planted > 0
 
     def test_every_right_invertible_table_takes_the_reduced_scan(self, monkeypatch):
         # no order threshold: 125^3 cells fit in one slab of the full scan,
         # 126^3 do not, and R3 is tiny
         seen, full = [], []
         reduced_scan, full_scan = Q._reduced_scan, Q._full_scan
-        monkeypatch.setattr(Q, "_reduced_scan", lambda rhd: seen.append(len(rhd)) or reduced_scan(rhd))
+        monkeypatch.setattr(Q, "_reduced_scan",
+                            lambda rhd, *a: seen.append(len(rhd)) or reduced_scan(rhd, *a))
         monkeypatch.setattr(Q, "_full_scan", lambda rhd: full.append(len(rhd)) or full_scan(rhd))
         tables = [Q.dihedral_quandle(n).rhd for n in (3, 125, 126)]
         for table in tables:
@@ -342,13 +481,13 @@ class TestReducedDistributivityScan:
                 assert Q.verify_quandle_axioms(t) == Q.AxiomReport(
                     True, True, want is None, distributivity_witness=want), label
                 assert (want is None) == (t is table), label
-                t32 = t.astype(np.int32)
-                for col in range(n):
-                    perm = t[:, col]
-                    fancy = perm[t] != t[perm[:, None], perm[None, :]]
-                    # the kernel as _reduced_scan and translation_defect call it
-                    assert (Q._translation_mismatch(t, t32, col) == fancy).all(), (label, col)
-                    assert (Q._translation_mismatch(t, t, col) == fancy).all(), (label, col)
+                # the kernel as _reduced_scan (int32) and translation_defect call it
+                for cols in (np.ascontiguousarray(t.T, dtype=np.int32), np.ascontiguousarray(t.T)):
+                    for col in range(n):
+                        perm = t[:, col]
+                        fancy = perm[t] != t[perm[:, None], perm[None, :]]
+                        got = Q._translation_mismatch(cols, np.array([col]), np.arange(n))
+                        assert (got[0].T == fancy).all(), (label, col, cols.dtype)
 
 
 class TestConstructions:

@@ -195,3 +195,35 @@ def test_built_file_analyzes_like_its_family(capsys, tmp_path):
     family = json.loads(capsys.readouterr().out)
     assert raw.pop("spec") == f"raw:{path}" and family.pop("spec") == "core:D96"
     assert raw == family
+
+
+def test_a_raw_load_gates_its_table_once(monkeypatch, tmp_path):
+    """quandle_from_json passes the table through as_index_array once, and
+    the axiom proof and the Quandle read it as gated."""
+    from quandle_cayley import groups as G
+    gate, calls = Q.as_index_array, []
+
+    def spy(values, what, *args, **kwargs):
+        calls.append(what)
+        return gate(values, what, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "as_index_array", spy)
+    monkeypatch.setattr(G, "as_index_array", spy)
+    table = Q.core_quandle(G.make_dihedral(6)).rhd
+    obj = {"order": 12, "names": [f"v{i}" for i in range(12)], "rhd": table.ravel().tolist()}
+    path = tmp_path / "core_d6.json"
+    path.write_text(json.dumps(obj))
+    for load in (lambda: Q.quandle_from_json(obj),
+                 lambda: Q.quandle_from_json(Q.loads_quandle_json(path.read_text())),
+                 lambda: _load_new(path)):
+        calls.clear()
+        q = load()
+        assert calls == ["rhd"]
+        assert q.rhd.dtype == np.int64 and (q.rhd == table).all()
+    # refusals gate once too: a range error, and a table that is no quandle
+    for rhd, error in (([0, 0, 1, 2], "rhd entries must lie in 0..1"),
+                       ([1, 0, 0, 1], "is not a quandle: idempotency fails at x=0")):
+        calls.clear()
+        with pytest.raises(ValueError, match=error):
+            Q.quandle_from_json({"order": 2, "names": ["a", "b"], "rhd": rhd})
+        assert calls == ["rhd"]

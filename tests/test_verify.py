@@ -171,6 +171,24 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="wrong type"):
             V.SuiteConfig.from_json(obj)
 
+    @pytest.mark.parametrize("make", [
+        lambda: V.SuiteConfig.from_json({"checks": "dihedral"}),
+        lambda: V.SuiteConfig.from_json({"nonabelian_registry": "S3", "checks": ["conjugation"]}),
+        lambda: V.SuiteConfig(checks="axioms"),
+        lambda: V.SuiteConfig(nonabelian_registry="S3"),
+        lambda: V.SuiteConfig(checks={"axioms"}),
+        lambda: V.SuiteConfig(nonabelian_registry={"S3": 1}),
+    ])
+    def test_rejects_a_string_or_other_non_list(self, make):
+        # tuple() would split "S3" into ("S", "3")
+        with pytest.raises(ValueError, match=r"wrong type: (checks|nonabelian_registry) must be"):
+            make()
+
+    def test_takes_lists_and_tuples(self):
+        for seq in (list, tuple):
+            cfg = V.SuiteConfig(checks=seq(["axioms"]), nonabelian_registry=seq(["S3", "D4"]))
+            assert cfg.checks == ("axioms",) and cfg.nonabelian_registry == ("S3", "D4")
+
     @pytest.mark.parametrize("rhd", [[[0.5]], [[True]], [[0, 0], [1, 1.0]]])
     def test_rejects_non_integer_extra_tables(self, rhd):
         # int() would read [[0.5]] as the trivial quandle [[0]]
