@@ -191,15 +191,18 @@ class FiniteGroup:
         self._check_associative()
 
     @classmethod
-    def _of_checked(cls, mul: np.ndarray, label: str, element_names) -> "FiniteGroup":
+    def _of_checked(cls, mul: np.ndarray, label: str, element_names,
+                    identity: int | None = None, inv: np.ndarray | None = None) -> "FiniteGroup":
         """Wrap an int64 table this module built from a group law.  It is a
         group by construction, so cancellation and associativity are not
-        scanned; the identity and inverses are still located."""
+        scanned.  The identity and inverses are located, unless the law
+        gives them."""
         g = cls.__new__(cls)
-        g._init(mul, label, element_names)
+        g._init(mul, label, element_names, identity, inv)
         return g
 
-    def _init(self, mul: np.ndarray, label: str, element_names) -> None:
+    def _init(self, mul: np.ndarray, label: str, element_names,
+              identity: int | None = None, inv: np.ndarray | None = None) -> None:
         self.mul = mul
         self.order = int(mul.shape[0])
         self.label = label
@@ -211,8 +214,8 @@ class FiniteGroup:
             raise ValueError("element names must be distinct")
         self.element_names = [str(s) for s in element_names]
         self._index = {s: i for i, s in enumerate(self.element_names)}
-        self.identity = self._find_identity()
-        self.inv = self._find_inverses()
+        self.identity = self._find_identity() if identity is None else identity
+        self.inv = self._find_inverses() if inv is None else inv
         self._abelian: bool | None = None
         self._orders: np.ndarray | None = None
 
@@ -300,7 +303,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     n = as_integer(n, "cyclic group n", lo=1)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup._of_checked(mul, f"Z{n}", [str(i) for i in range(n)])
+    return FiniteGroup._of_checked(mul, f"Z{n}", [str(i) for i in range(n)],
+                                   identity=0, inv=(-idx) % n)
 
 
 def _tuple_name(a: str, b: str) -> str:
@@ -315,7 +319,9 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     mul = a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]
     names = [_tuple_name(a.element_names[x], b.element_names[y])
              for x in range(na) for y in range(nb)]
-    return FiniteGroup._of_checked(mul, f"{a.label}x{b.label}", names)
+    return FiniteGroup._of_checked(mul, f"{a.label}x{b.label}", names,
+                                   identity=a.identity * nb + b.identity,
+                                   inv=a.inv[ia] * nb + b.inv[ib])
 
 
 def make_abelian(factors) -> FiniteGroup:
@@ -328,7 +334,8 @@ def make_abelian(factors) -> FiniteGroup:
     if len(factors) == 1:
         return group
     names = ["(" + ",".join(map(str, c)) + ")" for c in itertools.product(*map(range, factors))]
-    return FiniteGroup._of_checked(group.mul, group.label, names)
+    return FiniteGroup._of_checked(group.mul, group.label, names,
+                                   identity=group.identity, inv=group.inv)
 
 
 def make_dihedral(m: int) -> FiniteGroup:
@@ -341,18 +348,17 @@ def make_dihedral(m: int) -> FiniteGroup:
     n = 2 * m
     mul = np.empty((n, n), dtype=np.int64)
     i = np.arange(m)
-    rot, ref = i[:, None], i[:, None]
-    j = i[None, :]
-    mul[:m, :m] = (rot + j) % m                 # r^i r^j
-    mul[:m, m:] = (rot + j) % m + m             # r^i (r^j s)
-    mul[m:, :m] = (ref - j) % m + m             # (r^i s) r^j
-    mul[m:, m:] = (ref - j) % m                 # (r^i s)(r^j s)
-    names = []
-    for i_ in range(m):
-        names.append("e" if i_ == 0 else ("r" if i_ == 1 else f"r^{i_}"))
-    for i_ in range(m):
-        names.append("s" if i_ == 0 else ("r s" if i_ == 1 else f"r^{i_} s"))
-    return FiniteGroup._of_checked(mul, f"D{m}", names)
+    mod = np.concatenate([i, i])                # mod[k] = k mod m for 0 <= k < 2m
+    plus, minus = mod[i[:, None] + i], mod[i[:, None] - i + m]     # i + j, i - j mod m
+    mul[:m, :m] = plus                          # r^i r^j
+    mul[:m, m:] = plus + m                      # r^i (r^j s)
+    mul[m:, :m] = minus + m                     # (r^i s) r^j
+    mul[m:, m:] = minus                         # (r^i s)(r^j s)
+    rotations = ["e", "r"] + [f"r^{k}" for k in range(2, m)]
+    names = rotations[:m] + [f"{r} s" if k else "s" for k, r in enumerate(rotations[:m])]
+    # r^i has inverse r^-i, and every reflection is its own
+    inv = np.concatenate([(-i) % m, i + m])
+    return FiniteGroup._of_checked(mul, f"D{m}", names, identity=0, inv=inv)
 
 
 def _perm_cycle_name(p) -> str:
@@ -567,6 +573,21 @@ def _automorphism_chunks(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP):
     is kept.  The kernel test is the cheaper of the two, so it runs first
     and thins the columns the edges see.
 
+    On an abelian group whose greedy generators s_1..s_d have orders
+    o_1..o_d with o_1 ... o_d = n, no edge is tested: every column is
+    already a homomorphism.  The map Z_o1 x ... x Z_od -> g sending
+    (a_1, ..., a_d) to s_1^a_1 ... s_d^a_d is a homomorphism, as g is
+    abelian, and onto, as the s_j generate g; both sides have n elements,
+    so it is an isomorphism and the s_j form a basis.  So g has the
+    presentation <s_j | s_j^o_j, [s_i, s_j]>.  Images c_j of orders o_j
+    satisfy every relation in the abelian group g, so by von Dyck's
+    theorem they extend to a homomorphism h with h(s_j) = c_j.  The
+    column is h: both send the identity to the identity, and along the
+    recipe phi(elem) = phi(parent) c_slot while
+    h(elem) = h(parent s_slot) = h(parent) c_slot.  A group whose greedy
+    generators are not a basis (Z2xZ4 labelled so that the greedy picks two
+    elements of order 4), and every non-abelian group, keeps its edges.
+
     The rows come out in lexicographic order without a sort.  Take two kept
     tuples that first differ at generator j.  The greedy rule picked gens[j]
     as the least element outside <gens[:j]>, so every element below gens[j]
@@ -590,10 +611,12 @@ def _automorphism_chunks(g: FiniteGroup, cap: int = AUTOMORPHISM_CAP):
     candidates = [np.flatnonzero(orders == orders[gen]).astype(np.int32) for gen in gens]
     sizes = [c.size for c in candidates]
     total = math.prod(sizes)
-    built = {(parent, slot) for _, parent, slot in recipe}
-    # the edges phi(x s_j) = phi(x) phi(s_j) the recipe does not make true
-    edges = [np.array([x for x in range(n) if (x, j) not in built], dtype=np.intp)
-             for j in range(len(gens))]
+    edges = []                          # none when the generators are a basis (below)
+    if not (g.is_abelian() and math.prod(orders[gens].tolist()) == n):
+        built = {(parent, slot) for _, parent, slot in recipe}
+        # the edges phi(x s_j) = phi(x) phi(s_j) the recipe does not make true
+        edges = [np.array([x for x in range(n) if (x, j) not in built], dtype=np.intp)
+                 for j in range(len(gens))]
     law = (candidates, g.mul.ravel().astype(np.int32), g.mul[:, gens], recipe, edges)
     per = max(1, _FAMILY_CHUNK_CELLS // n)
     for start in range(0, total, per):
@@ -624,11 +647,14 @@ def _kept_rows(g: FiniteGroup, law: tuple, start: int, stop: int) -> np.ndarray:
     # are exact up to 255
     hits = (phi == g.identity).sum(axis=0, dtype=np.uint8 if n < 256 else np.intp)
     trivial_kernel = hits == 1
-    phi, images = phi[:, trivial_kernel], images[:, trivial_kernel]
-    hom = np.ones(phi.shape[1], dtype=bool)
-    for j, xs in enumerate(edges):
-        hom &= (phi[right[xs, j]] == np.take(flat, phi[xs] * n + images[j])).all(axis=0)
-    return phi[:, hom].T.astype(np.int64)
+    phi = phi[:, trivial_kernel]
+    if edges:
+        images = images[:, trivial_kernel]
+        hom = np.ones(phi.shape[1], dtype=bool)
+        for j, xs in enumerate(edges):
+            hom &= (phi[right[xs, j]] == np.take(flat, phi[xs] * n + images[j])).all(axis=0)
+        phi = phi[:, hom]
+    return phi.T.astype(np.int64)
 
 
 def _element_orders(g: FiniteGroup) -> np.ndarray:
@@ -839,8 +865,46 @@ def twist_subgroup(g: FiniteGroup, phi: Automorphism) -> Subgroup:
     <[h, x]> for conjugation by h, whose phi(y)^-1 y is [h, y^-1]."""
     if phi.group is not g:
         raise ValueError("automorphism belongs to a different group")
-    twists = g.mul[g.inv[phi.mapping], np.arange(g.order)]
-    return subgroup_generated(g, np.unique(twists).tolist())
+    return Subgroup._of_checked(g, np.flatnonzero(twist_masks(g, phi.mapping[None])[0]))
+
+
+def twist_masks(g: FiniteGroup, maps: np.ndarray) -> np.ndarray:
+    """The (k, n) bool masks of N_phi = <phi(y)^-1 y : y in g>, one row per
+    automorphism phi in the rows of the (k, n) image array maps.
+
+    Each row starts as the set S of the twists phi(y)^-1 y, which holds the
+    identity (y = e), and is replaced by S S until no row changes.  S S is
+    the union of the translates x S for x in S, and v is in x S exactly
+    when x^-1 v is in S, so each member x of each row contributes one
+    gathered row, and the rows are OR-ed per set: |S| n cells a row.  With
+    the identity in S, S is inside S S, and after r rounds S holds every
+    product of 2^r twists, so a row settles within ceil(log2 |N|) + 1
+    rounds, at the subgroup the twists generate (in a finite group a
+    closure under products is one).  The rounds run on slabs of
+    _FAMILY_CHUNK_CELLS // n^2 rows, so no gather passes that many cells."""
+    k, n = maps.shape
+    masks = np.zeros((k, n), dtype=bool)
+    masks[np.arange(k)[:, None], g.mul[g.inv[maps], np.arange(n)]] = True
+    left = g.mul[g.inv]                 # left[x, v] = x^-1 v
+    per = max(1, _FAMILY_CHUNK_CELLS // (n * n))
+    for start in range(0, k, per):
+        slab = masks[start:start + per]
+        while True:
+            rows, xs = np.nonzero(slab)     # row-major, so each set's members are adjacent
+            first = np.searchsorted(rows, np.arange(len(slab)))   # every set holds e
+            # cell (i, v) of the gather is slab[rows[i], x^-1 v], x = xs[i], read flat
+            grown = np.logical_or.reduceat(np.take(slab, left[xs] + (rows * n)[:, None]),
+                                           first, axis=0)
+            if (grown == slab).all():
+                break
+            slab[:] = grown
+    return masks
+
+
+def fixed_point_indices(g: FiniteGroup, maps: np.ndarray) -> np.ndarray:
+    """[G : Fix(phi)] for each automorphism phi in the rows of the (k, n)
+    image array maps: n over the count of x with phi(x) = x, as int64."""
+    return g.order // np.count_nonzero(maps == np.arange(g.order), axis=1)
 
 
 def commutator_subgroup_with(g: FiniteGroup, h: int) -> Subgroup:

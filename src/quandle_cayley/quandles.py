@@ -365,7 +365,7 @@ def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:
         provenance={
             "family": "gen_alexander",
             "group": g.label,
-            "automorphism": [int(v) for v in phi.mapping],
+            "automorphism": phi.mapping.tolist(),
         },
     )
 

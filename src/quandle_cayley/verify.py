@@ -15,6 +15,10 @@ A Cayley graph of phi(x y^-1) y depends only on the set
 D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
 D.  The coset checks predict from one subgroup, N = <phi(y)^-1 y> = <D>:
 im(id - t) in the paper's abelian theorems, <[h, x]> in its inner one.
+Its mask, its coset block matrix and each [G : Fix(phi)] come from
+whole-array operations over the family's rows (groups.twist_masks,
+groups.fixed_point_indices); only orbit_coset's normality test builds a
+Subgroup, once per distinct N.
 alexander_components and orbit_coset give one verdict per D class;
 regularity's [G : Fix(phi)] can differ inside a class, so each
 automorphism is judged by its class's degrees.
@@ -65,6 +69,9 @@ CHECK_IDS = (
 
 # unordered automorphism pairs are swept only below this Aut-group size
 _ISO_PAIR_AUT_CAP = 100
+# the most automorphisms, summed over the abelian types, one suite run
+# enumerates: abelian_order_cap 63 asks for 10.1 million, 64 for 20.2 billion
+_AUT_BUDGET = 1 << 24
 # the checks sweep_alexander runs over any family, in suite order; its
 # fourth, orbit_coset, takes the inner family only
 _SWEPT = ("alexander_components", "alexander_iso", "regularity")
@@ -313,14 +320,16 @@ def _iso_classes(matrices: list) -> np.ndarray:
     return class_of
 
 
-def _coset_translations(g: G.FiniteGroup, blocks) -> tuple:
-    """The coset translations check_orbit_coset tests, from block 0 to
-    each block j >= 1 of the left cosets of a normal N: block 0 as an
-    array, and in row j - 1 its image under x -> x u^-1 v_j (u and v_j the
-    least members of blocks 0 and j).  That image is u N u^-1 v_j = v_j N,
-    block j, since N is normal."""
-    base = np.array(blocks[0])
-    shift = g.mul[g.inv[base[0]], [blk[0] for blk in blocks[1:]]]
+def _coset_translations(g: G.FiniteGroup, cosets: np.ndarray) -> tuple:
+    """The coset translations check_orbit_coset tests, from coset 0 to each
+    coset j >= 1 of a normal N, the cosets numbered by their least members
+    and given by their block matrix: coset 0 as an array, and in row j - 1
+    its image under x -> x u^-1 v_j (u and v_j the least members of cosets
+    0 and j).  That image is u N u^-1 v_j = v_j N, coset j, since N is
+    normal."""
+    least = np.unique(cosets.argmax(axis=1))       # each coset's least member, ascending
+    base = np.flatnonzero(cosets[least[0]])
+    shift = g.mul[g.inv[least[0]], least[1:]]
     return base, g.mul[base[None, :], shift[:, None]]
 
 
@@ -371,19 +380,21 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     (quandles.alexander_adjacency), so the matrix depends on the mask of D
     alone.  Each chunk's D masks are deduped (_distinct_rows), and the
     classes are numbered in order of first appearance over the whole
-    stream, from a running table keyed by the packed masks (_ClassTable);
-    the fixed-point masks likewise, for regularity.  Per automorphism the
-    sweep keeps its D class id (int32) and its verdicts; per class, what
-    its first member's row gave, while the chunk holding that row is read.
-    quandles.alexander_adjacency builds one matrix per D class, when the
-    class first appears (67 for the 20,160 automorphisms of Z2^4), as many
-    at a time as fit in groups._FAMILY_CHUNK_CELLS cells.  Their tables
-    are generalized_alexander_quandle's, quandles for every automorphism,
-    so their axioms are not scanned.
+    stream, from a running table keyed by the packed masks (_ClassTable).
+    Per automorphism the sweep keeps its D class id (int32) and its
+    verdicts; per class, what its first member's row gave, while the chunk
+    holding that row is read.  quandles.alexander_adjacency builds one
+    matrix per D class, when the class first appears (67 for the 20,160
+    automorphisms of Z2^4), as many at a time as fit in
+    groups._FAMILY_CHUNK_CELLS cells.  Their tables are
+    generalized_alexander_quandle's, quandles for every automorphism, so
+    their axioms are not scanned.
     alexander_components, alexander_iso and orbit_coset read one
-    prediction, N = <phi(y)^-1 y> (groups.twist_subgroup), closed from
-    those elements without the D mask; N = <D>, so it is found once per D
-    class, and the block matrix of its left cosets once per distinct N.
+    prediction, the mask of N = <phi(y)^-1 y>, closed from those elements
+    without the D mask; N = <D>, so groups.twist_masks closes it once per
+    D class, for all of a chunk's new classes in one batch.  v is in x N
+    exactly when x^-1 v is in N, so the block matrix of N's left cosets is
+    the gather mask[x^-1 v], built beside each slab of adjacency matrices.
     alexander_components: the matrix equals the coset block matrix, so the
     graph is the disjoint union of the complete digraphs on the cosets,
     which fixes its strong components, their count |G| / |N| and their
@@ -391,9 +402,9 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     alexander_iso: the distinct matrices are sorted into isomorphism
     classes (_iso_classes), and each pair i <= j, in row-major order, is
     isomorphic when its graphs share a class; that verdict must agree with
-    whether |N| is equal, which the classes never read.
+    whether |N|, the mask's count, is equal, which the classes never read.
     regularity: every in- and out-degree is [G : Fix(phi)], which
-    fixed_point_subgroup gives once per distinct fixed-point set.  Fix(phi)
+    groups.fixed_point_indices counts for a whole chunk at once.  Fix(phi)
     can differ inside a D class, so the sweep keeps each class's out- and
     in-degrees, and each automorphism passes when its class's common
     degree is its own index.  Every class a chunk holds has its degrees
@@ -421,7 +432,8 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     A clock, when given, is charged each check's own predictions and
     tests, and an equal share of the steps the checks share: reading the
     next chunk (for a stream, enumerating it), the difference sets, their
-    dedupe and the adjacency matrices.
+    dedupe and the adjacency matrices; the coset block matrices go in
+    equal shares to alexander_components and orbit_coset.
     """
     n = g.order
     clock = clock or _Clock()
@@ -429,17 +441,16 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
             not isinstance(maps, np.ndarray) or maps.shape != (n, n)
             or (maps != g.mul[g.mul, g.inv[:, None]]).any()):
         raise ValueError("orbit_coset sweeps the inner family only")
-    auto = lambda row: G.Automorphism._of_checked(g, row)
-    d_table, fixed_table = _ClassTable(), _ClassTable()
+    d_table = _ClassTable()
     d_ids = []                         # per chunk: each automorphism's D class
     ok_d = {tid: [] for tid in check_ids            # per block of D classes
             if tid in ("alexander_components", "orbit_coset")}
     witness: dict = {}                 # per check: its first failing automorphism's
     coset_tids = [c for c in check_ids if c != "regularity"]     # the checks that read N
-    distinct: dict = {}                # members -> (index, subgroup) of each distinct N
-    n_of = []                          # per D class: its N's index
-    n_subs, coset_blocks, block_mats, normal, shifts = [], [], [], [], []   # per distinct N
-    index = []                         # per fixed-point class
+    left = g.mul[g.inv]                # left[x, v] = x^-1 v, in N exactly when v is in x N
+    sizes = []                         # for alexander_iso: per chunk, |N| of its new D classes
+    distinct: dict = {}                # for orbit_coset: packed mask -> index of each distinct N
+    n_members, normal, shifts = [], [], []          # per distinct N
     degrees, commons = [], []          # per block of D classes: out, in; the common degree
     regular_ok = []                    # per chunk: regularity's verdicts
     matrices, kept = [], []            # for alexander_iso: per D class; per chunk
@@ -447,39 +458,36 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     for chunk in ((maps,) if isinstance(maps, np.ndarray) else maps):
         ids, d_new = d_table.number(Q.difference_sets(g, chunk))
         d_ids.append(ids)
-        if "regularity" in check_ids:
-            fixed_of, f_new = fixed_table.number(chunk == np.arange(n))
         if "alexander_iso" in check_ids:
             kept.append(chunk)
         clock.charge(*check_ids)
-        base = len(d_table.ids) - len(d_new)    # the id of this chunk's first new D class
         reps = chunk[d_new]            # the first member of each new D class
         if coset_tids:
-            n_of += [distinct.setdefault(sub.members, (len(distinct), sub))[0]
-                     for sub in (G.twist_subgroup(g, auto(r)) for r in reps)]
-            if len(distinct) > len(n_subs):
-                n_subs = [sub for _, sub in distinct.values()]
-                coset_blocks += [G.cosets(g, sub, side="left").blocks
-                                 for sub in n_subs[len(coset_blocks):]]
-                block_mats += [_block_matrix(blks, n) for blks in coset_blocks[len(block_mats):]]
-                coset_mats = np.stack(block_mats)
-            n_at = np.array(n_of, dtype=np.intp)
+            masks = G.twist_masks(g, reps)          # per new D class: its N
+            sizes.append(np.count_nonzero(masks, axis=1))
             clock.charge(*coset_tids)
         if "regularity" in check_ids:
-            index += [G.fixed_point_subgroup(g, auto(r)).index() for r in chunk[f_new]]
+            expected = G.fixed_point_indices(g, chunk)
             clock.charge("regularity")
         if "orbit_coset" in check_ids:
-            normal = np.array([G.is_normal(g, sub) for sub in n_subs])
-            shifts = [_coset_translations(g, blks) for blks in coset_blocks]
+            nq_new = np.empty(len(masks), dtype=np.intp)    # per new D class: its N's index
+            for c, mask in enumerate(masks):
+                nq_new[c] = j = distinct.setdefault(mask.tobytes(), len(distinct))
+                if j == len(n_members):
+                    members = np.flatnonzero(mask)
+                    n_members.append(members.tolist())
+                    normal.append(G.is_normal(g, G.Subgroup._of_checked(g, members)))
+                    shifts.append(_coset_translations(g, mask[left]))
             clock.charge("orbit_coset")
         for c0 in range(0, len(reps), rows):
             adj = Q.alexander_adjacency(g, reps[c0:c0 + rows])
-            part = slice(base + c0, base + c0 + len(adj))
             if "alexander_iso" in check_ids:
                 matrices.extend(adj)
             clock.charge(*check_ids)
+            if ok_d:
+                want = np.take(masks[c0:c0 + len(adj)], left, axis=1)     # the coset block matrices
+                clock.charge(*ok_d)
             if "alexander_components" in check_ids:
-                want = coset_mats[n_at[part]]
                 ok = (adj == want).all(axis=(1, 2))
                 ok_d["alexander_components"].append(ok)
                 if not ok.all() and "alexander_components" not in witness:
@@ -499,25 +507,25 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
                                         block[:, 0, 0], 0))
                 clock.charge("regularity")
             if "orbit_coset" in check_ids:
-                nq = n_at[part]
+                nq = nq_new[c0:c0 + len(adj)]
                 # row x of the reachability closure is the forward orbit of x
                 orbits = gr._reachability(adj)
-                stray = (orbits != coset_mats[nq]).any(axis=2)
+                stray = (orbits != want).any(axis=2)
                 moves = np.ones(len(adj), dtype=bool)
                 for j in np.unique(nq):
                     at = np.flatnonzero(nq == j)
                     moves[at] = _translations_ok(adj[at], *shifts[j]).all(axis=1)
-                ok = normal[nq] & ~stray.any(axis=1) & moves
+                ok = np.array(normal)[nq] & ~stray.any(axis=1) & moves
                 ok_d["orbit_coset"].append(ok)
                 if not ok.all() and "orbit_coset" not in witness:
                     c = int(np.argmin(ok))
                     j = nq[c]
                     if not normal[j]:
-                        found = {"not_normal": list(n_subs[j].members)}
+                        found = {"not_normal": n_members[j]}
                     elif stray[c].any():
                         x = int(np.argmax(stray[c]))
                         found = {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
-                                                    "coset": np.flatnonzero(coset_mats[j, x]).tolist()}}
+                                                    "coset": np.flatnonzero(want[c, x]).tolist()}}
                     else:
                         moved = _translations_ok(adj[c][None], *shifts[j])[0]
                         found = {"translation_not_isomorphism": (0, int(np.argmin(moved)) + 1)}
@@ -527,7 +535,6 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
             # every class this chunk holds has its degrees now, so its
             # automorphisms are judged while their rows are at hand
             commons = [np.concatenate(commons)]
-            expected = np.array(index, dtype=np.intp)[fixed_of]
             ok = commons[0][ids] == expected
             regular_ok.append(ok)
             if not ok.all() and "regularity" not in witness:
@@ -539,7 +546,7 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
             clock.charge("regularity")
         # a stream decodes its next chunk when the loop asks for it, so this
         # chunk's rows and matrices are let go first
-        chunk = adj = None
+        chunk = adj = want = None
     d_of = np.concatenate(d_ids)
     out = {tid: (np.concatenate(oks)[d_of], witness.get(tid)) for tid, oks in ok_d.items()}
     clock.charge(*check_ids)
@@ -547,14 +554,14 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         out["regularity"] = (np.concatenate(regular_ok), witness.get("regularity"))
     if "alexander_iso" in check_ids:
         family = np.concatenate(kept)
-        sizes = np.array([sub.order for sub in n_subs])[n_at[d_of]]
+        size = np.concatenate(sizes)[d_of]
         cls = _iso_classes(matrices)[d_of]
         first, second = np.triu_indices(len(family))
-        ok = (cls[first] == cls[second]) == (sizes[first] == sizes[second])
+        ok = (cls[first] == cls[second]) == (size[first] == size[second])
         p = int(np.argmin(ok))          # the first failing pair, read only on a failure
         a, b = int(first[p]), int(second[p])
         out["alexander_iso"] = (ok, None if ok.all() else {
-            "iso": bool(cls[a] == cls[b]), "image_sizes": (int(sizes[a]), int(sizes[b])),
+            "iso": bool(cls[a] == cls[b]), "image_sizes": (int(size[a]), int(size[b])),
             "t1": family[a].tolist(), "t2": family[b].tolist()})
         clock.charge("alexander_iso")
     return out
@@ -800,16 +807,27 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     deterministic order.  Big parameter sweeps come back as one merged
     report per group, with the first failing sub-instance as witness.
 
-    Each abelian group's |Aut(G)| is predicted first, by a closed form
-    (groups._abelian_automorphism_count): a group with at most
-    _ISO_PAIR_AUT_CAP automorphisms gets pair verdicts, a larger one none.
-    Every family is swept as a stream of row chunks
+    Each abelian group's |Aut(G)| is predicted before any check runs, by a
+    closed form (groups._abelian_automorphism_count), and a run whose
+    predictions sum to more than _AUT_BUDGET raises ValueError.  A group
+    with at most _ISO_PAIR_AUT_CAP automorphisms gets pair verdicts, a
+    larger one none.  Every family is swept as a stream of row chunks
     (groups._automorphism_chunks), never held whole, and the number swept
     must equal the prediction, or every swept report of that group fails
     with witness {"automorphisms": k, "predicted": p}."""
     config = config or SuiteConfig()
     reports: list[VerificationReport] = []
     lo, hi = config.dihedral_range
+    swept = tuple(c for c in _SWEPT if config.wants(c))
+    abelian = []                # (group, its predicted |Aut|), for the swept checks
+    if swept:
+        abelian = [(g, G._abelian_automorphism_count(g))
+                   for g in G.abelian_group_types(config.abelian_order_cap)]
+        total = sum(count for _, count in abelian)
+        if total > _AUT_BUDGET:
+            raise ValueError(
+                f"abelian_order_cap {config.abelian_order_cap} asks for {total:,} "
+                f"automorphisms, over the budget of {_AUT_BUDGET:,}")
     registry = []
     if any(map(config.wants, ("axioms", "conjugation", "regularity", "orbit_coset"))):
         registry = [specs.group_from_string(label) for label in config.nonabelian_registry]
@@ -852,13 +870,10 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     # one sweep per abelian group serves all three swept checks, and one
     # per registry group the inner twists' regularity and orbit_coset; the
     # reports keep their places in the suite order
-    swept = tuple(c for c in _SWEPT if config.wants(c))
     inner_tids = tuple(c for c in ("regularity", "orbit_coset") if config.wants(c))
     merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
-    for g in G.abelian_group_types(config.abelian_order_cap) if swept else []:
-        # predicted before enumerating: no pair verdicts for groups with many
-        # automorphisms (Z2^4: 20,160)
-        predicted = G._abelian_automorphism_count(g)
+    for g, predicted in abelian:
+        # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept
                      if c != "alexander_iso" or predicted <= _ISO_PAIR_AUT_CAP)
         if not tids:

@@ -389,6 +389,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--check", "dihedral", "--range", "a..b")
         assert code == 2
 
+    def test_oversized_abelian_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        # refused from the predicted |Aut| counts, before any enumeration
+        calls = []
+        monkeypatch.setattr(G, "_automorphism_chunks", lambda *args, **kw: calls.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"abelian_order_cap": 64}))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert err == ("error: abelian_order_cap 64 asks for 20,179,427,626 automorphisms, "
+                       "over the budget of 16,777,216\n")
+
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--config", str(tmp_path / "none.json"))
         assert code == 2

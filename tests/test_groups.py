@@ -241,6 +241,24 @@ class TestTrustedConstructorsMatchTheFullCheck:
             assert checked.identity == g.identity, g.label
             assert (checked.inv == g.inv).all(), g.label
 
+    def test_dihedral_identity_and_inverses_by_formula(self, monkeypatch):
+        # make_dihedral hands _of_checked the identity 0 and the inverses
+        # r^i -> r^-i, reflections self-inverse, without searching the table
+        groups = [G.make_dihedral(m) for m in range(1, 65)]
+        for m, g in enumerate(groups, start=1):
+            assert g.identity == g._find_identity() == 0, m
+            assert g.inv.dtype == np.int64 and np.array_equal(g.inv, g._find_inverses()), m
+
+        def refuse(self):
+            raise AssertionError("a group law's table was searched")
+
+        monkeypatch.setattr(G.FiniteGroup, "_find_identity", refuse)
+        monkeypatch.setattr(G.FiniteGroup, "_find_inverses", refuse)
+        assert G.make_dihedral(64).order == 128
+        # make_cyclic, make_direct_product and make_abelian hand theirs over
+        # too; test_full_check_accepts_every_built_group compares them
+        assert G.make_direct_product(G.make_dihedral(3), G.make_abelian([2, 4])).order == 48
+
     def test_full_check_accepts_every_derived_automorphism(self, built_groups):
         for g in built_groups:
             autos = [G.identity_automorphism(g)]
@@ -436,6 +454,32 @@ class TestTwistSubgroup:
                 want = _closure(g, sorted(comms))
                 assert G.twist_subgroup(g, G.inner_automorphism(g, h)).members == want, \
                     (g.label, h)
+
+    def test_twist_masks_match_subgroup_generated(self, abelian_sweep, registry_groups,
+                                                  monkeypatch):
+        # every row of each family against the breadth-first closure of its
+        # twists phi(y)^-1 y, found once per distinct twist set: every
+        # automorphism of the abelian types of order <= 16, every registry
+        # group's inner family and all of S4's.  4,096 cells make slabs of
+        # 16 rows at order 16 and 7 at order 24, so the larger families
+        # close in several slabs
+        s4 = next(g for g in registry_groups if g.label == "S4")
+        families = [(g, np.stack([t.mapping for t in autos])) for g, autos in abelian_sweep]
+        families += [(g, g.mul[g.mul, g.inv[:, None]]) for g in registry_groups]
+        families.append((s4, G.enumerate_automorphisms(s4, cap=24)))
+        monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 4096)
+        rows = 0
+        for g, maps in families:
+            masks = G.twist_masks(g, maps)
+            assert masks.shape == maps.shape and masks.dtype == bool, g.label
+            closures = {}
+            for row, mask in zip(g.mul[g.inv[maps], np.arange(g.order)], masks):
+                twists = tuple(np.unique(row).tolist())
+                if twists not in closures:
+                    closures[twists] = G.subgroup_generated(g, twists).members
+                assert tuple(np.flatnonzero(mask).tolist()) == closures[twists], g.label
+            rows += len(maps)
+        assert rows == 20786 + 100 + 24
 
     def test_components_are_the_cosets_for_every_automorphism(self):
         # beyond the paper: any automorphism, neither abelian-case nor
@@ -683,6 +727,28 @@ class TestBatchedAutomorphismsMatchLoop:
             got = list(map(tuple, G.enumerate_automorphisms(moved, cap=cap).tolist()))
             assert got == _loop_enumerate_automorphisms(moved), moved.label
             assert len(got) == len(G.enumerate_automorphisms(base, cap=cap)), moved.label
+
+    def test_edges_run_unless_the_generators_are_a_basis(self, monkeypatch):
+        # Z2xZ4 relabelled so that index 1 is (1,1) and index 2 is (0,1):
+        # the greedy generators both have order 4, 4 * 4 = 16 is not |G| = 8,
+        # so the edge tests still run, and they keep its 8 automorphisms.
+        # In the standard labelling the generators (0,1) and (1,0) are a
+        # basis, and no edge is tested
+        base = G.make_abelian([2, 4])
+        perm = np.array([0, 2, 3, 4, 5, 1, 6, 7])      # old index -> new
+        back = np.argsort(perm)
+        moved = G.FiniteGroup(perm[base.mul[back][:, back]], label="Z2xZ4'")
+        assert [base.name(int(back[x])) for x in (1, 2)] == ["(1,1)", "(0,1)"]
+        real, edges = G._kept_rows, {}
+        monkeypatch.setattr(G, "_kept_rows", lambda group, law, start, stop: (
+            edges.setdefault(group.label, law[4]), real(group, law, start, stop))[1])
+        for g, orders in ((moved, [4, 4]), (base, [4, 2])):
+            assert [g.element_order(s) for s in G._greedy_generators(g)] == orders
+            got = list(map(tuple, G.enumerate_automorphisms(g).tolist()))
+            assert got == _loop_enumerate_automorphisms(g) and len(got) == 8, g.label
+        # the d n = 16 edges less the n - 1 = 7 the recipe builds
+        assert [len(xs) for xs in edges["Z2xZ4'"]] == [5, 4]
+        assert edges["Z2xZ4"] == []
 
     def test_results_are_automorphisms(self):
         g = G.make_abelian([2, 4])

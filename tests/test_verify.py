@@ -639,6 +639,46 @@ def _wrong_for_order(real, order, wrong):
     return patched
 
 
+def _wrong_masks(real, hit, wrong):
+    """real(group, maps), groups.twist_masks, except the mask of wrong(group)
+    in each row where hit(group, row, members) holds, members the real N's.
+    twist_subgroup reads twist_masks, so the checkers see the same fault."""
+    def patched(group, maps):
+        masks = real(group, maps)
+        for r, (row, mask) in enumerate(zip(maps, masks)):
+            if hit(group, row, tuple(np.flatnonzero(mask).tolist())):
+                masks[r] = G._mask(group.order, list(wrong(group).members))
+        return masks
+    return patched
+
+
+def _wrong_indices(real, hit, wrong):
+    """real(group, maps), groups.fixed_point_indices, except the index of
+    wrong(group) in each row where hit(group, row, fixed) holds, fixed the
+    members of the real Fix(phi)."""
+    def patched(group, maps):
+        index = real(group, maps)
+        for r, row in enumerate(maps):
+            if hit(group, row, tuple(np.flatnonzero(row == np.arange(group.order)).tolist())):
+                index[r] = wrong(group).index()
+        return index
+    return patched
+
+
+def _of_order(order):
+    """The hit of _wrong_masks or _wrong_indices for a subgroup of `order`."""
+    return lambda group, row, members: len(members) == order
+
+
+def _plant_fixed_for_order(monkeypatch, order, wrong):
+    """wrong(group) for every Fix(phi) of `order`: in fixed_point_subgroup,
+    the checkers' prediction, and in fixed_point_indices, the sweep's."""
+    monkeypatch.setattr(V.G, "fixed_point_subgroup",
+                        _wrong_for_order(G.fixed_point_subgroup, order, wrong))
+    monkeypatch.setattr(V.G, "fixed_point_indices",
+                        _wrong_indices(G.fixed_point_indices, _of_order(order), wrong))
+
+
 class TestAbelianSweepMatchesCheckers:
     """sweep_alexander's three checks against the per-instance checkers,
     which stay their reference."""
@@ -667,16 +707,16 @@ class TestAbelianSweepMatchesCheckers:
         assert ok03.all() and ok05.all()
 
     def test_one_prediction_per_difference_set(self, monkeypatch):
-        # the coset checks read twist_subgroup once per D class, and never
-        # the closed forms it replaced
+        # the coset checks pass twist_masks one row per D class, and never
+        # read the closed forms it replaced
         def refuse(*args):
             raise AssertionError("the sweep called a closed form")
 
-        real, calls = G.twist_subgroup, []
+        real, calls = G.twist_masks, []
         monkeypatch.setattr(V.G, "image_id_minus_t", refuse)
         monkeypatch.setattr(V.G, "commutator_subgroup_with", refuse)
-        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, phi: (
-            calls.append(phi.key()) or real(group, phi)))
+        monkeypatch.setattr(V.G, "twist_masks", lambda group, maps: (
+            calls.append(len(maps)) or real(group, maps)))
         abelian = G.make_abelian([2, 4])
         s4 = G.make_symmetric(4)
         for g, maps, tids in ((abelian, G.enumerate_automorphisms(abelian), V._SWEPT),
@@ -684,15 +724,14 @@ class TestAbelianSweepMatchesCheckers:
             calls.clear()
             result = V.sweep_alexander(g, maps, tids)
             assert all(ok.all() for ok, _ in result.values())
-            assert len(calls) == len(np.unique(Q.difference_sets(g, maps), axis=0)), g.label
+            assert sum(calls) == len(np.unique(Q.difference_sets(g, maps), axis=0)), g.label
 
     def test_failures_land_on_the_same_automorphisms(self, abelian_sweep, monkeypatch):
         # wrong predictions for every t with |im(id - t)| = 4 or |Fix(t)| = 2
         trivial = lambda group: G.Subgroup(group, [group.identity])
-        monkeypatch.setattr(V.G, "twist_subgroup",
-                            _wrong_for_order(G.twist_subgroup, 4, trivial))
-        monkeypatch.setattr(V.G, "fixed_point_subgroup",
-                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        monkeypatch.setattr(V.G, "twist_masks",
+                            _wrong_masks(G.twist_masks, _of_order(4), trivial))
+        _plant_fixed_for_order(monkeypatch, 2, trivial)
         for g, autos in abelian_sweep:
             if g.label in ("Z4xZ4", "Z2xZ6", "Z8", "Z2xZ2xZ2"):
                 ok03, w03, ok05, w05 = self._check(g, autos)
@@ -706,10 +745,9 @@ class TestAbelianSweepMatchesCheckers:
         # one difference set per chunk: the first failing automorphism's
         # chunk need not be the first chunk with a failure
         trivial = lambda group: G.Subgroup(group, [group.identity])
-        monkeypatch.setattr(V.G, "twist_subgroup",
-                            _wrong_for_order(G.twist_subgroup, 4, trivial))
-        monkeypatch.setattr(V.G, "fixed_point_subgroup",
-                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        monkeypatch.setattr(V.G, "twist_masks",
+                            _wrong_masks(G.twist_masks, _of_order(4), trivial))
+        _plant_fixed_for_order(monkeypatch, 2, trivial)
         monkeypatch.setattr(G, "_FAMILY_CHUNK_CELLS", 1)
         for g, autos in abelian_sweep:
             if g.label in ("Z4xZ4", "Z2xZ6", "Z2xZ2xZ2"):
@@ -736,9 +774,11 @@ class TestAbelianSweepMatchesCheckers:
         fixes = [real(g, t).members for t in autos]
         failing = [i for i, f in enumerate(fixes) if f == fixes[32]]
         assert failing[0] == 32 and min(d_of[i] for i in failing) < d_of[32]
+        trivial = lambda group: G.Subgroup(group, [group.identity])
         monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda group, t: (
-            G.Subgroup(group, [group.identity]) if real(group, t).members == fixes[32]
-            else real(group, t)))
+            trivial(group) if real(group, t).members == fixes[32] else real(group, t)))
+        monkeypatch.setattr(V.G, "fixed_point_indices", _wrong_indices(
+            G.fixed_point_indices, lambda group, row, fixed: fixed == fixes[32], trivial))
         ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
         assert np.flatnonzero(~ok).tolist() == failing
         assert any(d_of[i] == d_of[32] for i in np.flatnonzero(ok))
@@ -827,6 +867,7 @@ class TestAbelianSweepMatchesCheckers:
                 return 99
 
         monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda a, b: FakeSub())
+        monkeypatch.setattr(V.G, "fixed_point_indices", lambda group, maps: np.full(len(maps), 99))
         ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
         assert not ok.any()
         assert detail == V.check_generalized_regularity(g, autos[0]).witness
@@ -872,11 +913,10 @@ class TestAbelianSweepMatchesCheckers:
         # unequal sizes, and non-isomorphic with equal sizes, both fail
         g = G.make_abelian([2, 4])
         autos = _autos(g)
-        real = G.twist_subgroup
-        wrong = {real(g, autos[1]).members, real(g, autos[5]).members}
-        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, t: (
-            G.Subgroup(group, [group.identity]) if real(group, t).members in wrong
-            else real(group, t)))
+        wrong = {G.twist_subgroup(g, autos[1]).members, G.twist_subgroup(g, autos[5]).members}
+        monkeypatch.setattr(V.G, "twist_masks", _wrong_masks(
+            G.twist_masks, lambda group, row, members: members in wrong,
+            lambda group: G.Subgroup(group, [group.identity])))
         pairs = [(i, j) for i in range(len(autos)) for j in range(len(autos))]
         verdict, witnesses = self._check_iso(g, autos, pairs)
         assert not all(verdict.values())
@@ -1031,8 +1071,7 @@ class TestRegistrySweepMatchesCheckers:
 
     def test_failures_land_on_the_same_automorphisms(self, registry_groups, monkeypatch):
         trivial = lambda group: G.Subgroup(group, [group.identity])
-        monkeypatch.setattr(V.G, "fixed_point_subgroup",
-                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        _plant_fixed_for_order(monkeypatch, 2, trivial)
         g = next(g for g in registry_groups if g.label == "D4")
         autos = _autos(g)
         ok, detail = V.sweep_alexander(g, _maps(autos), ("regularity",))["regularity"]
@@ -1060,8 +1099,7 @@ class TestRegistrySweepMatchesCheckers:
     def test_suite_report_equals_merged_checkers(self, monkeypatch):
         # the report the per-instance loop gave: checker reports merged
         trivial = lambda group: G.Subgroup(group, [group.identity])
-        monkeypatch.setattr(V.G, "fixed_point_subgroup",
-                            _wrong_for_order(G.fixed_point_subgroup, 2, trivial))
+        _plant_fixed_for_order(monkeypatch, 2, trivial)
         cfg = V.SuiteConfig(checks=("regularity",), abelian_order_cap=1,
                             nonabelian_registry=("S3", "D4", "D5"))
         got = [r for r in V.run_suite(cfg) if "inner" in r.instance]
@@ -1192,12 +1230,11 @@ class TestStackedOrbitCoset:
     def test_wrong_subgroup_is_not_normal(self, monkeypatch):
         # <(12)> in place of <[h, x]> = A4 for every h with that subgroup
         g = G.make_symmetric(4)
-        real = G.twist_subgroup
         a4 = G.commutator_subgroup_with(g, g.index_of("(12)")).members
         sharing = [x for x in range(g.order) if G.commutator_subgroup_with(g, x).members == a4]
         wrong = G.subgroup_generated(g, [g.index_of("(12)")])
-        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, phi: (
-            wrong if real(group, phi).members == a4 else real(group, phi)))
+        monkeypatch.setattr(V.G, "twist_masks", _wrong_masks(
+            G.twist_masks, lambda group, row, members: members == a4, lambda group: wrong))
         ok = self._check(g)
         assert np.flatnonzero(~ok).tolist() == sharing
         assert V.check_orbit_coset(g, g.index_of("(12)")).witness == {
@@ -1378,11 +1415,10 @@ class TestStreamedSweep:
         g, chunks, maps = self._z2_4(monkeypatch)
         dsets = Q.difference_sets(g, maps)
         key, first = self._latest_class(dsets, len(chunks[0]))
-        real = G.twist_subgroup
-        monkeypatch.setattr(V.G, "twist_subgroup", lambda group, phi: (
-            G.Subgroup(group, [group.identity])
-            if Q.difference_sets(group, phi.mapping[None])[0].tobytes() == key
-            else real(group, phi)))
+        monkeypatch.setattr(V.G, "twist_masks", _wrong_masks(
+            G.twist_masks,
+            lambda group, row, members: Q.difference_sets(group, row[None])[0].tobytes() == key,
+            lambda group: G.Subgroup(group, [group.identity])))
         got, want = self._both(g, chunks, maps)
         assert got == want
         (_, _, passed, witness), = got[0]
@@ -1396,10 +1432,13 @@ class TestStreamedSweep:
         g, chunks, maps = self._z2_4(monkeypatch)
         key, first = self._latest_class(maps == np.arange(g.order), len(chunks[0]))
         real = G.fixed_point_subgroup
+        trivial = lambda group: G.Subgroup(group, [group.identity])
         monkeypatch.setattr(V.G, "fixed_point_subgroup", lambda group, phi: (
-            G.Subgroup(group, [group.identity])
-            if (phi.mapping == np.arange(group.order)).tobytes() == key
+            trivial(group) if (phi.mapping == np.arange(group.order)).tobytes() == key
             else real(group, phi)))
+        monkeypatch.setattr(V.G, "fixed_point_indices", _wrong_indices(
+            G.fixed_point_indices,
+            lambda group, row, fixed: (row == np.arange(group.order)).tobytes() == key, trivial))
         got, want = self._both(g, chunks, maps)
         assert got == want
         (_, _, passed, witness), = got[1]
@@ -1471,6 +1510,35 @@ class TestAutomorphismCountCheck:
         # the other five groups of order <= 5 pass all three
         assert len(reports) - len(failing) == 3 * 5
 
+    def test_budget_lets_cap_63_through(self, monkeypatch):
+        # the 10,114,762 automorphisms of the types of order <= 63 fit in
+        # 2^24: the run reaches its first enumeration, which the spy stops
+        class Reached(Exception):
+            pass
+
+        def stop(group, cap):
+            raise Reached(group.label)
+
+        total = sum(G._abelian_automorphism_count(g) for g in G.abelian_group_types(63))
+        assert total == 10_114_762 <= V._AUT_BUDGET
+        monkeypatch.setattr(V.G, "_automorphism_chunks", stop)
+        cfg = V.SuiteConfig(abelian_order_cap=63, checks=("regularity",), nonabelian_registry=())
+        with pytest.raises(Reached, match="^Z1$"):
+            V.run_suite(cfg)
+
+    def test_budget_refuses_cap_64_before_any_check(self, monkeypatch):
+        # Z2^6 alone has 20,158,709,760 automorphisms
+        calls = []
+        monkeypatch.setattr(V.G, "_automorphism_chunks", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(V, "check_axioms", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^abelian_order_cap 64 asks for 20,179,427,626 "
+                                             "automorphisms, over the budget of 16,777,216$"):
+            V.run_suite(V.SuiteConfig(abelian_order_cap=64))
+        assert calls == []
+        # without a swept check nothing is enumerated, so nothing is refused
+        cfg = V.SuiteConfig(abelian_order_cap=64, checks=("dihedral",), dihedral_range=(3, 3))
+        assert [r.passed for r in V.run_suite(cfg)] == [True] and calls == []
+
     def test_the_count_is_read_from_the_pairs_alone(self):
         # Z2xZ4 has 8 automorphisms, so 36 pairs i <= j
         g = G.make_abelian([2, 4])
@@ -1498,13 +1566,13 @@ class TestSweepTiming:
         assert 0 < total <= after - before
 
     def test_own_predictions_are_charged_to_their_check(self, monkeypatch):
-        real = G.fixed_point_subgroup
+        real = G.fixed_point_indices
 
-        def slow(group, phi):
-            V.time.sleep(0.02)
-            return real(group, phi)
+        def slow(group, maps):
+            V.time.sleep(0.02 * len(maps))
+            return real(group, maps)
 
-        monkeypatch.setattr(V.G, "fixed_point_subgroup", slow)
+        monkeypatch.setattr(V.G, "fixed_point_indices", slow)
         g = G.make_abelian([4])
         reports = V._sweep_reports(g, G.enumerate_automorphisms(g),
                                    ("alexander_components", "regularity"))
