@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .groups import _block_of, _blocks_by_label, as_integer, breadth_first
-from .quandles import Quandle, _orbit_labels
+from .quandles import Quandle, _as_list, _orbit_labels
 
 ISOMORPHISM_CAP = 64
 
@@ -417,8 +417,13 @@ def graph_from_json(obj) -> DirectedGraph:
     for key in ("n", "edges"):
         if key not in obj:
             raise ValueError(f"graph JSON missing key {key!r}")
-    return DirectedGraph(obj["n"], [tuple(e) for e in obj["edges"]],
-                         names=obj.get("names"))
+    edges = _as_list(obj["edges"], "edges must be a list of [u, v] pairs")
+    bad = next((e for e in edges if not isinstance(e, (list, tuple)) or len(e) != 2), None)
+    if bad is not None:
+        raise ValueError(f"edge {bad!r} is not a pair")
+    names = obj.get("names")
+    return DirectedGraph(obj["n"], edges,
+                         names=None if names is None else _as_list(names, "names must be a list"))
 
 
 # -- the integer quandle window ----------------------------------------------

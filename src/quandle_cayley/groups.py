@@ -75,13 +75,13 @@ def _generating_set(op: np.ndarray, limit: int | None = None,
     op, of those picked before it.  Stops early once more than `limit`
     generators are picked.
 
-    classes, when given, maps each element y to the least element of its
-    class, an equivalence under which op[:, y] depends only on y's class.
-    The closure then also takes in the whole class of every element that
-    joins it, and needs only one right operand per class.  _reduced_scan
-    puts y and y' in one class when their right translations are equal,
-    and the set of elements whose right translation is an automorphism is
-    closed under both steps.
+    classes maps each element y to the least element of its class, an
+    equivalence under which op[:, y] depends only on y's class; without it
+    each element is its own class.  The closure also takes in the whole
+    class of every element that joins it, and needs only one right operand
+    per class.  _reduced_scan puts y and y' in one class when their right
+    translations are equal, and the set of elements whose right
+    translation is an automorphism is closed under both steps.
 
     The closure grows semi-naively: the elements that join it in one round
     are combined with every member, both ways round, so every ordered pair
@@ -89,10 +89,11 @@ def _generating_set(op: np.ndarray, limit: int | None = None,
     (O(n k) with k classes).
     """
     n = op.shape[0]
+    if classes is None:
+        classes = np.arange(n)
     outside = np.ones(n, dtype=bool)
     members = np.empty(n, dtype=np.intp)    # every element inside, as left operands
-    # one element per class inside, as right operands: all members without classes
-    right = members if classes is None else np.empty(n, dtype=np.intp)
+    right = np.empty(n, dtype=np.intp)      # one element per class inside, as right operands
     count = rcount = 0
     gens = []
     for x in range(n):
@@ -104,8 +105,7 @@ def _generating_set(op: np.ndarray, limit: int | None = None,
         fresh = np.zeros(n, dtype=bool)
         fresh[x] = True                         # x is the least of its class
         while True:
-            if classes is not None:
-                fresh = fresh[classes]          # each marked least member takes in its class
+            fresh = fresh[classes]              # each marked least member takes in its class
             fresh &= outside
             new = fresh.nonzero()[0]
             if not new.size:
@@ -113,15 +113,13 @@ def _generating_set(op: np.ndarray, limit: int | None = None,
             outside ^= fresh
             members[count:count + new.size] = new
             count += new.size
-            rnew = new
-            if classes is not None:
-                rnew = new[classes[new] == new]
-                right[rcount:rcount + rnew.size] = rnew
+            rnew = new[classes[new] == new]
+            right[rcount:rcount + rnew.size] = rnew
             rcount += rnew.size
             fresh = np.zeros(n, dtype=bool)
             for prods in (op[new[:, None], right[:rcount]],                 # new op any
                           op[members[:count - new.size, None], rnew]):      # old op new
-                fresh[prods if classes is None else classes[prods]] = True
+                fresh[classes[prods]] = True
     return np.array(gens, dtype=np.intp)
 
 

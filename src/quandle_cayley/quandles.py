@@ -64,13 +64,13 @@ _PAIR_CHUNK_CELLS = 1 << 15
 def _columns(rhd: np.ndarray) -> tuple:
     """(cols, rep) for a gated table: cols[y] = R_y, the right translation
     x -> x |> y, as one transposed copy (int32 while n^2 fits it), and
-    rep[y] the least y' with R_y' = R_y, or None when the n columns are
-    distinct.  Columns are told apart by their bytes, so rep is exact."""
+    rep[y] the least y' with R_y' = R_y.  Columns are told apart by their
+    bytes, so rep is exact."""
     n = rhd.shape[0]
     cols = np.ascontiguousarray(rhd.T, dtype=np.int32 if n < 46341 else np.int64)
     least = {}
     rep = np.array([least.setdefault(col.tobytes(), y) for y, col in enumerate(cols)])
-    return cols, (None if len(least) == n else rep)
+    return cols, rep
 
 
 def _reduced_scan(rhd: np.ndarray, columns: tuple | None = None) -> tuple | None:
@@ -112,12 +112,10 @@ def _reduced_scan(rhd: np.ndarray, columns: tuple | None = None) -> tuple | None
     cols, rep = _columns(rhd) if columns is None else columns
     gens = _generating_set(rhd, limit=n // 2, classes=rep)
     if 2 * gens.size <= n:
-        ys = np.arange(n)
-        if rep is not None:
-            image = rep[cols[gens]]             # image[i, y]: class of R_z(y), z = gens[i]
-            if (image != image[:, rep]).any():
-                return _full_scan(rhd)
-            ys = (rep == ys).nonzero()[0]
+        image = rep[cols[gens]]                 # image[i, y]: class of R_z(y), z = gens[i]
+        if (image != image[:, rep]).any():
+            return _full_scan(rhd)
+        ys = (rep == np.arange(n)).nonzero()[0]
         step = max(1, _PAIR_CHUNK_CELLS // (gens.size * n))
         if not any(_translation_mismatch(cols, gens, ys[s:s + step]).any()
                    for s in range(0, ys.size, step)):
@@ -151,20 +149,19 @@ def _axiom_report(rhd: np.ndarray) -> AxiomReport:
 
     columns = _columns(rhd)
     cols, rep = columns
-    distinct = cols if rep is None else cols[rep == idx]    # one column per class
+    leads = np.flatnonzero(rep == idx)  # the least column of each class
+    distinct = cols[leads]
     seen = np.zeros(distinct.shape, dtype=bool)
     seen[np.arange(len(distinct))[:, None], distinct] = True  # seen[c, v]: v in column c
     inv_ok = bool(seen.all())
     inv_wit = None
     if not inv_ok:
-        for y in range(n):
-            col = rhd[:, y]
-            counts = np.bincount(col, minlength=n)
-            dup = np.nonzero(counts > 1)[0]
-            if dup.size:
-                x1, x2 = np.nonzero(col == dup[0])[0][:2]
-                inv_wit = (int(y), int(x1), int(x2))
-                break
+        # equal columns fail together, so the first failing column leads its class
+        y = int(leads[np.argmin(seen.all(axis=1))])
+        col = rhd[:, y]
+        dup = np.argmax(np.bincount(col, minlength=n) > 1)     # the least repeated value
+        x1, x2 = np.flatnonzero(col == dup)[:2]
+        inv_wit = (y, int(x1), int(x2))
 
     dist_wit = _reduced_scan(rhd, columns) if inv_ok else _full_scan(rhd)
     dist_ok = dist_wit is None

@@ -15,10 +15,10 @@ A Cayley graph of phi(x y^-1) y depends only on the set
 D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
 D.  The coset checks predict from one subgroup, N = <phi(y)^-1 y> = <D>:
 im(id - t) in the paper's abelian theorems, <[h, x]> in its inner one.
-Its mask, its coset block matrix and each [G : Fix(phi)] come from
-whole-array operations over the family's rows (groups.twist_masks,
-groups.fixed_point_indices); only orbit_coset's normality test builds a
-Subgroup, once per distinct N.
+Its mask, its coset block matrix, orbit_coset's normality test and
+translations, and each [G : Fix(phi)] come from whole-array operations
+over the family's rows (groups.twist_masks, groups.fixed_point_indices);
+the sweep builds no Subgroup.
 alexander_components and orbit_coset give one verdict per D class;
 regularity's [G : Fix(phi)] can differ inside a class, so each
 automorphism is judged by its class's degrees.
@@ -174,7 +174,8 @@ def check_axioms(label: str, table) -> VerificationReport:
 
 
 def check_trivial_edgeless(n: int) -> VerificationReport:
-    """Loops-only is exactly triviality: T_n edgeless, non-trivial peers not."""
+    """Loops-only is exactly triviality: T_n edgeless, non-trivial peers not
+    (R_n is trivial only when n divides 2, and S3 and S4 are non-abelian)."""
     start = time.perf_counter()
     failures = []
     triv = Q.trivial_quandle(n)
@@ -188,8 +189,6 @@ def check_trivial_edgeless(n: int) -> VerificationReport:
     if n == 24:
         candidates.append(Q.conjugation_quandle(G.make_symmetric(4)))
     for q in candidates:
-        if (q.rhd == triv.rhd).all():
-            continue
         if gr.is_edgeless(gr.build_cayley_graph(q)):
             failures.append({"nontrivial_but_edgeless": q.label})
     return _report("trivial_edgeless", f"n={n}", start, failures)
@@ -320,28 +319,6 @@ def _iso_classes(matrices: list) -> np.ndarray:
     return class_of
 
 
-def _coset_translations(g: G.FiniteGroup, cosets: np.ndarray) -> tuple:
-    """The coset translations check_orbit_coset tests, from coset 0 to each
-    coset j >= 1 of a normal N, the cosets numbered by their least members
-    and given by their block matrix: coset 0 as an array, and in row j - 1
-    its image under x -> x u^-1 v_j (u and v_j the least members of cosets
-    0 and j).  That image is u N u^-1 v_j = v_j N, coset j, since N is
-    normal."""
-    least = np.unique(cosets.argmax(axis=1))       # each coset's least member, ascending
-    base = np.flatnonzero(cosets[least[0]])
-    shift = g.mul[g.inv[least[0]], least[1:]]
-    return base, g.mul[base[None, :], shift[:, None]]
-
-
-def _translations_ok(adj: np.ndarray, base, image) -> np.ndarray:
-    """ok[r, j - 1]: translation j of _coset_translations carries every
-    edge and non-edge of block 0 in matrix adj[r] to its image,
-    m[x s, y s] == m[x, y], in one gather."""
-    moved = adj[:, image[:, :, None], image[:, None, :]]
-    here = adj[:, base[:, None], base[None, :]]
-    return (moved == here[:, None]).all(axis=(2, 3))
-
-
 class _ClassTable:
     """Numbers the distinct rows of a stream of 2-D bool chunks in order of
     first appearance over the whole stream, from a table keyed by their
@@ -371,10 +348,9 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     iterable maps yields in turn (groups._automorphism_chunks), so a large
     family is read as a stream and never held whole.  alexander_components
     and alexander_iso are abelian theorems; regularity takes any group.
-    alexander_iso gives one verdict per pair and keeps every row, so keep
-    the family small for it.  orbit_coset reads row h as conjugation by h,
-    so maps must be the inner family g.mul[g.mul, g.inv[:, None]], as one
-    array.
+    alexander_iso gives one verdict per pair, so keep the family small for
+    it.  orbit_coset reads row h as conjugation by h, so maps must be the
+    inner family g.mul[g.mul, g.inv[:, None]], as one array.
 
     Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
     (quandles.alexander_adjacency), so the matrix depends on the mask of D
@@ -413,9 +389,9 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     orbit_coset: N is normal, the reachability closure of the matrix
     (forward orbits) is the coset block matrix, and right multiplication
     by u^-1 v carries coset 0 onto each other coset, edges and non-edges
-    alike; normality and translations are found once per distinct N.  A
-    non-normal N fails by itself, so the translations matter only for a
-    normal N, where each carries coset 0 onto its target coset.
+    alike (u and v the cosets' least members), each judged by whole-array
+    steps on a slab of D classes.  A non-normal N fails by itself, so the
+    translations matter only for a normal N.
 
     The D classes are numbered in order of first appearance and are built
     in class order, so the first failing class the sweep meets holds the
@@ -448,20 +424,20 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     witness: dict = {}                 # per check: its first failing automorphism's
     coset_tids = [c for c in check_ids if c != "regularity"]     # the checks that read N
     left = g.mul[g.inv]                # left[x, v] = x^-1 v, in N exactly when v is in x N
+    right = g.mul.T[g.inv]             # right[x, v] = v x^-1, in N exactly when v is in N x
     sizes = []                         # for alexander_iso: per chunk, |N| of its new D classes
-    distinct: dict = {}                # for orbit_coset: packed mask -> index of each distinct N
-    n_members, normal, shifts = [], [], []          # per distinct N
+    firsts = []                        # for alexander_iso: per chunk, its new D classes' first rows
     degrees, commons = [], []          # per block of D classes: out, in; the common degree
     regular_ok = []                    # per chunk: regularity's verdicts
-    matrices, kept = [], []            # for alexander_iso: per D class; per chunk
+    matrices = []                      # for alexander_iso: per D class
     rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
     for chunk in ((maps,) if isinstance(maps, np.ndarray) else maps):
         ids, d_new = d_table.number(Q.difference_sets(g, chunk))
         d_ids.append(ids)
-        if "alexander_iso" in check_ids:
-            kept.append(chunk)
         clock.charge(*check_ids)
         reps = chunk[d_new]            # the first member of each new D class
+        if "alexander_iso" in check_ids:
+            firsts.append(reps)
         if coset_tids:
             masks = G.twist_masks(g, reps)          # per new D class: its N
             sizes.append(np.count_nonzero(masks, axis=1))
@@ -469,23 +445,14 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         if "regularity" in check_ids:
             expected = G.fixed_point_indices(g, chunk)
             clock.charge("regularity")
-        if "orbit_coset" in check_ids:
-            nq_new = np.empty(len(masks), dtype=np.intp)    # per new D class: its N's index
-            for c, mask in enumerate(masks):
-                nq_new[c] = j = distinct.setdefault(mask.tobytes(), len(distinct))
-                if j == len(n_members):
-                    members = np.flatnonzero(mask)
-                    n_members.append(members.tolist())
-                    normal.append(G.is_normal(g, G.Subgroup._of_checked(g, members)))
-                    shifts.append(_coset_translations(g, mask[left]))
-            clock.charge("orbit_coset")
         for c0 in range(0, len(reps), rows):
             adj = Q.alexander_adjacency(g, reps[c0:c0 + rows])
             if "alexander_iso" in check_ids:
                 matrices.extend(adj)
             clock.charge(*check_ids)
             if ok_d:
-                want = np.take(masks[c0:c0 + len(adj)], left, axis=1)     # the coset block matrices
+                slab = masks[c0:c0 + len(adj)]
+                want = np.take(slab, left, axis=1)      # the coset block matrices
                 clock.charge(*ok_d)
             if "alexander_components" in check_ids:
                 ok = (adj == want).all(axis=(1, 2))
@@ -507,28 +474,34 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
                                         block[:, 0, 0], 0))
                 clock.charge("regularity")
             if "orbit_coset" in check_ids:
-                nq = nq_new[c0:c0 + len(adj)]
+                # N is normal exactly when every left coset x N is the right coset N x
+                normal = (np.take(slab, right, axis=1) == want).all(axis=(1, 2))
                 # row x of the reachability closure is the forward orbit of x
                 orbits = gr._reachability(adj)
                 stray = (orbits != want).any(axis=2)
-                moves = np.ones(len(adj), dtype=bool)
-                for j in np.unique(nq):
-                    at = np.flatnonzero(nq == j)
-                    moves[at] = _translations_ok(adj[at], *shifts[j]).all(axis=1)
-                ok = np.array(normal)[nq] & ~stray.any(axis=1) & moves
+                # the cosets are numbered by the rank of their least members,
+                # so coset 0 holds 0.  For a normal N, back[x] = x v^-1 u, with
+                # v the least member of x N and u that of coset 0, inverts the
+                # translation by u^-1 v from coset 0, which keeps every edge and
+                # non-edge exactly when no cell of its coset is torn
+                least = want.argmax(axis=2)
+                back = g.mul[g.mul[np.arange(n), g.inv[least]], least[:, :1]]
+                flat = (np.arange(len(adj))[:, None, None] * n + back[:, :, None]) * n
+                torn = want & (np.take(adj, flat + back[:, None, :]) != adj)
+                ok = normal & ~stray.any(axis=1) & ~torn.any(axis=(1, 2))
                 ok_d["orbit_coset"].append(ok)
                 if not ok.all() and "orbit_coset" not in witness:
                     c = int(np.argmin(ok))
-                    j = nq[c]
-                    if not normal[j]:
-                        found = {"not_normal": n_members[j]}
+                    if not normal[c]:
+                        found = {"not_normal": np.flatnonzero(slab[c]).tolist()}
                     elif stray[c].any():
                         x = int(np.argmax(stray[c]))
                         found = {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
                                                     "coset": np.flatnonzero(want[c, x]).tolist()}}
                     else:
-                        moved = _translations_ok(adj[c][None], *shifts[j])[0]
-                        found = {"translation_not_isomorphism": (0, int(np.argmin(moved)) + 1)}
+                        v = least[c][torn[c].any(axis=1)].min()
+                        found = {"translation_not_isomorphism":
+                                 (0, int(np.searchsorted(np.unique(least[c]), v)))}
                     witness["orbit_coset"] = found
                 clock.charge("orbit_coset")
         if "regularity" in check_ids:
@@ -553,16 +526,20 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     if "regularity" in check_ids:
         out["regularity"] = (np.concatenate(regular_ok), witness.get("regularity"))
     if "alexander_iso" in check_ids:
-        family = np.concatenate(kept)
         size = np.concatenate(sizes)[d_of]
         cls = _iso_classes(matrices)[d_of]
-        first, second = np.triu_indices(len(family))
+        first, second = np.triu_indices(len(d_of))
         ok = (cls[first] == cls[second]) == (size[first] == size[second])
+        # a pair's verdict depends only on its two D classes, symmetrically,
+        # so in the first failing pair (a, b), a <= b, each is its class's
+        # first member: an earlier first member a' of a's class would fail
+        # (a', b) before it, and one b' of b's class (a, b') or (b', a)
         p = int(np.argmin(ok))          # the first failing pair, read only on a failure
         a, b = int(first[p]), int(second[p])
+        t1, t2 = np.concatenate(firsts)[d_of[[a, b]]].tolist()
         out["alexander_iso"] = (ok, None if ok.all() else {
             "iso": bool(cls[a] == cls[b]), "image_sizes": (int(size[a]), int(size[b])),
-            "t1": family[a].tolist(), "t2": family[b].tolist()})
+            "t1": t1, "t2": t2})
         clock.charge("alexander_iso")
     return out
 

@@ -128,6 +128,16 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             gr.graph_from_json({"n": 3, "edges": [[0, 1, 2]]})
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"n": 2, "edges": 5}, "edges"),
+        ({"n": 2, "edges": None}, "edges"),
+        ({"n": 2, "edges": [5]}, "edge 5 is not a pair"),
+        ({"n": 2, "edges": [[0, 1]], "names": 5}, "names"),
+    ])
+    def test_from_json_refuses_wrongly_typed_fields(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            gr.graph_from_json(obj)
+
     def test_matrix(self):
         g = gr.DirectedGraph(2, [(0, 1), (1, 1)])
         assert g.matrix().tolist() == [[False, True], [False, True]]

@@ -294,8 +294,7 @@ class TestReducedDistributivityScan:
                      Q.trivial_quandle(6).rhd])
         for t in tables:
             cols, rep = Q._columns(t)
-            # None when every column is distinct
-            assert (_least_equal_columns(t) == (np.arange(len(t)) if rep is None else rep)).all()
+            assert (_least_equal_columns(t) == rep).all()
             assert (cols == t.T).all() and cols.flags["C_CONTIGUOUS"]
             gens = Q._generating_set(t, classes=rep).tolist()
             assert _closure(t, gens, rep) == set(range(len(t)))
