@@ -488,8 +488,9 @@ def negation_automorphism(g: FiniteGroup) -> Automorphism:
 def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
     """2x2 integer matrix acting on a product of two cyclic groups of order n.
 
-    The group must have order n^2 with the make_abelian([n, n]) index layout
-    (element (x, y) at index x*n + y).  The matrix [[a, b], [c, d]] sends
+    The group's table must be the law of Zn x Zn in the make_abelian([n, n])
+    index layout (element (x, y) at index x*n + y); any other group of order
+    n^2 is refused, whatever its layout.  The matrix [[a, b], [c, d]] sends
     (x, y) to (a x + b y, c x + d y) mod n, and must be invertible mod n.
     The entries must be integers: floats are not rounded, and bools, which
     are ints to Python, are refused.
@@ -501,15 +502,15 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
     if not all(_is_integer(v) for r in rows for v in r):
         raise ValueError("matrix automorphism entries must be integers")
     mat = [[int(v) for v in r] for r in rows]
-    n = int(round(g.order ** 0.5))
-    if n * n != g.order:
-        raise ValueError(f"{g.label} is not a product of two equal cyclic groups")
+    n = math.isqrt(g.order)
+    x, y = np.divmod(np.arange(g.order), n)
+    if n * n != g.order or not np.array_equal(
+            g.mul, (x[:, None] + x) % n * n + (y[:, None] + y) % n):
+        raise ValueError(f"{g.label} is not Zn x Zn in the make_abelian([n, n]) layout")
     (a, b), (c, d) = mat
     det = (a * d - b * c) % n
     if math.gcd(det, n) != 1:
         raise ValueError(f"matrix determinant {det} is not invertible mod {n}")
-    idx = np.arange(g.order)
-    x, y = idx // n, idx % n
     images = ((a * x + b * y) % n) * n + (c * x + d * y) % n
     return Automorphism(g, images)
 

@@ -384,17 +384,6 @@ def _translation_mismatch(cols: np.ndarray, zs: np.ndarray, ys: np.ndarray) -> n
     return np.take(rz, cols[ys], axis=1) != np.take(cols.ravel(), rhs)
 
 
-def translation_defect(rhd: np.ndarray, b: int) -> tuple | None:
-    """First (x, y) where right translation by b fails to be an automorphism,
-    i.e. (x |> y) |> b != (x |> b) |> (y |> b); None when it is one."""
-    n = rhd.shape[0]
-    diff = _translation_mismatch(np.ascontiguousarray(rhd.T), np.array([b]), np.arange(n))[0]
-    if not diff.any():
-        return None
-    x, y = np.argwhere(diff.T)[0]
-    return int(x), int(y)
-
-
 class PermGroup:
     """A permutation group on 0..degree-1, stored as the full member set."""
 

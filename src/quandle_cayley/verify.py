@@ -19,9 +19,11 @@ Its mask, its coset block matrix, orbit_coset's normality test and
 translations, and each [G : Fix(phi)] come from whole-array operations
 over the family's rows (groups.twist_masks, groups.fixed_point_indices);
 the sweep builds no Subgroup.
-alexander_components and orbit_coset give one verdict per D class;
-regularity's [G : Fix(phi)] can differ inside a class, so each
-automorphism is judged by its class's degrees.
+alexander_components and orbit_coset give one verdict per D class.
+z -> phi(z) z^-1 takes one value on each left coset of Fix(phi), so
+|D| = [G : Fix(phi)], though Fix(phi) itself can differ inside a class;
+regularity judges each automorphism against its own index, since one
+per class would assume the theorem being checked.
 Like the family constructors, the sweep takes its tables to be quandles,
 as phi(x y^-1) y is for every automorphism, and does not scan them again.
 The per-instance checkers stay the tests' reference for the sweep, and
@@ -274,28 +276,6 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
 # -- batched sweeps over families of automorphisms ----------------------------
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D bool array, in order of first appearance:
-    the index of each one's first row, and for every row the position of
-    its distinct row in that order."""
-    # packbits runs far faster on a flat array than along an axis, so the
-    # rows are padded to whole 64-bit words, packed as one and read as one
-    # key per word
-    k, n = rows.shape
-    width = -(-n // 64) * 64
-    padded = np.zeros((k, width), dtype=bool)
-    padded[:, :n] = rows
-    keys = np.packbits(padded.ravel()).view(np.uint64).reshape(k, -1)
-    order = np.lexsort(keys.T)        # stable: each run of equal rows starts at its first
-    run = np.ones(k, dtype=bool)
-    run[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    label = np.empty(k, dtype=np.intp)
-    label[order] = np.cumsum(run) - 1
-    first = order[run]
-    appear = np.argsort(first)
-    return first[appear], np.argsort(appear)[label]
-
-
 def _iso_classes(matrices: list) -> np.ndarray:
     """Isomorphism class id of each adjacency matrix in a list of distinct
     ones.
@@ -322,7 +302,7 @@ def _iso_classes(matrices: list) -> np.ndarray:
 class _ClassTable:
     """Numbers the distinct rows of a stream of 2-D bool chunks in order of
     first appearance over the whole stream, from a table keyed by their
-    packed bytes."""
+    packed words."""
 
     def __init__(self):
         self.ids: dict = {}             # packed row -> class id
@@ -331,13 +311,26 @@ class _ClassTable:
         """The int32 class id of each row of this chunk, and the row index
         of the first member of each class the chunk is the first to meet,
         in id order."""
-        first, of = _distinct_rows(rows)
+        # packbits runs far faster on a flat array than along an axis, so the
+        # rows are padded to whole 64-bit words, packed once and read as one
+        # key per word by the sort, the runs and the table alike
+        k, n = rows.shape
+        padded = np.zeros((k, -(-n // 64) * 64), dtype=bool)
+        padded[:, :n] = rows
+        keys = np.packbits(padded.ravel()).view(np.uint64).reshape(k, -1)
+        order = np.lexsort(keys.T)        # stable: each run of equal rows starts at its first
+        run = np.ones(k, dtype=bool)
+        run[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        first = order[run]
+        appear = np.argsort(first)        # the runs in order of first appearance
+        label = np.empty(k, dtype=np.intp)
+        label[order] = np.argsort(appear)[np.cumsum(run) - 1]
+        first = first[appear]
         count = len(self.ids)
-        # the chunk's classes in their order of first appearance, so the
-        # ids the stream has not met are handed out in that order too
+        # the ids the stream has not met are handed out in that order too
         ids = np.array([self.ids.setdefault(key.tobytes(), len(self.ids))
-                        for key in np.packbits(rows[first], axis=1)], dtype=np.int32)
-        return ids[of], first[ids >= count]
+                        for key in keys[first]], dtype=np.int32)
+        return ids[label], first[ids >= count]
 
 
 def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
@@ -354,9 +347,9 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
 
     Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
     (quandles.alexander_adjacency), so the matrix depends on the mask of D
-    alone.  Each chunk's D masks are deduped (_distinct_rows), and the
-    classes are numbered in order of first appearance over the whole
-    stream, from a running table keyed by the packed masks (_ClassTable).
+    alone.  Each chunk's D masks are packed into 64-bit words once, and
+    the dedupe and a running table keyed by those words (_ClassTable)
+    number the classes in order of first appearance over the whole stream.
     Per automorphism the sweep keeps its D class id (int32) and its
     verdicts; per class, what its first member's row gave, while the chunk
     holding that row is read.  quandles.alexander_adjacency builds one
@@ -380,12 +373,12 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     isomorphic when its graphs share a class; that verdict must agree with
     whether |N|, the mask's count, is equal, which the classes never read.
     regularity: every in- and out-degree is [G : Fix(phi)], which
-    groups.fixed_point_indices counts for a whole chunk at once.  Fix(phi)
-    can differ inside a D class, so the sweep keeps each class's out- and
-    in-degrees, and each automorphism passes when its class's common
-    degree is its own index.  Every class a chunk holds has its degrees
-    once that chunk's new classes are built, so each chunk is judged as it
-    is read, and the first failing automorphism's row is at hand.
+    groups.fixed_point_indices counts for a whole chunk at once, and each
+    automorphism is judged against its own (the module docstring).  The
+    sweep keeps one degree per D class, the common one or 0 when the class
+    is not regular; every class a chunk holds has it once that chunk's new
+    classes are built, so each chunk is judged as it is read, and the
+    witness rebuilds the first failing automorphism's matrix from its row.
     orbit_coset: N is normal, the reachability closure of the matrix
     (forward orbits) is the coset block matrix, and right multiplication
     by u^-1 v carries coset 0 onto each other coset, edges and non-edges
@@ -427,7 +420,7 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     right = g.mul.T[g.inv]             # right[x, v] = v x^-1, in N exactly when v is in N x
     sizes = []                         # for alexander_iso: per chunk, |N| of its new D classes
     firsts = []                        # for alexander_iso: per chunk, its new D classes' first rows
-    degrees, commons = [], []          # per block of D classes: out, in; the common degree
+    commons = []                       # per block of D classes: the common degree, or 0
     regular_ok = []                    # per chunk: regularity's verdicts
     matrices = []                      # for alexander_iso: per D class
     rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
@@ -436,15 +429,12 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         d_ids.append(ids)
         clock.charge(*check_ids)
         reps = chunk[d_new]            # the first member of each new D class
-        if "alexander_iso" in check_ids:
-            firsts.append(reps)
         if coset_tids:
             masks = G.twist_masks(g, reps)          # per new D class: its N
-            sizes.append(np.count_nonzero(masks, axis=1))
+            if "alexander_iso" in check_ids:
+                firsts.append(reps)
+                sizes.append(np.count_nonzero(masks, axis=1))
             clock.charge(*coset_tids)
-        if "regularity" in check_ids:
-            expected = G.fixed_point_indices(g, chunk)
-            clock.charge("regularity")
         for c0 in range(0, len(reps), rows):
             adj = Q.alexander_adjacency(g, reps[c0:c0 + rows])
             if "alexander_iso" in check_ids:
@@ -465,13 +455,11 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
             if "regularity" in check_ids:
                 # uint8 counts are exact up to 255, and einsum adds them fastest
                 cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
-                block = np.empty((len(adj), 2, n), dtype=np.intp)     # out, in
-                block[:, 0] = np.einsum("kxv->kx", cells)
-                block[:, 1] = np.einsum("kxv->kv", cells)
-                degrees.append(block)
+                outs, ins = np.einsum("kxv->kx", cells), np.einsum("kxv->kv", cells)
+                common = outs[:, :1]
                 # a class's common degree, or 0, which no index is, when it is not regular
-                commons.append(np.where((block == block[:, :1, :1]).all(axis=(1, 2)),
-                                        block[:, 0, 0], 0))
+                commons.append(np.where(((outs == common) & (ins == common)).all(axis=1),
+                                        common[:, 0], 0))
                 clock.charge("regularity")
             if "orbit_coset" in check_ids:
                 # N is normal exactly when every left coset x N is the right coset N x
@@ -505,14 +493,17 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
                     witness["orbit_coset"] = found
                 clock.charge("orbit_coset")
         if "regularity" in check_ids:
-            # every class this chunk holds has its degrees now, so its
+            # every class this chunk holds has its degree now, so its
             # automorphisms are judged while their rows are at hand
             commons = [np.concatenate(commons)]
+            expected = G.fixed_point_indices(g, chunk)
             ok = commons[0][ids] == expected
             regular_ok.append(ok)
             if not ok.all() and "regularity" not in witness:
+                # the matrix depends on D alone, so automorphism i's is its class's
                 i = int(np.argmin(ok))
-                outs, ins = np.concatenate(degrees)[ids[i]]
+                m = Q.alexander_adjacency(g, chunk[i:i + 1])[0]
+                outs, ins = m.sum(axis=1), m.sum(axis=0)
                 v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
                 witness["regularity"] = {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
                                          "expected": int(expected[i]), "phi": chunk[i].tolist()}

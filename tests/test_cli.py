@@ -130,6 +130,12 @@ class TestBuild:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("family, label, matrix", [
+        ("alexander", "Z4", "[[1,1],[0,1]]"), ("gen_alexander", "S3xS3", "[[1,0],[0,1]]")])
+    def test_matrix_on_a_group_that_is_not_zn_x_zn_exits_2(self, capsys, family, label, matrix):
+        got = run(capsys, "build", "--family", family, "--group", label, "--phi", f"matrix:{matrix}")
+        assert got == (2, "", f"error: {label} is not Zn x Zn in the make_abelian([n, n]) layout\n")
+
 
 class TestAnalyze:
     def test_dihedral5_report(self, capsys):

@@ -165,6 +165,19 @@ class TestAutomorphisms:
         with pytest.raises(ValueError):
             G.matrix_automorphism(G.make_cyclic(6), [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("label", ["Z4", "S3xS3"])
+    def test_matrix_refuses_a_square_order_group_that_is_not_zn_x_zn(self, label):
+        # Z4 once got x -> -x from [[1,1],[0,1]], and S3xS3 a table read
+        # as Z6 x Z6's
+        g = specs.group_from_string(label)
+        with pytest.raises(ValueError, match=f"^{label} is not Zn x Zn"):
+            G.matrix_automorphism(g, [[1, 1], [0, 1]])
+
+    def test_matrix_on_d2_swaps_its_factors(self):
+        # D2's table is Z2 x Z2's law: e, r, s, r s at (0,0), (0,1), (1,0), (1,1)
+        g = G.make_dihedral(2)
+        assert G.matrix_automorphism(g, [[0, 1], [1, 0]]).mapping.tolist() == [0, 2, 1, 3]
+
     @pytest.mark.parametrize("factors,count", [
         ([2], 1), ([3], 2), ([4], 2), ([5], 4), ([6], 2), ([8], 4), ([9], 6),
         ([16], 8), ([2, 2], 6), ([2, 4], 8), ([3, 3], 48), ([2, 2, 2], 168),
@@ -500,6 +513,20 @@ class TestTwistSubgroup:
                 assert (orbit == inside[left]).all(), (g.label, row)
             swept += len(maps)
         assert swept == 674
+
+    def test_difference_set_size_is_the_fixed_point_index(self):
+        # z -> phi(z) z^-1 takes one value on each left coset of Fix(phi), so
+        # |D| = [G : Fix(phi)]: equal D gives equal index, while Fix(phi)
+        # itself may differ
+        labels = ("Z2xZ2xZ4", "Z4xZ4", "Z2xZ2xZ2xZ2", "Z3xZ3", "S4", "D6", "D8",
+                  "S3xS3", "D4xZ2")
+        swept = 0
+        for g in map(specs.group_from_string, labels):
+            maps = G.enumerate_automorphisms(g, cap=g.order)
+            assert (Q.difference_sets(g, maps).sum(axis=1)
+                    == G.fixed_point_indices(g, maps)).all(), g.label
+            swept += len(maps)
+        assert swept == 20700
 
 
 # Element-by-element loops that cosets, conjugacy_classes, is_normal and the

@@ -597,8 +597,10 @@ class TestCheckersExhibitTheirIsomorphisms:
 
 class TestDistinctRows:
     def test_matches_a_dict_of_row_bytes(self):
-        # first-appearance order, against a loop keyed by each row's bytes;
-        # widths up to 130 need up to three packed 64-bit words per row
+        # _ClassTable.number, in first-appearance order over two chunks,
+        # against a loop keyed by each row's bytes; widths up to 130 need up
+        # to three packed 64-bit words per row.  The second chunk, the first
+        # one's rows reversed, meets no new class
         rng = np.random.default_rng(5)
         for k, n, p in ((1, 1, 0.5), (9, 3, 0.5), (400, 16, 0.9), (300, 70, 0.99),
                         (300, 130, 0.995)):
@@ -607,10 +609,12 @@ class TestDistinctRows:
             first, of = {}, []
             for i, row in enumerate(rows):
                 of.append(first.setdefault(row.tobytes(), len(first)))
-            got_first, got_of = V._distinct_rows(rows)
-            want_first = [of.index(j) for j in range(len(first))]
-            assert got_first.tolist() == want_first, (k, n)
-            assert got_of.tolist() == of, (k, n)
+            table = V._ClassTable()
+            got_of, got_new = table.number(rows)
+            assert got_new.tolist() == [of.index(j) for j in range(len(first))], (k, n)
+            assert got_of.dtype == np.int32 and got_of.tolist() == of, (k, n)
+            got_of, got_new = table.number(rows[::-1])
+            assert got_new.size == 0 and got_of.tolist() == of[::-1], (k, n)
 
 
 def _verdicts(g, autos, check):
