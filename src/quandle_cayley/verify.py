@@ -327,7 +327,8 @@ class _ClassTable:
         label[order] = np.argsort(appear)[np.cumsum(run) - 1]
         first = first[appear]
         count = len(self.ids)
-        # the ids the stream has not met are handed out in that order too
+        # the chunk's classes in order of first appearance, so the ids the
+        # stream has not met are handed out in that order too
         ids = np.array([self.ids.setdefault(key.tobytes(), len(self.ids))
                         for key in keys[first]], dtype=np.int32)
         return ids[label], first[ids >= count]

@@ -481,7 +481,7 @@ class TestReducedDistributivityScan:
                 assert Q.verify_quandle_axioms(t) == Q.AxiomReport(
                     True, True, want is None, distributivity_witness=want), label
                 assert (want is None) == (t is table), label
-                # the kernel at the int32 _reduced_scan passes and at the table's own dtype
+                # the kernel on int32 columns, as _reduced_scan passes them, and on the table's dtype
                 for cols in (np.ascontiguousarray(t.T, dtype=np.int32), np.ascontiguousarray(t.T)):
                     for col in range(n):
                         perm = t[:, col]
