@@ -13,8 +13,10 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import graphs as gr
+from . import groups as G
 from . import quandles as Q
 from . import specs
 
@@ -143,12 +145,9 @@ def _parse_range(text: str) -> tuple:
 def cmd_verify(args) -> int:
     from . import verify as V
 
-    cfg_obj = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg_obj = json.load(fh)
-        if not isinstance(cfg_obj, dict):
-            raise ValueError("suite config must be a JSON object")
+    cfg_obj = G.loads_json(Path(args.config).read_text(), "suite config") if args.config else {}
+    if not isinstance(cfg_obj, dict):
+        raise ValueError("suite config must be a JSON object")
     if args.check:
         ids = [c for chunk in args.check for c in chunk.split(",") if c]
         cfg_obj["checks"] = ids

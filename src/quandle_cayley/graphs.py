@@ -7,15 +7,15 @@ display names; adjacency lists and edge lists are derived from the matrix.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .groups import _block_of, _blocks_by_label, as_integer, breadth_first
-from .quandles import Quandle, _as_list, _orbit_labels
+from .groups import (_block_of, _blocks_by_label, as_integer, as_integer_array, as_list,
+                     breadth_first, loads_json)
+from .quandles import Quandle, _orbit_labels
 
 ISOMORPHISM_CAP = 64
 
@@ -33,16 +33,20 @@ def _rows(m: np.ndarray, items=None) -> tuple:
 class DirectedGraph:
     """Immutable digraph on 0..n-1, stored as its boolean adjacency matrix.
 
-    The constructor takes an edge list (duplicates collapse); the vertex
-    count and every endpoint pass as_integer, so floats are not rounded,
-    bools are refused and no edge leaves 0..n-1.
+    The constructor takes a list of edge pairs (duplicates collapse); the
+    count passes as_integer and the endpoints as_integer_array, so floats
+    are not rounded, bools are refused and no edge leaves 0..n-1.
     """
 
     def __init__(self, n: int, edges, names=None):
         n = as_integer(n, "vertex count")
+        edges = list(edges)
+        bad = next((e for e in edges if not isinstance(e, (list, tuple)) or len(e) != 2), None)
+        if bad is not None:
+            raise ValueError(f"edge {bad!r} is not a pair")
+        ends = as_integer_array([v for e in edges for v in e], "edge endpoint", n)
         m = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            m[as_integer(u, "edge endpoint", 0, n), as_integer(v, "edge endpoint", 0, n)] = True
+        m[ends[0::2], ends[1::2]] = True
         self._init(m, names)
 
     @classmethod
@@ -209,27 +213,9 @@ def weakly_connected_components(g: DirectedGraph) -> ComponentDecomposition:
         "weak", _blocks_by_label(_tarjan(_rows(g.matrix() | g.matrix().T), g.n)))
 
 
-def _vertex_indices(g: DirectedGraph, vertices) -> np.ndarray:
-    """The distinct vertex indices given, sorted, as an intp array.  They
-    are gated as one array; when the gate fails, the first vertex that is
-    not an integer in 0..n-1 raises as_integer's message."""
-    vertices = list(vertices)
-    try:
-        arr = np.asarray(vertices)
-    except ValueError:                      # a ragged nest of sequences
-        arr = None
-    # numpy reads a bool inside a list of ints as 0 or 1
-    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu"
-            or (arr.size and (arr.min() < 0 or arr.max() >= g.n))
-            or any(type(vertices[i]) is bool for i in np.flatnonzero(arr <= 1))):
-        for v in vertices:
-            as_integer(v, "vertex", 0, g.n)
-    return np.unique(arr.astype(np.intp))
-
-
 def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
     """Subgraph on the given vertex indices, relabeled densely in sorted order."""
-    c = _vertex_indices(g, vertices)
+    c = np.unique(as_integer_array(vertices, "vertex", g.n))
     return DirectedGraph._of_matrix(g.matrix().take(c, axis=0).take(c, axis=1),
                                     names=[g.names[v] for v in c.tolist()])
 
@@ -237,7 +223,7 @@ def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
 def component_diameter(g: DirectedGraph, component) -> int:
     """Max over ordered pairs of shortest directed path length inside one
     strongly connected component."""
-    c = _vertex_indices(g, component)
+    c = np.unique(as_integer_array(component, "vertex", g.n))
     return _matrix_diameter(g.matrix().take(c, axis=0).take(c, axis=1))
 
 
@@ -411,19 +397,15 @@ def export_graph(g: DirectedGraph, fmt: str) -> str:
 def graph_from_json(obj) -> DirectedGraph:
     """Rebuild a graph exported with fmt='json' (accepts dict or text)."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = loads_json(obj, "graph JSON")
     if not isinstance(obj, dict):
         raise ValueError("graph JSON must be an object")
     for key in ("n", "edges"):
         if key not in obj:
             raise ValueError(f"graph JSON missing key {key!r}")
-    edges = _as_list(obj["edges"], "edges must be a list of [u, v] pairs")
-    bad = next((e for e in edges if not isinstance(e, (list, tuple)) or len(e) != 2), None)
-    if bad is not None:
-        raise ValueError(f"edge {bad!r} is not a pair")
     names = obj.get("names")
-    return DirectedGraph(obj["n"], edges,
-                         names=None if names is None else _as_list(names, "names must be a list"))
+    return DirectedGraph(obj["n"], as_list(obj["edges"], "edges must be a list of [u, v] pairs"),
+                         names=None if names is None else as_list(names, "names must be a list"))
 
 
 # -- the integer quandle window ----------------------------------------------

@@ -10,6 +10,7 @@ import array
 import collections
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -142,26 +143,47 @@ def as_integer(value, what: str, lo: int | None = 0, hi: int | None = None) -> i
     raise ValueError(f"{what} must be an integer{allowed}, got {value!r}")
 
 
+def _int64(flat: list) -> np.ndarray | None:
+    """A flat list of Python and numpy integers as int64, or None.  array("q")
+    reads bools (numpy 1.x np.bool_ too) as 0 or 1, so those entries are scanned."""
+    try:
+        arr = np.frombuffer(array.array("q", flat), dtype=np.int64)
+    except (TypeError, OverflowError, DeprecationWarning):
+        return None
+    if any(isinstance(flat[i], (bool, np.bool_)) for i in np.flatnonzero(arr <= 1)):
+        return None
+    return arr
+
+
+def as_integer_array(values, what: str, hi: int) -> np.ndarray:
+    """Untrusted indices (an integer ndarray or any iterable) as a 1-D int64
+    array: as_integer(v, what, 0, hi) for every v, gated as one array, and
+    when the gate fails the first bad entry raises as_integer's message."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        arr = values.astype(np.int64, copy=False)
+    else:
+        values = list(values)
+        arr = _int64(values)
+    if arr is None or arr.ndim != 1 or (arr.size and (arr.min() < 0 or arr.max() >= hi)):
+        for v in values:
+            as_integer(v, what, 0, hi)
+    return arr
+
+
 def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
     """Untrusted data as an int64 array with `ndim` sides of one length
     n >= 1 (a square table, or for ndim 1 an image list), every entry an
-    integer in 0..n-1.  Nothing is rounded: float entries are refused, and
-    so are bools, which numpy reads as 0 and 1 inside a list of ints
-    (np.asarray([0, True]) is int64)."""
+    integer in 0..n-1 (_int64: no float is rounded, no bool read as 0 or 1)."""
     kind = "a square table" if ndim == 2 else "a list"
     if isinstance(values, np.ndarray):
         arr = values.astype(np.int64, copy=False) if values.dtype.kind in "iu" else None
     else:
         try:
             rows = list(values)
-            flat = rows if ndim == 1 else list(itertools.chain.from_iterable(rows))
-            # array("q") takes the Python and numpy integers, bools among them
-            arr = np.frombuffer(array.array("q", flat), dtype=np.int64)
-            if ndim == 2 and all(len(row) == len(rows) for row in rows):
+            arr = _int64(rows if ndim == 1 else list(itertools.chain.from_iterable(rows)))
+            if arr is not None and ndim == 2 and all(len(row) == len(rows) for row in rows):
                 arr = arr.reshape(len(rows), len(rows))
-        except (TypeError, OverflowError):
-            arr = None
-        if arr is not None and any(type(flat[i]) is bool for i in np.flatnonzero(arr <= 1)):
+        except TypeError:
             arr = None
     if arr is None:
         raise ValueError(f"{what} must be {kind} of integers")
@@ -173,6 +195,30 @@ def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"{what} entries must lie in 0..{n - 1}")
     return arr
+
+
+def as_list(value, message: str) -> list | tuple:
+    """A list or tuple as given; anything else, a string or a dict too, raises."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(message)
+    return value
+
+
+def as_names(names, n: int) -> list[str]:
+    """Names for 0..n-1 (by default str(i)) as str, checked to be n distinct ones."""
+    names = [str(s) for s in (range(n) if names is None else names)]
+    if len(names) != n or len(set(names)) != n:
+        raise ValueError("element names must be distinct and match the order")
+    return names
+
+
+def loads_json(text: str, what: str):
+    """json.loads(text), with a document nested past the recursion limit
+    refused by one ValueError naming what the text is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
 
 
 class FiniteGroup:
@@ -204,13 +250,7 @@ class FiniteGroup:
         self.mul = mul
         self.order = int(mul.shape[0])
         self.label = label
-        if element_names is None:
-            element_names = [str(i) for i in range(self.order)]
-        if len(element_names) != self.order:
-            raise ValueError("element_names length must equal the group order")
-        if len(set(element_names)) != self.order:
-            raise ValueError("element names must be distinct")
-        self.element_names = [str(s) for s in element_names]
+        self.element_names = as_names(element_names, self.order)
         self._index = {s: i for i, s in enumerate(self.element_names)}
         self.identity = self._find_identity() if identity is None else identity
         self.inv = self._find_inverses() if inv is None else inv
@@ -326,8 +366,8 @@ def make_abelian(factors) -> FiniteGroup:
     """Direct sum of cyclic groups Z_d for d in factors: make_direct_product
     folded over make_cyclic(d), so (c1, ..., ck) sits at its mixed-radix
     index and the label is Zd1x...xZdk.  Two or more factors get the flat
-    names "(c1,...,ck)"; one factor is make_cyclic(d), and none is Z1."""
-    factors = [as_integer(d, "cyclic factor", lo=1) for d in factors] or [1]
+    names "(c1,...,ck)"; one factor is make_cyclic(d), which gates d; none is Z1."""
+    factors = list(factors) or [1]
     group = functools.reduce(make_direct_product, map(make_cyclic, factors))
     if len(factors) == 1:
         return group
@@ -511,8 +551,9 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
     det = (a * d - b * c) % n
     if math.gcd(det, n) != 1:
         raise ValueError(f"matrix determinant {det} is not invertible mod {n}")
+    # invertible and linear: an automorphism of the Zn x Zn law just matched
     images = ((a * x + b * y) % n) * n + (c * x + d * y) % n
-    return Automorphism(g, images)
+    return Automorphism._of_checked(g, images)
 
 
 def _greedy_generators(g: FiniteGroup) -> list[int]:
@@ -760,11 +801,11 @@ def _block_of(blocks: tuple, x, what: str) -> tuple:
 
 class Subgroup:
     """A subgroup of a parent group, stored as a sorted member tuple.  The
-    constructor checks range (as_integer), identity, closure and inverses."""
+    constructor checks range (as_integer_array), identity, closure, inverses."""
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
-        arr = np.unique([as_integer(x, "subgroup member", 0, parent.order) for x in members])
+        arr = np.unique(as_integer_array(members, "subgroup member", parent.order))
         if not arr.size:
             raise ValueError("subgroup cannot be empty")
         inside = _mask(parent.order, arr)
@@ -829,7 +870,7 @@ class CosetPartition:
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
     """Closure of a set of element indices under multiplication (breadth-first),
     a subgroup because in a finite group such a closure is one."""
-    gens = [as_integer(x, "generator", 0, g.order) for x in gens]
+    gens = as_integer_array(gens, "generator", g.order)
     layers = breadth_first([g.identity], lambda u: g.mul[u, gens].tolist())
     # gens themselves are reachable (identity * gen), so closure has them all
     return Subgroup._of_checked(g, sorted(v for layer in layers for v in layer))

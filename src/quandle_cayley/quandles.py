@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (Automorphism, FiniteGroup, _generating_set, as_index_array,
-                     as_integer, breadth_first, first_mismatch)
+                     as_integer, as_list, as_names, breadth_first, first_mismatch, loads_json)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -220,11 +220,7 @@ class Quandle:
         self.rhd = table
         self.order = int(table.shape[0])
         self.label = label
-        if element_names is None:
-            element_names = [str(i) for i in range(self.order)]
-        if len(element_names) != self.order or len(set(element_names)) != self.order:
-            raise ValueError("element names must be distinct and match the order")
-        self.element_names = [str(s) for s in element_names]
+        self.element_names = as_names(element_names, self.order)
         self.provenance = dict(provenance) if provenance else {"family": "raw"}
 
     def op(self, x: int, y: int) -> int:
@@ -500,13 +496,13 @@ def quandle_from_json(obj: dict) -> Quandle:
     n = as_integer(obj["order"], "order", lo=1)
     flat = obj["rhd"]
     if not isinstance(flat, np.ndarray):
-        flat = _as_list(flat, "rhd must be a list of integers")
+        flat = as_list(flat, "rhd must be a list of integers")
     if len(flat) != n * n:
         raise ValueError(f"rhd must hold {n * n} entries, got {len(flat)}")
     rows = (flat.reshape(n, n) if isinstance(flat, np.ndarray)
             else [flat[i:i + n] for i in range(0, n * n, n)])
     table = as_index_array(rows, "rhd")
-    names = [str(s) for s in _as_list(obj["names"], "names must be a list")]
+    names = as_list(obj["names"], "names must be a list")
     prov = obj.get("provenance") or {"family": "raw"}
     if not isinstance(prov, dict):
         raise ValueError("provenance must be an object")
@@ -515,15 +511,6 @@ def quandle_from_json(obj: dict) -> Quandle:
     if not report.ok:
         raise AxiomViolation(report, label)
     return Quandle._of_checked(table, label, element_names=names, provenance=prov)
-
-
-def _as_list(value, message: str) -> list:
-    """list(value), or a ValueError with message when value is not iterable
-    (a number, a bool or null in the JSON)."""
-    try:
-        return list(value)
-    except TypeError:
-        raise ValueError(message) from None
 
 
 # bytes of an rhd list body that _decode_naturals reads at once
@@ -542,7 +529,7 @@ def loads_quandle_json(text: str):
     text json.loads reads as an object whose "rhd" is [], so the key is
     the top-level one and the rest of the document is json.loads' own.
     Any other text, and any remainder json.loads refuses, is parsed whole
-    by json.loads, so its result and its errors are exactly json.loads'.
+    by groups.loads_json, so its result and its errors are exactly that one's.
     """
     span = _rhd_body(text)
     if span is not None:
@@ -556,7 +543,7 @@ def loads_quandle_json(text: str):
             if values is not None:
                 obj["rhd"] = values
                 return obj
-    return json.loads(text)
+    return loads_json(text, "quandle JSON")
 
 
 def _rhd_body(text: str) -> tuple | None:

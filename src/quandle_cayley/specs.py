@@ -84,7 +84,7 @@ def group_from_string(text: str) -> G.FiniteGroup:
 def _json_argument(text: str, prefix: str, what: str):
     """The JSON value after prefix; a syntax error names its position in text."""
     try:
-        return json.loads(text[len(prefix):])
+        return G.loads_json(text[len(prefix):], what)
     except json.JSONDecodeError as exc:
         raise SpecParseError(text, len(prefix) + exc.pos, f"{what} is not valid JSON") from None
 

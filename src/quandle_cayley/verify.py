@@ -667,18 +667,9 @@ def check_s4_example() -> VerificationReport:
 # -- the suite ---------------------------------------------------------------
 
 
-def _as_sequence(value, name: str):
-    """A list or tuple field as given; a string, which tuple() would split
-    into characters, or any other value raises one ValueError."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"suite config value of the wrong type: {name} must be a list, "
-                         f"got {value!r}")
-    return value
-
-
 @dataclass
 class SuiteConfig:
-    """What the suite sweeps; the integer fields pass groups.as_integer.
+    """What the suite sweeps; integer and list fields pass groups.as_integer and as_list.
     The JSON form uses the same field names."""
 
     abelian_order_cap: int = 16
@@ -690,16 +681,17 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.abelian_order_cap = G.as_integer(self.abelian_order_cap, "abelian_order_cap", lo=1)
-        self.nonabelian_registry = tuple(
-            str(s) for s in _as_sequence(self.nonabelian_registry, "nonabelian_registry"))
-        rng = tuple(self.dihedral_range)
+        wrong = "suite config value of the wrong type: {} must be a list, got {!r}"
+        self.nonabelian_registry = tuple(str(s) for s in G.as_list(
+            self.nonabelian_registry, wrong.format("nonabelian_registry", self.nonabelian_registry)))
+        rng = G.as_list(self.dihedral_range, wrong.format("dihedral_range", self.dihedral_range))
         if len(rng) != 2:
             raise ValueError("dihedral_range must be [lo, hi] with 1 <= lo <= hi")
         lo = G.as_integer(rng[0], "dihedral_range lo", lo=1)
         self.dihedral_range = (lo, G.as_integer(rng[1], "dihedral_range hi", lo=lo))
         self.takasaki_window = G.as_integer(self.takasaki_window, "takasaki_window")
         if self.checks is not None:
-            checks = tuple(str(c) for c in _as_sequence(self.checks, "checks"))
+            checks = tuple(str(c) for c in G.as_list(self.checks, wrong.format("checks", self.checks)))
             if not checks:
                 raise ValueError("checks must name at least one check id")
             unknown = [c for c in checks if c not in CHECK_IDS]
@@ -713,7 +705,7 @@ class SuiteConfig:
     @staticmethod
     def from_json(obj) -> "SuiteConfig":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            obj = G.loads_json(obj, "suite config")
         if not isinstance(obj, dict):
             raise ValueError("suite config must be a JSON object")
         unknown = set(obj) - {f.name for f in fields(SuiteConfig)}
@@ -725,10 +717,7 @@ class SuiteConfig:
                 isinstance(item, dict) and "label" in item and "rhd" in item for item in items):
             raise ValueError("extra_quandles must be a list of objects with 'label' and 'rhd'")
         kwargs["extra_quandles"] = tuple((item["label"], item["rhd"]) for item in items)
-        try:
-            return SuiteConfig(**kwargs)
-        except TypeError as exc:        # a scalar where a list belongs, or null
-            raise ValueError(f"suite config value of the wrong type: {exc}") from None
+        return SuiteConfig(**kwargs)
 
     def wants(self, check_id: str) -> bool:
         return self.checks is None or check_id in self.checks

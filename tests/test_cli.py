@@ -87,6 +87,9 @@ class TestBuild:
         ("rhd", 5, "rhd must be a list of integers"),
         ("names", 5, "names must be a list"),
         ("provenance", [1], "provenance must be an object"),
+        # list() read a string as its characters and an object as its keys
+        ("names", "ab", "names must be a list"),
+        ("names", {"a": 1, "b": 2}, "names must be a list"),
     ])
     def test_raw_wrongly_typed_field_exits_2(self, capsys, tmp_path, field, value, message):
         obj = {"order": 2, "names": ["a", "b"], "rhd": [0, 0, 1, 1], field: value}
@@ -94,6 +97,17 @@ class TestBuild:
         path.write_text(json.dumps(obj))
         got = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path))
         assert got == (2, "", f"error: {message}\n")
+
+    def test_deeply_nested_raw_file_exits_2(self, capsys, tmp_path):
+        # json.loads raised RecursionError, a traceback and exit 1
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"order": 2, "names": ["a", "b"], "rhd": [0, 0, 1, 1], "provenance": '
+                        + "[" * depth + "]" * depth + "}")
+        for argv in (("analyze", "--family", "raw", "--raw-path", str(path)),
+                     ("isomorphic", f"raw:{path}", "trivial:2")):
+            got = run(capsys, *argv)
+            assert got == (2, "", "error: quandle JSON is nested too deeply\n"), argv
 
     def test_perm_non_integer_images_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--family", "gen_alexander",
@@ -390,6 +404,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--config", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: suite config value of the wrong type: {message}\n"
+
+    def test_deeply_nested_config_exits_2(self, capsys, tmp_path):
+        depth = 100_000
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * depth + "]" * depth)
+        got = run(capsys, "verify", "--config", str(path))
+        assert got == (2, "", "error: suite config is nested too deeply\n")
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "dihedral", "--range", "a..b")

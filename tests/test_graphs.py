@@ -110,6 +110,13 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="integer"):
             gr.DirectedGraph(n, edges)
 
+    @pytest.mark.parametrize("edges, bad", [([1, 2], "1"), ([(0, 1, 2)], r"\(0, 1, 2\)"),
+                                            ([(0, 1), [2]], r"\[2\]")])
+    def test_refuses_an_edge_that_is_not_a_pair(self, edges, bad):
+        # a TypeError and a bare unpacking error before the check moved here
+        with pytest.raises(ValueError, match=rf"^edge {bad} is not a pair$"):
+            gr.DirectedGraph(3, edges)
+
     def test_accepts_numpy_integers(self):
         g = gr.DirectedGraph(np.int64(3), [(np.int32(0), np.uint8(2)), (np.int64(2), 1)])
         assert g.n == 3
@@ -133,10 +140,17 @@ class TestDirectedGraph:
         ({"n": 2, "edges": None}, "edges"),
         ({"n": 2, "edges": [5]}, "edge 5 is not a pair"),
         ({"n": 2, "edges": [[0, 1]], "names": 5}, "names"),
+        ({"n": 2, "edges": [[0, 1]], "names": "ab"}, "names must be a list"),
+        ({"n": 2, "edges": [[0, 1]], "names": {"a": 1, "b": 2}}, "names must be a list"),
     ])
     def test_from_json_refuses_wrongly_typed_fields(self, obj, field):
         with pytest.raises(ValueError, match=field):
             gr.graph_from_json(obj)
+
+    def test_from_json_refuses_deeply_nested_text(self):
+        # json.loads raised RecursionError
+        with pytest.raises(ValueError, match="^graph JSON is nested too deeply$"):
+            gr.graph_from_json("[" * 100_000 + "]" * 100_000)
 
     def test_matrix(self):
         g = gr.DirectedGraph(2, [(0, 1), (1, 1)])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ class TestFiniteGroup:
         assert g.is_abelian()
         assert g.name(3) == "3"
         assert g.index_of("3") == 3
+
+    def test_rejects_names_equal_as_strings(self):
+        # index_of("0") was 1 while name(0) was "0"
+        with pytest.raises(ValueError, match="distinct"):
+            G.FiniteGroup(G.make_cyclic(2).mul, element_names=[0, "0"])
 
     def test_rejects_non_associative_loop(self):
         with pytest.raises(ValueError, match="associat"):
@@ -282,6 +288,19 @@ class TestTrustedConstructorsMatchTheFullCheck:
             autos += [a.inverse() for a in autos]
             for a in autos:
                 assert G.Automorphism(g, a.mapping) == a, g.label
+        # matrix_automorphism wraps its images unchecked: every invertible
+        # matrix over Z2xZ2, Z3xZ3 and Z4xZ4 (|GL2(Zn)| = 6, 48, 96)
+        counts = {}
+        for g in built_groups:
+            if g.label not in ("Z2xZ2", "Z3xZ3", "Z4xZ4"):
+                continue
+            n = math.isqrt(g.order)
+            for a, b, c, d in itertools.product(range(n), repeat=4):
+                if math.gcd((a * d - b * c) % n, n) == 1:
+                    phi = G.matrix_automorphism(g, [[a, b], [c, d]])
+                    assert G.Automorphism(g, phi.mapping) == phi, (g.label, a, b, c, d)
+                    counts[g.label] = counts.get(g.label, 0) + 1
+        assert counts == {"Z2xZ2": 6, "Z3xZ3": 48, "Z4xZ4": 96}
 
 
     def test_make_abelian_matches_the_mixed_radix_formula(self):

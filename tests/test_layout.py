@@ -36,3 +36,14 @@ def test_every_module_level_definition_has_a_use():
         if not (used or node.name in exported or f"{module}.{node.name}" in traced):
             dead.append(f"{module}.{node.name}")
     assert dead == []
+
+
+def test_only_groups_defines_input_checks():
+    # the checks of outside lists, indices and names (as_list, as_integer,
+    # as_integer_array, as_index_array, as_names) live once, in groups
+    stray = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "groups"
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith(("as_", "_as_"))]
+    assert stray == []

@@ -701,6 +701,11 @@ class TestSerialization:
         assert obj["order"] == 3
         assert obj["rhd"] == [0, 2, 1, 2, 1, 0, 1, 0, 2]
 
+    def test_rejects_names_equal_as_strings(self):
+        # stored as ['1', '1']
+        with pytest.raises(ValueError, match="distinct"):
+            Q.Quandle(Q.trivial_quandle(2).rhd, element_names=[1, "1"])
+
     def test_rejects_tampered_table(self):
         obj = Q.quandle_to_json(Q.dihedral_quandle(3))
         obj["rhd"][0] = 1

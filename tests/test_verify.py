@@ -131,6 +131,10 @@ class TestSuiteConfig:
         assert cfg.checks == ("dihedral",)
         assert cfg.dihedral_range == (2, 5)
 
+    def test_rejects_deeply_nested_text(self):
+        with pytest.raises(ValueError, match="^suite config is nested too deeply$"):
+            V.SuiteConfig.from_json("[" * 100_000 + "]" * 100_000)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config"):
             V.SuiteConfig.from_json({"abelian_cap": 8})
