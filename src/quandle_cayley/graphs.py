@@ -41,7 +41,8 @@ class DirectedGraph:
     def __init__(self, n: int, edges, names=None):
         n = as_integer(n, "vertex count")
         edges = list(edges)
-        bad = next((e for e in edges if not isinstance(e, (list, tuple)) or len(e) != 2), None)
+        bad = next((e for e in edges if not (isinstance(e, (list, tuple)) or isinstance(
+            e, np.ndarray) and e.ndim == 1) or len(e) != 2), None)
         if bad is not None:
             raise ValueError(f"edge {bad!r} is not a pair")
         ends = as_integer_array([v for e in edges for v in e], "edge endpoint", n)

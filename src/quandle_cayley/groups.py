@@ -143,9 +143,11 @@ def as_integer(value, what: str, lo: int | None = 0, hi: int | None = None) -> i
     raise ValueError(f"{what} must be an integer{allowed}, got {value!r}")
 
 
-def _int64(flat: list) -> np.ndarray | None:
-    """A flat list of Python and numpy integers as int64, or None.  array("q")
+def _int64(flat) -> np.ndarray | None:
+    """An integer ndarray or a flat list of integers as int64, or None.  array("q")
     reads bools (numpy 1.x np.bool_ too) as 0 or 1, so those entries are scanned."""
+    if isinstance(flat, np.ndarray):
+        return flat.astype(np.int64, copy=False) if flat.dtype.kind in "iu" else None
     try:
         arr = np.frombuffer(array.array("q", flat), dtype=np.int64)
     except (TypeError, OverflowError, DeprecationWarning):
@@ -159,11 +161,9 @@ def as_integer_array(values, what: str, hi: int) -> np.ndarray:
     """Untrusted indices (an integer ndarray or any iterable) as a 1-D int64
     array: as_integer(v, what, 0, hi) for every v, gated as one array, and
     when the gate fails the first bad entry raises as_integer's message."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        arr = values.astype(np.int64, copy=False)
-    else:
+    if not isinstance(values, np.ndarray):
         values = list(values)
-        arr = _int64(values)
+    arr = _int64(values)
     if arr is None or arr.ndim != 1 or (arr.size and (arr.min() < 0 or arr.max() >= hi)):
         for v in values:
             as_integer(v, what, 0, hi)
@@ -176,7 +176,7 @@ def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
     integer in 0..n-1 (_int64: no float is rounded, no bool read as 0 or 1)."""
     kind = "a square table" if ndim == 2 else "a list"
     if isinstance(values, np.ndarray):
-        arr = values.astype(np.int64, copy=False) if values.dtype.kind in "iu" else None
+        arr = _int64(values)
     else:
         try:
             rows = list(values)
@@ -198,9 +198,9 @@ def as_index_array(values, what: str, ndim: int = 2) -> np.ndarray:
 
 
 def as_list(value, message: str) -> list | tuple:
-    """A list or tuple as given; anything else, a string or a dict too, raises."""
+    """A list or tuple as given; else ValueError(message.format(value)), a str or dict too."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(message)
+        raise ValueError(message.format(value))
     return value
 
 
@@ -364,11 +364,11 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def make_abelian(factors) -> FiniteGroup:
     """Direct sum of cyclic groups Z_d for d in factors: make_direct_product
-    folded over make_cyclic(d), so (c1, ..., ck) sits at its mixed-radix
-    index and the label is Zd1x...xZdk.  Two or more factors get the flat
-    names "(c1,...,ck)"; one factor is make_cyclic(d), which gates d; none is Z1."""
+    folded over make_cyclic(d), all built (each gating d) before the first
+    product, so (c1, ..., ck) sits at its mixed-radix index and the label is
+    Zd1x...xZdk.  Two or more factors get the flat names "(c1,...,ck)"; none is Z1."""
     factors = list(factors) or [1]
-    group = functools.reduce(make_direct_product, map(make_cyclic, factors))
+    group = functools.reduce(make_direct_product, [make_cyclic(d) for d in factors])
     if len(factors) == 1:
         return group
     names = ["(" + ",".join(map(str, c)) + ")" for c in itertools.product(*map(range, factors))]
@@ -532,8 +532,8 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
     index layout (element (x, y) at index x*n + y); any other group of order
     n^2 is refused, whatever its layout.  The matrix [[a, b], [c, d]] sends
     (x, y) to (a x + b y, c x + d y) mod n, and must be invertible mod n.
-    The entries must be integers: floats are not rounded, and bools, which
-    are ints to Python, are refused.
+    The entries must be integers (floats are not rounded, bools are refused);
+    they are reduced mod n as Python ints, so no int64 product can wrap.
     """
     sequence = (list, tuple, np.ndarray)
     if (not isinstance(rows, sequence) or len(rows) != 2
@@ -541,13 +541,12 @@ def matrix_automorphism(g: FiniteGroup, rows) -> Automorphism:
         raise ValueError("matrix automorphism expects a 2x2 matrix")
     if not all(_is_integer(v) for r in rows for v in r):
         raise ValueError("matrix automorphism entries must be integers")
-    mat = [[int(v) for v in r] for r in rows]
     n = math.isqrt(g.order)
     x, y = np.divmod(np.arange(g.order), n)
     if n * n != g.order or not np.array_equal(
             g.mul, (x[:, None] + x) % n * n + (y[:, None] + y) % n):
         raise ValueError(f"{g.label} is not Zn x Zn in the make_abelian([n, n]) layout")
-    (a, b), (c, d) = mat
+    (a, b), (c, d) = [[int(v) % n for v in r] for r in rows]
     det = (a * d - b * c) % n
     if math.gcd(det, n) != 1:
         raise ValueError(f"matrix determinant {det} is not invertible mod {n}")

@@ -681,17 +681,18 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.abelian_order_cap = G.as_integer(self.abelian_order_cap, "abelian_order_cap", lo=1)
-        wrong = "suite config value of the wrong type: {} must be a list, got {!r}"
-        self.nonabelian_registry = tuple(str(s) for s in G.as_list(
-            self.nonabelian_registry, wrong.format("nonabelian_registry", self.nonabelian_registry)))
-        rng = G.as_list(self.dihedral_range, wrong.format("dihedral_range", self.dihedral_range))
+        def listed(name):
+            return G.as_list(getattr(self, name), "suite config value of the wrong type: "
+                             f"{name} must be a list, got {{!r}}")
+        self.nonabelian_registry = tuple(str(s) for s in listed("nonabelian_registry"))
+        rng = listed("dihedral_range")
         if len(rng) != 2:
             raise ValueError("dihedral_range must be [lo, hi] with 1 <= lo <= hi")
         lo = G.as_integer(rng[0], "dihedral_range lo", lo=1)
         self.dihedral_range = (lo, G.as_integer(rng[1], "dihedral_range hi", lo=lo))
         self.takasaki_window = G.as_integer(self.takasaki_window, "takasaki_window")
         if self.checks is not None:
-            checks = tuple(str(c) for c in G.as_list(self.checks, wrong.format("checks", self.checks)))
+            checks = tuple(str(c) for c in listed("checks"))
             if not checks:
                 raise ValueError("checks must name at least one check id")
             unknown = [c for c in checks if c not in CHECK_IDS]

@@ -111,11 +111,18 @@ class TestDirectedGraph:
             gr.DirectedGraph(n, edges)
 
     @pytest.mark.parametrize("edges, bad", [([1, 2], "1"), ([(0, 1, 2)], r"\(0, 1, 2\)"),
-                                            ([(0, 1), [2]], r"\[2\]")])
+                                            ([(0, 1), [2]], r"\[2\]"),
+                                            (np.array([[0, 1, 2]]), r"array\(\[0, 1, 2\]\)")])
     def test_refuses_an_edge_that_is_not_a_pair(self, edges, bad):
         # a TypeError and a bare unpacking error before the check moved here
         with pytest.raises(ValueError, match=rf"^edge {bad} is not a pair$"):
             gr.DirectedGraph(3, edges)
+
+    def test_accepts_numpy_rows_as_edges(self):
+        m = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)
+        g = gr.DirectedGraph(3, np.argwhere(m))
+        assert g.edges() == [(0, 1), (1, 2), (2, 0)]
+        assert (g.matrix() == m).all()
 
     def test_accepts_numpy_integers(self):
         g = gr.DirectedGraph(np.int64(3), [(np.int32(0), np.uint8(2)), (np.int64(2), 1)])

@@ -132,6 +132,15 @@ class TestFiniteGroup:
         assert g.element_order(g.index_of("(0,1)")) == 8
         assert g.element_order(g.index_of("(1,0)")) == 2
 
+    def test_make_abelian_checks_every_factor_before_any_product(self, monkeypatch):
+        # a bad last factor once raised only after the 90,000-order Z300xZ300
+        def refuse(a, b):
+            raise AssertionError("a product was built before the factors were checked")
+
+        monkeypatch.setattr(G, "make_direct_product", refuse)
+        with pytest.raises(ValueError, match="integer"):
+            G.make_abelian([300, 300, 0])
+
 
 class TestAutomorphisms:
     def test_identity_and_negation(self):
@@ -166,6 +175,15 @@ class TestAutomorphisms:
         assert t.mapping[g.index_of("(1,0)")] == g.index_of("(0,3)")
         with pytest.raises(ValueError):
             G.matrix_automorphism(g, [[2, 0], [0, 1]])  # det 2, not a unit mod 4
+
+    def test_matrix_entries_are_reduced_before_the_array_product(self):
+        # 2**62 * 2 wraps in int64, so unreduced entries once mapped (2,0)
+        # and (1,0) both to (1,0); 2**70 does not fit int64 at all
+        g = G.make_abelian([3, 3])
+        identity = G.identity_automorphism(g)
+        assert G.matrix_automorphism(g, [[2**62, 0], [0, 1]]) == identity
+        assert G.matrix_automorphism(g, [[1 + 3 * 2**70, -3], [3 * 2**70, -2]]) == identity
+        assert G.matrix_automorphism(g, np.array([[2**62, 0], [0, 1]])) == identity
 
     def test_matrix_needs_square_shape(self):
         with pytest.raises(ValueError):
