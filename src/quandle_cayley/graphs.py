@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .groups import (_block_of, _blocks_by_label, as_integer, as_integer_array, as_list,
-                     breadth_first, loads_json)
+                     as_names, breadth_first, loads_json)
 from .quandles import Quandle, _orbit_labels
 
 ISOMORPHISM_CAP = 64
@@ -59,11 +59,7 @@ class DirectedGraph:
 
     def _init(self, m: np.ndarray, names) -> None:
         self.n = m.shape[0]
-        if names is None:
-            names = [str(i) for i in range(self.n)]
-        if len(names) != self.n:
-            raise ValueError("names length must equal vertex count")
-        self.names = tuple(str(s) for s in names)
+        self.names = tuple(as_names(names, self.n))
         m.flags.writeable = False
         self._m = m
 

@@ -7,27 +7,21 @@ A checker never assumes what it is checking; a failed comparison comes
 back as a report with a concrete witness.
 
 The suite sweeps the generalized Alexander quandles of whole families of
-automorphisms, each family an array of image rows or a stream of row
-chunks (sweep_alexander): every automorphism of each abelian group, its
-count checked against a closed form, and the inner automorphisms of
-each registry group (regularity and orbit_coset).
-A Cayley graph of phi(x y^-1) y depends only on the set
-D = {phi(z) z^-1}, so the sweep builds one adjacency matrix per distinct
-D.  The coset checks predict from one subgroup, N = <phi(y)^-1 y> = <D>:
-im(id - t) in the paper's abelian theorems, <[h, x]> in its inner one.
-Its mask, its coset block matrix, orbit_coset's normality test and
-translations, and each [G : Fix(phi)] come from whole-array operations
-over the family's rows (groups.twist_masks, groups.fixed_point_indices);
-the sweep builds no Subgroup.
-alexander_components and orbit_coset give one verdict per D class.
+automorphisms (sweep_alexander): every automorphism of each abelian group,
+its count checked against a closed form, and the inner automorphisms of
+each registry group (regularity and orbit_coset).  A Cayley graph of
+phi(x y^-1) y depends only on D = {phi(z) z^-1}, so the sweep builds one
+adjacency matrix per distinct D, and one judge per check id (_JUDGES)
+reads them slab by slab.  The coset judges predict from one subgroup,
+N = <phi(y)^-1 y> = <D>: im(id - t) in the paper's abelian theorems,
+<[h, x]> in its inner one.  N, its cosets and each [G : Fix(phi)] come from
+whole-array steps over the family's rows (groups.twist_masks,
+groups.fixed_point_indices); the sweep builds no Subgroup.
 z -> phi(z) z^-1 takes one value on each left coset of Fix(phi), so
 |D| = [G : Fix(phi)], though Fix(phi) itself can differ inside a class;
-regularity judges each automorphism against its own index, since one
-per class would assume the theorem being checked.
-Like the family constructors, the sweep takes its tables to be quandles,
-as phi(x y^-1) y is for every automorphism, and does not scan them again.
-The per-instance checkers stay the tests' reference for the sweep, and
-the sweep reports its failures in their witness form.
+regularity judges each automorphism against its own index, since one per
+class would assume the theorem being checked.  The per-instance checkers
+stay the tests' reference for the sweep, whose witnesses take their form.
 
 Four claims say that a Cayley graph is the disjoint union of the complete
 digraphs on a predicted partition: the conjugacy classes (conjugation),
@@ -46,7 +40,8 @@ import importlib.resources
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -88,13 +83,7 @@ class VerificationReport:
     elapsed: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "passed": self.passed,
-            "witness": self.witness,
-            "elapsed": round(self.elapsed, 6),
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 6)}
 
 
 def _report(tid: str, instance: str, start: float, failures: list) -> VerificationReport:
@@ -111,7 +100,8 @@ class _Clock:
     """Splits a sweep's time among its check ids.  Each lap, from the
     previous charge (or the clock's start) to this one, goes in equal
     shares to the ids charged, so the ids' totals sum to the time from
-    the start to the last charge."""
+    the start to the last charge.  A charge of no ids leaves the lap
+    running, so it goes to the next charge's ids."""
 
     def __init__(self):
         self.start = self.last = time.perf_counter()
@@ -121,7 +111,8 @@ class _Clock:
         now = time.perf_counter()
         for tid in tids:
             self.spent[tid] = self.spent.get(tid, 0.0) + (now - self.last) / len(tids)
-        self.last = now
+        if tids:
+            self.last = now
 
 
 def _block_matrix(blocks, n: int) -> np.ndarray:
@@ -334,206 +325,215 @@ class _ClassTable:
         return ids[label], first[ids >= count]
 
 
+def _components_judge(g, reps, adj, masks, want):
+    """alexander_components, per D class: the matrix is the coset block
+    matrix, so the graph is the disjoint union of the complete digraphs on
+    the left cosets of N, which fixes its strong components, their count
+    |G| / |N| and their completeness.  The witness: the first differing cell."""
+    return (adj == want).all(axis=(1, 2)), lambda c: _cell_mismatch(
+        adj[c], want[c], "block_mismatch", t=reps[c].tolist())[0]
+
+
+def _iso_judge(g, reps, adj, masks, want):
+    """alexander_iso, per D class: its first row, |N| and its matrix, for
+    the pair step (_iso_pairs)."""
+    return (reps, np.count_nonzero(masks, axis=1), adj), None
+
+
+def _iso_pairs(g, slabs, d_of):
+    """alexander_iso over the pairs i <= j, in row-major order: the distinct
+    matrices are sorted into isomorphism classes (_iso_classes), and a pair
+    is isomorphic when its graphs share a class.  That verdict must agree
+    with whether |N| is equal, which the classes never read.  The witness
+    is the failing pair's verdict, image sizes and maps."""
+    firsts, sizes, matrices = (np.concatenate(part) for part in zip(*slabs))
+    size, cls = sizes[d_of], _iso_classes(matrices)[d_of]
+    first, second = np.triu_indices(len(d_of))
+
+    def witness(p):
+        # a pair's verdict depends only on its two D classes, symmetrically, so
+        # each of the first failing pair (a, b), a <= b, is its class's first
+        # member: an earlier a' would fail (a', b) first, a b' (a, b') or (b', a)
+        a, b = int(first[p]), int(second[p])
+        t1, t2 = firsts[d_of[[a, b]]].tolist()
+        return {"iso": bool(cls[a] == cls[b]), "image_sizes": (int(size[a]), int(size[b])),
+                "t1": t1, "t2": t2}
+    return (cls[first] == cls[second]) == (size[first] == size[second]), witness
+
+
+def _degree_judge(g, reps, adj, masks, want):
+    """regularity, per D class: the common in- and out-degree of the
+    matrix, or 0, which no index is, when it is not regular."""
+    # uint8 counts are exact up to 255, and einsum adds them fastest
+    cells = adj.view(np.uint8) if g.order < 256 else adj.astype(np.intp)
+    outs, ins = np.einsum("kxv->kx", cells), np.einsum("kxv->kv", cells)
+    common = outs[:, :1]
+    return np.where(((outs == common) & (ins == common)).all(axis=1), common[:, 0], 0), None
+
+
+def _regularity_chunk(g, chunk, degree):
+    """regularity, per automorphism, from its D class's degree: every in-
+    and out-degree is [G : Fix(phi)], counted for the whole chunk at once
+    (groups.fixed_point_indices).  The witness rebuilds the automorphism's
+    matrix from its row and names the first vertex off the index."""
+    expected = G.fixed_point_indices(g, chunk)
+
+    def witness(i):
+        m = Q.alexander_adjacency(g, chunk[i:i + 1])[0]
+        outs, ins = m.sum(axis=1), m.sum(axis=0)
+        v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
+        return {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
+                "expected": int(expected[i]), "phi": chunk[i].tolist()}
+    return degree == expected, witness
+
+
+def _orbit_coset_judge(g, reps, adj, masks, want):
+    """orbit_coset, per D class: N is normal, the reachability closure of
+    the matrix (the forward orbits) is the coset block matrix, and right
+    multiplication by u^-1 v carries coset 0 onto each other coset, edges
+    and non-edges alike (u and v the cosets' least members).  A non-normal
+    N fails by itself, so the translations matter only for a normal N.  The
+    witness is the first of the three to fail."""
+    n = g.order
+    # N is normal exactly when every left coset x N is the right coset N x,
+    # and v x^-1 is in N exactly when v is in N x
+    normal = (np.take(masks, g.mul.T[g.inv], axis=1) == want).all(axis=(1, 2))
+    orbits = gr._reachability(adj)     # row x is the forward orbit of x
+    stray = (orbits != want).any(axis=2)
+    # the cosets are numbered by the rank of their least members, so coset
+    # 0 holds 0.  For a normal N, back[x] = x v^-1 u, with v the least
+    # member of x N and u that of coset 0, inverts the translation by
+    # u^-1 v from coset 0, which keeps every edge and non-edge exactly when
+    # no cell of its coset is torn
+    least = want.argmax(axis=2)
+    back = g.mul[g.mul[np.arange(n), g.inv[least]], least[:, :1]]
+    flat = (np.arange(len(adj))[:, None, None] * n + back[:, :, None]) * n
+    torn = want & (np.take(adj, flat + back[:, None, :]) != adj)
+
+    def witness(c):
+        if not normal[c]:
+            return {"not_normal": np.flatnonzero(masks[c]).tolist()}
+        if stray[c].any():
+            x = int(np.argmax(stray[c]))
+            return {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
+                                       "coset": np.flatnonzero(want[c, x]).tolist()}}
+        v = least[c][torn[c].any(axis=1)].min()
+        return {"translation_not_isomorphism": (0, int(np.searchsorted(np.unique(least[c]), v)))}
+    return normal & ~stray.any(axis=1) & ~torn.any(axis=(1, 2)), witness
+
+
+@dataclass(frozen=True)
+class _Judge:
+    """A check id's steps in sweep_alexander.  Each returns its values and,
+    when they are verdicts, witness(i) for a failing index i, else None.
+    slab(g, reps, adj, masks, want) gives one value per D class of a slab,
+    and reads names the shared predictions it takes, "N" (masks) and
+    "want".  chunk(g, chunk, values) judges a chunk's automorphisms from
+    their classes' values; by default the values are the verdicts.  A
+    judge with an end step has no chunk step: end(g, slabs, d_of) judges
+    the family from every slab's values and each automorphism's class."""
+    slab: Callable
+    reads: tuple = ()
+    chunk: Callable = lambda g, chunk, values: (values, None)
+    end: Callable | None = None
+
+
+_JUDGES = {
+    "alexander_components": _Judge(_components_judge, ("N", "want")),
+    "alexander_iso": _Judge(_iso_judge, ("N",), end=_iso_pairs),
+    "regularity": _Judge(_degree_judge, chunk=_regularity_chunk),
+    "orbit_coset": _Judge(_orbit_coset_judge, ("N", "want")),
+}
+
+
 def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
                     clock: _Clock | None = None) -> dict:
-    """alexander_components, alexander_iso, regularity and orbit_coset over
-    the generalized Alexander quandles of a family of automorphisms: the
-    rows of the (k, n) image array maps, or of the chunks of such rows an
-    iterable maps yields in turn (groups._automorphism_chunks), so a large
-    family is read as a stream and never held whole.  alexander_components
-    and alexander_iso are abelian theorems; regularity takes any group.
+    """The checks check_ids, each judged by its entry in _JUDGES (an id
+    with none raises ValueError), over the generalized Alexander quandles
+    of a family of automorphisms: the rows of the (k, n) image array maps,
+    or of the chunks of such rows an iterable maps yields in turn
+    (groups._automorphism_chunks), read as a stream and never held whole.
     alexander_iso gives one verdict per pair, so keep the family small for
-    it.  orbit_coset reads row h as conjugation by h, so maps must be the
-    inner family g.mul[g.mul, g.inv[:, None]], as one array.
+    it; orbit_coset takes the inner family g.mul[g.mul, g.inv[:, None]]
+    only, as one array.
 
     Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
-    (quandles.alexander_adjacency), so the matrix depends on the mask of D
-    alone.  Each chunk's D masks are packed into 64-bit words once, and
-    the dedupe and a running table keyed by those words (_ClassTable)
-    number the classes in order of first appearance over the whole stream.
-    Per automorphism the sweep keeps its D class id (int32) and its
-    verdicts; per class, what its first member's row gave, while the chunk
-    holding that row is read.  quandles.alexander_adjacency builds one
-    matrix per D class, when the class first appears (67 for the 20,160
-    automorphisms of Z2^4), as many at a time as fit in
-    groups._FAMILY_CHUNK_CELLS cells.  Their tables are
-    generalized_alexander_quandle's, quandles for every automorphism, so
-    their axioms are not scanned.
-    alexander_components, alexander_iso and orbit_coset read one
-    prediction, the mask of N = <phi(y)^-1 y>, closed from those elements
-    without the D mask; N = <D>, so groups.twist_masks closes it once per
-    D class, for all of a chunk's new classes in one batch.  v is in x N
-    exactly when x^-1 v is in N, so the block matrix of N's left cosets is
-    the gather mask[x^-1 v], built beside each slab of adjacency matrices.
-    alexander_components: the matrix equals the coset block matrix, so the
-    graph is the disjoint union of the complete digraphs on the cosets,
-    which fixes its strong components, their count |G| / |N| and their
-    completeness.
-    alexander_iso: the distinct matrices are sorted into isomorphism
-    classes (_iso_classes), and each pair i <= j, in row-major order, is
-    isomorphic when its graphs share a class; that verdict must agree with
-    whether |N|, the mask's count, is equal, which the classes never read.
-    regularity: every in- and out-degree is [G : Fix(phi)], which
-    groups.fixed_point_indices counts for a whole chunk at once, and each
-    automorphism is judged against its own (the module docstring).  The
-    sweep keeps one degree per D class, the common one or 0 when the class
-    is not regular; every class a chunk holds has it once that chunk's new
-    classes are built, so each chunk is judged as it is read, and the
-    witness rebuilds the first failing automorphism's matrix from its row.
-    orbit_coset: N is normal, the reachability closure of the matrix
-    (forward orbits) is the coset block matrix, and right multiplication
-    by u^-1 v carries coset 0 onto each other coset, edges and non-edges
-    alike (u and v the cosets' least members), each judged by whole-array
-    steps on a slab of D classes.  A non-normal N fails by itself, so the
-    translations matter only for a normal N.
-
-    The D classes are numbered in order of first appearance and are built
-    in class order, so the first failing class the sweep meets holds the
-    first failing automorphism, its first member.  A per-D check builds
-    its witness there, once, from that class's matrix.
+    (quandles.alexander_adjacency).  A running table keyed by packed D
+    masks (_ClassTable) numbers the D classes in order of first appearance
+    over the stream, and an end step gets each automorphism's class.  A
+    chunk's new classes are built in class order, in slabs of as many
+    matrices as fit in groups._FAMILY_CHUNK_CELLS cells, unscanned, as
+    phi(x y^-1) y is a quandle for every automorphism.  A slab's shared
+    state is reps, its classes' first rows; adj, their matrices; and, for
+    the judges that read them, masks, the masks of N = <phi(y)^-1 y> = <D>
+    (groups.twist_masks, once per class), and want, the block matrices of
+    N's left cosets, the gather masks[x^-1 v].  The judges read each slab
+    in check_ids order, and their chunk steps each chunk once its new
+    classes are built.  The first failing class holds the first failing
+    automorphism, its first member, so a judge's witness is built there.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
-    pair for alexander_iso) and the witness for the first failure, in the
-    per-instance checker's form: the first cell or vertex where the
-    comparison failed, or for orbit_coset the first of normality, orbits
-    and translations to fail, or for alexander_iso the failing pair's
-    verdict, image sizes and maps.
-
-    A clock, when given, is charged each check's own predictions and
-    tests, and an equal share of the steps the checks share: reading the
-    next chunk (for a stream, enumerating it), the difference sets, their
-    dedupe and the adjacency matrices; the coset block matrices go in
-    equal shares to alexander_components and orbit_coset.
+    pair for alexander_iso) and the first failure's witness, in the
+    per-instance checker's form.  A clock, when given, is charged each
+    judge's own steps, and an equal share of each shared step to the ids
+    that read it: the next chunk (for a stream, its enumeration), the
+    difference sets, their numbering and adj to all, masks and want to
+    their readers.
     """
-    n = g.order
     clock = clock or _Clock()
-    if "orbit_coset" in check_ids and (
-            not isinstance(maps, np.ndarray) or maps.shape != (n, n)
-            or (maps != g.mul[g.mul, g.inv[:, None]]).any()):
+    unknown = [tid for tid in check_ids if tid not in _JUDGES]
+    if unknown:
+        raise ValueError(f"sweep_alexander has no judge for {', '.join(unknown)}")
+    if "orbit_coset" in check_ids and not (
+            isinstance(maps, np.ndarray) and np.array_equal(maps, g.mul[g.mul, g.inv[:, None]])):
         raise ValueError("orbit_coset sweeps the inner family only")
+    judges = {tid: _JUDGES[tid] for tid in check_ids}
+    n_tids = [tid for tid, judge in judges.items() if "N" in judge.reads]
+    want_tids = [tid for tid, judge in judges.items() if "want" in judge.reads]
     d_table = _ClassTable()
-    d_ids = []                         # per chunk: each automorphism's D class
-    ok_d = {tid: [] for tid in check_ids            # per block of D classes
-            if tid in ("alexander_components", "orbit_coset")}
-    witness: dict = {}                 # per check: its first failing automorphism's
-    coset_tids = [c for c in check_ids if c != "regularity"]     # the checks that read N
-    left = g.mul[g.inv]                # left[x, v] = x^-1 v, in N exactly when v is in x N
-    right = g.mul.T[g.inv]             # right[x, v] = v x^-1, in N exactly when v is in N x
-    sizes = []                         # for alexander_iso: per chunk, |N| of its new D classes
-    firsts = []                        # for alexander_iso: per chunk, its new D classes' first rows
-    commons = []                       # per block of D classes: the common degree, or 0
-    regular_ok = []                    # per chunk: regularity's verdicts
-    matrices = []                      # for alexander_iso: per D class
-    rows = max(1, G._FAMILY_CHUNK_CELLS // (n * n))
+    values = {tid: [] for tid in check_ids}     # each judge's per-class values
+    verdicts = {tid: [] for tid in check_ids}   # per chunk: verdicts, or an end step's D classes
+    witness: dict = {}                  # per check: its first failure's
+
+    def judged(tid, ok, found):
+        # keeps found's witness of tid's first failure and charges tid the lap
+        if found is not None and tid not in witness and not ok.all():
+            witness[tid] = found(int(np.argmin(ok)))
+        clock.charge(tid)
+        return ok
+
+    rows = max(1, G._FAMILY_CHUNK_CELLS // g.order ** 2)
     for chunk in ((maps,) if isinstance(maps, np.ndarray) else maps):
         ids, d_new = d_table.number(Q.difference_sets(g, chunk))
-        d_ids.append(ids)
         clock.charge(*check_ids)
-        reps = chunk[d_new]            # the first member of each new D class
-        if coset_tids:
-            masks = G.twist_masks(g, reps)          # per new D class: its N
-            if "alexander_iso" in check_ids:
-                firsts.append(reps)
-                sizes.append(np.count_nonzero(masks, axis=1))
-            clock.charge(*coset_tids)
+        reps = chunk[d_new]             # the first member of each new D class
+        masks = G.twist_masks(g, reps) if n_tids else None
+        clock.charge(*n_tids)
         for c0 in range(0, len(reps), rows):
-            adj = Q.alexander_adjacency(g, reps[c0:c0 + rows])
-            if "alexander_iso" in check_ids:
-                matrices.extend(adj)
+            part = slice(c0, c0 + rows)
+            adj = Q.alexander_adjacency(g, reps[part])
             clock.charge(*check_ids)
-            if ok_d:
-                slab = masks[c0:c0 + len(adj)]
-                want = np.take(slab, left, axis=1)      # the coset block matrices
-                clock.charge(*ok_d)
-            if "alexander_components" in check_ids:
-                ok = (adj == want).all(axis=(1, 2))
-                ok_d["alexander_components"].append(ok)
-                if not ok.all() and "alexander_components" not in witness:
-                    c = int(np.argmin(ok))
-                    witness["alexander_components"] = _cell_mismatch(
-                        adj[c], want[c], "block_mismatch", t=reps[c0 + c].tolist())[0]
-                clock.charge("alexander_components")
-            if "regularity" in check_ids:
-                # uint8 counts are exact up to 255, and einsum adds them fastest
-                cells = adj.view(np.uint8) if n < 256 else adj.astype(np.intp)
-                outs, ins = np.einsum("kxv->kx", cells), np.einsum("kxv->kv", cells)
-                common = outs[:, :1]
-                # a class's common degree, or 0, which no index is, when it is not regular
-                commons.append(np.where(((outs == common) & (ins == common)).all(axis=1),
-                                        common[:, 0], 0))
-                clock.charge("regularity")
-            if "orbit_coset" in check_ids:
-                # N is normal exactly when every left coset x N is the right coset N x
-                normal = (np.take(slab, right, axis=1) == want).all(axis=(1, 2))
-                # row x of the reachability closure is the forward orbit of x
-                orbits = gr._reachability(adj)
-                stray = (orbits != want).any(axis=2)
-                # the cosets are numbered by the rank of their least members,
-                # so coset 0 holds 0.  For a normal N, back[x] = x v^-1 u, with
-                # v the least member of x N and u that of coset 0, inverts the
-                # translation by u^-1 v from coset 0, which keeps every edge and
-                # non-edge exactly when no cell of its coset is torn
-                least = want.argmax(axis=2)
-                back = g.mul[g.mul[np.arange(n), g.inv[least]], least[:, :1]]
-                flat = (np.arange(len(adj))[:, None, None] * n + back[:, :, None]) * n
-                torn = want & (np.take(adj, flat + back[:, None, :]) != adj)
-                ok = normal & ~stray.any(axis=1) & ~torn.any(axis=(1, 2))
-                ok_d["orbit_coset"].append(ok)
-                if not ok.all() and "orbit_coset" not in witness:
-                    c = int(np.argmin(ok))
-                    if not normal[c]:
-                        found = {"not_normal": np.flatnonzero(slab[c]).tolist()}
-                    elif stray[c].any():
-                        x = int(np.argmax(stray[c]))
-                        found = {"orbit_mismatch": {"x": x, "orbit": np.flatnonzero(orbits[c, x]).tolist(),
-                                                    "coset": np.flatnonzero(want[c, x]).tolist()}}
-                    else:
-                        v = least[c][torn[c].any(axis=1)].min()
-                        found = {"translation_not_isomorphism":
-                                 (0, int(np.searchsorted(np.unique(least[c]), v)))}
-                    witness["orbit_coset"] = found
-                clock.charge("orbit_coset")
-        if "regularity" in check_ids:
-            # every class this chunk holds has its degree now, so its
-            # automorphisms are judged while their rows are at hand
-            commons = [np.concatenate(commons)]
-            expected = G.fixed_point_indices(g, chunk)
-            ok = commons[0][ids] == expected
-            regular_ok.append(ok)
-            if not ok.all() and "regularity" not in witness:
-                # the matrix depends on D alone, so automorphism i's is its class's
-                i = int(np.argmin(ok))
-                m = Q.alexander_adjacency(g, chunk[i:i + 1])[0]
-                outs, ins = m.sum(axis=1), m.sum(axis=0)
-                v = int(np.argmax((outs != expected[i]) | (ins != expected[i])))
-                witness["regularity"] = {"vertex": v, "degree": (int(outs[v]), int(ins[v])),
-                                         "expected": int(expected[i]), "phi": chunk[i].tolist()}
-            clock.charge("regularity")
+            slab = None if masks is None else masks[part]
+            want = np.take(slab, g.mul[g.inv], axis=1) if want_tids else None
+            clock.charge(*want_tids)
+            for tid, judge in judges.items():
+                values[tid].append(judged(tid, *judge.slab(g, reps[part], adj, slab, want)))
+        for tid, judge in judges.items():
+            if judge.end:
+                verdicts[tid].append(ids)
+            else:
+                # every class this chunk holds has its value now, so its
+                # automorphisms are judged while their rows are at hand
+                values[tid] = [np.concatenate(values[tid])]
+                verdicts[tid].append(judged(tid, *judge.chunk(g, chunk, values[tid][0][ids])))
         # a stream decodes its next chunk when the loop asks for it, so this
         # chunk's rows and matrices are let go first
         chunk = adj = want = None
-    d_of = np.concatenate(d_ids)
-    out = {tid: (np.concatenate(oks)[d_of], witness.get(tid)) for tid, oks in ok_d.items()}
-    clock.charge(*check_ids)
-    if "regularity" in check_ids:
-        out["regularity"] = (np.concatenate(regular_ok), witness.get("regularity"))
-    if "alexander_iso" in check_ids:
-        size = np.concatenate(sizes)[d_of]
-        cls = _iso_classes(matrices)[d_of]
-        first, second = np.triu_indices(len(d_of))
-        ok = (cls[first] == cls[second]) == (size[first] == size[second])
-        # a pair's verdict depends only on its two D classes, symmetrically,
-        # so in the first failing pair (a, b), a <= b, each is its class's
-        # first member: an earlier first member a' of a's class would fail
-        # (a', b) before it, and one b' of b's class (a, b') or (b', a)
-        p = int(np.argmin(ok))          # the first failing pair, read only on a failure
-        a, b = int(first[p]), int(second[p])
-        t1, t2 = np.concatenate(firsts)[d_of[[a, b]]].tolist()
-        out["alexander_iso"] = (ok, None if ok.all() else {
-            "iso": bool(cls[a] == cls[b]), "image_sizes": (int(size[a]), int(size[b])),
-            "t1": t1, "t2": t2})
-        clock.charge("alexander_iso")
-    return out
+    for tid, judge in judges.items():
+        if judge.end:
+            d_of = np.concatenate(verdicts[tid])        # each automorphism's D class
+            verdicts[tid] = [judged(tid, *judge.end(g, values[tid], d_of))]
+    return {tid: (np.concatenate(verdicts[tid]), witness.get(tid)) for tid in judges}
 
 
 def _translation_iso_ok(graph: gr.DirectedGraph, g: G.FiniteGroup,

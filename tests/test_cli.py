@@ -283,6 +283,16 @@ class TestParserReuse:
         assert fresh.returncode == 2 and fresh.stderr.startswith("error: ")
 
 
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "quandle_cayley", "verify",
+                               "--check", "s4_example"],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].startswith("[PASS] s4_example ")
+
+
 class TestLazyVerifyImport:
     def test_only_the_suite_loads_verify(self):
         # the package and every command but verify run without the verify

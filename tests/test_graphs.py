@@ -154,6 +154,14 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match=field):
             gr.graph_from_json(obj)
 
+    @pytest.mark.parametrize("names", [["a", "a"], [1, "1"]])
+    def test_from_json_refuses_names_that_collide(self, names):
+        # two vertices may not share a name, also once the names are strings
+        with pytest.raises(ValueError, match="names must be distinct"):
+            gr.graph_from_json({"n": 2, "edges": [], "names": names})
+        with pytest.raises(ValueError, match="names must be distinct"):
+            gr.DirectedGraph(2, [], names=names)
+
     def test_from_json_refuses_deeply_nested_text(self):
         # json.loads raised RecursionError
         with pytest.raises(ValueError, match="^graph JSON is nested too deeply$"):

@@ -395,6 +395,23 @@ class TestCheckersCatchSabotage:
         r = V.check_s4_example()
         assert not r.passed and r.witness == {"fixed_subgroup": ["id"]}
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_trivial_edgeless_checker_sees_planted_graphs(self, monkeypatch, n):
+        assert V.check_trivial_edgeless(n).passed
+        # an edge 0 -> 1 in every graph: T_n gains it, and R_n, whose edge
+        # 0 -> 1 it removes, keeps others, so only the trivial half fails
+        with monkeypatch.context() as mp:
+            self._plant(mp, "build_cayley_graph", [(0, 1)])
+            r = V.check_trivial_edgeless(n)
+            assert not r.passed and r.witness == {"trivial_not_edgeless": n}
+        # R_n's graph cut down to its loops, every other graph untouched
+        real = V.gr.build_cayley_graph
+        monkeypatch.setattr(V.gr, "build_cayley_graph", lambda q: (
+            V.gr.DirectedGraph._of_matrix(np.eye(q.order, dtype=bool))
+            if q.label == f"R{n}" else real(q)))
+        r = V.check_trivial_edgeless(n)
+        assert not r.passed and r.witness == {"nontrivial_but_edgeless": f"R{n}"}
+
 
 class TestDihedralInnerPrediction:
     """check_dihedral_inner_example compares the graph with one predicted
@@ -1368,6 +1385,16 @@ class TestSuiteWiring:
         assert ("Z2xZ2xZ2", 168, ("alexander_components", "regularity")) in abelian
         iso = [r.instance for r in reports if r.theorem_id == "alexander_iso"]
         assert len(iso) == 10 and "Z8 (10 pairs)" in iso
+
+    def test_sweep_refuses_ids_it_has_no_judge_for(self):
+        # a suite check the sweep does not run, alone or beside one it does
+        g = G.make_cyclic(3)
+        maps = G.enumerate_automorphisms(g)
+        with pytest.raises(ValueError, match="^sweep_alexander has no judge for axioms$"):
+            V.sweep_alexander(g, maps, ("axioms",))
+        with pytest.raises(ValueError, match="^sweep_alexander has no judge for bogus$"):
+            V.sweep_alexander(g, maps, ("alexander_components", "bogus"))
+        assert set(V.sweep_alexander(g, maps, V._SWEPT)) == set(V._SWEPT)
 
 
 class TestStreamedSweep:
