@@ -335,8 +335,8 @@ def _components_judge(g, reps, adj, masks, want):
 
 
 def _iso_judge(g, reps, adj, masks, want):
-    """alexander_iso, per D class: its first row, |N| and its matrix, for
-    the pair step (_iso_pairs)."""
+    """alexander_iso, per D class: its first member's row, |N| and its
+    matrix, for the pair step (_iso_pairs)."""
     return (reps, np.count_nonzero(masks, axis=1), adj), None
 
 

@@ -398,8 +398,8 @@ class TestCheckersCatchSabotage:
     @pytest.mark.parametrize("n", [3, 6])
     def test_trivial_edgeless_checker_sees_planted_graphs(self, monkeypatch, n):
         assert V.check_trivial_edgeless(n).passed
-        # an edge 0 -> 1 in every graph: T_n gains it, and R_n, whose edge
-        # 0 -> 1 it removes, keeps others, so only the trivial half fails
+        # the cell (0, 1) flipped in every graph: T_n gains an edge, and the
+        # non-trivial peers keep others either way, so only T_n's half fails
         with monkeypatch.context() as mp:
             self._plant(mp, "build_cayley_graph", [(0, 1)])
             r = V.check_trivial_edgeless(n)
