@@ -36,6 +36,7 @@ components.
 """
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -69,9 +70,6 @@ _ISO_PAIR_AUT_CAP = 100
 # the most automorphisms, summed over the abelian types, one suite run
 # enumerates: abelian_order_cap 63 asks for 10.1 million, 64 for 20.2 billion
 _AUT_BUDGET = 1 << 24
-# the checks sweep_alexander runs over any family, in suite order; its
-# fourth, orbit_coset, takes the inner family only
-_SWEPT = ("alexander_components", "alexander_iso", "regularity")
 
 
 @dataclass(frozen=True)
@@ -431,19 +429,26 @@ class _Judge:
     "want".  chunk(g, chunk, values) judges a chunk's automorphisms from
     their classes' values; by default the values are the verdicts.  A
     judge with an end step has no chunk step: end(g, slabs, d_of) judges
-    the family from every slab's values and each automorphism's class."""
+    the family from every slab's values and each automorphism's class.
+    families names the families the suite sweeps it over: "abelian", every
+    automorphism of each abelian type as a stream, and "inner", the inner
+    automorphisms of each registry group as one array."""
     slab: Callable
     reads: tuple = ()
     chunk: Callable = lambda g, chunk, values: (values, None)
     end: Callable | None = None
+    families: tuple = ("abelian", "inner")
 
 
 _JUDGES = {
-    "alexander_components": _Judge(_components_judge, ("N", "want")),
-    "alexander_iso": _Judge(_iso_judge, ("N",), end=_iso_pairs),
+    "alexander_components": _Judge(_components_judge, ("N", "want"), families=("abelian",)),
+    "alexander_iso": _Judge(_iso_judge, ("N",), end=_iso_pairs, families=("abelian",)),
     "regularity": _Judge(_degree_judge, chunk=_regularity_chunk),
-    "orbit_coset": _Judge(_orbit_coset_judge, ("N", "want")),
+    "orbit_coset": _Judge(_orbit_coset_judge, ("N", "want"), families=("inner",)),
 }
+# the ids the suite sweeps over each family
+_SWEPT, _INNER = (tuple(tid for tid, judge in _JUDGES.items() if family in judge.families)
+                  for family in ("abelian", "inner"))
 
 
 def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
@@ -454,8 +459,8 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     or of the chunks of such rows an iterable maps yields in turn
     (groups._automorphism_chunks), read as a stream and never held whole.
     alexander_iso gives one verdict per pair, so keep the family small for
-    it; orbit_coset takes the inner family g.mul[g.mul, g.inv[:, None]]
-    only, as one array.
+    it; a check the suite sweeps over the inner family alone (orbit_coset)
+    takes that family g.mul[g.mul, g.inv[:, None]] only, as one array.
 
     Row x of the adjacency matrix is D x, with D = {phi(z) z^-1}
     (quandles.alexander_adjacency).  A running table keyed by packed D
@@ -484,9 +489,10 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     unknown = [tid for tid in check_ids if tid not in _JUDGES]
     if unknown:
         raise ValueError(f"sweep_alexander has no judge for {', '.join(unknown)}")
-    if "orbit_coset" in check_ids and not (
+    inner_only = [tid for tid in check_ids if _JUDGES[tid].families == ("inner",)]
+    if inner_only and not (
             isinstance(maps, np.ndarray) and np.array_equal(maps, g.mul[g.mul, g.inv[:, None]])):
-        raise ValueError("orbit_coset sweeps the inner family only")
+        raise ValueError(f"{inner_only[0]} sweeps the inner family only")
     judges = {tid: _JUDGES[tid] for tid in check_ids}
     n_tids = [tid for tid, judge in judges.items() if "N" in judge.reads]
     want_tids = [tid for tid, judge in judges.items() if "want" in judge.reads]
@@ -685,6 +691,8 @@ class SuiteConfig:
             return G.as_list(getattr(self, name), "suite config value of the wrong type: "
                              f"{name} must be a list, got {{!r}}")
         self.nonabelian_registry = tuple(str(s) for s in listed("nonabelian_registry"))
+        for label in self.nonabelian_registry:      # parsed now, built on first read
+            specs.parse_group_spec(label)
         rng = listed("dihedral_range")
         if len(rng) != 2:
             raise ValueError("dihedral_range must be [lo, hi] with 1 <= lo <= hi")
@@ -761,10 +769,44 @@ def _sweep_reports(g: G.FiniteGroup, maps, check_ids, instances=None,
     return out
 
 
+def _axiom_samples(config: SuiteConfig, registry) -> list:
+    """The (label, table) pairs the axioms check scans, in report order."""
+    lo, hi = config.dihedral_range
+    samples = [(f"T{n}", Q.trivial_quandle(n).rhd) for n in range(1, 5)]
+    samples += [(f"R{n}", Q.dihedral_quandle(n).rhd) for n in range(max(2, lo), min(hi, 12) + 1)]
+    for g in registry():
+        if g.order <= 24:
+            phi = G.inner_automorphism(g, 1 % g.order)
+            samples += [(f"Conj({g.label})", Q.conjugation_quandle(g).rhd),
+                        (f"GAlex({g.label})", Q.generalized_alexander_quandle(g, phi).rhd)]
+    samples += [(f"Core(Z{m})", Q.core_quandle(G.make_cyclic(m)).rhd) for m in range(3, 9)]
+    return samples + [(label, np.asarray(table)) for label, table in config.extra_quandles]
+
+
+# each per-instance check id's reports, in order, from the config c and the
+# registry groups, registry().  Each checker is looked up by name when the
+# suite runs, so a wrapped or replaced module attribute is the one called
+_PER_INSTANCE = {
+    "axioms": lambda c, registry: (check_axioms(*s) for s in _axiom_samples(c, registry)),
+    "trivial_edgeless": lambda c, registry: map(check_trivial_edgeless,
+                                                range(1, c.abelian_order_cap + 1)),
+    "conjugation": lambda c, registry: map(check_conjugation_components, registry()),
+    "dihedral": lambda c, registry: map(check_dihedral_quandle,
+                                        range(c.dihedral_range[0], c.dihedral_range[1] + 1)),
+    "takasaki": lambda c, registry: map(check_takasaki_window, range(1, c.takasaki_window + 1)),
+    "dihedral_inner": lambda c, registry: map(check_dihedral_inner_example, range(
+        max(2, c.dihedral_range[0]), c.dihedral_range[1] + 1)),
+    "s4_example": lambda c, registry: [check_s4_example()],
+}
+
+
 def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
-    """Run the configured checks over the configured families, in a fixed
-    deterministic order.  Big parameter sweeps come back as one merged
-    report per group, with the first failing sub-instance as witness.
+    """Run the configured checks over the configured families.  Reports
+    come back grouped by check id in CHECK_IDS order, each id's in a fixed
+    order; a family sweep gives one merged report per group, with the
+    first failing sub-instance as witness.  A run whose checks give no
+    report at all raises ValueError.  The registry groups are built the
+    first time a check reads them, and not at all when none does.
 
     Each abelian group's |Aut(G)| is predicted before any check runs, by a
     closed form (groups._abelian_automorphism_count), and a run whose
@@ -775,9 +817,8 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     must equal the prediction, or every swept report of that group fails
     with witness {"automorphisms": k, "predicted": p}."""
     config = config or SuiteConfig()
-    reports: list[VerificationReport] = []
-    lo, hi = config.dihedral_range
-    swept = tuple(c for c in _SWEPT if config.wants(c))
+    selected = tuple(filter(config.wants, CHECK_IDS))
+    swept, inner_tids = (tuple(filter(config.wants, tids)) for tids in (_SWEPT, _INNER))
     abelian = []                # (group, its predicted |Aut|), for the swept checks
     if swept:
         abelian = [(g, G._abelian_automorphism_count(g))
@@ -787,78 +828,31 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
             raise ValueError(
                 f"abelian_order_cap {config.abelian_order_cap} asks for {total:,} "
                 f"automorphisms, over the budget of {_AUT_BUDGET:,}")
-    registry = []
-    if any(map(config.wants, ("axioms", "conjugation", "regularity", "orbit_coset"))):
-        registry = [specs.group_from_string(label) for label in config.nonabelian_registry]
+    registry = functools.cache(
+        lambda: [specs.group_from_string(label) for label in config.nonabelian_registry])
+    reports = {tid: list(_PER_INSTANCE[tid](config, registry)) if tid in _PER_INSTANCE else []
+               for tid in selected}
 
-    if config.wants("axioms"):
-        samples: list[tuple[str, np.ndarray]] = []
-        for n in range(1, 5):
-            samples.append((f"T{n}", Q.trivial_quandle(n).rhd))
-        for n in range(max(2, lo), min(hi, 12) + 1):
-            samples.append((f"R{n}", Q.dihedral_quandle(n).rhd))
-        for g in registry:
-            if g.order <= 24:
-                samples.append((f"Conj({g.label})", Q.conjugation_quandle(g).rhd))
-                phi = G.inner_automorphism(g, 1 % g.order)
-                samples.append((f"GAlex({g.label})",
-                                Q.generalized_alexander_quandle(g, phi).rhd))
-        for m in range(3, 9):
-            samples.append((f"Core(Z{m})", Q.core_quandle(G.make_cyclic(m)).rhd))
-        for label, table in config.extra_quandles:
-            samples.append((label, np.asarray(table)))
-        for label, table in samples:
-            reports.append(check_axioms(label, table))
-
-    if config.wants("trivial_edgeless"):
-        for n in range(1, config.abelian_order_cap + 1):
-            reports.append(check_trivial_edgeless(n))
-
-    if config.wants("conjugation"):
-        for g in registry:
-            reports.append(check_conjugation_components(g))
-
-    if config.wants("dihedral"):
-        for n in range(lo, hi + 1):
-            reports.append(check_dihedral_quandle(n))
-
-    if config.wants("takasaki"):
-        for w in range(1, config.takasaki_window + 1):
-            reports.append(check_takasaki_window(w))
-
-    # one sweep per abelian group serves all three swept checks, and one
-    # per registry group the inner twists' regularity and orbit_coset; the
-    # reports keep their places in the suite order
-    inner_tids = tuple(c for c in ("regularity", "orbit_coset") if config.wants(c))
-    merged: dict[str, list] = {tid: [] for tid in swept + ("orbit_coset",)}
+    # one sweep per abelian group serves its swept checks, and one per
+    # registry group its inner family's
     for g, predicted in abelian:
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
-        tids = tuple(c for c in swept
-                     if c != "alexander_iso" or predicted <= _ISO_PAIR_AUT_CAP)
-        if not tids:
-            continue
-        clock = _Clock()        # started first, so the sweep's reports include the enumeration
-        maps = G._automorphism_chunks(g, cap=config.abelian_order_cap)
-        for tid, report in _sweep_reports(g, maps, tids, clock=clock,
-                                          predicted=predicted).items():
-            merged[tid].append(report)
-    for g in registry if inner_tids else []:
+        tids = tuple(c for c in swept if c != "alexander_iso" or predicted <= _ISO_PAIR_AUT_CAP)
+        if tids:
+            clock = _Clock()    # started first, so the sweep's reports include the enumeration
+            maps = G._automorphism_chunks(g, cap=config.abelian_order_cap)
+            for tid, report in _sweep_reports(g, maps, tids, clock=clock,
+                                              predicted=predicted).items():
+                reports[tid].append(report)
+    for g in registry() if inner_tids else []:
         inner = g.mul[g.mul, g.inv[:, None]]      # inner[h, x] = h x h^-1
         instances = {"regularity": f"{g.label} (inner, all h)",
                      "orbit_coset": f"{g.label} (all h)"}
         for tid, report in _sweep_reports(g, inner, inner_tids, instances).items():
-            merged[tid].append(report)
-    for tid in merged:
-        reports.extend(merged[tid])
-
-    if config.wants("dihedral_inner"):
-        for m in range(max(2, lo), hi + 1):
-            reports.append(check_dihedral_inner_example(m))
-
-    if config.wants("s4_example"):
-        reports.append(check_s4_example())
-
-    return reports
+            reports[tid].append(report)
+    if not any(reports.values()):
+        raise ValueError(f"the config selects no instance of {', '.join(selected)}")
+    return [report for tid in selected for report in reports[tid]]
 
 
 def format_reports(reports: list[VerificationReport], show_timing: bool = False) -> str:

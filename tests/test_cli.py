@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quandle_cayley import cli
+from quandle_cayley import CHECK_IDS, cli
 from quandle_cayley import graphs as gr
 from quandle_cayley import groups as G
 from quandle_cayley import quandles as Q
@@ -451,6 +451,33 @@ class TestVerify:
         assert code == 0
         assert [line for line in out.splitlines() if line.startswith("[")] == want
         assert len(want) == 81         # 25 + 22 + 25 abelian, 9 registry
+
+    @pytest.mark.parametrize("tid", CHECK_IDS)
+    def test_each_check_matches_recorded_output(self, capsys, tid):
+        # each id run alone prints its lines of the recorded default run, in order
+        oracle = Path(__file__).resolve().parents[1] / "bench" / "expected" / "suite_default.txt"
+        want = [line for line in oracle.read_text().splitlines()
+                if line.startswith("[") and line.split()[1] == tid]
+        code, out, _ = run(capsys, "verify", "--check", tid)
+        assert code == 0 and want
+        assert [line for line in out.splitlines() if line.startswith("[")] == want
+
+    def test_bad_registry_label_exits_2_without_a_registry_check(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nonabelian_registry": ["Q8"]}))
+        got = run(capsys, "verify", "--check", "dihedral", "--range", "3..3",
+                  "--config", str(path))
+        assert got == (2, "", "error: bad spec 'Q8' at position 0: expected Zn, Dm, or Sn\n")
+
+    @pytest.mark.parametrize("argv, cfg, ids", [
+        (("--check", "dihedral_inner", "--range", "1..1"), {}, "dihedral_inner"),
+        ((), {"checks": ["takasaki"], "takasaki_window": 0}, "takasaki"),
+    ])
+    def test_run_with_no_report_exits_2(self, capsys, tmp_path, argv, cfg, ids):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        got = run(capsys, "verify", *argv, "--config", str(path))
+        assert got == (2, "", f"error: the config selects no instance of {ids}\n")
 
     def test_byte_identical_output(self, capsys):
         args = ("verify", "--check", "conjugation")

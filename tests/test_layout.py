@@ -4,9 +4,12 @@ bench/tracing.py's LAYERS, which wraps the per-instance checkers the tests
 and the traced benchmark call.  A definition with none of the three is dead
 code."""
 import ast
+import re
 from pathlib import Path
 
 from test_tracing import _load_tracing
+
+from quandle_cayley.verify import CHECK_IDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quandle_cayley"
 
@@ -47,3 +50,10 @@ def test_only_groups_defines_input_checks():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith(("as_", "_as_"))]
     assert stray == []
+
+
+def test_readme_check_table_lists_the_check_ids():
+    # README's table of check ids, row by row, is CHECK_IDS in order
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    table = readme.split("| id | claim checked |\n")[1].split("\n\n")[0]
+    assert tuple(re.findall(r"^\| `(\w+)` \|", table, re.M)) == CHECK_IDS

@@ -213,6 +213,22 @@ class TestSuiteConfig:
         cfg = V.SuiteConfig.from_json(obj)
         assert cfg.extra_quandles[0][0] == "inline"
 
+    def test_parses_registry_labels_at_load(self, monkeypatch):
+        # a bad label is refused though no selected check reads the
+        # registry, and parsing it builds no group
+        built = []
+        with monkeypatch.context() as mp:
+            mp.setattr(V.specs, "build_group", lambda spec: built.append(spec))
+            with pytest.raises(V.specs.SpecParseError, match="^bad spec 'Q8' at position 0"):
+                V.SuiteConfig(checks=("dihedral",), nonabelian_registry=("S3", "Q8"))
+            cfg = V.SuiteConfig(checks=("dihedral",), dihedral_range=(3, 3),
+                                nonabelian_registry=("S7",))
+        assert built == []
+        # S7 parses, and SYMMETRIC_CAP refuses it only where it is built
+        assert [r.passed for r in V.run_suite(cfg)] == [True]
+        with pytest.raises(ValueError, match="^symmetric group capped at n <= 6"):
+            V.run_suite(V.SuiteConfig(checks=("conjugation",), nonabelian_registry=("S7",)))
+
 
 class TestRunSuite:
     def test_reduced_run_is_deterministic_and_green(self):
@@ -248,6 +264,21 @@ class TestRunSuite:
         # Z1, Z2, Z3, Z4, Z2xZ2
         assert len(reports) == 5
         assert all("automorphisms)" in r.instance for r in reports)
+
+    @pytest.mark.parametrize("kwargs, ids", [
+        ({"checks": ("dihedral_inner",), "dihedral_range": (1, 1)}, "dihedral_inner"),
+        ({"checks": ("takasaki",), "takasaki_window": 0}, "takasaki"),
+        ({"checks": ("conjugation", "orbit_coset"), "nonabelian_registry": ()},
+         "conjugation, orbit_coset"),
+    ])
+    def test_refuses_a_run_with_no_report(self, kwargs, ids):
+        with pytest.raises(ValueError, match=f"^the config selects no instance of {ids}$"):
+            V.run_suite(V.SuiteConfig(**kwargs))
+
+    def test_a_check_with_no_report_beside_one_with_some_runs(self):
+        cfg = V.SuiteConfig(checks=("conjugation", "dihedral"), nonabelian_registry=(),
+                            dihedral_range=(3, 3))
+        assert [(r.theorem_id, r.passed) for r in V.run_suite(cfg)] == [("dihedral", True)]
 
     def test_format_reports_stable(self):
         cfg = V.SuiteConfig(checks=("dihedral",), dihedral_range=(3, 4))
