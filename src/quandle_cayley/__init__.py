@@ -8,6 +8,8 @@ computed algebraic predictions (`verify`).  `specs` holds the small text
 grammar the command line uses to name groups, automorphisms, and quandles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .groups import (
     AUTOMORPHISM_CAP,
     Automorphism,
@@ -99,77 +101,8 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTOMORPHISM_CAP",
-    "Automorphism",
-    "AxiomReport",
-    "AxiomViolation",
-    "CHECK_IDS",
-    "ComponentDecomposition",
-    "CosetPartition",
-    "DirectedGraph",
-    "FiniteGroup",
-    "GroupSpec",
-    "PermGroup",
-    "Quandle",
-    "QuandleSpec",
-    "SpecParseError",
-    "Subgroup",
-    "SuiteConfig",
-    "VerificationReport",
-    "abelian_group_types",
-    "alexander_quandle",
-    "build_cayley_graph",
-    "build_group",
-    "build_quandle",
-    "commutator_subgroup_with",
-    "complete_graph",
-    "component_diameter",
-    "conjugacy_classes",
-    "conjugation_quandle",
-    "core_quandle",
-    "cosets",
-    "degrees",
-    "dihedral_quandle",
-    "enumerate_automorphisms",
-    "export_graph",
-    "find_isomorphism",
-    "fixed_point_subgroup",
-    "format_reports",
-    "forward_orbit",
-    "generalized_alexander_quandle",
-    "graph_from_json",
-    "group_from_string",
-    "identity_automorphism",
-    "image_id_minus_t",
-    "induced_subgraph",
-    "inner_automorphism",
-    "inner_group",
-    "is_complete",
-    "is_edgeless",
-    "is_involutory",
-    "is_isomorphic",
-    "is_normal",
-    "is_symmetric",
-    "make_abelian",
-    "make_cyclic",
-    "make_dihedral",
-    "make_direct_product",
-    "make_quandle_spec",
-    "make_symmetric",
-    "matrix_automorphism",
-    "negation_automorphism",
-    "parse_group_spec",
-    "parse_quandle_string",
-    "quandle_from_json",
-    "quandle_to_json",
-    "resolve_automorphism",
-    "run_suite",
-    "strongly_connected_components",
-    "subgroup_generated",
-    "takasaki_z_edge",
-    "takasaki_z_window",
-    "trivial_quandle",
-    "verify_quandle_axioms",
-    "weakly_connected_components",
-]
+# the public names the imports above bind, less the submodules they bind
+# with them (groups, quandles, ...), and the suite's names
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_FROM_VERIFY))

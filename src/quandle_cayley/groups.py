@@ -214,11 +214,19 @@ def as_names(names, n: int) -> list[str]:
 
 def loads_json(text: str, what: str):
     """json.loads(text), with a document nested past the recursion limit
-    refused by one ValueError naming what the text is."""
+    refused by one ValueError naming what the text is, and a syntax error
+    by invalid_json's."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise invalid_json(exc, what) from None
+
+
+def invalid_json(exc: json.JSONDecodeError, what: str) -> json.JSONDecodeError:
+    """The syntax error exc at the same position, its message naming what the text is."""
+    return json.JSONDecodeError(f"{what} is not valid JSON: {exc.msg}", exc.doc, exc.pos)
 
 
 class FiniteGroup:

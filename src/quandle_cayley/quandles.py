@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (Automorphism, FiniteGroup, _generating_set, as_index_array,
-                     as_integer, as_list, as_names, breadth_first, first_mismatch, loads_json)
+                     as_integer, as_list, as_names, breadth_first, first_mismatch)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -401,15 +401,14 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def inner_group(q: Quandle, cap: int = INNER_GROUP_CAP,
-                closure_cap: int = INNER_CLOSURE_CAP) -> PermGroup:
+def inner_group(q: Quandle, closure_cap: int = INNER_CLOSURE_CAP) -> PermGroup:
     """Group generated by all right translations, closed under composition.
 
     Breadth-first closure under composition; inverses come for free in a
     finite setting.  closure_cap bounds the member count as a safety net.
     """
-    if q.order > cap:
-        raise ValueError(f"inner group computation capped at order <= {cap}")
+    if q.order > INNER_GROUP_CAP:
+        raise ValueError(f"inner group computation capped at order <= {INNER_GROUP_CAP}")
     gens = list(dict.fromkeys(map(tuple, q.rhd.T.tolist())))   # distinct columns
     try:
         layers = breadth_first([tuple(range(q.order))],
@@ -529,7 +528,9 @@ def loads_quandle_json(text: str):
     text json.loads reads as an object whose "rhd" is [], so the key is
     the top-level one and the rest of the document is json.loads' own.
     Any other text, and any remainder json.loads refuses, is parsed whole
-    by groups.loads_json, so its result and its errors are exactly that one's.
+    by json.loads, so its result and its errors are exactly that one's;
+    only a document nested past the recursion limit is refused instead,
+    by one ValueError.
     """
     span = _rhd_body(text)
     if span is not None:
@@ -543,7 +544,10 @@ def loads_quandle_json(text: str):
             if values is not None:
                 obj["rhd"] = values
                 return obj
-    return loads_json(text, "quandle JSON")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("quandle JSON is nested too deeply") from None
 
 
 def _rhd_body(text: str) -> tuple | None:

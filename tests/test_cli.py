@@ -109,6 +109,16 @@ class TestBuild:
             got = run(capsys, *argv)
             assert got == (2, "", "error: quandle JSON is nested too deeply\n"), argv
 
+    @pytest.mark.parametrize("command", [("analyze",), ("build",), ("export", "--format", "dot")])
+    @pytest.mark.parametrize("text", ["", '{"order": 2, "rhd": [0, '])
+    def test_raw_file_syntax_error_names_the_document(self, capsys, tmp_path, command, text):
+        # json's bare message names neither the file nor what it holds
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *command, "--family", "raw", "--raw-path", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quandle JSON is not valid JSON: ")
+
     def test_perm_non_integer_images_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--family", "gen_alexander",
                              "--group", "Z3", "--phi", "perm:[0.2,2.5,1.1]")
@@ -421,6 +431,16 @@ class TestVerify:
         path.write_text("[" * depth + "]" * depth)
         got = run(capsys, "verify", "--config", str(path))
         assert got == (2, "", "error: suite config is nested too deeply\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"checks": [', "Expecting value: line 1 column 13 (char 12)"),
+    ])
+    def test_config_syntax_error_names_the_document(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        got = run(capsys, "verify", "--config", str(path))
+        assert got == (2, "", f"error: suite config is not valid JSON: {message}\n")
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "dihedral", "--range", "a..b")

@@ -167,6 +167,12 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="^graph JSON is nested too deeply$"):
             gr.graph_from_json("[" * 100_000 + "]" * 100_000)
 
+    def test_from_json_syntax_error_names_the_document(self):
+        # still a JSONDecodeError at json's own position
+        with pytest.raises(json.JSONDecodeError, match="^graph JSON is not valid JSON: ") as info:
+            gr.graph_from_json('{"n": 2, ')
+        assert info.value.pos == 9
+
     def test_matrix(self):
         g = gr.DirectedGraph(2, [(0, 1), (1, 1)])
         assert g.matrix().tolist() == [[False, True], [False, True]]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from test_tracing import _load_tracing
 
+import quandle_cayley
 from quandle_cayley.verify import CHECK_IDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quandle_cayley"
@@ -57,3 +58,14 @@ def test_readme_check_table_lists_the_check_ids():
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     table = readme.split("| id | claim checked |\n")[1].split("\n\n")[0]
     assert tuple(re.findall(r"^\| `(\w+)` \|", table, re.M)) == CHECK_IDS
+
+
+def test_all_is_the_imported_names_and_the_suite_names():
+    # the names the package's own imports bind, each once, beside the ones
+    # its __getattr__ loads from verify, sorted
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    names = imported + list(quandle_cayley._FROM_VERIFY)
+    assert len(set(names)) == len(names)
+    assert quandle_cayley.__all__ == sorted(names)

@@ -1427,6 +1427,12 @@ class TestSuiteWiring:
             V.sweep_alexander(g, maps, ("alexander_components", "bogus"))
         assert set(V.sweep_alexander(g, maps, V._SWEPT)) == set(V._SWEPT)
 
+    def test_every_check_id_has_one_table_entry(self):
+        # run_suite reads an id in neither table as no reports, and the
+        # sweep loop has no CHECK_IDS place for a judge outside it
+        entries = list(V._PER_INSTANCE) + list(V._JUDGES)
+        assert sorted(entries) == sorted(V.CHECK_IDS)
+
 
 class TestStreamedSweep:
     """sweep_alexander over a stream of row chunks (groups._automorphism_chunks)
