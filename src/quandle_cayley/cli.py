@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from . import graphs as gr
 from . import groups as G
@@ -154,7 +153,8 @@ def _parse_range(text: str) -> tuple:
 def cmd_verify(args) -> int:
     from . import verify as V
 
-    cfg_obj = G.loads_json(Path(args.config).read_text(), "suite config") if args.config else {}
+    what = "suite config"
+    cfg_obj = G.loads_json(G.read_utf8(args.config, what), what) if args.config else {}
     if not isinstance(cfg_obj, dict):
         raise ValueError("suite config must be a JSON object")
     if args.check:

@@ -212,6 +212,15 @@ def as_names(names, n: int) -> list[str]:
     return names
 
 
+def read_utf8(path, what: str) -> str:
+    """The file at path as strict UTF-8 text, else a ValueError naming what and the byte."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} is not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def loads_json(text: str, what: str):
     """json.loads(text), with a document nested past the recursion limit
     refused by one ValueError naming what the text is, and a syntax error

@@ -184,8 +184,7 @@ def build_quandle(spec: QuandleSpec) -> Q.Quandle:
     if spec.family == "dihedral":
         return Q.dihedral_quandle(spec.n)
     if spec.family == "raw":
-        with open(spec.raw_path) as fh:
-            text = fh.read()
+        text = G.read_utf8(spec.raw_path, "quandle JSON")
         return Q.quandle_from_json(Q.loads_quandle_json(text))
     g = build_group(spec.group)
     if spec.family == "conj":

@@ -32,7 +32,7 @@ first differing cell.  dihedral_inner and s4_example are likewise one
 comparison each (_cell_mismatch), with their predicted matrices: directed
 cycles, and the golden A4 block with its translate onto the other coset.
 A graph here is its boolean adjacency matrix; no check searches for
-components.
+components, and alexander_iso keys such unions by block sizes (_iso_key).
 """
 from __future__ import annotations
 
@@ -265,26 +265,38 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
 # -- batched sweeps over families of automorphisms ----------------------------
 
 
-def _iso_classes(matrices: list) -> np.ndarray:
-    """Isomorphism class id of each adjacency matrix in a list of distinct
-    ones.
+def _iso_key(m: np.ndarray) -> tuple | None:
+    """The sorted class sizes of m if m is an equivalence relation, else
+    None.  With label[x] the first True column of row x, m is one exactly
+    when m[x, y] == (label[x] == label[y]): that is label's kernel, and an
+    equivalence relation's row x is x's class, first member label[x].  Its
+    digraph is one complete digraph with loops per class, and two such are
+    isomorphic exactly when their sorted class sizes are equal."""
+    label = m.argmax(axis=1)
+    if not (m == (label[:, None] == label[None, :])).all():
+        return None
+    sizes = np.bincount(label)
+    return tuple(np.sort(sizes[sizes > 0]).tolist())
 
-    The matrices, in order, are searched against the class representatives
-    in turn; a mapping counts only if it carries every edge and non-edge
-    onto the representative's, and an unmatched matrix starts a new class.
-    """
-    reps: list[gr.DirectedGraph] = []
+
+def _iso_classes(matrices) -> np.ndarray:
+    """Isomorphism class ids, in order of first appearance, of distinct
+    adjacency matrices: a keyed one (_iso_key) joins its key's class, any
+    other is searched against the key-less classes' first graphs, a mapping
+    counting only if it carries every edge and non-edge.  An isomorphism
+    keeps the equivalence property, so the two kinds never share a class."""
+    ids: dict = {}                  # id of each key, and of each searched class's first graph
     class_of = np.empty(len(matrices), dtype=np.intp)
     for i, m in enumerate(matrices):
-        graph = gr.DirectedGraph._of_matrix(m)
-        for c, rep in enumerate(reps):
-            p = gr.find_isomorphism(graph, rep)
-            if p is not None and (m == rep.matrix()[np.ix_(p, p)]).all():
-                class_of[i] = c
-                break
-        else:
-            class_of[i] = len(reps)
-            reps.append(graph)
+        key = _iso_key(m)
+        if key is None:             # an unmatched graph keys a new class
+            key = graph = gr.DirectedGraph._of_matrix(m)
+            for rep in (k for k in ids if isinstance(k, gr.DirectedGraph)):
+                p = gr.find_isomorphism(graph, rep)
+                if p is not None and (m == rep.matrix()[np.ix_(p, p)]).all():
+                    key = rep
+                    break
+        class_of[i] = ids.setdefault(key, len(ids))
     return class_of
 
 
@@ -339,11 +351,11 @@ def _iso_judge(g, reps, adj, masks, want):
 
 
 def _iso_pairs(g, slabs, d_of):
-    """alexander_iso over the pairs i <= j, in row-major order: the distinct
-    matrices are sorted into isomorphism classes (_iso_classes), and a pair
-    is isomorphic when its graphs share a class.  That verdict must agree
-    with whether |N| is equal, which the classes never read.  The witness
-    is the failing pair's verdict, image sizes and maps."""
+    """alexander_iso over the pairs i <= j, in row-major order: a pair is
+    isomorphic when its graphs share a class (_iso_classes: by key, or by
+    search for a matrix with none), and that verdict must agree with
+    whether |N| is equal, which the classes never read.  The witness is
+    the failing pair's verdict, image sizes and maps."""
     firsts, sizes, matrices = (np.concatenate(part) for part in zip(*slabs))
     size, cls = sizes[d_of], _iso_classes(matrices)[d_of]
     first, second = np.triu_indices(len(d_of))

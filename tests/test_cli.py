@@ -119,6 +119,30 @@ class TestBuild:
         assert (code, out) == (2, "")
         assert err.startswith("error: quandle JSON is not valid JSON: ")
 
+    @pytest.mark.parametrize("command", [("analyze",), ("build",), ("export", "--format", "dot")])
+    def test_raw_file_not_utf8_names_the_document(self, capsys, tmp_path, command):
+        # a UTF-16 file, starting ff fe: the codec's bare message named
+        # neither the file nor what it holds
+        path = tmp_path / "bad.json"
+        path.write_bytes("{}".encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        got = run(capsys, *command, "--family", "raw", "--raw-path", str(path))
+        assert got == (2, "", "error: quandle JSON is not valid UTF-8: "
+                              "invalid start byte at byte 0\n")
+
+    def test_raw_file_is_read_as_utf8(self, tmp_path):
+        # whatever the locale: a non-ASCII name loads, and a Latin-1 byte
+        # past the start is named with its offset
+        text = '{"order": 2, "names": ["\u00e9", "b"], "rhd": [0, 0, 1, 1]}'
+        path = tmp_path / "q.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert G.read_utf8(path, "quandle JSON") == text
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            G.read_utf8(path, "quandle JSON")
+        assert str(exc.value) == ("quandle JSON is not valid UTF-8: invalid continuation "
+                                  f"byte at byte {text.index(chr(0xe9))}")
+
     def test_perm_non_integer_images_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--family", "gen_alexander",
                              "--group", "Z3", "--phi", "perm:[0.2,2.5,1.1]")
@@ -441,6 +465,14 @@ class TestVerify:
         path.write_text(text)
         got = run(capsys, "verify", "--config", str(path))
         assert got == (2, "", f"error: suite config is not valid JSON: {message}\n")
+
+    def test_config_not_utf8_names_the_document(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes("{}".encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        got = run(capsys, "verify", "--config", str(path))
+        assert got == (2, "", "error: suite config is not valid UTF-8: "
+                              "invalid start byte at byte 0\n")
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "dihedral", "--range", "a..b")

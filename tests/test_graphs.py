@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from test_verify import _search_classes
 
 from quandle_cayley import graphs as gr
 from quandle_cayley import groups as G
@@ -565,19 +566,20 @@ def _edge_swapped(graph, rng):
 
 class TestIsomorphismMatchesTheLoop:
     """find_isomorphism returns the mapping (or None) that the per-vertex
-    loop returned, on every search of a default verify pass and on
-    relabelled and edge-swapped quandle graphs."""
+    loop returned, on every search the search-only class loop makes over a
+    default verify pass's alexander_iso matrices, and on relabelled and
+    edge-swapped quandle graphs."""
 
     def test_default_pass_searches(self, monkeypatch):
+        # a default pass keys every matrix and searches none, so its lists
+        # are replayed through the class loop the keys replaced
         from quandle_cayley import verify as V
-        real, pairs = gr.find_isomorphism, []
-
-        def record(g1, g2):
-            pairs.append((g1, g2))
-            return real(g1, g2)
-
-        monkeypatch.setattr(gr, "find_isomorphism", record)
+        real, lists, pairs = gr.find_isomorphism, [], []
+        classes = V._iso_classes
+        monkeypatch.setattr(V, "_iso_classes", lambda ms: lists.append(ms) or classes(ms))
         V.run_suite()
+        for matrices in lists:
+            _search_classes(matrices, lambda g1, g2: pairs.append((g1, g2)) or real(g1, g2))
         assert len(pairs) > 100
         found = 0
         for g1, g2 in pairs:

@@ -1002,32 +1002,116 @@ def _iso_sweep(g, autos):
     return V.sweep_alexander(g, _maps(autos), ("alexander_iso",))["alexander_iso"]
 
 
+def _search_classes(matrices, search=None):
+    """The class loop alexander_iso ran before its keys, kept as the oracle:
+    each matrix, in order, is searched against the class representatives in
+    turn (search, by default graphs.find_isomorphism, on each pair), a
+    mapping counts only if it carries every edge and non-edge onto the
+    representative's, and an unmatched matrix starts a new class."""
+    search = search or V.gr.find_isomorphism
+    reps, class_of = [], []
+    for m in matrices:
+        graph = V.gr.DirectedGraph._of_matrix(m)
+        for c, rep in enumerate(reps):
+            p = search(graph, rep)
+            if p is not None and (m == rep.matrix()[np.ix_(p, p)]).all():
+                class_of.append(c)
+                break
+        else:
+            class_of.append(len(reps))
+            reps.append(graph)
+    return class_of
+
+
+class _Collected(Exception):
+    """Raised by the spy on _iso_classes once it has the matrices, so that
+    a family too large for pair verdicts stops before its pair array."""
+
+
+def _relabelled(m, rng):
+    perm = rng.permutation(len(m))
+    out = np.zeros_like(m)
+    out[np.ix_(perm, perm)] = m
+    return out
+
+
+def _cycles_with_loops(lengths):
+    """The disjoint union of directed cycles of these lengths, each vertex
+    with its loop: an equivalence relation only when no length exceeds 2."""
+    n = sum(lengths)
+    m = np.eye(n, dtype=bool)
+    start = 0
+    for length in lengths:
+        for v in range(start, start + length):
+            m[v, start + (v - start + 1) % length] = True
+        start += length
+    return m
+
+
+def _partition_matrix(sizes):
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    return label[:, None] == label[None, :]
+
+
+def _distinct(matrices):
+    seen = {}
+    for m in matrices:
+        seen.setdefault(m.tobytes(), m)
+    return list(seen.values())
+
+
+def _complemented(monkeypatch):
+    """Plants each Alexander matrix's complement: a map is an isomorphism
+    of two complements exactly when it is one of the two matrices, so every
+    class and verdict stays, but no complement is reflexive, so none has a
+    key and the whole family goes through the search."""
+    real = Q.alexander_adjacency
+    monkeypatch.setattr(V.Q, "alexander_adjacency", lambda group, rows: ~real(group, rows))
+
+
 class TestIsoClassesCatchSabotage:
-    """The class step of the alexander_iso sweep: a wrong or missing
-    isomorphism must come out as failing pairs, and the searches stay
-    within distinct matrices times classes."""
+    """The class step of the alexander_iso sweep: a wrong key, a missed
+    class, or a wrong or missing isomorphism in the search fallback must
+    come out as failing pairs.  The search faults are planted on the
+    complemented family (_complemented), which has no keys.  A keyed family
+    makes no search, and the fallback stays within distinct matrices times
+    classes."""
 
     def _matrices_and_sizes(self, g, autos):
         keys = [V.gr.build_cayley_graph(Q.alexander_quandle(g, t)).matrix().tobytes()
                 for t in autos]
         return keys, [G.image_id_minus_t(g, t).order for t in autos]
 
-    def _fails_on_distinct_equal_size_pairs(self, monkeypatch, search):
+    def _fails(self, monkeypatch, plant, merged=False):
+        """Z4xZ4's sweep with the fault planted fails exactly on the pairs
+        of distinct matrices with equal |N| (every distinct matrix its own
+        class), or with merged on the pairs of unequal |N| (one class)."""
         g, autos, pairs = _z4xz4_iso_pairs()
         keys, sizes = self._matrices_and_sizes(g, autos)
-        monkeypatch.setattr(V.gr, "find_isomorphism", search)
+        plant()
         ok, detail = _iso_sweep(g, autos)
-        # every distinct matrix became its own class
-        want = [keys[i] != keys[j] and sizes[i] == sizes[j] for i, j in pairs]
-        assert (~ok).tolist() == want
+        if merged:
+            want = [sizes[i] != sizes[j] for i, j in pairs]
+        else:
+            want = [keys[i] != keys[j] and sizes[i] == sizes[j] for i, j in pairs]
+        assert any(want) and (~ok).tolist() == want
         i, j = pairs[want.index(True)]
-        assert detail == {"iso": False, "image_sizes": (sizes[i], sizes[j]),
+        assert detail == {"iso": merged, "image_sizes": (sizes[i], sizes[j]),
                           "t1": [int(v) for v in autos[i].mapping],
                           "t2": [int(v) for v in autos[j].mapping]}
 
+    def test_constant_key_merges_the_classes(self, monkeypatch):
+        self._fails(monkeypatch, lambda: monkeypatch.setattr(V, "_iso_key", lambda m: (1,)),
+                    merged=True)
+
+    def test_key_per_matrix_misses_classes(self, monkeypatch):
+        self._fails(monkeypatch, lambda: monkeypatch.setattr(V, "_iso_key", lambda m: m.tobytes()))
+
     def test_identity_mapping_fails_the_edge_check(self, monkeypatch):
-        self._fails_on_distinct_equal_size_pairs(
-            monkeypatch, lambda g1, g2, cap=64: list(range(g1.n)))
+        def plant():
+            _complemented(monkeypatch)
+            monkeypatch.setattr(V.gr, "find_isomorphism", lambda g1, g2, cap=64: list(range(g1.n)))
+        self._fails(monkeypatch, plant)
 
     def test_missed_isomorphisms_fail(self, monkeypatch):
         real = V.gr.find_isomorphism
@@ -1037,7 +1121,10 @@ class TestIsoClassesCatchSabotage:
                 return None
             return real(g1, g2)
 
-        self._fails_on_distinct_equal_size_pairs(monkeypatch, search)
+        def plant():
+            _complemented(monkeypatch)
+            monkeypatch.setattr(V.gr, "find_isomorphism", search)
+        self._fails(monkeypatch, plant)
 
     def test_searches_per_distinct_matrix_and_class(self, monkeypatch):
         g, autos, pairs = _z4xz4_iso_pairs()
@@ -1047,9 +1134,82 @@ class TestIsoClassesCatchSabotage:
         calls = []
         monkeypatch.setattr(V.gr, "find_isomorphism",
                             lambda g1, g2: calls.append(1) or real(g1, g2))
+        # every matrix has a key
+        ok, detail = _iso_sweep(g, autos)
+        assert len(ok) == len(pairs) and ok.all() and detail is None
+        assert calls == []
+        # none does, and the verdicts stay
+        _complemented(monkeypatch)
         ok, detail = _iso_sweep(g, autos)
         assert len(ok) == len(pairs) and ok.all() and detail is None
         assert 0 < len(calls) <= 15 * 5
+
+
+class TestIsoKeysMatchTheSearch:
+    """_iso_classes' ids equal the search oracle's (_search_classes) on
+    every list a sweep hands it and on planted lists of both kinds, and a
+    default pass makes no search."""
+
+    def test_every_abelian_type_to_31(self, monkeypatch):
+        # the matrix list each whole family's sweep hands _iso_classes
+        groups, lists = G.abelian_group_types(31), []
+
+        def spy(matrices):
+            lists.append(np.array(matrices))
+            raise _Collected
+        with monkeypatch.context() as patch:
+            patch.setattr(V, "_iso_classes", spy)
+            for g in groups:
+                with pytest.raises(_Collected):
+                    V.sweep_alexander(g, G._automorphism_chunks(g, cap=31), ("alexander_iso",))
+        # Z2^4 and Z3^3 are far over the pair cap; their matrices are one
+        # per subgroup
+        sizes = {g.label: len(m) for g, m in zip(groups, lists)}
+        assert sizes["Z2xZ2xZ2xZ2"] == 67 and sizes["Z3xZ3xZ3"] == 28
+        for g, matrices in zip(groups, lists):
+            assert all(V._iso_key(m) is not None for m in matrices), g.label
+            assert V._iso_classes(matrices).tolist() == _search_classes(matrices), g.label
+
+    def _planted(self, rng, n=7):
+        """Relabelled unions of directed cycles with loops for each partition
+        of n with a part over 2 (no key), and relabelled partition matrices
+        for each partition of n with a part over 1 (a key), one to three
+        copies of each."""
+        def partitions(k, most):
+            if k == 0:
+                yield []
+            for p in range(min(k, most), 0, -1):
+                for rest in partitions(k - p, p):
+                    yield [p] + rest
+        parts = list(enumerate(partitions(n, n)))
+        cycles = [_relabelled(_cycles_with_loops(p), rng) for k, p in parts if max(p) > 2
+                  for _ in range(1 + k % 3)]
+        blocks = [_relabelled(_partition_matrix(p), rng) for k, p in parts if max(p) > 1
+                  for _ in range(1 + k % 3)]
+        return _distinct(cycles), _distinct(blocks)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_planted_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        cycles, blocks = self._planted(rng)
+        assert all(V._iso_key(m) is None for m in cycles)
+        assert all(V._iso_key(m) is not None for m in blocks)
+        mixed = [cycles + blocks, blocks + cycles]
+        mixed.append([(cycles + blocks)[k] for k in rng.permutation(len(cycles + blocks))])
+        for matrices in (cycles, blocks, *mixed):
+            want = _search_classes(matrices)
+            # some classes hold several matrices, and some matrices stand alone
+            assert len(set(want)) < len(matrices) and min(np.bincount(want)) == 1
+            assert V._iso_classes(matrices).tolist() == want
+
+    def test_default_pass_makes_no_search(self, monkeypatch):
+        real_classes, real_search = V._iso_classes, V.gr.find_isomorphism
+        lists, calls = [], []
+        monkeypatch.setattr(V, "_iso_classes", lambda ms: lists.append(ms) or real_classes(ms))
+        monkeypatch.setattr(V.gr, "find_isomorphism",
+                            lambda g1, g2: calls.append(1) or real_search(g1, g2))
+        assert all(r.passed for r in V.run_suite())
+        assert lists and calls == []
 
 
 def _in_degree_plant(g, t):
