@@ -22,7 +22,6 @@ from .groups import (
     cosets,
     enumerate_automorphisms,
     fixed_point_subgroup,
-    identity_automorphism,
     image_id_minus_t,
     inner_automorphism,
     is_normal,
@@ -38,7 +37,6 @@ from .groups import (
 from .quandles import (
     AxiomReport,
     AxiomViolation,
-    PermGroup,
     Quandle,
     alexander_quandle,
     conjugation_quandle,
@@ -46,7 +44,6 @@ from .quandles import (
     dihedral_quandle,
     forward_orbit,
     generalized_alexander_quandle,
-    inner_group,
     is_involutory,
     quandle_from_json,
     quandle_to_json,
@@ -57,7 +54,6 @@ from .graphs import (
     ComponentDecomposition,
     DirectedGraph,
     build_cayley_graph,
-    complete_graph,
     component_diameter,
     degrees,
     export_graph,

@@ -53,17 +53,8 @@ def _spec_from_args(args) -> specs.QuandleSpec:
                                    automorphism=args.phi, raw_path=args.raw_path)
 
 
-def _build_quandle(spec: specs.QuandleSpec) -> Q.Quandle:
-    """specs.build_quandle, with a raw file's syntax error, which the loader
-    leaves as json.loads raised it, named as groups.loads_json names one."""
-    try:
-        return specs.build_quandle(spec)
-    except json.JSONDecodeError as exc:
-        raise G.invalid_json(exc, "quandle JSON") from None
-
-
 def cmd_build(args) -> int:
-    quandle = _build_quandle(_spec_from_args(args))
+    quandle = specs.build_quandle(_spec_from_args(args))
     text = json.dumps(Q.quandle_to_json(quandle), indent=2) + "\n"
     _write_output(text, args.out)
     return 0
@@ -120,7 +111,7 @@ def _format_analysis(info: dict) -> str:
 
 def cmd_analyze(args) -> int:
     spec = _spec_from_args(args)
-    quandle = _build_quandle(spec)
+    quandle = specs.build_quandle(spec)
     info, graph = _analysis(quandle, spec)
     report = json.dumps(info, indent=2) + "\n" if args.json else _format_analysis(info)
     if args.export:
@@ -138,7 +129,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_export(args) -> int:
     spec = _spec_from_args(args)
-    graph = gr.build_cayley_graph(_build_quandle(spec))
+    graph = gr.build_cayley_graph(specs.build_quandle(spec))
     _write_output(gr.export_graph(graph, args.format), args.out)
     return 0
 
@@ -180,8 +171,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    qa = _build_quandle(specs.parse_quandle_string(args.spec_a))
-    qb = _build_quandle(specs.parse_quandle_string(args.spec_b))
+    qa = specs.build_quandle(specs.parse_quandle_string(args.spec_a))
+    qb = specs.build_quandle(specs.parse_quandle_string(args.spec_b))
     ga = gr.build_cayley_graph(qa)
     gb = gr.build_cayley_graph(qb)
     mapping = gr.find_isomorphism(ga, gb)

@@ -113,10 +113,10 @@ def build_cayley_graph(q: Quandle) -> DirectedGraph:
     return DirectedGraph._of_matrix(m, names=q.element_names)
 
 
-def complete_graph(n: int, names=None) -> DirectedGraph:
+def complete_graph(n: int) -> DirectedGraph:
     """All ordered pairs, loops included, on n >= 1 vertices."""
     n = as_integer(n, "complete graph n", lo=1)
-    return DirectedGraph._of_matrix(np.ones((n, n), dtype=bool), names=names)
+    return DirectedGraph._of_matrix(np.ones((n, n), dtype=bool))
 
 
 def degrees(g: DirectedGraph) -> list[tuple]:

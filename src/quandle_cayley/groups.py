@@ -224,18 +224,14 @@ def read_utf8(path, what: str) -> str:
 def loads_json(text: str, what: str):
     """json.loads(text), with a document nested past the recursion limit
     refused by one ValueError naming what the text is, and a syntax error
-    by invalid_json's."""
+    by a JSONDecodeError at the same position whose message names it."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
     except json.JSONDecodeError as exc:
-        raise invalid_json(exc, what) from None
-
-
-def invalid_json(exc: json.JSONDecodeError, what: str) -> json.JSONDecodeError:
-    """The syntax error exc at the same position, its message naming what the text is."""
-    return json.JSONDecodeError(f"{what} is not valid JSON: {exc.msg}", exc.doc, exc.pos)
+        raise json.JSONDecodeError(f"{what} is not valid JSON: {exc.msg}",
+                                   exc.doc, exc.pos) from None
 
 
 class FiniteGroup:
@@ -432,15 +428,15 @@ def _perm_cycle_name(p) -> str:
     return "".join(parts) if parts else "id"
 
 
-def make_symmetric(n: int, cap: int = SYMMETRIC_CAP) -> FiniteGroup:
-    """All permutations of {1..n}, 1 <= n <= cap, under composition (right factor first).
+def make_symmetric(n: int) -> FiniteGroup:
+    """All permutations of {1..n}, n <= SYMMETRIC_CAP, under composition (right factor first).
 
     Elements are listed in lexicographic order of their image tuples, so the
     identity comes first.  Names use cycle notation, e.g. "(12)(34)".
     """
     n = as_integer(n, "symmetric group n", lo=1)
-    if n > cap:
-        raise ValueError(f"symmetric group capped at n <= {cap} (got {n})")
+    if n > SYMMETRIC_CAP:
+        raise ValueError(f"symmetric group capped at n <= {SYMMETRIC_CAP} (got {n})")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     # a permutation's base-n code rises with its lexicographic rank, and
     # perms[:, perms][i, j] is the composite p_i . p_j

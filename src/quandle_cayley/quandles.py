@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (Automorphism, FiniteGroup, _generating_set, as_index_array,
-                     as_integer, as_list, as_names, breadth_first, first_mismatch)
+                     as_integer, as_list, as_names, breadth_first, first_mismatch, loads_json)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -401,11 +401,11 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def inner_group(q: Quandle, closure_cap: int = INNER_CLOSURE_CAP) -> PermGroup:
+def inner_group(q: Quandle) -> PermGroup:
     """Group generated by all right translations, closed under composition.
 
     Breadth-first closure under composition; inverses come for free in a
-    finite setting.  closure_cap bounds the member count as a safety net.
+    finite setting.  INNER_CLOSURE_CAP bounds the member count as a safety net.
     """
     if q.order > INNER_GROUP_CAP:
         raise ValueError(f"inner group computation capped at order <= {INNER_GROUP_CAP}")
@@ -413,7 +413,7 @@ def inner_group(q: Quandle, closure_cap: int = INNER_CLOSURE_CAP) -> PermGroup:
     try:
         layers = breadth_first([tuple(range(q.order))],
                                lambda p: (tuple(gph[v] for v in p) for gph in gens),
-                               limit=closure_cap)
+                               limit=INNER_CLOSURE_CAP)
     except ValueError:
         raise ValueError("inner group closure exceeded the safety cap") from None
     return PermGroup(q.order, [p for layer in layers for p in layer])
@@ -528,9 +528,9 @@ def loads_quandle_json(text: str):
     text json.loads reads as an object whose "rhd" is [], so the key is
     the top-level one and the rest of the document is json.loads' own.
     Any other text, and any remainder json.loads refuses, is parsed whole
-    by json.loads, so its result and its errors are exactly that one's;
-    only a document nested past the recursion limit is refused instead,
-    by one ValueError.
+    by groups.loads_json, so its result is json.loads' and its errors name
+    the quandle JSON: a syntax error keeps json.loads' position, and a
+    document nested past the recursion limit is one ValueError.
     """
     span = _rhd_body(text)
     if span is not None:
@@ -544,10 +544,7 @@ def loads_quandle_json(text: str):
             if values is not None:
                 obj["rhd"] = values
                 return obj
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("quandle JSON is nested too deeply") from None
+    return loads_json(text, "quandle JSON")
 
 
 def _rhd_body(text: str) -> tuple | None:

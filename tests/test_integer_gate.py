@@ -29,7 +29,7 @@ GATES = {
     "make_cyclic": (G.make_cyclic, 1, None),
     "make_abelian": (lambda v: G.make_abelian([2, v]), 1, None),
     "make_dihedral": (G.make_dihedral, 1, None),
-    "make_symmetric": (lambda v: G.make_symmetric(v, cap=3), 1, None),
+    "make_symmetric": (G.make_symmetric, 1, None),
     "abelian_group_types": (G.abelian_group_types, 1, None),
     "inner_automorphism": (lambda v: G.inner_automorphism(Z4, v), 0, 4),
     "commutator_subgroup_with": (lambda v: G.commutator_subgroup_with(S3, v), 0, 6),

@@ -644,10 +644,12 @@ class TestTranslationsAndInnerGroup:
         with pytest.raises(ValueError):
             Q.inner_group(Q.trivial_quandle(65))
 
-    def test_inner_group_closure_cap(self):
-        assert Q.inner_group(Q.dihedral_quandle(5), closure_cap=10).order == 10
+    def test_inner_group_closure_cap(self, monkeypatch):
+        monkeypatch.setattr(Q, "INNER_CLOSURE_CAP", 10)
+        assert Q.inner_group(Q.dihedral_quandle(5)).order == 10
+        monkeypatch.setattr(Q, "INNER_CLOSURE_CAP", 9)
         with pytest.raises(ValueError, match="safety cap"):
-            Q.inner_group(Q.dihedral_quandle(5), closure_cap=9)
+            Q.inner_group(Q.dihedral_quandle(5))
 
     def test_forward_orbit_matches_breadth_first(self, registry_groups):
         quandles = [Q.trivial_quandle(n) for n in range(1, 9)]

@@ -1,12 +1,14 @@
 """Loading raw quandle files: quandles.loads_quandle_json reads a flat list
 of plain decimals under the one "rhd" key straight into int64 and hands
-every other text to json.loads, so its results and errors are json.loads'."""
+every other text to groups.loads_json, so its results are json.loads' and
+its errors are the ones groups.loads_json names for "quandle JSON"."""
 import json
 import random
 
 import numpy as np
 import pytest
 
+from quandle_cayley import groups as G
 from quandle_cayley import quandles as Q
 from quandle_cayley import specs
 from quandle_cayley.cli import main
@@ -27,6 +29,11 @@ def _base(rng):
     keys = rng.sample(list(obj), len(obj))
     style = rng.choice([{}, {"indent": 2}, {"separators": (",", ":")}, {"indent": "\t"}])
     return json.dumps({k: obj[k] for k in keys}, **style)
+
+
+def _reference(text):
+    """What every text the kernel does not take loads as, errors included."""
+    return G.loads_json(text, "quandle JSON")
 
 
 def _mutate(rng, text):
@@ -66,7 +73,7 @@ def test_mutation_fuzz_matches_json_loads(monkeypatch):
         # one case in ten cuts its list into chunks of a few bytes
         monkeypatch.setattr(Q, "_RHD_CHUNK", rng.choice((1, 2, 5)) if rng.random() < 0.1
                             else 1 << 15)
-        want, _ = _outcome(json.loads, text)
+        want, _ = _outcome(_reference, text)
         got, kernel = _outcome(Q.loads_quandle_json, text)
         assert got == want, text
         accepted += kernel
@@ -76,7 +83,7 @@ def test_mutation_fuzz_matches_json_loads(monkeypatch):
 
 def _load_old(path):
     with open(path) as fh:
-        return Q.quandle_from_json(json.load(fh))
+        return Q.quandle_from_json(_reference(fh.read()))
 
 
 def _load_new(path):
@@ -127,7 +134,31 @@ def test_edge_cases_take_json_loads(tmp_path, text):
     path = tmp_path / "q.json"
     path.write_text(text, encoding="utf-8")
     assert _quandle_outcome(_load_new, path) == _quandle_outcome(_load_old, path)
-    assert _outcome(Q.loads_quandle_json, text) == (_outcome(json.loads, text)[0], False)
+    assert _outcome(Q.loads_quandle_json, text) == (_outcome(_reference, text)[0], False)
+
+
+@pytest.mark.parametrize("text", ['{"order": 2, "rhd": [0, ', '{"order": 2, "rhd": [0, 0, 1, 1]'])
+def test_syntax_error_is_named_where_the_file_is_parsed(tmp_path, text):
+    # the loader names the document itself, at json.loads' own position
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as info:
+        _load_new(path)
+    assert str(info.value).startswith("quandle JSON is not valid JSON: ")
+    with pytest.raises(json.JSONDecodeError) as bare:
+        json.loads(text)
+    assert info.value.pos == bare.value.pos
+
+
+@pytest.mark.parametrize("prefix", ['{"order": 2, "names": ["a", "b"], "rhd": [0, 0, 1, 1], '
+                                    '"provenance": ', ""])
+def test_nesting_past_the_recursion_limit_is_one_value_error(tmp_path, prefix):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(prefix + "[" * depth + "]" * depth + ("}" if prefix else ""))
+    with pytest.raises(ValueError) as info:
+        _load_new(path)
+    assert type(info.value) is ValueError and str(info.value) == "quandle JSON is nested too deeply"
 
 
 @pytest.mark.parametrize("text", [
@@ -159,14 +190,14 @@ def test_chunk_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(Q, "_RHD_CHUNK", chunk)
     monkeypatch.setattr(Q, "_chunk_naturals", lambda b: sizes.append(b.size) or real(b))
     obj = Q.loads_quandle_json(text)
-    assert obj["rhd"].tolist() == values and obj == dict(json.loads(text), rhd=obj["rhd"])
+    assert obj["rhd"].tolist() == values and obj == dict(_reference(text), rhd=obj["rhd"])
     # each chunk runs from its start to the first comma at least chunk bytes
     # on, and takes a space of padding each side
     assert len(sizes) > 1 and max(sizes) <= chunk + max(map(len, body.split(","))) + 2
     # a comma cut off the end, or a sign past a boundary, sends it back
     for bad in (body + ",", body.replace(",", ",-", 1), body.replace(",", "", 1)):
         text = '{"order": 1, "rhd": [%s], "names": ["x"]}' % bad
-        assert _outcome(Q.loads_quandle_json, text)[0] == _outcome(json.loads, text)[0]
+        assert _outcome(Q.loads_quandle_json, text)[0] == _outcome(_reference, text)[0]
 
 
 def test_large_table_is_read_in_bounded_chunks(monkeypatch):
@@ -200,7 +231,6 @@ def test_built_file_analyzes_like_its_family(capsys, tmp_path):
 def test_a_raw_load_gates_its_table_once(monkeypatch, tmp_path):
     """quandle_from_json passes the table through as_index_array once, and
     the axiom proof and the Quandle read it as gated."""
-    from quandle_cayley import groups as G
     gate, calls = Q.as_index_array, []
 
     def spy(values, what, *args, **kwargs):
