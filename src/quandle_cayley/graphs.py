@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .groups import (_block_of, _blocks_by_label, as_integer, as_integer_array, as_list,
-                     as_names, breadth_first, loads_json)
+                     as_names, breadth_first, given_names, loads_json)
 from .quandles import Quandle, _orbit_labels
 
 ISOMORPHISM_CAP = 64
@@ -48,18 +48,18 @@ class DirectedGraph:
         ends = as_integer_array([v for e in edges for v in e], "edge endpoint", n)
         m = np.zeros((n, n), dtype=bool)
         m[ends[0::2], ends[1::2]] = True
-        self._init(m, names)
+        self._init(m, as_names(names, n))
 
     @classmethod
     def _of_matrix(cls, m: np.ndarray, names=None) -> "DirectedGraph":
-        """Wrap a square bool matrix the library built (entries unchecked)."""
+        """Wrap a square bool matrix the library built (entries and names unchecked)."""
         g = cls.__new__(cls)
         g._init(m, names)
         return g
 
     def _init(self, m: np.ndarray, names) -> None:
         self.n = m.shape[0]
-        self.names = tuple(as_names(names, self.n))
+        self.names = given_names(names, self.n)
         m.flags.writeable = False
         self._m = m
 
@@ -214,7 +214,7 @@ def induced_subgraph(g: DirectedGraph, vertices) -> DirectedGraph:
     """Subgraph on the given vertex indices, relabeled densely in sorted order."""
     c = np.unique(as_integer_array(vertices, "vertex", g.n))
     return DirectedGraph._of_matrix(g.matrix().take(c, axis=0).take(c, axis=1),
-                                    names=[g.names[v] for v in c.tolist()])
+                                    names=tuple(g.names[v] for v in c.tolist()))
 
 
 def component_diameter(g: DirectedGraph, component) -> int:
@@ -425,4 +425,4 @@ def takasaki_z_window(w: int) -> DirectedGraph:
     w = as_integer(w, "window radius w")
     values = np.arange(-w, w + 1)
     m = takasaki_z_edge(values[:, None], values[None, :])
-    return DirectedGraph._of_matrix(m, names=[str(v) for v in values.tolist()])
+    return DirectedGraph._of_matrix(m, names=tuple(map(str, values.tolist())))

@@ -204,12 +204,18 @@ def as_list(value, message: str) -> list | tuple:
     return value
 
 
-def as_names(names, n: int) -> list[str]:
-    """Names for 0..n-1 (by default str(i)) as str, checked to be n distinct ones."""
-    names = [str(s) for s in (range(n) if names is None else names)]
+def as_names(names, n: int) -> tuple[str, ...]:
+    """Names for 0..n-1 from outside (by default str(i)) as str, checked to be n distinct ones."""
+    names = tuple(map(str, range(n) if names is None else names))
     if len(names) != n or len(set(names)) != n:
         raise ValueError("element names must be distinct and match the order")
     return names
+
+
+def given_names(names, n: int) -> tuple[str, ...]:
+    """Names a checked object or a formula of this package hands on, as
+    given and unchecked; str(i) for 0..n-1 when there are none."""
+    return tuple(map(str, range(n))) if names is None else names
 
 
 def read_utf8(path, what: str) -> str:
@@ -234,7 +240,33 @@ def loads_json(text: str, what: str):
                                    exc.doc, exc.pos) from None
 
 
-class FiniteGroup:
+class _Elements:
+    """The elements 0..order-1 of a group or quandle, named by a tuple of
+    order distinct str: from as_names in the public constructors, and
+    shared with the parent object (given_names) in _of_checked."""
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """name -> element, built on the first index_of."""
+        return {s: i for i, s in enumerate(self.element_names)}
+
+    def _element(self, x) -> int:
+        return as_integer(x, "element", 0, self.order)
+
+    def name(self, x: int) -> str:
+        return self.element_names[self._element(x)]
+
+    def index_of(self, name: str) -> int:
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"{self.label} has no element named {name!r}") from None
+
+    def __len__(self) -> int:
+        return self.order
+
+
+class FiniteGroup(_Elements):
     """A finite group given by its full multiplication table.
 
     mul[x, y] is the product x*y.  The constructor locates the identity,
@@ -243,17 +275,18 @@ class FiniteGroup:
     """
 
     def __init__(self, mul, label: str = "G", element_names=None):
-        self._init(as_index_array(mul, "multiplication table"), label, element_names)
+        mul = as_index_array(mul, "multiplication table")
+        self._init(mul, label, as_names(element_names, mul.shape[0]))
         self._check_latin()
         self._check_associative()
 
     @classmethod
     def _of_checked(cls, mul: np.ndarray, label: str, element_names,
                     identity: int | None = None, inv: np.ndarray | None = None) -> "FiniteGroup":
-        """Wrap an int64 table this module built from a group law.  It is a
-        group by construction, so cancellation and associativity are not
-        scanned.  The identity and inverses are located, unless the law
-        gives them."""
+        """Wrap an int64 table this module built from a group law, and the
+        names as handed (given_names).  It is a group by construction, so
+        cancellation and associativity are not scanned.  The identity and
+        inverses are located, unless the law gives them."""
         g = cls.__new__(cls)
         g._init(mul, label, element_names, identity, inv)
         return g
@@ -263,8 +296,7 @@ class FiniteGroup:
         self.mul = mul
         self.order = int(mul.shape[0])
         self.label = label
-        self.element_names = as_names(element_names, self.order)
-        self._index = {s: i for i, s in enumerate(self.element_names)}
+        self.element_names = given_names(element_names, self.order)
         self.identity = self._find_identity() if identity is None else identity
         self.inv = self._find_inverses() if inv is None else inv
         self._abelian: bool | None = None
@@ -309,9 +341,6 @@ class FiniteGroup:
 
     # -- basic queries ----------------------------------------------------
 
-    def _element(self, x) -> int:
-        return as_integer(x, "element", 0, self.order)
-
     def op(self, x: int, y: int) -> int:
         return int(self.mul[self._element(x), self._element(y)])
 
@@ -330,18 +359,6 @@ class FiniteGroup:
             self._abelian = bool((self.mul == self.mul.T).all())
         return self._abelian
 
-    def name(self, x: int) -> str:
-        return self.element_names[self._element(x)]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"{self.label} has no element named {name!r}") from None
-
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
 
@@ -354,12 +371,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     n = as_integer(n, "cyclic group n", lo=1)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup._of_checked(mul, f"Z{n}", [str(i) for i in range(n)],
-                                   identity=0, inv=(-idx) % n)
-
-
-def _tuple_name(a: str, b: str) -> str:
-    return f"({a},{b})"
+    return FiniteGroup._of_checked(mul, f"Z{n}", None, identity=0, inv=(-idx) % n)
 
 
 def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -368,8 +380,8 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     ia = np.arange(na * nb) // nb
     ib = np.arange(na * nb) % nb
     mul = a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]
-    names = [_tuple_name(a.element_names[x], b.element_names[y])
-             for x in range(na) for y in range(nb)]
+    names = tuple(f"({a.element_names[x]},{b.element_names[y]})"
+                  for x in range(na) for y in range(nb))
     return FiniteGroup._of_checked(mul, f"{a.label}x{b.label}", names,
                                    identity=a.identity * nb + b.identity,
                                    inv=a.inv[ia] * nb + b.inv[ib])
@@ -384,7 +396,7 @@ def make_abelian(factors) -> FiniteGroup:
     group = functools.reduce(make_direct_product, [make_cyclic(d) for d in factors])
     if len(factors) == 1:
         return group
-    names = ["(" + ",".join(map(str, c)) + ")" for c in itertools.product(*map(range, factors))]
+    names = tuple(f"({','.join(map(str, c))})" for c in itertools.product(*map(range, factors)))
     return FiniteGroup._of_checked(group.mul, group.label, names,
                                    identity=group.identity, inv=group.inv)
 
@@ -406,7 +418,7 @@ def make_dihedral(m: int) -> FiniteGroup:
     mul[m:, :m] = minus + m                     # (r^i s) r^j
     mul[m:, m:] = minus                         # (r^i s)(r^j s)
     rotations = ["e", "r"] + [f"r^{k}" for k in range(2, m)]
-    names = rotations[:m] + [f"{r} s" if k else "s" for k, r in enumerate(rotations[:m])]
+    names = tuple(rotations[:m] + [f"{r} s" if k else "s" for k, r in enumerate(rotations[:m])])
     # r^i has inverse r^-i, and every reflection is its own
     inv = np.concatenate([(-i) % m, i + m])
     return FiniteGroup._of_checked(mul, f"D{m}", names, identity=0, inv=inv)
@@ -442,7 +454,7 @@ def make_symmetric(n: int) -> FiniteGroup:
     # perms[:, perms][i, j] is the composite p_i . p_j
     code = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     mul = np.searchsorted(perms @ code, perms[:, perms] @ code)
-    names = [_perm_cycle_name(p) for p in perms.tolist()]
+    names = tuple(map(_perm_cycle_name, perms.tolist()))
     return FiniteGroup._of_checked(mul, f"S{n}", names)
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (Automorphism, FiniteGroup, _generating_set, as_index_array,
-                     as_integer, as_list, as_names, breadth_first, first_mismatch, loads_json)
+from .groups import (Automorphism, FiniteGroup, _Elements, _generating_set, as_index_array,
+                     as_integer, as_list, as_names, breadth_first, first_mismatch, given_names,
+                     loads_json)
 
 INNER_GROUP_CAP = 64
 INNER_CLOSURE_CAP = 1_000_000
@@ -192,7 +193,7 @@ class AxiomViolation(ValueError):
         super().__init__(f"{label} is not a quandle: " + "; ".join(bits))
 
 
-class Quandle:
+class Quandle(_Elements):
     """A finite quandle: validated operation table plus display names.
 
     The constructor scans the table against the three axioms.  The family
@@ -206,12 +207,12 @@ class Quandle:
         report = verify_quandle_axioms(table)
         if not report.ok:
             raise AxiomViolation(report, label)
-        self._init(table, label, element_names, provenance)
+        self._init(table, label, as_names(element_names, table.shape[0]), provenance)
 
     @classmethod
     def _of_checked(cls, rhd: np.ndarray, label: str, element_names=None,
                     provenance=None) -> "Quandle":
-        """Wrap an int64 table a family formula built (axioms unscanned)."""
+        """Wrap an int64 table a family formula built (axioms and names unchecked)."""
         q = cls.__new__(cls)
         q._init(rhd, label, element_names, provenance)
         return q
@@ -220,24 +221,11 @@ class Quandle:
         self.rhd = table
         self.order = int(table.shape[0])
         self.label = label
-        self.element_names = as_names(element_names, self.order)
+        self.element_names = given_names(element_names, self.order)
         self.provenance = dict(provenance) if provenance else {"family": "raw"}
 
     def op(self, x: int, y: int) -> int:
-        n = self.order
-        return int(self.rhd[as_integer(x, "element", 0, n), as_integer(y, "element", 0, n)])
-
-    def name(self, x: int) -> str:
-        return self.element_names[as_integer(x, "element", 0, self.order)]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.element_names.index(name)
-        except ValueError:
-            raise ValueError(f"{self.label} has no element named {name!r}") from None
-
-    def __len__(self) -> int:
-        return self.order
+        return int(self.rhd[self._element(x), self._element(y)])
 
     def __repr__(self) -> str:
         return f"Quandle({self.label}, order={self.order})"
@@ -253,30 +241,25 @@ def trivial_quandle(n: int) -> Quandle:
     return Quandle._of_checked(rhd, f"T{n}", provenance={"family": "trivial", "n": n})
 
 
+def _on_group(rhd: np.ndarray, g: FiniteGroup, family: str, label: str, **provenance) -> Quandle:
+    """Wrap a family formula's table on g as the quandle label(G), on g's
+    own names, with provenance naming the family, g and any further fields."""
+    return Quandle._of_checked(rhd, f"{label}({g.label})", g.element_names,
+                               {"family": family, "group": g.label, **provenance})
+
+
 def conjugation_quandle(g: FiniteGroup) -> Quandle:
     """x |> y = y^-1 x y on the underlying set of g."""
     idx = np.arange(g.order)
     left = g.mul[g.inv[idx][None, :], idx[:, None]]   # left[x, y] = y^-1 x
-    rhd = g.mul[left, idx[None, :]]
-    return Quandle._of_checked(
-        rhd,
-        f"Conj({g.label})",
-        element_names=g.element_names,
-        provenance={"family": "conj", "group": g.label},
-    )
+    return _on_group(g.mul[left, idx[None, :]], g, "conj", "Conj")
 
 
 def core_quandle(g: FiniteGroup) -> Quandle:
     """x |> y = y x^-1 y."""
     idx = np.arange(g.order)
     yx = g.mul[idx[None, :], g.inv[idx][:, None]]     # yx[x, y] = y x^-1
-    rhd = g.mul[yx, idx[None, :]]
-    return Quandle._of_checked(
-        rhd,
-        f"Core({g.label})",
-        element_names=g.element_names,
-        provenance={"family": "core", "group": g.label},
-    )
+    return _on_group(g.mul[yx, idx[None, :]], g, "core", "Core")
 
 
 def dihedral_quandle(n: int) -> Quandle:
@@ -295,16 +278,7 @@ def alexander_quandle(g: FiniteGroup, t: Automorphism) -> Quandle:
         raise ValueError("automorphism belongs to a different group")
     tx = t.mapping
     rhd = g.mul[g.mul[tx[:, None], np.arange(g.order)[None, :]], g.inv[tx][None, :]]
-    return Quandle._of_checked(
-        rhd,
-        f"Alex({g.label})",
-        element_names=g.element_names,
-        provenance={
-            "family": "alexander",
-            "group": g.label,
-            "automorphism": [int(v) for v in t.mapping],
-        },
-    )
+    return _on_group(rhd, g, "alexander", "Alex", automorphism=tx.tolist())
 
 
 def difference_sets(g: FiniteGroup, maps) -> np.ndarray:
@@ -351,16 +325,7 @@ def generalized_alexander_quandle(g: FiniteGroup, phi: Automorphism) -> Quandle:
     idx = np.arange(g.order)
     xyinv = g.mul[idx[:, None], g.inv[idx][None, :]]
     rhd = g.mul[phi.mapping[xyinv], idx[None, :]]
-    return Quandle._of_checked(
-        rhd,
-        f"GAlex({g.label})",
-        element_names=g.element_names,
-        provenance={
-            "family": "gen_alexander",
-            "group": g.label,
-            "automorphism": phi.mapping.tolist(),
-        },
-    )
+    return _on_group(rhd, g, "gen_alexander", "GAlex", automorphism=phi.mapping.tolist())
 
 
 # -- translations and the inner action --------------------------------------
@@ -509,7 +474,7 @@ def quandle_from_json(obj: dict) -> Quandle:
     report = _axiom_report(table)
     if not report.ok:
         raise AxiomViolation(report, label)
-    return Quandle._of_checked(table, label, element_names=names, provenance=prov)
+    return Quandle._of_checked(table, label, element_names=as_names(names, n), provenance=prov)
 
 
 # bytes of an rhd list body that _decode_naturals reads at once

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quandle_cayley import CHECK_IDS, cli
+from quandle_cayley import CHECK_IDS, cli, run_suite
 from quandle_cayley import graphs as gr
 from quandle_cayley import groups as G
 from quandle_cayley import quandles as Q
@@ -97,6 +97,19 @@ class TestBuild:
         path.write_text(json.dumps(obj))
         got = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path))
         assert got == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("names", [["a", "a"], [1, "1"], ["a"], ["a", "b", "c"]])
+    def test_raw_names_that_collide_or_miscount_exit_2(self, capsys, tmp_path, names):
+        # quandle_from_json checks a raw file's names, as the public
+        # constructors check theirs
+        obj = {"order": 2, "names": names, "rhd": [0, 0, 1, 1]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        message = "element names must be distinct and match the order"
+        got = run(capsys, "analyze", "--family", "raw", "--raw-path", str(path))
+        assert got == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Q.quandle_from_json(obj)
 
     def test_deeply_nested_raw_file_exits_2(self, capsys, tmp_path):
         # json.loads raised RecursionError, a traceback and exit 1
@@ -268,6 +281,28 @@ def _tarjan_analysis(q, spec):
             "degrees": {"out": [int(outs.min()), int(outs.max())],
                         "in": [int(ins.min()), int(ins.max())]},
             "component_count": len(components), "components": components}
+
+
+class TestNamesCheckedWhereTheyEnter:
+    def test_as_names_runs_on_names_from_outside_only(self, capsys, monkeypatch, tmp_path):
+        # derived groups, quandles and graphs take their parent's names as
+        # given: a default suite checks no names, and a raw file's are
+        # checked once, where they are read
+        calls, real = [], G.as_names
+
+        def spy(names, n):
+            calls.append(n)
+            return real(names, n)
+
+        for module in (G, Q, gr):
+            monkeypatch.setattr(module, "as_names", spy)
+        run_suite()
+        assert calls == []
+        path = tmp_path / "r3.json"
+        path.write_text(json.dumps({"order": 3, "names": ["a", "b", "c"],
+                                    "rhd": [0, 2, 1, 2, 1, 0, 1, 0, 2]}))
+        assert run(capsys, "analyze", "--family", "raw", "--raw-path", str(path))[0] == 0
+        assert calls == [3]
 
 
 class TestAnalyzeMatchesTarjan:

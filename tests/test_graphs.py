@@ -155,9 +155,10 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match=field):
             gr.graph_from_json(obj)
 
-    @pytest.mark.parametrize("names", [["a", "a"], [1, "1"]])
+    @pytest.mark.parametrize("names", [["a", "a"], [1, "1"], ["a"]])
     def test_from_json_refuses_names_that_collide(self, names):
-        # two vertices may not share a name, also once the names are strings
+        # two vertices may not share a name, also once the names are
+        # strings, and there is one name per vertex
         with pytest.raises(ValueError, match="names must be distinct"):
             gr.graph_from_json({"n": 2, "edges": [], "names": names})
         with pytest.raises(ValueError, match="names must be distinct"):

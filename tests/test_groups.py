@@ -39,6 +39,10 @@ class TestFiniteGroup:
         with pytest.raises(ValueError, match="distinct"):
             G.FiniteGroup(G.make_cyclic(2).mul, element_names=[0, "0"])
 
+    def test_rejects_miscounted_names(self):
+        with pytest.raises(ValueError, match="distinct and match the order$"):
+            G.FiniteGroup(G.make_cyclic(2).mul, element_names=["0"])
+
     def test_rejects_non_associative_loop(self):
         with pytest.raises(ValueError, match="associat"):
             G.FiniteGroup(np.array(NONASSOC_LOOP))
@@ -277,6 +281,19 @@ class TestTrustedConstructorsMatchTheFullCheck:
             checked = G.FiniteGroup(g.mul, g.label, g.element_names)
             assert checked.identity == g.identity, g.label
             assert (checked.inv == g.inv).all(), g.label
+            # the trusted paths store the names they are handed unchecked:
+            # as_names gives back those of the group, of each family
+            # quandle on it and of each such quandle's Cayley graph
+            quandles = [Q.trivial_quandle(g.order), Q.dihedral_quandle(g.order),
+                        Q.conjugation_quandle(g), Q.core_quandle(g),
+                        Q.generalized_alexander_quandle(g, G.inner_automorphism(g, g.order - 1))]
+            if g.is_abelian():
+                quandles.append(Q.alexander_quandle(g, G.negation_automorphism(g)))
+            for x in [g] + quandles:
+                assert G.as_names(x.element_names, x.order) == x.element_names, x.label
+            for q in quandles:
+                graph = gr.build_cayley_graph(q)
+                assert G.as_names(graph.names, graph.n) == graph.names, q.label
 
     def test_dihedral_identity_and_inverses_by_formula(self, monkeypatch):
         # make_dihedral hands _of_checked the identity 0 and the inverses
@@ -344,7 +361,7 @@ class TestTrustedConstructorsMatchTheFullCheck:
                 names = ["(" + ",".join(str(c) for c in row) + ")" for row in coords]
             else:
                 names = [str(i) for i in range(n)]
-            assert g.element_names == names, factors
+            assert g.element_names == tuple(names), factors
             assert g.label == ("x".join(f"Z{d}" for d in factors) or "Z1"), factors
             assert g.identity == 0, factors
             assert (g.inv == encode(-coords)).all(), factors

@@ -708,6 +708,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="distinct"):
             Q.Quandle(Q.trivial_quandle(2).rhd, element_names=[1, "1"])
 
+    def test_rejects_miscounted_names(self):
+        with pytest.raises(ValueError, match="distinct and match the order$"):
+            Q.Quandle(Q.trivial_quandle(2).rhd, element_names=["a", "b", "c"])
+
     def test_rejects_tampered_table(self):
         obj = Q.quandle_to_json(Q.dihedral_quandle(3))
         obj["rhd"][0] = 1
