@@ -436,27 +436,26 @@ def _orbit_coset_judge(g, reps, adj, masks, want):
 class _Judge:
     """A check id's steps in sweep_alexander.  Each returns its values and,
     when they are verdicts, witness(i) for a failing index i, else None.
-    slab(g, reps, adj, masks, want) gives one value per D class of a slab,
-    and reads names the shared predictions it takes, "N" (masks) and
-    "want".  chunk(g, chunk, values) judges a chunk's automorphisms from
-    their classes' values; by default the values are the verdicts.  A
-    judge with an end step has no chunk step: end(g, slabs, d_of) judges
-    the family from every slab's values and each automorphism's class.
-    families names the families the suite sweeps it over: "abelian", every
-    automorphism of each abelian type as a stream, and "inner", the inner
-    automorphisms of each registry group as one array."""
+    slab(g, reps, adj, masks, want) gives one value per D class of a
+    slab, from the shared state every judge is handed.  chunk(g, chunk,
+    values) judges a chunk's automorphisms from their classes' values; by
+    default the values are the verdicts.  A judge with an end step has no
+    chunk step: end(g, slabs, d_of) judges the family from every slab's
+    values and each automorphism's class.  families names the families
+    the suite sweeps it over: "abelian", every automorphism of each
+    abelian type as a stream, and "inner", the inner automorphisms of each
+    registry group as one array."""
     slab: Callable
-    reads: tuple = ()
     chunk: Callable = lambda g, chunk, values: (values, None)
     end: Callable | None = None
     families: tuple = ("abelian", "inner")
 
 
 _JUDGES = {
-    "alexander_components": _Judge(_components_judge, ("N", "want"), families=("abelian",)),
-    "alexander_iso": _Judge(_iso_judge, ("N",), end=_iso_pairs, families=("abelian",)),
+    "alexander_components": _Judge(_components_judge, families=("abelian",)),
+    "alexander_iso": _Judge(_iso_judge, end=_iso_pairs, families=("abelian",)),
     "regularity": _Judge(_degree_judge, chunk=_regularity_chunk),
-    "orbit_coset": _Judge(_orbit_coset_judge, ("N", "want"), families=("inner",)),
+    "orbit_coset": _Judge(_orbit_coset_judge, families=("inner",)),
 }
 # the ids the suite sweeps over each family
 _SWEPT, _INNER = (tuple(tid for tid, judge in _JUDGES.items() if family in judge.families)
@@ -481,21 +480,21 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     chunk's new classes are built in class order, in slabs of as many
     matrices as fit in groups._FAMILY_CHUNK_CELLS cells, unscanned, as
     phi(x y^-1) y is a quandle for every automorphism.  A slab's shared
-    state is reps, its classes' first rows; adj, their matrices; and, for
-    the judges that read them, masks, the masks of N = <phi(y)^-1 y> = <D>
-    (groups.twist_masks, once per class), and want, the block matrices of
-    N's left cosets, the gather masks[x^-1 v].  The judges read each slab
-    in check_ids order, and their chunk steps each chunk once its new
-    classes are built.  The first failing class holds the first failing
-    automorphism, its first member, so a judge's witness is built there.
+    state, which every judge is handed, is reps, its classes' first rows;
+    adj, their matrices; masks, the masks of N = <phi(y)^-1 y> = <D>
+    (groups.twist_masks, once per class, for the whole chunk at once); and
+    want, the block matrices of N's left cosets, the gather masks[x^-1 v].
+    The judges read each slab in check_ids order, and their chunk steps
+    each chunk once its new classes are built.  The first failing class
+    holds the first failing automorphism, its first member, so a judge's
+    witness is built there.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the first failure's witness, in the
     per-instance checker's form.  A clock, when given, is charged each
-    judge's own steps, and an equal share of each shared step to the ids
-    that read it: the next chunk (for a stream, its enumeration), the
-    difference sets, their numbering and adj to all, masks and want to
-    their readers.
+    judge's own steps, and an equal share of each shared step to every id:
+    the next chunk (for a stream, its enumeration), the difference sets,
+    their numbering and masks, and each slab's adj and want.
     """
     clock = clock or _Clock()
     unknown = [tid for tid in check_ids if tid not in _JUDGES]
@@ -506,11 +505,10 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
             isinstance(maps, np.ndarray) and np.array_equal(maps, g.mul[g.mul, g.inv[:, None]])):
         raise ValueError(f"{inner_only[0]} sweeps the inner family only")
     judges = {tid: _JUDGES[tid] for tid in check_ids}
-    n_tids = [tid for tid, judge in judges.items() if "N" in judge.reads]
-    want_tids = [tid for tid, judge in judges.items() if "want" in judge.reads]
     d_table = _ClassTable()
     values = {tid: [] for tid in check_ids}     # each judge's per-class values
-    verdicts = {tid: [] for tid in check_ids}   # per chunk: verdicts, or an end step's D classes
+    verdicts = {tid: [] for tid in check_ids}   # each judge's verdicts, per chunk or at the end
+    d_of = []                           # per chunk, each automorphism's D class, for the end steps
     witness: dict = {}                  # per check: its first failure's
 
     def judged(tid, ok, found):
@@ -523,23 +521,20 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     rows = max(1, G._FAMILY_CHUNK_CELLS // g.order ** 2)
     for chunk in ((maps,) if isinstance(maps, np.ndarray) else maps):
         ids, d_new = d_table.number(Q.difference_sets(g, chunk))
-        clock.charge(*check_ids)
         reps = chunk[d_new]             # the first member of each new D class
-        masks = G.twist_masks(g, reps) if n_tids else None
-        clock.charge(*n_tids)
+        masks = G.twist_masks(g, reps)
+        clock.charge(*check_ids)
         for c0 in range(0, len(reps), rows):
             part = slice(c0, c0 + rows)
             adj = Q.alexander_adjacency(g, reps[part])
+            want = np.take(masks[part], g.mul[g.inv], axis=1)
             clock.charge(*check_ids)
-            slab = None if masks is None else masks[part]
-            want = np.take(slab, g.mul[g.inv], axis=1) if want_tids else None
-            clock.charge(*want_tids)
             for tid, judge in judges.items():
-                values[tid].append(judged(tid, *judge.slab(g, reps[part], adj, slab, want)))
+                values[tid].append(judged(tid, *judge.slab(g, reps[part], adj, masks[part], want)))
+        if any(judge.end for judge in judges.values()):
+            d_of.append(ids)
         for tid, judge in judges.items():
-            if judge.end:
-                verdicts[tid].append(ids)
-            else:
+            if not judge.end:
                 # every class this chunk holds has its value now, so its
                 # automorphisms are judged while their rows are at hand
                 values[tid] = [np.concatenate(values[tid])]
@@ -549,8 +544,7 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         chunk = adj = want = None
     for tid, judge in judges.items():
         if judge.end:
-            d_of = np.concatenate(verdicts[tid])        # each automorphism's D class
-            verdicts[tid] = [judged(tid, *judge.end(g, values[tid], d_of))]
+            verdicts[tid] = [judged(tid, *judge.end(g, values[tid], np.concatenate(d_of)))]
     return {tid: (np.concatenate(verdicts[tid]), witness.get(tid)) for tid in judges}
 
 
@@ -851,10 +845,9 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept if c != "alexander_iso" or predicted <= _ISO_PAIR_AUT_CAP)
         if tids:
-            clock = _Clock()    # started first, so the sweep's reports include the enumeration
+            # a generator: the sweep's clock times the enumeration as it runs
             maps = G._automorphism_chunks(g, cap=config.abelian_order_cap)
-            for tid, report in _sweep_reports(g, maps, tids, clock=clock,
-                                              predicted=predicted).items():
+            for tid, report in _sweep_reports(g, maps, tids, predicted=predicted).items():
                 reports[tid].append(report)
     for g in registry() if inner_tids else []:
         inner = g.mul[g.mul, g.inv[:, None]]      # inner[h, x] = h x h^-1

@@ -471,6 +471,14 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "at least one check id" in err
 
+    def test_config_that_is_not_an_object_exits_2_with_flags(self, capsys, tmp_path):
+        # --check writes into the config before it is read, which would
+        # raise TypeError on a list
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        code, out, err = run(capsys, "verify", "--config", str(path), "--check", "dihedral")
+        assert (code, out, err) == (2, "", "error: suite config must be a JSON object\n")
+
     @pytest.mark.parametrize("cfg, message", [
         ({"checks": "dihedral"}, "checks must be a list, got 'dihedral'"),
         ({"nonabelian_registry": "S3"}, "nonabelian_registry must be a list, got 'S3'"),

@@ -143,6 +143,14 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             gr.graph_from_json({"n": 3, "edges": [[0, 1, 2]]})
 
+    @pytest.mark.parametrize("obj, message", [
+        ("[]", "^graph JSON must be an object$"),
+        ({"n": 2}, "^graph JSON missing key 'edges'$"),
+    ])
+    def test_from_json_refuses_a_non_object_or_missing_key(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            gr.graph_from_json(obj)
+
     @pytest.mark.parametrize("obj, field", [
         ({"n": 2, "edges": 5}, "edges"),
         ({"n": 2, "edges": None}, "edges"),

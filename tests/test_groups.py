@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ class TestFiniteGroup:
         sub = [[(a - b) % 3 for b in range(3)] for a in range(3)]
         with pytest.raises(ValueError):
             G.FiniteGroup(np.array(sub))
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1, 2], [1, 2, 2], [2, 2, 1]], "element 1 has no right inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "left and right inverses disagree"),
+        ([[0, 1, 2], [1, 0, 1], [2, 2, 0]],
+         "some row is not a permutation (right cancellation fails)"),
+        ([[0, 1, 2], [1, 0, 2], [2, 1, 0]],
+         "some column is not a permutation (left cancellation fails)"),
+    ])
+    def test_rejects_tables_with_identity_but_no_group_law(self, table, message):
+        # each has identity 0; the checks run in this order
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            G.FiniteGroup(table)
 
     @pytest.mark.parametrize("table", [
         [[0.4, 1.6], [1.2, 0.0]],           # numpy would truncate these to Z2
@@ -166,6 +180,23 @@ class TestAutomorphisms:
         with pytest.raises(ValueError):
             G.Automorphism(g, [1, 0, 2])
 
+    def test_rejects_a_mapping_that_is_not_a_bijection(self):
+        with pytest.raises(ValueError, match="^automorphism must be a bijection$"):
+            G.Automorphism(G.make_cyclic(3), [0, 1, 1])
+
+    def test_compose_refuses_another_group(self):
+        # equal tables, but two groups
+        a, b = (G.identity_automorphism(G.make_cyclic(3)) for _ in range(2))
+        with pytest.raises(ValueError, match="^automorphisms act on different groups$"):
+            a.compose(b)
+
+    @pytest.mark.parametrize("build", [G.fixed_point_subgroup, G.twist_subgroup,
+                                       Q.alexander_quandle, Q.generalized_alexander_quandle])
+    def test_refuses_an_automorphism_of_another_group(self, build):
+        g = G.make_cyclic(3)
+        with pytest.raises(ValueError, match="^automorphism belongs to a different group$"):
+            build(g, G.identity_automorphism(G.make_cyclic(3)))
+
     def test_inner_automorphism(self):
         g = G.make_symmetric(3)
         phi = G.inner_automorphism(g, g.index_of("(12)"))
@@ -192,6 +223,10 @@ class TestAutomorphisms:
     def test_matrix_needs_square_shape(self):
         with pytest.raises(ValueError):
             G.matrix_automorphism(G.make_cyclic(6), [[1, 0], [0, 1]])
+
+    def test_matrix_needs_a_2x2_matrix(self):
+        with pytest.raises(ValueError, match="^matrix automorphism expects a 2x2 matrix$"):
+            G.matrix_automorphism(G.make_abelian([4, 4]), [[1, 0, 0], [0, 1, 0]])
 
     @pytest.mark.parametrize("label", ["Z4", "S3xS3"])
     def test_matrix_refuses_a_square_order_group_that_is_not_zn_x_zn(self, label):
@@ -413,6 +448,15 @@ class TestSubgroupsAndClasses:
         g = G.make_cyclic(6)
         with pytest.raises(ValueError):
             G.Subgroup(g, [0, 2])  # not closed: misses 4
+
+    def test_cosets_and_normality_refuse_another_group(self):
+        g = G.make_cyclic(3)
+        foreign = G.subgroup_generated(G.make_cyclic(3), [1])
+        for query in (G.cosets, G.is_normal):
+            with pytest.raises(ValueError, match="^subgroup belongs to a different group$"):
+                query(g, foreign)
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+            G.cosets(g, G.subgroup_generated(g, [1]), side="up")
 
     @pytest.mark.parametrize("order, members", [
         (6, [0, 3.7]), (6, [0, 3.0]), (2, [0, True]), (2, [np.True_, 0]), (6, [0, "3"]),

@@ -644,6 +644,10 @@ class TestTranslationsAndInnerGroup:
         with pytest.raises(ValueError):
             Q.inner_group(Q.trivial_quandle(65))
 
+    def test_perm_group_needs_the_identity(self):
+        with pytest.raises(ValueError, match="^permutation group must contain the identity$"):
+            Q.PermGroup(3, [(1, 0, 2)])
+
     def test_inner_group_closure_cap(self, monkeypatch):
         monkeypatch.setattr(Q, "INNER_CLOSURE_CAP", 10)
         assert Q.inner_group(Q.dihedral_quandle(5)).order == 10

@@ -156,6 +156,11 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             V.SuiteConfig(dihedral_range=(5, 2))
 
+    def test_rejects_a_range_that_is_not_a_pair(self):
+        message = r"^dihedral_range must be \[lo, hi\] with 1 <= lo <= hi$"
+        with pytest.raises(ValueError, match=message):
+            V.SuiteConfig(dihedral_range=[1, 2, 3])
+
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):
             V.SuiteConfig.from_json("[1, 2]")
@@ -443,6 +448,17 @@ class TestCheckersCatchSabotage:
         r = V.check_trivial_edgeless(n)
         assert not r.passed and r.witness == {"nontrivial_but_edgeless": f"R{n}"}
 
+    def test_trivial_edgeless_checker_sees_a_planted_conj_s4(self, monkeypatch):
+        # n = 24 is the one order with Conj(S4) among the peers; its graph
+        # alone carries S4's permutation names, R24's and T24's are numbers
+        assert V.check_trivial_edgeless(24).passed
+        s4_names = G.make_symmetric(4).element_names
+        real = V.gr.is_edgeless
+        monkeypatch.setattr(V.gr, "is_edgeless",
+                            lambda graph: graph.names == s4_names or real(graph))
+        r = V.check_trivial_edgeless(24)
+        assert not r.passed and r.witness == {"nontrivial_but_edgeless": "Conj(S4)"}
+
 
 class TestDihedralInnerPrediction:
     """check_dihedral_inner_example compares the graph with one predicted
@@ -645,6 +661,19 @@ class TestCheckersExhibitTheirIsomorphisms:
         monkeypatch.setattr(V.gr, "build_cayley_graph", planted)
         r = V.check_orbit_coset(g, h)
         assert r.witness == {"orbit_mismatch": {"x": x, "orbit": orbits[x], "coset": cosets[x]}}
+
+    def test_translation_that_misses_the_target_is_refused(self):
+        # the left cosets x H of the non-normal H = <(12)> in S3: right
+        # multiplication by s = u^-1 v carries x H to x H s, a coset of
+        # s^-1 H s, which is H only when s normalises H.  So only a coset's
+        # translation onto itself holds, even on the complete graph, whose
+        # every bijection keeps the edges
+        g = G.make_symmetric(3)
+        blocks = G.cosets(g, G.subgroup_generated(g, [g.index_of("(12)")])).blocks
+        complete = V.gr.complete_graph(g.order)
+        assert [[V._translation_iso_ok(complete, g, src, dst) for dst in blocks]
+                for src in blocks] == [[True, False, False], [False, True, False],
+                                       [False, False, True]]
 
 
 class TestDistinctRows:
@@ -1813,13 +1842,14 @@ class TestSweepTiming:
         assert gap >= 0.03
 
     def test_enumeration_is_timed_with_its_sweep(self, monkeypatch):
-        # run_suite enumerates each family as a stream of chunks
+        # run_suite enumerates each family as a stream of chunks, from a
+        # generator that runs only when the sweep asks for its first chunk
         real = G._automorphism_chunks
 
         def slow(group, cap):
             if group.label == "Z2xZ2":
                 V.time.sleep(0.05)
-            return real(group, cap=cap)
+            yield from real(group, cap=cap)
 
         monkeypatch.setattr(V.G, "_automorphism_chunks", slow)
         cfg = V.SuiteConfig(abelian_order_cap=4, checks=("alexander_components", "regularity"))
