@@ -437,14 +437,15 @@ class _Judge:
     """A check id's steps in sweep_alexander.  Each returns its values and,
     when they are verdicts, witness(i) for a failing index i, else None.
     slab(g, reps, adj, masks, want) gives one value per D class of a
-    slab, from the shared state every judge is handed.  chunk(g, chunk,
-    values) judges a chunk's automorphisms from their classes' values; by
-    default the values are the verdicts.  A judge with an end step has no
-    chunk step: end(g, slabs, d_of) judges the family from every slab's
-    values and each automorphism's class.  families names the families
-    the suite sweeps it over: "abelian", every automorphism of each
-    abelian type as a stream, and "inner", the inner automorphisms of each
-    registry group as one array."""
+    slab, from the shared state every judge is handed (masks and want are
+    None in a sweep of regularity alone, which reads neither).
+    chunk(g, chunk, values) judges a chunk's automorphisms from their
+    classes' values; by default the values are the verdicts.  A judge with
+    an end step has no chunk step: end(g, slabs, d_of) judges the family
+    from every slab's values and each automorphism's class.  families
+    names the families the suite sweeps it over: "abelian", every
+    automorphism of each abelian type as a stream, and "inner", the inner
+    automorphisms of each registry group as one array."""
     slab: Callable
     chunk: Callable = lambda g, chunk, values: (values, None)
     end: Callable | None = None
@@ -484,10 +485,11 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     adj, their matrices; masks, the masks of N = <phi(y)^-1 y> = <D>
     (groups.twist_masks, once per class, for the whole chunk at once); and
     want, the block matrices of N's left cosets, the gather masks[x^-1 v].
-    The judges read each slab in check_ids order, and their chunk steps
-    each chunk once its new classes are built.  The first failing class
-    holds the first failing automorphism, its first member, so a judge's
-    witness is built there.
+    regularity reads adj alone, so a sweep of it alone builds neither
+    masks nor want and hands None for both.  The judges read each slab in
+    check_ids order, and their chunk steps each chunk once its new classes
+    are built.  The first failing class holds the first failing
+    automorphism, its first member, so a judge's witness is built there.
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the first failure's witness, in the
@@ -519,18 +521,20 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         return ok
 
     rows = max(1, G._FAMILY_CHUNK_CELLS // g.order ** 2)
+    cosets = any(tid != "regularity" for tid in check_ids)    # does a judge read masks?
     for chunk in ((maps,) if isinstance(maps, np.ndarray) else maps):
         ids, d_new = d_table.number(Q.difference_sets(g, chunk))
         reps = chunk[d_new]             # the first member of each new D class
-        masks = G.twist_masks(g, reps)
+        masks = G.twist_masks(g, reps) if cosets else None
         clock.charge(*check_ids)
         for c0 in range(0, len(reps), rows):
             part = slice(c0, c0 + rows)
             adj = Q.alexander_adjacency(g, reps[part])
-            want = np.take(masks[part], g.mul[g.inv], axis=1)
+            slab = masks[part] if cosets else None
+            want = np.take(slab, g.mul[g.inv], axis=1) if cosets else None
             clock.charge(*check_ids)
             for tid, judge in judges.items():
-                values[tid].append(judged(tid, *judge.slab(g, reps[part], adj, masks[part], want)))
+                values[tid].append(judged(tid, *judge.slab(g, reps[part], adj, slab, want)))
         if any(judge.end for judge in judges.values()):
             d_of.append(ids)
         for tid, judge in judges.items():

@@ -811,6 +811,23 @@ class TestAbelianSweepMatchesCheckers:
             assert all(ok.all() for ok, _ in result.values())
             assert sum(calls) == len(np.unique(Q.difference_sets(g, maps), axis=0)), g.label
 
+    def test_regularity_alone_builds_no_masks(self, monkeypatch):
+        # regularity reads only the matrices, so its sweeps, alone or in a
+        # suite run that selects no coset check, never call twist_masks
+        real, calls = G.twist_masks, []
+        monkeypatch.setattr(V.G, "twist_masks", lambda group, maps: (
+            calls.append(len(maps)) or real(group, maps)))
+        s4 = G.make_symmetric(4)
+        inner = s4.mul[s4.mul, s4.inv[:, None]]
+        ok, witness = V.sweep_alexander(s4, inner, ("regularity",))["regularity"]
+        assert ok.all() and len(ok) == 24 and witness is None and calls == []
+        cfg = V.SuiteConfig(abelian_order_cap=8, nonabelian_registry=("S3", "S4"),
+                            checks=("regularity",))
+        assert all(r.passed for r in V.run_suite(cfg)) and calls == []
+        result = V.sweep_alexander(s4, inner, ("regularity", "orbit_coset"))
+        assert all(ok.all() for ok, _ in result.values())
+        assert sum(calls) == len(np.unique(Q.difference_sets(s4, inner), axis=0))
+
     def test_failures_land_on_the_same_automorphisms(self, abelian_sweep, monkeypatch):
         # wrong predictions for every t with |im(id - t)| = 4 or |Fix(t)| = 2
         trivial = lambda group: G.Subgroup(group, [group.identity])
