@@ -42,7 +42,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,33 +84,9 @@ class VerificationReport:
         return {**asdict(self), "elapsed": round(self.elapsed, 6)}
 
 
-def _report(tid: str, instance: str, start: float, failures: list) -> VerificationReport:
-    return VerificationReport(
-        theorem_id=tid,
-        instance=instance,
-        passed=not failures,
-        witness=failures[0] if failures else None,
-        elapsed=time.perf_counter() - start,
-    )
-
-
-class _Clock:
-    """Splits a sweep's time among its check ids.  Each lap, from the
-    previous charge (or the clock's start) to this one, goes in equal
-    shares to the ids charged, so the ids' totals sum to the time from
-    the start to the last charge.  A charge of no ids leaves the lap
-    running, so it goes to the next charge's ids."""
-
-    def __init__(self):
-        self.start = self.last = time.perf_counter()
-        self.spent: dict = {}
-
-    def charge(self, *tids) -> None:
-        now = time.perf_counter()
-        for tid in tids:
-            self.spent[tid] = self.spent.get(tid, 0.0) + (now - self.last) / len(tids)
-        if tids:
-            self.last = now
+def _report(tid: str, instance: str, failures: list) -> VerificationReport:
+    """An untimed report: run_suite times the reports it gathers."""
+    return VerificationReport(tid, instance, not failures, failures[0] if failures else None)
 
 
 def _block_matrix(blocks, n: int) -> np.ndarray:
@@ -148,7 +124,6 @@ def check_axioms(label: str, table) -> VerificationReport:
     automorphism: right invertibility makes it a bijection, and it is a
     homomorphism exactly when (x |> y) |> b == (x |> b) |> (y |> b) for
     all x and y, which is self-distributivity at b (Q._reduced_scan)."""
-    start = time.perf_counter()
     report = Q.verify_quandle_axioms(table)
     failures = [] if report.ok else [{
         "axioms": {
@@ -161,13 +136,12 @@ def check_axioms(label: str, table) -> VerificationReport:
                                     report.distributivity_witness)
                         if w is not None),
     }]
-    return _report("axioms", label, start, failures)
+    return _report("axioms", label, failures)
 
 
 def check_trivial_edgeless(n: int) -> VerificationReport:
     """Loops-only is exactly triviality: T_n edgeless, non-trivial peers not
     (R_n is trivial only when n divides 2, and S3 and S4 are non-abelian)."""
-    start = time.perf_counter()
     failures = []
     triv = Q.trivial_quandle(n)
     if not gr.is_edgeless(gr.build_cayley_graph(triv)):
@@ -182,31 +156,28 @@ def check_trivial_edgeless(n: int) -> VerificationReport:
     for q in candidates:
         if gr.is_edgeless(gr.build_cayley_graph(q)):
             failures.append({"nontrivial_but_edgeless": q.label})
-    return _report("trivial_edgeless", f"n={n}", start, failures)
+    return _report("trivial_edgeless", f"n={n}", failures)
 
 
 def check_conjugation_components(g: G.FiniteGroup) -> VerificationReport:
     """Conj(g): the disjoint union of the complete digraphs on the
     conjugacy classes."""
-    start = time.perf_counter()
     graph = gr.build_cayley_graph(Q.conjugation_quandle(g))
     failures = _block_mismatch(graph.matrix(), G.conjugacy_classes(g))
-    return _report("conjugation", f"Conj({g.label})", start, failures)
+    return _report("conjugation", f"Conj({g.label})", failures)
 
 
 def check_dihedral_quandle(n: int) -> VerificationReport:
     """R_n: K_n for odd n; two K_{n/2} on the parity classes for even n."""
-    start = time.perf_counter()
     graph = gr.build_cayley_graph(Q.dihedral_quandle(n))
     blocks = [range(n)] if n % 2 else [range(0, n, 2), range(1, n, 2)]
-    return _report("dihedral", f"n={n}", start, _block_mismatch(graph.matrix(), blocks))
+    return _report("dihedral", f"n={n}", _block_mismatch(graph.matrix(), blocks))
 
 
 def check_takasaki_window(w: int) -> VerificationReport:
     """Window [-w, w] of the integer quandle: the edge predicate matches
     direct solvability of c = 2b - a, and the graph is the disjoint union
     of the complete digraphs on the parity classes."""
-    start = time.perf_counter()
     vals = np.arange(-w, w + 1)
     b = np.arange(-3 * w, 3 * w + 1)
     # direct[i, j]: some b in [-3w, 3w] has 2b - a = c, for a = vals[i], c = vals[j]
@@ -215,17 +186,16 @@ def check_takasaki_window(w: int) -> VerificationReport:
     failures = [{"edge_mismatch": (a, c)} for a, c in (mismatch - w).tolist()]
     parity = [np.flatnonzero(vals % 2 == r) for r in (0, 1)]
     failures += _block_mismatch(gr.takasaki_z_window(w).matrix(), parity)
-    return _report("takasaki", f"w={w}", start, failures)
+    return _report("takasaki", f"w={w}", failures)
 
 
 def check_alexander_components(g: G.FiniteGroup, t: G.Automorphism) -> VerificationReport:
     """A_t(g): the disjoint union of the complete digraphs on the left
     cosets of im(id - t), which fixes the components, their completeness
     and their count |g| / |im(id - t)|."""
-    start = time.perf_counter()
     graph = gr.build_cayley_graph(Q.alexander_quandle(g, t))
     part = G.cosets(g, G.image_id_minus_t(g, t), side="left")
-    return _report("alexander_components", f"{g.label}", start,
+    return _report("alexander_components", f"{g.label}",
                    _block_mismatch(graph.matrix(), part.blocks, t=t.mapping.tolist()))
 
 
@@ -233,7 +203,6 @@ def check_alexander_iso_corollary(g: G.FiniteGroup, t1: G.Automorphism,
                                   t2: G.Automorphism) -> VerificationReport:
     """Graphs of A_t1(g) and A_t2(g) are isomorphic iff the images of
     id - t1 and id - t2 have equal size.  Both directions checked."""
-    start = time.perf_counter()
     failures = []
     ga = gr.build_cayley_graph(Q.alexander_quandle(g, t1))
     gb = gr.build_cayley_graph(Q.alexander_quandle(g, t2))
@@ -243,13 +212,12 @@ def check_alexander_iso_corollary(g: G.FiniteGroup, t1: G.Automorphism,
     if iso != (size1 == size2):
         failures.append({"iso": iso, "image_sizes": (size1, size2),
                          "t1": t1.mapping.tolist(), "t2": t2.mapping.tolist()})
-    return _report("alexander_iso", f"{g.label}", start, failures)
+    return _report("alexander_iso", f"{g.label}", failures)
 
 
 def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> VerificationReport:
     """Every vertex of the twisted graph has in- and out-degree equal to the
     index of the fixed-point subgroup of phi."""
-    start = time.perf_counter()
     failures = []
     graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
     expected = G.fixed_point_subgroup(g, phi).index()
@@ -259,7 +227,7 @@ def check_generalized_regularity(g: G.FiniteGroup, phi: G.Automorphism) -> Verif
             failures.append({"vertex": v, "degree": (o, i), "expected": expected,
                              "phi": phi.mapping.tolist()})
             break
-    return _report("regularity", f"{g.label}", start, failures)
+    return _report("regularity", f"{g.label}", failures)
 
 
 # -- batched sweeps over families of automorphisms ----------------------------
@@ -463,8 +431,7 @@ _SWEPT, _INNER = (tuple(tid for tid, judge in _JUDGES.items() if family in judge
                   for family in ("abelian", "inner"))
 
 
-def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
-                    clock: _Clock | None = None) -> dict:
+def sweep_alexander(g: G.FiniteGroup, maps, check_ids, spent: dict | None = None) -> dict:
     """The checks check_ids, each judged by its entry in _JUDGES (an id
     with none raises ValueError), over the generalized Alexander quandles
     of a family of automorphisms: the rows of the (k, n) image array maps,
@@ -493,12 +460,13 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
 
     Returns, per check id, the verdicts (one bool per automorphism, or per
     pair for alexander_iso) and the first failure's witness, in the
-    per-instance checker's form.  A clock, when given, is charged each
-    judge's own steps, and an equal share of each shared step to every id:
-    the next chunk (for a stream, its enumeration), the difference sets,
-    their numbering and masks, and each slab's adj and want.
+    per-instance checker's form.  A dict spent, when given, gains each
+    check id's seconds in its judge's own steps: slab, chunk and end, with
+    their witnesses.  The rest of the sweep is shared by every id: the
+    next chunk (for a stream, its enumeration), the difference sets, their
+    numbering and masks, and each slab's adj and want.
     """
-    clock = clock or _Clock()
+    spent = {} if spent is None else spent
     unknown = [tid for tid in check_ids if tid not in _JUDGES]
     if unknown:
         raise ValueError(f"sweep_alexander has no judge for {', '.join(unknown)}")
@@ -513,11 +481,14 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
     d_of = []                           # per chunk, each automorphism's D class, for the end steps
     witness: dict = {}                  # per check: its first failure's
 
-    def judged(tid, ok, found):
-        # keeps found's witness of tid's first failure and charges tid the lap
+    def judged(tid, step, *args):
+        # runs one of tid's steps, keeps the witness of its first failure
+        # and adds the step's time to tid's
+        start = time.perf_counter()
+        ok, found = step(g, *args)
         if found is not None and tid not in witness and not ok.all():
             witness[tid] = found(int(np.argmin(ok)))
-        clock.charge(tid)
+        spent[tid] = spent.get(tid, 0.0) + time.perf_counter() - start
         return ok
 
     rows = max(1, G._FAMILY_CHUNK_CELLS // g.order ** 2)
@@ -526,15 +497,13 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
         ids, d_new = d_table.number(Q.difference_sets(g, chunk))
         reps = chunk[d_new]             # the first member of each new D class
         masks = G.twist_masks(g, reps) if cosets else None
-        clock.charge(*check_ids)
         for c0 in range(0, len(reps), rows):
             part = slice(c0, c0 + rows)
             adj = Q.alexander_adjacency(g, reps[part])
             slab = masks[part] if cosets else None
             want = np.take(slab, g.mul[g.inv], axis=1) if cosets else None
-            clock.charge(*check_ids)
             for tid, judge in judges.items():
-                values[tid].append(judged(tid, *judge.slab(g, reps[part], adj, slab, want)))
+                values[tid].append(judged(tid, judge.slab, reps[part], adj, slab, want))
         if any(judge.end for judge in judges.values()):
             d_of.append(ids)
         for tid, judge in judges.items():
@@ -542,13 +511,13 @@ def sweep_alexander(g: G.FiniteGroup, maps, check_ids,
                 # every class this chunk holds has its value now, so its
                 # automorphisms are judged while their rows are at hand
                 values[tid] = [np.concatenate(values[tid])]
-                verdicts[tid].append(judged(tid, *judge.chunk(g, chunk, values[tid][0][ids])))
+                verdicts[tid].append(judged(tid, judge.chunk, chunk, values[tid][0][ids]))
         # a stream decodes its next chunk when the loop asks for it, so this
         # chunk's rows and matrices are let go first
         chunk = adj = want = None
     for tid, judge in judges.items():
         if judge.end:
-            verdicts[tid] = [judged(tid, *judge.end(g, values[tid], np.concatenate(d_of)))]
+            verdicts[tid] = [judged(tid, judge.end, values[tid], np.concatenate(d_of))]
     return {tid: (np.concatenate(verdicts[tid]), witness.get(tid)) for tid in judges}
 
 
@@ -574,7 +543,6 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
     the one from 0 to j after the inverse of the one from 0 to i, so every
     pair passes exactly when row 0 does, and row 0 holds the first failing
     pair in row-major order."""
-    start = time.perf_counter()
     failures = []
     phi = G.inner_automorphism(g, h)
     q = Q.generalized_alexander_quandle(g, phi)
@@ -598,7 +566,7 @@ def check_orbit_coset(g: G.FiniteGroup, h: int) -> VerificationReport:
             if not _translation_iso_ok(graph, g, base, comp):
                 failures.append({"translation_not_isomorphism": (0, j)})
                 break
-    return _report("orbit_coset", f"({g.label}, h={g.name(h)})", start, failures)
+    return _report("orbit_coset", f"({g.label}, h={g.name(h)})", failures)
 
 
 def _dihedral_inner_matrix(m: int) -> np.ndarray:
@@ -640,13 +608,12 @@ def check_dihedral_inner_example(m: int) -> VerificationReport:
     (2 is a unit mod m).  A directed cycle of length L with its loops has
     diameter L - 1.  The edge i -> i + 2 has its reverse exactly when
     i + 4 = i mod m, so the graph is symmetric exactly when m divides 4."""
-    start = time.perf_counter()
     m = G.as_integer(m, "dihedral example m", lo=2)
     g = G.make_dihedral(m)
     phi = G.inner_automorphism(g, g.index_of("r"))
     graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
     failures = _cell_mismatch(graph.matrix(), _dihedral_inner_matrix(m), "cell_mismatch")
-    return _report("dihedral_inner", f"m={m}", start, failures)
+    return _report("dihedral_inner", f"m={m}", failures)
 
 
 def check_s4_example() -> VerificationReport:
@@ -661,7 +628,6 @@ def check_s4_example() -> VerificationReport:
     strongly connected, so the components are the two cosets of twelve;
     the identity block is the golden edge set; and neither block is
     complete."""
-    start = time.perf_counter()
     failures = []
     g = G.make_symmetric(4)
     h = g.index_of("(12)")
@@ -677,7 +643,7 @@ def check_s4_example() -> VerificationReport:
         failures.append({"N": [g.name(x) for x in big_n.members]})
     graph = gr.build_cayley_graph(Q.generalized_alexander_quandle(g, phi))
     failures += _cell_mismatch(graph.matrix(), _s4_example_matrix(g, golden), "cell_mismatch")
-    return _report("s4_example", "S4, phi=inner:(12)", start, failures)
+    return _report("s4_example", "S4, phi=inner:(12)", failures)
 
 
 # -- the suite ---------------------------------------------------------------
@@ -743,10 +709,10 @@ class SuiteConfig:
 
 
 def _sweep_reports(g: G.FiniteGroup, maps, check_ids, instances=None,
-                   clock: _Clock | None = None, predicted: int | None = None) -> dict:
+                   predicted: int | None = None) -> dict:
     """sweep_alexander as one merged report per check id, each timed by
-    its share of the clock (started here unless given): its own
-    predictions and tests, and an equal share of the rest.  The instance
+    its judge's own steps plus an equal share of the rest of the sweep, so
+    the reports' times sum to the sweep's.  The instance
     is instances[check id], else the group with its count of automorphisms
     (or pairs, for alexander_iso).  A failing report's witness is the
     first failure's sub-instance (the group, or for orbit_coset the group
@@ -755,9 +721,9 @@ def _sweep_reports(g: G.FiniteGroup, maps, check_ids, instances=None,
     With a predicted count of automorphisms, a family of any other size
     fails every report, with witness {"automorphisms": k, "predicted": p}:
     the sweep read some automorphism twice, or missed one."""
-    clock = clock or _Clock()
-    results = sweep_alexander(g, maps, check_ids, clock)
-    clock.charge(*check_ids)
+    start, own = time.perf_counter(), dict.fromkeys(check_ids, 0.0)
+    results = sweep_alexander(g, maps, check_ids, own)
+    shared = (time.perf_counter() - start - sum(own.values())) / len(check_ids)
     # the family's size k: the count of any per-automorphism verdicts, or
     # from alexander_iso's k (k + 1) / 2 pairs
     tid, (ok, _) = next(iter(results.items()))
@@ -775,7 +741,7 @@ def _sweep_reports(g: G.FiniteGroup, maps, check_ids, instances=None,
             if tid == "orbit_coset":
                 sub = f"({g.label}, h={g.name(int(np.argmin(ok)))})"
             witness = {"sub_instance": sub, "detail": detail, "failed": failed, "of": ok.size}
-        out[tid] = VerificationReport(tid, instance, witness is None, witness, clock.spent[tid])
+        out[tid] = VerificationReport(tid, instance, witness is None, witness, own[tid] + shared)
     return out
 
 
@@ -793,9 +759,11 @@ def _axiom_samples(config: SuiteConfig, registry) -> list:
     return samples + [(label, np.asarray(table)) for label, table in config.extra_quandles]
 
 
-# each per-instance check id's reports, in order, from the config c and the
-# registry groups, registry().  Each checker is looked up by name when the
-# suite runs, so a wrapped or replaced module attribute is the one called
+# each per-instance check id's reports, in order, as an iterator from the
+# config c and the registry groups, registry(), that makes each report when
+# asked, so run_suite times none for what the iterator is built from.  Each
+# checker is looked up by name when the suite runs, so a wrapped or replaced
+# module attribute is the one called
 _PER_INSTANCE = {
     "axioms": lambda c, registry: (check_axioms(*s) for s in _axiom_samples(c, registry)),
     "trivial_edgeless": lambda c, registry: map(check_trivial_edgeless,
@@ -806,7 +774,7 @@ _PER_INSTANCE = {
     "takasaki": lambda c, registry: map(check_takasaki_window, range(1, c.takasaki_window + 1)),
     "dihedral_inner": lambda c, registry: map(check_dihedral_inner_example, range(
         max(2, c.dihedral_range[0]), c.dihedral_range[1] + 1)),
-    "s4_example": lambda c, registry: [check_s4_example()],
+    "s4_example": lambda c, registry: (check_s4_example() for _ in range(1)),
 }
 
 
@@ -816,7 +784,9 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     order; a family sweep gives one merged report per group, with the
     first failing sub-instance as witness.  A run whose checks give no
     report at all raises ValueError.  The registry groups are built the
-    first time a check reads them, and not at all when none does.
+    first time a check reads them, and not at all when none does.  A
+    per-instance report's elapsed is the time of the step of its check's
+    iterator that made it; a swept one's, its share of its sweep.
 
     Each abelian group's |Aut(G)| is predicted before any check runs, by a
     closed form (groups._abelian_automorphism_count), and a run whose
@@ -840,8 +810,13 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
                 f"automorphisms, over the budget of {_AUT_BUDGET:,}")
     registry = functools.cache(
         lambda: [specs.group_from_string(label) for label in config.nonabelian_registry])
-    reports = {tid: list(_PER_INSTANCE[tid](config, registry)) if tid in _PER_INSTANCE else []
-               for tid in selected}
+    reports = {tid: [] for tid in selected}
+    for tid in filter(_PER_INSTANCE.__contains__, selected):
+        made = _PER_INSTANCE[tid](config, registry)
+        start = time.perf_counter()
+        for report in made:     # each report is timed around the step that makes it
+            reports[tid].append(replace(report, elapsed=time.perf_counter() - start))
+            start = time.perf_counter()
 
     # one sweep per abelian group serves its swept checks, and one per
     # registry group its inner family's
@@ -849,7 +824,7 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
         # no pair verdicts for groups with many automorphisms (Z2^4: 20,160)
         tids = tuple(c for c in swept if c != "alexander_iso" or predicted <= _ISO_PAIR_AUT_CAP)
         if tids:
-            # a generator: the sweep's clock times the enumeration as it runs
+            # a generator, so the sweep times the enumeration as it runs
             maps = G._automorphism_chunks(g, cap=config.abelian_order_cap)
             for tid, report in _sweep_reports(g, maps, tids, predicted=predicted).items():
                 reports[tid].append(report)

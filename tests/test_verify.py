@@ -1729,7 +1729,7 @@ class TestStreamedSweep:
 
     def test_enumeration_is_a_shared_step_of_the_stream(self, monkeypatch):
         # the enumeration runs inside the sweep, so its time is shared, and
-        # the reports still sum to the clock's whole time
+        # the reports still sum to no more than the sweep's wall time
         g, chunks, maps = self._z2_4(monkeypatch)
 
         def slow():
@@ -1737,10 +1737,11 @@ class TestStreamedSweep:
                 V.time.sleep(0.002)
                 yield chunk
 
-        clock = V._Clock()
-        reports = V._sweep_reports(g, slow(), self.TIDS, clock=clock, predicted=len(maps))
+        before = V.time.perf_counter()
+        reports = V._sweep_reports(g, slow(), self.TIDS, predicted=len(maps))
+        wall = V.time.perf_counter() - before
         total = sum(r.elapsed for r in reports.values())
-        assert total == pytest.approx(clock.last - clock.start, rel=1e-9, abs=1e-12)
+        assert 0 < total <= wall
         assert min(r.elapsed for r in reports.values()) >= 0.002 * len(chunks) / 2
 
     def test_orbit_coset_takes_the_inner_array_only(self):
@@ -1835,12 +1836,10 @@ class TestSweepTiming:
         maps = G.enumerate_automorphisms(g)
         tids = ("alexander_components", "alexander_iso", "regularity")
         before = V.time.perf_counter()
-        clock = V._Clock()
-        reports = V._sweep_reports(g, maps, tids, clock=clock)
+        reports = V._sweep_reports(g, maps, tids)
         after = V.time.perf_counter()
-        assert set(reports) == set(clock.spent) == set(tids)
+        assert set(reports) == set(tids)
         total = sum(r.elapsed for r in reports.values())
-        assert total == pytest.approx(clock.last - clock.start, rel=1e-9, abs=1e-12)
         assert 0 < total <= after - before
 
     def test_own_predictions_are_charged_to_their_check(self, monkeypatch):
@@ -1879,6 +1878,46 @@ class TestSweepTiming:
         assert spent["Z2xZ2"] >= 0.05
 
 
+class TestPerInstanceTiming:
+    """run_suite times each per-instance report around the step of its
+    check's iterator that makes it; a checker called alone times nothing."""
+
+    def test_a_slow_checker_is_charged_to_its_own_report(self, monkeypatch):
+        real, slept = V.check_dihedral_quandle, []
+
+        def slow(n):
+            if n == 5:
+                before = V.time.perf_counter()
+                V.time.sleep(0.05)
+                slept.append(V.time.perf_counter() - before)
+            return real(n)
+
+        monkeypatch.setattr(V, "check_dihedral_quandle", slow)
+        reports = V.run_suite(V.SuiteConfig(checks=("dihedral",), dihedral_range=(3, 7)))
+        assert [r.instance for r in reports] == [f"n={n}" for n in range(3, 8)]
+        assert reports[2].elapsed >= slept[0]
+        assert all(r.elapsed < slept[0] for i, r in enumerate(reports) if i != 2)
+        assert slow(5).elapsed == 0.0
+
+    def test_building_the_axiom_samples_is_charged_to_no_report(self, monkeypatch):
+        real, slept = V._axiom_samples, []
+
+        def slow(config, registry):
+            before = V.time.perf_counter()
+            V.time.sleep(0.05)
+            slept.append(V.time.perf_counter() - before)
+            return real(config, registry)
+
+        monkeypatch.setattr(V, "_axiom_samples", slow)
+        cfg = V.SuiteConfig(checks=("axioms",), nonabelian_registry=("S3",), dihedral_range=(2, 4))
+        before = V.time.perf_counter()
+        reports = V.run_suite(cfg)
+        wall = V.time.perf_counter() - before
+        assert len(reports) == len(real(cfg, lambda: [G.make_symmetric(3)])) and slept
+        # the sleep and the reports' steps are disjoint spans of the run
+        assert sum(r.elapsed for r in reports) <= wall - slept[0]
+
+
 class TestTakasakiScan:
     def test_mismatches_match_the_loop(self, monkeypatch):
         # a wrong predicate: the sweep's mismatch list is the loop's, in order
@@ -1886,8 +1925,8 @@ class TestTakasakiScan:
         monkeypatch.setattr(V.gr, "takasaki_z_edge", wrong)
         seen = []
         real = V._report
-        monkeypatch.setattr(V, "_report", lambda tid, inst, start, failures: (
-            seen.append(list(failures)) or real(tid, inst, start, failures)))
+        monkeypatch.setattr(V, "_report", lambda tid, inst, failures: (
+            seen.append(list(failures)) or real(tid, inst, failures)))
         for w in (0, 1, 3, 6):
             assert V.check_takasaki_window(w).passed == (w == 0)
             loop = [{"edge_mismatch": (a, c)}
