@@ -3,9 +3,10 @@
 Every subcommand is a thin wrapper over the library: specs are parsed,
 objects are built, results are printed.  No algebra or graph logic lives
 here.  Exit codes: 0 success, 1 domain failure (axiom violation, failed
-check, non-isomorphic pair), 2 usage or parse error, or an input too
-large for memory.  Output for a fixed command line is byte-identical
-across runs.
+check, non-isomorphic pair), 2 usage or parse error, an input over a cap
+(groups.SYMMETRIC_CAP, graphs.ISOMORPHISM_CAP, or a suite config whose
+automorphisms exceed the sweep budget) or an input too large for memory.
+Output for a fixed command line is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -261,7 +262,3 @@ def main(argv=None) -> int:
         # (a bare MemoryError) shows the exception's name
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

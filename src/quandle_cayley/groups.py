@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,9 +261,6 @@ class _Elements:
             return self._index[name]
         except (KeyError, TypeError):
             raise ValueError(f"{self.label} has no element named {name!r}") from None
-
-    def __len__(self) -> int:
-        return self.order
 
 
 class FiniteGroup(_Elements):
@@ -525,9 +522,6 @@ class Automorphism:
         return (isinstance(other, Automorphism)
                 and other.group is self.group
                 and (other.mapping == self.mapping).all())
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.key()))
 
     def __repr__(self) -> str:
         return f"Automorphism({self.group.label}, {list(map(int, self.mapping))})"
@@ -825,7 +819,7 @@ def _block_of(blocks: tuple, x, what: str) -> tuple:
 
 class Subgroup:
     """A subgroup of a parent group, stored as a sorted member tuple.  The
-    constructor checks range (as_integer_array), identity, closure, inverses."""
+    constructor checks range (as_integer_array), identity and closure."""
 
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
@@ -841,8 +835,8 @@ class Subgroup:
             raise ValueError(
                 f"not closed: {parent.name(int(arr[a]))} * {parent.name(int(arr[b]))} escapes"
             )
-        if not inside[parent.inv[arr]].all():
-            raise ValueError("not closed under inverses")
+        # no inverse check: in a finite group x^-1 = x^(k-1) for x of order k,
+        # so a non-empty product-closed set already holds every inverse
         self.members = tuple(arr.tolist())
 
     @classmethod
@@ -871,18 +865,13 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return _is_integer(x) and int(x) in self.member_set()
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label})"
 
 
 @dataclass(frozen=True)
 class CosetPartition:
-    subgroup: Subgroup
-    side: str
-    blocks: tuple = field(default_factory=tuple)
+    blocks: tuple
 
     def block_of(self, x: int) -> tuple:
         return _block_of(self.blocks, x, "element")
@@ -912,7 +901,7 @@ def cosets(g: FiniteGroup, s: Subgroup, side: str = "left") -> CosetPartition:
         labels = g.mul[:, mem].min(axis=1)
     else:
         labels = g.mul[mem, :].min(axis=0)
-    return CosetPartition(subgroup=s, side=side, blocks=_blocks_by_label(labels))
+    return CosetPartition(_blocks_by_label(labels))
 
 
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:

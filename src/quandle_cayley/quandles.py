@@ -202,12 +202,12 @@ class Quandle(_Elements):
     knot quandle", J. Pure Appl. Algebra 23, 1982), so they skip the scan.
     """
 
-    def __init__(self, rhd, label: str = "Q", element_names=None, provenance=None):
+    def __init__(self, rhd, label: str = "Q", element_names=None):
         table = as_index_array(rhd, "operation table")
         report = verify_quandle_axioms(table)
         if not report.ok:
             raise AxiomViolation(report, label)
-        self._init(table, label, as_names(element_names, table.shape[0]), provenance)
+        self._init(table, label, as_names(element_names, table.shape[0]), None)
 
     @classmethod
     def _of_checked(cls, rhd: np.ndarray, label: str, element_names=None,

@@ -346,7 +346,7 @@ class TestParserReuse:
                      ["analyze", "--family", "dihedral", "--n", "6"],
                      ["verify", "--check", "axioms"],
                      ["build", "--family", "conj", "--group", "S3", "--n", "7"]):
-            fresh = subprocess.run([sys.executable, "-m", "quandle_cayley.cli", *argv],
+            fresh = subprocess.run([sys.executable, "-m", "quandle_cayley", *argv],
                                    capture_output=True, text=True, env=env, check=False)
             assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert fresh.returncode == 2 and fresh.stderr.startswith("error: ")

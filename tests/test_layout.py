@@ -91,3 +91,39 @@ def test_symmetric_cap_is_read_when_the_group_is_built(monkeypatch):
     with pytest.raises(ValueError, match=r"^symmetric group capped at n <= 3 \(got 4\)$"):
         G.make_symmetric(4)
     assert G.make_symmetric(3).order == 6
+
+
+def _call_graph() -> dict:
+    """Every function and method of the package, by bare name, mapped to
+    the bare names it calls (f(...) and obj.f(...)).  Definitions that share
+    a name share one entry, so the graph can only over-reach."""
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls.setdefault(node.name, set()).update(
+                    c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                    for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and isinstance(c.func, (ast.Name, ast.Attribute)))
+    return calls
+
+
+def test_per_instance_constructors_share_no_code_with_the_sweep():
+    # the per-instance checkers build their quandles and graphs through these
+    # roots, and the sweep builds whole families through the five names below;
+    # a checker comparing the two is a check only while neither reaches the
+    # other's code.  The oracle checkers are not roots: check_alexander_components
+    # reaches twist_masks through image_id_minus_t, which the planted-fault
+    # tests rely on
+    calls = _call_graph()
+    roots = ["alexander_quandle", "generalized_alexander_quandle", "build_cayley_graph"]
+    assert all(root in calls for root in roots)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [c for c in calls[name] if c in calls]
+    sweep = {"difference_sets", "alexander_adjacency", "twist_masks", "fixed_point_indices",
+             "sweep_alexander"}
+    assert reached & sweep == set()

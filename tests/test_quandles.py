@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quandle_cayley import graphs as gr
 from quandle_cayley import groups as G
 from quandle_cayley import quandles as Q
 
@@ -738,3 +739,14 @@ class TestSerialization:
     def test_rejects_malformed_object(self):
         with pytest.raises(ValueError):
             Q.quandle_from_json({"order": 2})
+
+
+def test_reprs_name_the_object_and_its_size():
+    g = G.make_dihedral(3)
+    q = Q.conjugation_quandle(g)
+    assert [repr(obj) for obj in (g, G.inner_automorphism(g, g.index_of("r")),
+                                  G.subgroup_generated(g, [g.index_of("r")]), q,
+                                  Q.inner_group(q), gr.build_cayley_graph(q))] == [
+        "FiniteGroup(D3, order=6)", "Automorphism(D3, [0, 1, 2, 5, 3, 4])",
+        "Subgroup(order=3 of D3)", "Quandle(Conj(D3), order=6)",
+        "PermGroup(degree=6, order=6)", "DirectedGraph(n=6, edges=14)"]
